@@ -1,0 +1,80 @@
+"""Golden CLI outputs: stdout bytes frozen from a reference run.
+
+Each case's expected stdout is stored in tests/golden/<name>.csv. Most cases
+must match byte for byte. Additive (geometric) schedules sum their branch
+offsets in a build-dependent order, so their cells are compared numerically
+at 1e-12 relative instead.
+
+To regenerate after an intended output change:
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import math
+from pathlib import Path
+
+import pytest
+
+from branchvol import cli
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+# name -> argv; the first six are the README command-line examples.
+BYTE_EXACT = {
+    "readme_density": ["density", "--schedule", "constant:a=0.1,N=5",
+                       "--n-list", "0,5,10,25,50", "--x=-4:4:0.05"],
+    "readme_exceed": ["exceed", "--schedule", "constant:a=0.1,N=8", "--k", "3,5,10"],
+    "readme_ratio_table": ["ratio-table"],
+    "readme_moments": ["moments", "--schedule", "bleed:a1=0.2,lambda=0.9,N=10",
+                       "--orders", "2,4"],
+    "readme_loglog": ["loglog", "--schedule", "constant:a=0.1,N=50",
+                      "--n-list", "0,5,10,25,50", "--x", "2:10:120"],
+    "readme_validate": ["validate", "--schedule", "constant:a=0.1,N=8",
+                        "--n-samples", "1000000", "--seed", "42"],
+    "bleed_exceed": ["exceed", "--schedule", "bleed:a1=0.2,lambda=0.9,N=12",
+                     "--k", "3,10,50"],
+    "bleed_loglog": ["loglog", "--schedule", "bleed:a1=0.25,lambda=0.8,N=10",
+                     "--x", "2:40:12"],
+    "bleed_density": ["density", "--schedule", "bleed:a1=0.2,lambda=0.9,N=14",
+                      "--x=-4:4:1"],
+    "explicit_moments": ["moments", "--schedule",
+                         "explicit:0.3,0.25,0.2,0.15,0.1,0.05,0.3,0.2,0.1,0.05"],
+}
+NUMERIC = {
+    "geometric_exceed": ["exceed", "--schedule", "geometric:a=0.2,N=16",
+                         "--k", "3,10,50"],
+}
+
+
+def _stdout(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(argv)
+    assert rc == 0, argv
+    return out.getvalue()
+
+
+def _golden(name: str) -> str:
+    return (GOLDEN_DIR / f"{name}.csv").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(BYTE_EXACT))
+def test_byte_identical(name):
+    assert _stdout(BYTE_EXACT[name]) == _golden(name)
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC))
+def test_numerically_identical(name):
+    got_cols, got = cli.parse_table_csv(_stdout(NUMERIC[name]))
+    want_cols, want = cli.parse_table_csv(_golden(name))
+    assert got_cols == want_cols and len(got) == len(want)
+    for got_row, want_row in zip(got, want):
+        for g, w in zip(got_row, want_row):
+            assert math.isclose(g, w, rel_tol=1e-12), (got_row, want_row)
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in {**BYTE_EXACT, **NUMERIC}.items():
+        (GOLDEN_DIR / f"{name}.csv").write_text(_stdout(argv))
