@@ -14,12 +14,10 @@ from .branching import (
     MixtureDistribution,
     Mode,
     NonPositiveScaleError,
-    ScaleSet,
     ScheduleParseError,
     ScheduleSpec,
     build_mixture,
-    build_scale_set,
-    build_sign_matrix,
+    group_mixture,
     parse_schedule,
     parse_schedule_spec,
     variance_preserving_pair,
@@ -38,14 +36,10 @@ from .mixstats import (
     LogLogSeries,
     convexity_ratio,
     density,
-    density_constant_a,
     exceedance,
-    exceedance_constant_a,
     local_slopes,
     log_exceedance,
-    log_exceedance_constant_a,
     loglog_series,
-    loglog_series_constant_a,
     mixture_abs_first_moment,
     mixture_raw_moment,
     tail_slope_estimate,
@@ -87,32 +81,26 @@ __all__ = [
     "MomentsReport",
     "NonPositiveScaleError",
     "SampleSpec",
-    "ScaleSet",
     "ScheduleParseError",
     "ScheduleSpec",
     "TargetCheck",
     "TargetEstimate",
     "UnsupportedOrderError",
     "build_mixture",
-    "build_scale_set",
-    "build_sign_matrix",
     "check_report",
     "convexity_ratio",
     "density",
-    "density_constant_a",
     "erfc",
     "estimate",
     "exceedance",
-    "exceedance_constant_a",
     "gaussian_abs_first_moment",
     "gaussian_raw_moment",
+    "group_mixture",
     "kurtosis_constant_a",
     "local_slopes",
     "log_erfc",
     "log_exceedance",
-    "log_exceedance_constant_a",
     "loglog_series",
-    "loglog_series_constant_a",
     "m2_bleed",
     "m4_bleed",
     "mixture_abs_first_moment",

@@ -3,7 +3,8 @@
 A depth-N schedule of error rates a(1)..a(N) generates all 2^N sign tuples.
 Each tuple maps the base scale sigma to sigma * scale_i, either by the
 product prod_j (1 + s_j a(j)) or, in additive mode, by 1 + sum_j s_j a^j.
-The result is an equal-weight Gaussian mixture over the branches.
+The result is an equal-weight Gaussian mixture over the branches. A
+constant rate also has a grouped form: n + 1 binomially weighted classes.
 """
 
 from __future__ import annotations
@@ -14,8 +15,13 @@ from enum import Enum
 
 import numpy as np
 
+from ._checks import check_depth, check_rate, check_sigma
+
 MAX_ENUMERATION_DEPTH = 24
 """Largest depth for which the 2^N branches are materialized explicitly."""
+
+_LN2 = math.log(2.0)
+_EXACT_BINOM_LIMIT = 300
 
 
 class Mode(Enum):
@@ -24,7 +30,7 @@ class Mode(Enum):
 
 
 class EnumerationLimitError(ValueError):
-    """Depth too large to enumerate 2^N branches explicitly."""
+    """Depth too large to enumerate 2^N branches; group_mixture covers constant rates."""
 
 
 class NonPositiveScaleError(ValueError):
@@ -51,8 +57,7 @@ class ErrorSchedule:
         rates = tuple(float(r) for r in self.rates)
         object.__setattr__(self, "rates", rates)
         for j, r in enumerate(rates, start=1):
-            if not math.isfinite(r) or not (0.0 <= r < 1.0):
-                raise ValueError(f"rate a({j})={r!r} outside [0, 1)")
+            check_rate(r, f"rate a({j})")
         if self.mode is Mode.ADDITIVE and rates:
             a = rates[0]
             for j, r in enumerate(rates, start=1):
@@ -69,11 +74,13 @@ class ErrorSchedule:
     @classmethod
     def constant(cls, a: float, n: int) -> "ErrorSchedule":
         """Flat rate a at every level."""
+        check_depth(n)
         return cls((float(a),) * n)
 
     @classmethod
     def bleed(cls, a1: float, lam: float, n: int) -> "ErrorSchedule":
         """Geometrically decaying rates a(k) = lam^(k-1) * a1."""
+        check_depth(n)
         if not (lam >= 0.0 and math.isfinite(lam)):
             raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
         return cls(tuple(float(a1) * lam**k for k in range(n)))
@@ -81,6 +88,7 @@ class ErrorSchedule:
     @classmethod
     def geometric(cls, a: float, n: int) -> "ErrorSchedule":
         """Additive-mode schedule with rates a, a^2, ..., a^n."""
+        check_depth(n)
         return cls(tuple(float(a) ** j for j in range(1, n + 1)), Mode.ADDITIVE)
 
     @classmethod
@@ -100,26 +108,29 @@ class GaussianBase:
     def __post_init__(self) -> None:
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu!r}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
-
-
-@dataclass(frozen=True)
-class ScaleSet:
-    """Per-branch scale multipliers with their common weight 2^-N."""
-
-    scales: np.ndarray
-    weight: float
+        check_sigma(self.sigma)
 
 
 @dataclass(frozen=True)
 class MixtureDistribution:
-    """Equal-weight mixture of Normal(mu, (sigma * scale_i)^2) components."""
+    """Mixture of Normal(mu, (sigma * scales[i])^2) components.
+
+    Component i weighs ``weight * exp(log_weights[i])``. ``weight`` is an
+    exact common factor: 2^-N for an enumeration (exp(-N ln 2) is not 2^-N
+    in every bit), 1.0 for grouped classes. ``log_scales`` stays finite
+    where ``scales`` leaves the double range.
+    """
 
     mu: float
     sigma: float
     scales: np.ndarray
+    log_scales: np.ndarray
     weight: float
+    log_weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        for arr in (self.scales, self.log_scales, self.log_weights):
+            arr.setflags(write=False)
 
     @property
     def n_components(self) -> int:
@@ -130,67 +141,67 @@ class MixtureDistribution:
         return self.sigma * self.scales
 
 
-def build_sign_matrix(n: int) -> np.ndarray:
-    """All 2^n sign tuples as a (2^n, n) int8 array.
+def build_mixture(base: GaussianBase, schedule: ErrorSchedule) -> MixtureDistribution:
+    """Equal-weight mixture over all 2^N branches of the schedule.
 
-    Rows count in binary with +1 ordered before -1 and the last column
-    flipping fastest: row 0 is all +1, row 2^n - 1 is all -1.
+    Branches count in binary with +1 before -1 and the last layer flipping
+    fastest: branch 0 takes every +a(j), branch 2^N - 1 every -a(j).
+    MULTIPLICATIVE: scale = prod_j (1 + s_j a(j)), always positive.
+    ADDITIVE: scale = 1 + sum_j s_j a^j; raises NonPositiveScaleError if
+    any branch's offset sum reaches -1. Depth 0 yields the base Gaussian.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"depth must be a nonnegative integer, got {n!r}")
+    n = schedule.depth
     if n > MAX_ENUMERATION_DEPTH:
         raise EnumerationLimitError(
             f"depth {n} exceeds the enumeration ceiling {MAX_ENUMERATION_DEPTH}; "
-            "for constant rates use the binomial forms "
-            "(exceedance_constant_a, density_constant_a, moment_constant_a)"
+            "constant rates collapse to n + 1 classes with group_mixture"
         )
-    idx = np.arange(2**n, dtype=np.int64)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    bits = (idx[:, None] >> shifts[None, :]) & 1
-    signs = (1 - 2 * bits).astype(np.int8)
-    signs.setflags(write=False)
-    return signs
-
-
-def build_scale_set(schedule: ErrorSchedule) -> ScaleSet:
-    """Evaluate every branch's scale multiplier for the given schedule.
-
-    MULTIPLICATIVE: scale_i = prod_j (1 + T[i,j] a(j)), always positive.
-    ADDITIVE: scale_i = 1 + sum_j T[i,j] a^j; raises NonPositiveScaleError
-    if any branch's offset sum reaches -1.
-    """
-    n = schedule.depth
-    signs = build_sign_matrix(n)
-    rates = np.asarray(schedule.rates, dtype=np.float64)
     if schedule.mode is Mode.MULTIPLICATIVE:
-        scales = np.ones(2**n)
-        for j in range(n):
-            scales *= 1.0 + rates[j] * signs[:, j]
+        scales = np.ones(1)
+        for a in schedule.rates:
+            scales = np.multiply.outer(scales, [1.0 + a, 1.0 - a]).ravel()
     else:
-        scales = 1.0 + signs.astype(np.float64) @ rates
-        bad = np.nonzero(scales <= 0.0)[0]
+        scales = np.zeros(1)
+        for a in schedule.rates:
+            scales = np.add.outer(scales, [a, -a]).ravel()
+        scales += 1.0
+        bad = np.flatnonzero(scales <= 0.0)
         if bad.size:
             i = int(bad[0])
-            row = tuple(int(s) for s in signs[i])
+            signs = tuple(1 - 2 * (i >> (n - 1 - j) & 1) for j in range(n))
             raise NonPositiveScaleError(
-                f"branch {i} with signs {row} has scale {scales[i]:.6g} <= 0"
+                f"branch {i} with signs {signs} has scale {scales[i]:.6g} <= 0"
             )
-    scales.setflags(write=False)
-    return ScaleSet(scales=scales, weight=2.0**-n)
-
-
-def build_mixture(base: GaussianBase, schedule: ErrorSchedule) -> MixtureDistribution:
-    """Equal-weight Gaussian mixture over all branches of the schedule.
-
-    Depth 0 yields the single base Gaussian.
-    """
-    scale_set = build_scale_set(schedule)
+    # Equal weights as a zero-stride view: no weight array at depth 24.
     return MixtureDistribution(
-        mu=base.mu,
-        sigma=base.sigma,
-        scales=scale_set.scales,
-        weight=scale_set.weight,
+        base.mu, base.sigma, scales, np.log(scales), 2.0**-n,
+        np.broadcast_to(0.0, scales.shape),
     )
+
+
+def group_mixture(base: GaussianBase, a: float, n: int) -> MixtureDistribution:
+    """The depth-n constant-rate mixture as its n + 1 binomial classes.
+
+    Class j holds the C(n, j) branches with j up-moves: scale
+    (1+a)^j (1-a)^(n-j), weight C(n, j) 2^-n. The cost is O(n), so depths
+    far past the enumeration ceiling work.
+    """
+    check_rate(a)
+    check_depth(n)
+    j = np.arange(n + 1, dtype=np.float64)
+    log_scales = j * math.log1p(a)
+    log_scales += np.multiply(n - j, math.log1p(-a), out=j)
+    with np.errstate(over="ignore"):
+        scales = np.exp(log_scales)
+    # Exact big-int binomials up to _EXACT_BINOM_LIMIT (they enter 1e-12
+    # equivalence checks); lgamma beyond it, where they would cost O(n^2).
+    if n <= _EXACT_BINOM_LIMIT:
+        log_binom = (math.log(math.comb(n, i)) for i in range(n + 1))
+    else:
+        lg = math.lgamma(n + 1)
+        log_binom = (lg - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in range(n + 1))
+    log_weights = np.fromiter((lb - n * _LN2 for lb in log_binom), np.float64, n + 1)
+    return MixtureDistribution(base.mu, base.sigma, scales, log_scales, 1.0, log_weights)
 
 
 def variance_preserving_pair(sigma: float, v: float) -> tuple[float, float]:
@@ -199,10 +210,8 @@ def variance_preserving_pair(sigma: float, v: float) -> tuple[float, float]:
     low = sigma (1 - v) and high = sigma sqrt(1 + 2v - v^2), so that
     (low^2 + high^2) / 2 = sigma^2 identically.
     """
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    if not (0.0 <= v < 1.0):
-        raise ValueError(f"v must lie in [0, 1), got {v!r}")
+    check_sigma(sigma)
+    check_rate(v, "v")
     low = sigma * (1.0 - v)
     high = sigma * math.sqrt(1.0 + 2.0 * v - v * v)
     return low, high

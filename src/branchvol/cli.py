@@ -18,11 +18,13 @@ import numpy as np
 
 from . import closedform, mixstats, montecarlo
 from .branching import (
+    MAX_ENUMERATION_DEPTH,
     GaussianBase,
-    Mode,
+    MixtureDistribution,
     ScheduleParseError,
     ScheduleSpec,
     build_mixture,
+    group_mixture,
     parse_schedule_spec,
 )
 from .special import INFINITY
@@ -173,8 +175,11 @@ def _n_list(args, spec: ScheduleSpec) -> list[int]:
     return [spec.n]
 
 
-def _is_constant(spec: ScheduleSpec) -> bool:
-    return spec.kind == "constant" and not spec.additive
+def _mixture(base: GaussianBase, spec: ScheduleSpec, n: int) -> MixtureDistribution:
+    # Constant rates collapse to n + 1 classes; everything else is enumerated.
+    if spec.kind == "constant" and not spec.additive:
+        return group_mixture(base, spec.a, n)
+    return build_mixture(base, spec.to_schedule(n))
 
 
 def cmd_density(args) -> int:
@@ -183,13 +188,7 @@ def cmd_density(args) -> int:
     grid = _parse_grid(args.x)
     depths = _n_list(args, spec)
     columns = ["x"] + [f"f_N{n}" for n in depths]
-    series = []
-    for n in depths:
-        if _is_constant(spec):
-            series.append(mixstats.density_constant_a(base, spec.a, n, grid))
-        else:
-            mixture = build_mixture(base, spec.to_schedule(n))
-            series.append(mixstats.density(mixture, grid))
+    series = [mixstats.density(_mixture(base, spec, n), grid) for n in depths]
     rows = [[grid[i]] + [s[i] for s in series] for i in range(grid.size)]
     _emit(args, "density", columns, rows)
     return 0
@@ -202,14 +201,9 @@ def cmd_exceed(args) -> int:
     depths = _n_list(args, spec)
     rows = []
     for n in depths:
-        mixture = None
-        if not _is_constant(spec):
-            mixture = build_mixture(base, spec.to_schedule(n))
+        mixture = _mixture(base, spec, n)
         for k in thresholds:
-            if mixture is None:
-                log_p = mixstats.log_exceedance_constant_a(base, spec.a, n, k)
-            else:
-                log_p = mixstats.log_exceedance(mixture, k)
+            log_p = mixstats.log_exceedance(mixture, k)
             rows.append([n, k, math.exp(log_p), log_p])
     _emit(args, "exceed", ["N", "K", "p_exceed", "ln_p"], rows)
     return 0
@@ -224,9 +218,8 @@ def cmd_ratio_table(args) -> int:
     rows = []
     for a in rates:
         for n in depths:
-            rows.append(
-                [a, n] + [mixstats.convexity_ratio(base, a, n, k) for k in thresholds]
-            )
+            mixture = group_mixture(base, a, n)
+            rows.append([a, n] + [mixstats.convexity_ratio(mixture, k) for k in thresholds])
     _emit(args, "ratio-table", columns, rows)
     return 0
 
@@ -266,7 +259,7 @@ def cmd_moments(args) -> int:
     )
     n = spec.n
     mixture = None
-    if n <= 24:
+    if n <= MAX_ENUMERATION_DEPTH:
         mixture = build_mixture(base, spec.to_schedule())
     rows = []
     for order in orders:
@@ -293,11 +286,7 @@ def cmd_loglog(args) -> int:
     depths = _n_list(args, spec)
     rows = []
     for n in depths:
-        if _is_constant(spec):
-            series = mixstats.loglog_series_constant_a(base, spec.a, n, lo, hi, points)
-        else:
-            mixture = build_mixture(base, spec.to_schedule(n))
-            series = mixstats.loglog_series(mixture, lo, hi, points)
+        series = mixstats.loglog_series(_mixture(base, spec, n), lo, hi, points)
         slopes = mixstats.local_slopes(series)
         for i in range(len(series)):
             rows.append([n, series.x[i], series.log_x[i], series.log_p[i], slopes[i]])

@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._checks import check_depth, check_order, check_rate, check_sigma
 from .branching import NonPositiveScaleError
 from .special import (
     INFINITY,
-    MAX_MOMENT_ORDER,
     UnsupportedOrderError,
-    gaussian_raw_moment,
     q_pochhammer,
+    scale_mixture_moment,
 )
 
 _LN_MAX = 709.0  # exp overflows just above this
@@ -27,31 +27,6 @@ _LN_MAX = 709.0  # exp overflows just above this
 # Factor constants splitting 1 + 6u + u^2 = (1 - A u)(1 - B u).
 _M4_A = 2.0 * math.sqrt(2.0) - 3.0
 _M4_B = -(3.0 + 2.0 * math.sqrt(2.0))
-
-
-def _check_moment_order(order: int) -> None:
-    if not isinstance(order, int) or isinstance(order, bool):
-        raise UnsupportedOrderError(f"moment order must be an integer, got {order!r}")
-    if order < 1 or order > MAX_MOMENT_ORDER:
-        raise UnsupportedOrderError(
-            f"moment order {order} outside supported range 1..{MAX_MOMENT_ORDER}"
-        )
-
-
-def _check_rate(a: float) -> None:
-    if not (math.isfinite(a) and 0.0 <= a < 1.0):
-        raise ValueError(f"rate must lie in [0, 1), got {a!r}")
-
-
-def _check_sigma(sigma: float) -> None:
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-
-
-def _check_depth(n) -> None:
-    if isinstance(n, int) and not isinstance(n, bool) and n >= 0:
-        return
-    raise ValueError(f"depth must be a nonnegative integer, got {n!r}")
 
 
 def _h_minus_one(order: int, a: float) -> float:
@@ -80,20 +55,11 @@ def moment_constant_a(order: int, mu: float, sigma: float, a: float, n: int) -> 
     3 (a^4+6a^2+1)^n sigma^4, 15 (a^6+15a^4+15a^2+1)^n sigma^6 and
     105 (a^8+28a^6+70a^4+28a^2+1)^n sigma^8; odd orders vanish.
     """
-    _check_moment_order(order)
-    _check_rate(a)
-    _check_sigma(sigma)
-    _check_depth(n)
-    total = 0.0
-    for m in range(0, order + 1, 2):
-        total += (
-            math.comb(order, m)
-            * gaussian_raw_moment(m, 0.0, 1.0)
-            * mu ** (order - m)
-            * sigma**m
-            * (_growth(m, a, n) if m else 1.0)
-        )
-    return total
+    check_order(order, lowest=1)
+    check_rate(a)
+    check_sigma(sigma)
+    check_depth(n)
+    return scale_mixture_moment(order, mu, sigma, lambda m: _growth(m, a, n))
 
 
 def moment_multiplicative(order: int, mu: float, sigma: float, rates) -> float:
@@ -103,24 +69,14 @@ def moment_multiplicative(order: int, mu: float, sigma: float, rates) -> float:
     which is exact for any schedule; the constant and bleed forms are the
     special cases of this product.
     """
-    _check_moment_order(order)
-    _check_sigma(sigma)
+    check_order(order, lowest=1)
+    check_sigma(sigma)
     rates = tuple(float(r) for r in rates)
     for r in rates:
-        _check_rate(r)
-    total = 0.0
-    for m in range(0, order + 1, 2):
-        scale_pow = 1.0
-        for r in rates:
-            scale_pow *= _even_rate_factor(m, r)
-        total += (
-            math.comb(order, m)
-            * gaussian_raw_moment(m, 0.0, 1.0)
-            * mu ** (order - m)
-            * sigma**m
-            * scale_pow
-        )
-    return total
+        check_rate(r)
+    return scale_mixture_moment(
+        order, mu, sigma, lambda m: math.prod(_even_rate_factor(m, r) for r in rates)
+    )
 
 
 def variance_growth_factor(a: float, n: int) -> float:
@@ -130,16 +86,16 @@ def variance_growth_factor(a: float, n: int) -> float:
     accurate; unbounded in n for every a > 0 (returns inf past the double
     range).
     """
-    _check_rate(a)
-    _check_depth(n)
+    check_rate(a)
+    check_depth(n)
     arg = n * math.log1p(a * a)
     return math.exp(arg) if arg < _LN_MAX else math.inf
 
 
 def kurtosis_constant_a(a: float, n: int) -> float:
     """Mixture kurtosis 3 ((a^4+6a^2+1)/(a^2+1)^2)^n; equals 3 iff a = 0."""
-    _check_rate(a)
-    _check_depth(n)
+    check_rate(a)
+    check_depth(n)
     ratio = _even_rate_factor(4, a) / _even_rate_factor(2, a) ** 2
     arg = n * math.log(ratio)
     return 3.0 * (math.exp(arg) if arg < _LN_MAX else math.inf)
@@ -160,12 +116,12 @@ class BleedParams:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_rate(self.a1)
+        check_rate(self.a1)
         if not (math.isfinite(self.lam) and 0.0 <= self.lam <= 1.0):
             raise ValueError(f"lam must lie in [0, 1], got {self.lam!r}")
-        _check_sigma(self.sigma)
+        check_sigma(self.sigma)
         if self.n != INFINITY:
-            _check_depth(self.n)
+            check_depth(self.n)
 
 
 def m2_bleed(params: BleedParams) -> float:
@@ -218,10 +174,10 @@ def moments_additive(order: int, mu: float, sigma: float, a: float, n) -> float:
         raise UnsupportedOrderError(
             f"additive closed forms cover orders 1, 2 and 4, got {order!r}"
         )
-    _check_rate(a)
-    _check_sigma(sigma)
+    check_rate(a)
+    check_sigma(sigma)
     if n != INFINITY:
-        _check_depth(n)
+        check_depth(n)
     if _geometric_sum(a, n) >= 1.0:
         raise NonPositiveScaleError(
             f"offset sum of rate {a} over depth {n} reaches 1; branch scales hit 0"

@@ -1,9 +1,10 @@
 """Density, tail probabilities, moments, and log-log diagnostics for
 branch mixtures.
 
-Tail quantities are evaluated in log space whenever they can leave the
-range of ordinary doubles; the binomial-collapse forms make constant-rate
-schedules tractable for depths far beyond the enumeration ceiling.
+Every quantity is one function over a MixtureDistribution, enumerated or
+grouped. Tail quantities are evaluated in log space whenever they can leave
+the range of ordinary doubles, so grouped mixtures work for depths far
+beyond the enumeration ceiling.
 """
 
 from __future__ import annotations
@@ -13,87 +14,49 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branching import GaussianBase, MixtureDistribution
-from .special import (
-    MAX_MOMENT_ORDER,
-    UnsupportedOrderError,
-    erfc,
-    gaussian_abs_first_moment,
-    gaussian_raw_moment,
-    log_erfc,
-)
+from ._checks import check_order
+from .branching import GaussianBase, MixtureDistribution, group_mixture
+from .special import erfc, gaussian_abs_first_moment, log_erfc, scale_mixture_moment
 
 _LN2 = math.log(2.0)
 _LN_HALF = -_LN2
 _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
-_DENSITY_CHUNK = 4096
+_CHUNK = 4096
 
-# Exact big-int binomials below this depth (they enter 1e-12 equivalence
-# checks); lgamma beyond it, where exact coefficients would cost O(n^2).
-_EXACT_BINOM_LIMIT = 300
+# Components whose sigma has |ln sigma| above this are left out of the
+# density: their sigma leaves the double range and their share is negligible.
+_DENSITY_LOG_SIGMA_LIMIT = 700.0
 
 
-def _log_binom(n: int, j: int) -> float:
-    if n <= _EXACT_BINOM_LIMIT:
-        return math.log(math.comb(n, j))
-    return math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+def _floats(arr: np.ndarray):
+    """The elements of a 1-d array as Python floats, converted chunk by chunk."""
+    for i in range(0, arr.size, _CHUNK):
+        yield from arr[i : i + _CHUNK].tolist()
 
 
 def density(mixture: MixtureDistribution, x) -> float | np.ndarray:
-    """Mixture density at x (scalar or array): 2^-N sum_i phi(mu, sigma_i, x)."""
+    """Mixture density at x (scalar or array): sum_i w_i phi(mu, sigma_i, x)."""
     x_arr = np.asarray(x, dtype=np.float64)
     out = np.zeros(x_arr.shape)
-    sigmas = mixture.component_sigmas
-    n_chunks = max(1, math.ceil(sigmas.size / _DENSITY_CHUNK))
-    for chunk in np.array_split(sigmas, n_chunks):
+    keep = np.abs(math.log(mixture.sigma) + mixture.log_scales) <= _DENSITY_LOG_SIGMA_LIMIT
+    sigmas = mixture.component_sigmas[keep]
+    log_weights = mixture.log_weights[keep]
+    for i in range(0, sigmas.size, _CHUNK):
+        chunk = sigmas[i : i + _CHUNK]
         z = (x_arr[..., None] - mixture.mu) / chunk
-        out += np.sum(np.exp(-0.5 * z * z) / (chunk * _SQRT_TWO_PI), axis=-1)
+        w = np.exp(log_weights[i : i + _CHUNK])
+        out += np.sum(w * np.exp(-0.5 * z * z) / (chunk * _SQRT_TWO_PI), axis=-1)
     out *= mixture.weight
     if x_arr.ndim == 0:
         return float(out)
     return out
 
 
-def density_constant_a(base: GaussianBase, a: float, n: int, x) -> float | np.ndarray:
-    """Depth-n constant-rate mixture density via the O(n) binomial collapse.
-
-    Equivalent to density(build_mixture(...)) but needs only n + 1 terms, so
-    it works for depths where 2^n branches cannot be materialized. Intended
-    for n up to a few thousand; components whose scale leaves the double
-    range are skipped (their contribution is negligible at such depths).
-    """
-    _check_rate(a)
-    _check_depth(n)
-    x_arr = np.asarray(x, dtype=np.float64)
-    out = np.zeros(x_arr.shape)
-    lp, lm = math.log1p(a), math.log1p(-a)
-    for j in range(n + 1):
-        log_w = _log_binom(n, j) - n * _LN2
-        log_s = math.log(base.sigma) + j * lp + (n - j) * lm
-        if abs(log_s) > 700.0:
-            continue
-        s = math.exp(log_s)
-        z = (x_arr - base.mu) / s
-        out += math.exp(log_w) * np.exp(-0.5 * z * z) / (s * _SQRT_TWO_PI)
-    if x_arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def exceedance(mixture: MixtureDistribution, k: float) -> float:
-    """P(X > k) as the weighted sum of per-component Gaussian tails.
-
-    Exact summation over all 2^N components; may underflow to 0.0 in very
-    deep tails, where log_exceedance stays usable.
-    """
+def _check_threshold(k: float) -> None:
     if not math.isfinite(k):
         raise ValueError(f"threshold must be finite, got {k!r}")
-    total = math.fsum(
-        0.5 * erfc((k - mixture.mu) / (_SQRT2 * s)) for s in mixture.component_sigmas
-    )
-    return min(1.0, mixture.weight * total)
 
 
 def _log_component_tail(delta: float, log_sigma: float) -> float:
@@ -108,104 +71,94 @@ def _log_component_tail(delta: float, log_sigma: float) -> float:
     return _LN_HALF + log_erfc(z)
 
 
-def _logsumexp(terms) -> float:
-    terms = list(terms)
-    m = max(terms)
+def _component_tail(delta: float, sigma: float, log_sigma: float) -> float:
+    # P(Normal(0, sigma^2) > delta); the log form covers sigmas that
+    # underflowed to 0 or are too small for delta / sigma to stay finite.
+    if sigma > 0.0:
+        z = delta / (_SQRT2 * sigma)
+        if math.isfinite(z):
+            return 0.5 * erfc(z)
+    return math.exp(_log_component_tail(delta, log_sigma))
+
+
+def exceedance(mixture: MixtureDistribution, k: float) -> float:
+    """P(X > k) as the weighted sum of per-component Gaussian tails.
+
+    Exact summation over all components; may underflow to 0.0 in very deep
+    tails, where log_exceedance stays usable.
+    """
+    _check_threshold(k)
+    delta = k - mixture.mu
+    log_sigma = math.log(mixture.sigma)
+    total = math.fsum(
+        math.exp(lw) * _component_tail(delta, s, log_sigma + ls)
+        for lw, s, ls in zip(
+            _floats(mixture.log_weights),
+            _floats(mixture.component_sigmas),
+            _floats(mixture.log_scales),
+        )
+    )
+    return min(1.0, mixture.weight * total)
+
+
+def _logsumexp(terms: np.ndarray) -> float:
+    m = float(terms.max())
     if m == -math.inf:
         return -math.inf
-    return m + math.log(math.fsum(math.exp(t - m) for t in terms))
+    return m + math.log(math.fsum(math.exp(t - m) for t in _floats(terms)))
 
 
 def log_exceedance(mixture: MixtureDistribution, k: float) -> float:
     """ln P(X > k), computed per component in log space."""
-    if not math.isfinite(k):
-        raise ValueError(f"threshold must be finite, got {k!r}")
+    _check_threshold(k)
     delta = k - mixture.mu
-    terms = (
-        _log_component_tail(delta, math.log(s)) for s in mixture.component_sigmas
+    log_sigma = math.log(mixture.sigma)
+    terms = np.fromiter(
+        (
+            lw + _log_component_tail(delta, log_sigma + ls)
+            for lw, ls in zip(_floats(mixture.log_weights), _floats(mixture.log_scales))
+        ),
+        np.float64,
+        mixture.n_components,
     )
-    return -math.log(mixture.n_components) + _logsumexp(terms)
+    return math.log(mixture.weight) + _logsumexp(terms)
 
 
-def _check_rate(a: float) -> None:
-    if not (math.isfinite(a) and 0.0 <= a < 1.0):
-        raise ValueError(f"rate must lie in [0, 1), got {a!r}")
-
-
-def _check_depth(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"depth must be a nonnegative integer, got {n!r}")
-
-
-def log_exceedance_constant_a(
-    base: GaussianBase, a: float, n: int, k: float
-) -> float:
-    """ln P(X > k) at depth n for a constant rate, via the binomial collapse.
-
-    The 2^n branches group into n + 1 scale classes sigma (1+a)^j (1-a)^(n-j)
-    with binomial weights, so the cost is O(n); usable for n of 10^4 and up.
-    """
-    _check_rate(a)
-    _check_depth(n)
-    if not math.isfinite(k):
-        raise ValueError(f"threshold must be finite, got {k!r}")
-    delta = k - base.mu
-    log_sigma = math.log(base.sigma)
-    lp, lm = math.log1p(a), math.log1p(-a)
-    terms = (
-        _log_binom(n, j)
-        - n * _LN2
-        + _log_component_tail(delta, log_sigma + j * lp + (n - j) * lm)
-        for j in range(n + 1)
-    )
-    return _logsumexp(terms)
-
-
-def exceedance_constant_a(base: GaussianBase, a: float, n: int, k: float) -> float:
-    """P(X > k) at depth n for a constant rate (binomial collapse)."""
-    return min(1.0, math.exp(log_exceedance_constant_a(base, a, n, k)))
-
-
-def convexity_ratio(base: GaussianBase, a: float, n: int, k: float) -> float:
-    """Tail inflation P(X > k | depth n) / P(X > k | depth 0).
+def convexity_ratio(mixture: MixtureDistribution, k: float) -> float:
+    """Tail inflation P(X > k) / P(X > k | depth 0), against the base Gaussian.
 
     Evaluated as a difference of log tail probabilities, so ratios of order
     10^18 on probabilities of order 10^-24 keep full relative accuracy.
     """
-    return math.exp(
-        log_exceedance_constant_a(base, a, n, k)
-        - log_exceedance_constant_a(base, a, 0, k)
-    )
+    base = group_mixture(GaussianBase(mixture.mu, mixture.sigma), 0.0, 0)
+    return math.exp(log_exceedance(mixture, k) - log_exceedance(base, k))
+
+
+def _mean_scale_power(mixture: MixtureDistribution, m: int) -> float:
+    # E[scale^m] over the mixture weights. In deep grouped mixtures a tiny
+    # weight can meet a power that overflows; such terms are taken in log
+    # space instead.
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.exp(mixture.log_weights) * mixture.scales**m
+        bad = ~np.isfinite(terms)
+        terms[bad] = np.exp(mixture.log_weights[bad] + m * mixture.log_scales[bad])
+        return mixture.weight * float(np.sum(terms))
 
 
 def mixture_raw_moment(mixture: MixtureDistribution, order: int) -> float:
     """Raw moment E[X^order] by exact summation over the components.
 
     Only even powers of the component scales contribute:
-    E[X^k] = sum_{m even} C(k, m) E[Z^m] mu^(k-m) sigma^m * mean(scale^m).
+    E[X^k] = sum_{m even} C(k, m) E[Z^m] mu^(k-m) sigma^m * E[scale^m].
     """
-    if not isinstance(order, int) or isinstance(order, bool):
-        raise UnsupportedOrderError(f"moment order must be an integer, got {order!r}")
-    if order < 0 or order > MAX_MOMENT_ORDER:
-        raise UnsupportedOrderError(
-            f"moment order {order} outside supported range 0..{MAX_MOMENT_ORDER}"
-        )
-    scales = mixture.scales
-    total = 0.0
-    for m in range(0, order + 1, 2):
-        mean_pow = float(np.mean(scales**m)) if m else 1.0
-        total += (
-            math.comb(order, m)
-            * gaussian_raw_moment(m, 0.0, 1.0)
-            * mixture.mu ** (order - m)
-            * mixture.sigma**m
-            * mean_pow
-        )
-    return total
+    check_order(order)
+    return scale_mixture_moment(
+        order, mixture.mu, mixture.sigma, lambda m: _mean_scale_power(mixture, m)
+    )
 
 
 def mixture_abs_first_moment(mixture: MixtureDistribution) -> float:
-    """E|X| for a centered mixture: sqrt(2/pi) sigma * mean(scales).
+    """E|X| for a centered mixture: sqrt(2/pi) sigma * E[scale].
 
     The mean scale is 1 for every balanced schedule, so this is invariant
     in both the rates and the depth.
@@ -214,7 +167,7 @@ def mixture_abs_first_moment(mixture: MixtureDistribution) -> float:
         raise ValueError(
             "absolute first moment is only supported for centered mixtures (mu = 0)"
         )
-    return gaussian_abs_first_moment(mixture.sigma) * float(np.mean(mixture.scales))
+    return gaussian_abs_first_moment(mixture.sigma) * _mean_scale_power(mixture, 1)
 
 
 @dataclass(frozen=True)
@@ -246,16 +199,6 @@ def loglog_series(
     log_x = _loglog_grid(mixture.mu, x_min, x_max, points)
     x = np.exp(log_x)
     log_p = np.array([log_exceedance(mixture, v) for v in x])
-    return LogLogSeries(x=x, log_x=log_x, log_p=log_p)
-
-
-def loglog_series_constant_a(
-    base: GaussianBase, a: float, n: int, x_min: float, x_max: float, points: int
-) -> LogLogSeries:
-    """Log-log survival series for a constant rate at any depth."""
-    log_x = _loglog_grid(base.mu, x_min, x_max, points)
-    x = np.exp(log_x)
-    log_p = np.array([log_exceedance_constant_a(base, a, n, v) for v in x])
     return LogLogSeries(x=x, log_x=log_x, log_p=log_p)
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import MAX_MOMENT_ORDER, check_order
 from .branching import MixtureDistribution
-from .special import MAX_MOMENT_ORDER, UnsupportedOrderError
 
 _MAX_POWER = 2 * MAX_MOMENT_ORDER  # x^2k needed for the SE of moment k
 _BRANCH_COUNT_LIMIT = 2**16
@@ -40,10 +40,7 @@ class SampleSpec:
         object.__setattr__(self, "moment_orders", tuple(int(k) for k in self.moment_orders))
         object.__setattr__(self, "thresholds", tuple(float(k) for k in self.thresholds))
         for k in self.moment_orders:
-            if k < 1 or k > MAX_MOMENT_ORDER:
-                raise UnsupportedOrderError(
-                    f"moment order {k} outside supported range 1..{MAX_MOMENT_ORDER}"
-                )
+            check_order(k, lowest=1)
 
 
 @dataclass
@@ -87,7 +84,10 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
 
     Draws are blocked to bound memory; the block size is fixed so the
     stream, and therefore every statistic, is reproducible bit for bit.
+    Components are drawn uniformly, so every weight must be equal.
     """
+    if np.any(mixture.log_weights != mixture.log_weights[0]):
+        raise ValueError("sample needs equal component weights; got a weighted mixture")
     rng = np.random.default_rng(spec.seed)
     n_comp = mixture.n_components
     power_sums = np.zeros(_MAX_POWER + 1)

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 
+from ._checks import UnsupportedOrderError  # noqa: F401  (public home of the error)
+from ._checks import check_depth, check_order, check_sigma
+
 INFINITY = math.inf
 """Depth marker for infinite products and moment limits."""
-
-MAX_MOMENT_ORDER = 8
 
 _SQRT_PI = math.sqrt(math.pi)
 _LN_SQRT_PI = 0.5 * math.log(math.pi)
@@ -26,10 +27,6 @@ _LN_SQRT_PI = 0.5 * math.log(math.pi)
 # in well under 100 terms beyond it.
 _ERFC_CROSSOVER = 2.0
 _CF_MAX_ITER = 400
-
-
-class UnsupportedOrderError(ValueError):
-    """Moment order outside the supported range."""
 
 
 class DivergenceError(ValueError):
@@ -108,39 +105,41 @@ def log_erfc(z: float) -> float:
 _EVEN_STANDARD_MOMENTS = (1.0, 1.0, 3.0, 15.0, 105.0)
 
 
-def _check_order(order: int) -> None:
-    if not isinstance(order, int) or isinstance(order, bool):
-        raise UnsupportedOrderError(f"moment order must be an integer, got {order!r}")
-    if order < 0 or order > MAX_MOMENT_ORDER:
-        raise UnsupportedOrderError(
-            f"moment order {order} outside supported range 0..{MAX_MOMENT_ORDER}"
-        )
-
-
 def gaussian_raw_moment(order: int, mu: float, sigma: float) -> float:
     """Exact raw moment E[X^order] of X ~ Normal(mu, sigma^2).
 
     Uses E[X^k] = sum_j C(k, 2j) (2j-1)!! sigma^(2j) mu^(k-2j); odd orders
     with mu = 0 return exactly 0.0.
     """
-    _check_order(order)
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    check_order(order)
+    check_sigma(sigma)
+    return scale_mixture_moment(order, mu, sigma, lambda m: 1.0)
+
+
+def scale_mixture_moment(order: int, mu: float, sigma: float, scale_moment) -> float:
+    """Raw moment E[X^order] of X = mu + sigma S Z, Z standard normal independent of S.
+
+    E[X^k] = sum_{m even} C(k, m) (m-1)!! mu^(k-m) sigma^m E[S^m], where
+    scale_moment(m) gives E[S^m] for even m >= 2.
+    """
     total = 0.0
-    for j in range(order // 2 + 1):
+    for m in range(0, order + 1, 2):
+        mu_pow = mu ** (order - m)
+        if mu_pow == 0.0:  # skipped, so an infinite E[S^m] cannot turn 0 into nan
+            continue
         total += (
-            math.comb(order, 2 * j)
-            * _EVEN_STANDARD_MOMENTS[j]
-            * mu ** (order - 2 * j)
-            * sigma ** (2 * j)
+            math.comb(order, m)
+            * _EVEN_STANDARD_MOMENTS[m // 2]
+            * mu_pow
+            * sigma**m
+            * (scale_moment(m) if m else 1.0)
         )
     return total
 
 
 def gaussian_abs_first_moment(sigma: float) -> float:
     """E|X| = sqrt(2/pi) * sigma for a centered Gaussian."""
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    check_sigma(sigma)
     return math.sqrt(2.0 / math.pi) * sigma
 
 
@@ -165,8 +164,7 @@ def q_pochhammer(a: float, q: float, n: int | float) -> float:
             product *= 1.0 - aq
             aq *= q
         return product
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer or INFINITY, got {n!r}")
+    check_depth(n)
     product = 1.0
     aq = a
     for _ in range(n):

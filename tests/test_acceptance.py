@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from branchvol import cli
-from branchvol.branching import ErrorSchedule, GaussianBase, build_mixture
+from branchvol.branching import ErrorSchedule, GaussianBase, build_mixture, group_mixture
 from branchvol.closedform import (
     BleedParams,
     m2_bleed,
@@ -26,8 +26,7 @@ from branchvol.closedform import (
 from branchvol.mixstats import (
     convexity_ratio,
     exceedance,
-    exceedance_constant_a,
-    loglog_series_constant_a,
+    loglog_series,
     mixture_abs_first_moment,
     mixture_raw_moment,
     tail_slope_estimate,
@@ -97,20 +96,20 @@ def _cell_params():
 
 @pytest.mark.parametrize("a,n,k,printed", _cell_params())
 def test_c01_convexity_table_cells(a, n, k, printed):
-    ratio = convexity_ratio(BASE, a, n, k)
+    ratio = convexity_ratio(group_mixture(BASE, a, n), k)
     assert abs(ratio - printed) / printed <= 0.005, ratio
 
 
 def test_c01_truncated_cells_match_exact_enumeration():
     for (a, n, k), exact in TRUNCATED_CELLS.items():
-        ratio = convexity_ratio(BASE, a, n, k)
+        ratio = convexity_ratio(group_mixture(BASE, a, n), k)
         assert math.isclose(ratio, exact, rel_tol=1e-9), (a, n, k, ratio)
 
 
 def test_c01_runtime_and_summary():
     start = time.perf_counter()
     within = sum(
-        abs(convexity_ratio(BASE, a, n, k) - printed) / printed <= 0.005
+        abs(convexity_ratio(group_mixture(BASE, a, n), k) - printed) / printed <= 0.005
         for (a, n, k), printed in REFERENCE_RATIOS.items()
     )
     elapsed = time.perf_counter() - start
@@ -173,7 +172,7 @@ def test_c05_binomial_exceedance_equals_enumeration():
             mix = build_mixture(BASE, ErrorSchedule.constant(a, n))
             for k in (1.0, 3.0, 5.0, 10.0):
                 enum = exceedance(mix, k)
-                binom = exceedance_constant_a(BASE, a, n, k)
+                binom = exceedance(group_mixture(BASE, a, n), k)
                 assert abs(enum - binom) / enum <= 1e-12, (n, a, k)
     print("[acceptance] criterion 5: PASS — 156 exceedance cells at 1e-12")
 
@@ -215,7 +214,7 @@ def test_c08_tail_flattening_at_six_sigma():
     start = time.perf_counter()
     slopes = []
     for n in (0, 5, 10, 25, 50):
-        series = loglog_series_constant_a(BASE, 0.1, n, 2.0, 10.0, 129)
+        series = loglog_series(group_mixture(BASE, 0.1, n), 2.0, 10.0, 129)
         i = int(np.argmin(np.abs(series.x - 6.0)))
         slopes.append(tail_slope_estimate(series, i - 3, i + 4))
     mags = [abs(s) for s in slopes]

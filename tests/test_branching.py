@@ -1,13 +1,15 @@
-"""Branch construction: sign matrices, scale sets, mixtures, and the
-schedule grammar."""
+"""Branch construction: branch order, scales, enumerated and grouped
+mixtures, and the schedule grammar."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
 from branchvol.branching import (
+    MAX_ENUMERATION_DEPTH,
     EnumerationLimitError,
     ErrorSchedule,
     GaussianBase,
@@ -15,8 +17,7 @@ from branchvol.branching import (
     NonPositiveScaleError,
     ScheduleParseError,
     build_mixture,
-    build_scale_set,
-    build_sign_matrix,
+    group_mixture,
     parse_schedule,
     parse_schedule_spec,
     variance_preserving_pair,
@@ -37,29 +38,55 @@ T3 = np.array(
 )
 
 
+def _sign_matrix(n):
+    # Binary counting with +1 for a 0 bit: row i holds the signs of branch i.
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return 1 - 2 * bits
+
+
+def _scales(rates):
+    return build_mixture(GaussianBase(), ErrorSchedule.explicit(rates)).scales
+
+
+def _sign_product(signs, rates):
+    # Branch scales prod_j (1 + s_j a(j)) straight from a sign matrix.
+    out = np.ones(signs.shape[0])
+    for j, a in enumerate(rates):
+        out *= 1.0 + a * signs[:, j]
+    return out
+
+
 class TestSignMatrix:
+    """Branch order: binary counting, +1 first, last layer fastest."""
+
     def test_depth_zero(self):
-        m = build_sign_matrix(0)
-        assert m.shape == (1, 0)
+        assert _scales([]).tolist() == [1.0]
 
     def test_depth_one(self):
-        assert build_sign_matrix(1).tolist() == [[1], [-1]]
+        assert _scales([0.25]).tolist() == [1.25, 0.75]
 
     def test_depth_three_canonical_order(self):
-        assert np.array_equal(build_sign_matrix(3), T3)
+        rates = [0.1, 0.2, 0.3]
+        assert np.array_equal(_sign_product(_sign_matrix(3), rates), _sign_product(T3, rates))
+        assert np.array_equal(_scales(rates), _sign_product(T3, rates))
 
     def test_rows_distinct_and_complete(self):
         for n in range(13):
-            m = build_sign_matrix(n)
-            rows = {tuple(int(v) for v in row) for row in m}
-            assert len(rows) == 2**n
-            assert rows == set(product((1, -1), repeat=n))
+            rates = [0.3 * 0.7**j for j in range(n)]
+            expected = [
+                math.prod(1.0 + s * a for s, a in zip(signs, rates))
+                for signs in product((1, -1), repeat=n)
+            ]
+            scales = _scales(rates)
+            assert np.unique(scales).size == 2**n
+            assert np.array_equal(scales, expected)
+            assert np.array_equal(scales, _sign_product(_sign_matrix(n), rates))
 
     def test_enumeration_ceiling(self):
         with pytest.raises(EnumerationLimitError):
-            build_sign_matrix(25)
+            build_mixture(GaussianBase(), ErrorSchedule.constant(0.1, 25))
         with pytest.raises(ValueError):
-            build_sign_matrix(-1)
+            ErrorSchedule.constant(0.1, -1)
 
 
 class TestErrorSchedule:
@@ -74,6 +101,16 @@ class TestErrorSchedule:
 
     def test_empty_schedule_allowed(self):
         assert ErrorSchedule.constant(0.1, 0).depth == 0
+
+    def test_depth_must_be_a_nonnegative_integer(self):
+        for make in (
+            lambda: ErrorSchedule.constant(0.1, 2.5),
+            lambda: ErrorSchedule.constant(0.1, -3),
+            lambda: ErrorSchedule.bleed(0.2, 0.9, -3),
+            lambda: ErrorSchedule.geometric(0.2, -2),
+        ):
+            with pytest.raises(ValueError, match="depth"):
+                make()
 
     def test_rate_range_enforced(self):
         with pytest.raises(ValueError):
@@ -90,12 +127,12 @@ class TestErrorSchedule:
 
 class TestScaleSet:
     def test_zero_rate_gives_unit_scales(self):
-        ss = build_scale_set(ErrorSchedule.constant(0.0, 5))
+        ss = build_mixture(GaussianBase(), ErrorSchedule.constant(0.0, 5))
         assert np.all(ss.scales == 1.0)
         assert ss.weight == 2.0**-5
 
     def test_depth_three_extremes(self):
-        ss = build_scale_set(ErrorSchedule.constant(0.1, 3))
+        ss = build_mixture(GaussianBase(), ErrorSchedule.constant(0.1, 3))
         assert math.isclose(ss.scales.min(), 0.9**3, rel_tol=1e-15)
         assert math.isclose(ss.scales.max(), 1.1**3, rel_tol=1e-15)
         # First branch (all +1 signs) is the all-up product, last is all-down.
@@ -103,7 +140,7 @@ class TestScaleSet:
         assert math.isclose(ss.scales[-1], 0.9**3, rel_tol=1e-15)
 
     def test_additive_offsets(self):
-        ss = build_scale_set(ErrorSchedule.geometric(0.1, 3))
+        ss = build_mixture(GaussianBase(), ErrorSchedule.geometric(0.1, 3))
         expected = sorted(
             1.0 + s1 * 0.1 + s2 * 0.01 + s3 * 0.001
             for s1, s2, s3 in product((1, -1), repeat=3)
@@ -125,14 +162,14 @@ class TestScaleSet:
                 )
             else:
                 sched = ErrorSchedule.explicit(rng.uniform(0, 0.9, size=n))
-            ss = build_scale_set(sched)
+            ss = build_mixture(GaussianBase(), sched)
             assert abs(float(np.mean(ss.scales)) - 1.0) < 1e-12
 
     def test_binomial_collapse_multiset_dyadic_exact(self):
         # With a = 0.5 the factors 1.5 and 0.5 are dyadic, so every product
         # is exact and the multiset match is bitwise.
         for n in range(1, 13):
-            ss = build_scale_set(ErrorSchedule.constant(0.5, n))
+            ss = build_mixture(GaussianBase(), ErrorSchedule.constant(0.5, n))
             expected = np.sort(
                 np.array(
                     [
@@ -147,7 +184,7 @@ class TestScaleSet:
     def test_binomial_collapse_multiset_generic(self):
         a = 0.1
         for n in (4, 8, 12):
-            ss = build_scale_set(ErrorSchedule.constant(a, n))
+            ss = build_mixture(GaussianBase(), ErrorSchedule.constant(a, n))
             expected = np.sort(
                 np.array(
                     [
@@ -159,14 +196,14 @@ class TestScaleSet:
             )
             assert np.allclose(np.sort(ss.scales), expected, rtol=4e-15)
             # Multiplicities are exactly binomial: count branches by sign sum.
-            signs = build_sign_matrix(n)
+            signs = _sign_matrix(n)
             ups = ((signs + 1) // 2).sum(axis=1)
             for j in range(n + 1):
                 assert int(np.count_nonzero(ups == j)) == math.comb(n, j)
 
     def test_additive_nonpositive_scale_rejected(self):
         with pytest.raises(NonPositiveScaleError) as err:
-            build_scale_set(ErrorSchedule.geometric(0.6, 3))
+            build_mixture(GaussianBase(), ErrorSchedule.geometric(0.6, 3))
         assert "branch" in str(err.value)
 
 
@@ -191,6 +228,56 @@ class TestMixture:
             GaussianBase(0.0, 0.0)
         with pytest.raises(ValueError):
             GaussianBase(math.nan, 1.0)
+
+
+class TestGroupMixture:
+    def test_classes_and_weights(self):
+        mix = group_mixture(GaussianBase(0.5, 2.0), 0.1, 3)
+        assert (mix.mu, mix.sigma, mix.weight) == (0.5, 2.0, 1.0)
+        assert np.allclose(mix.scales, [0.9**3, 1.1 * 0.9**2, 1.1**2 * 0.9, 1.1**3], rtol=1e-15)
+        assert np.allclose(np.exp(mix.log_weights), [1 / 8, 3 / 8, 3 / 8, 1 / 8], rtol=1e-15)
+        assert np.allclose(np.exp(mix.log_scales), mix.scales, rtol=1e-15)
+
+    def test_depth_zero_is_base_gaussian(self):
+        mix = group_mixture(GaussianBase(0.0, 1.5), 0.3, 0)
+        assert mix.component_sigmas.tolist() == [1.5]
+        assert mix.log_weights.tolist() == [0.0]
+
+    def test_weights_match_enumerated_multiplicities(self):
+        for n in (1, 5, 12):
+            grouped = group_mixture(GaussianBase(), 0.5, n)
+            enumerated = build_mixture(GaussianBase(), ErrorSchedule.constant(0.5, n))
+            values, counts = np.unique(enumerated.scales, return_counts=True)
+            assert np.allclose(values, grouped.scales, rtol=1e-14)
+            assert np.allclose(counts * enumerated.weight, np.exp(grouped.log_weights),
+                               rtol=1e-14)
+
+    def test_deep_classes_keep_finite_logs(self):
+        mix = group_mixture(GaussianBase(), 0.1, 10_000)
+        assert mix.n_components == 10_001
+        assert mix.scales[0] == 0.0 and mix.scales[-1] == math.inf
+        assert np.all(np.isfinite(mix.log_scales))
+        assert math.isclose(math.fsum(np.exp(mix.log_weights)), 1.0, rel_tol=1e-9)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            group_mixture(GaussianBase(), 1.0, 3)
+        with pytest.raises(ValueError):
+            group_mixture(GaussianBase(), 0.1, -1)
+        with pytest.raises(ValueError):
+            group_mixture(GaussianBase(), 0.1, 2.5)
+
+
+class TestEnumerationCeiling:
+    def test_deepest_enumeration_fits_in_half_a_gigabyte(self):
+        tracemalloc.start()
+        try:
+            mix = build_mixture(GaussianBase(), ErrorSchedule.bleed(0.2, 0.9, MAX_ENUMERATION_DEPTH))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mix.n_components == 2**MAX_ENUMERATION_DEPTH
+        assert peak < 0.5 * 2**30
 
 
 class TestVariancePreservingPair:

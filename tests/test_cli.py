@@ -6,9 +6,9 @@ import math
 import pytest
 
 from branchvol import cli
-from branchvol.branching import GaussianBase
+from branchvol.branching import GaussianBase, group_mixture
 from branchvol.closedform import BleedParams, m4_bleed
-from branchvol.mixstats import convexity_ratio, exceedance_constant_a
+from branchvol.mixstats import convexity_ratio, exceedance
 
 
 def run_cli(*argv, capsys=None):
@@ -93,7 +93,7 @@ class TestExceedCommand:
         base = GaussianBase(0.0, 1.0)
         for row, k in zip(rows, (3.0, 5.0)):
             assert row[0] == 8 and row[1] == k
-            assert math.isclose(row[2], exceedance_constant_a(base, 0.1, 8, k), rel_tol=1e-9)
+            assert math.isclose(row[2], exceedance(group_mixture(base, 0.1, 8), k), rel_tol=1e-9)
             assert math.isclose(row[3], math.log(row[2]), rel_tol=1e-9)
 
 
@@ -107,7 +107,7 @@ class TestRatioTableCommand:
         cells = {(r[0], r[1]): r for r in rows}
         base = GaussianBase(0.0, 1.0)
         assert math.isclose(
-            cells[(0.01, 25)][4], convexity_ratio(base, 0.01, 25, 10.0), rel_tol=1e-9
+            cells[(0.01, 25)][4], convexity_ratio(group_mixture(base, 0.01, 25), 10.0), rel_tol=1e-9
         )
         # Spot values, frozen from exact binomial sums.
         assert math.isclose(cells[(0.01, 20)][3], 1.7200527903053911, rel_tol=1e-6)
@@ -265,6 +265,13 @@ class TestExitCodes:
         assert cli.main(["density", "--schedule", "bleed:a1=0.2,lambda=0.9,N=30",
                          "--x=0:1:1"]) == 3
         capsys.readouterr()
+
+    def test_negative_depth_exits_three(self, capsys):
+        assert cli.main(["exceed", "--schedule", "bleed:a1=0.2,lambda=0.9,N=-3",
+                         "--k", "3"]) == 3
+        assert cli.main(["validate", "--schedule", "geometric:a=0.2,N=-2",
+                         "--n-samples", "1000"]) == 3
+        assert capsys.readouterr().out == ""
 
     def test_argparse_errors_exit_two(self, capsys):
         assert cli.main(["density", "--no-such-flag"]) == 2

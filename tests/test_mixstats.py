@@ -7,19 +7,16 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from branchvol.branching import ErrorSchedule, GaussianBase, build_mixture
+from branchvol.branching import ErrorSchedule, GaussianBase, build_mixture, group_mixture
+from branchvol.closedform import moment_constant_a
 from branchvol.mixstats import (
     LogLogSeries,
     convexity_ratio,
     density,
-    density_constant_a,
     exceedance,
-    exceedance_constant_a,
     local_slopes,
     log_exceedance,
-    log_exceedance_constant_a,
     loglog_series,
-    loglog_series_constant_a,
     mixture_abs_first_moment,
     mixture_raw_moment,
     tail_slope_estimate,
@@ -89,13 +86,13 @@ class TestDensity:
         for n in (0, 1, 6, 10):
             mix = build_mixture(BASE, ErrorSchedule.constant(0.1, n))
             direct = density(mix, grid)
-            collapsed = density_constant_a(BASE, 0.1, n, grid)
+            collapsed = density(group_mixture(BASE, 0.1, n), grid)
             assert np.allclose(direct, collapsed, rtol=1e-12)
 
     def test_binomial_collapse_deep(self):
         # Depth far beyond the enumeration ceiling still integrates to 1.
         val, _ = integrate.quad(
-            lambda x: density_constant_a(BASE, 0.1, 50, x), -200, 200, limit=500
+            lambda x: density(group_mixture(BASE, 0.1, 50), x), -200, 200, limit=500
         )
         assert abs(val - 1.0) < 1e-8
 
@@ -122,21 +119,28 @@ class TestExceedance:
                 mix = build_mixture(BASE, ErrorSchedule.constant(a, n))
                 for k in (1.0, 3.0, 5.0, 10.0):
                     enum = exceedance(mix, k)
-                    binom = exceedance_constant_a(BASE, a, n, k)
+                    binom = exceedance(group_mixture(BASE, a, n), k)
                     assert math.isclose(enum, binom, rel_tol=1e-12), (n, a, k)
 
     def test_flat_rate_zero_is_plain_gaussian(self):
         ref = 0.5 * math.erfc(2.0 / math.sqrt(2))
         for n in (0, 3, 50):
-            assert math.isclose(exceedance_constant_a(BASE, 0.0, n, 2.0), ref, rel_tol=1e-12)
+            assert math.isclose(exceedance(group_mixture(BASE, 0.0, n), 2.0), ref, rel_tol=1e-12)
         # Depths past the exact-binomial limit go through lgamma weights.
-        assert math.isclose(exceedance_constant_a(BASE, 0.0, 1000, 2.0), ref, rel_tol=1e-11)
+        assert math.isclose(exceedance(group_mixture(BASE, 0.0, 1000), 2.0), ref, rel_tol=1e-11)
 
     def test_supports_very_deep_recursion(self):
-        val = exceedance_constant_a(BASE, 0.01, 10_000, 3.0)
+        val = exceedance(group_mixture(BASE, 0.01, 10_000), 3.0)
         assert 0.0 < val < 1.0
         # More layers of uncertainty never reduce the tail.
-        assert val > exceedance_constant_a(BASE, 0.01, 100, 3.0)
+        assert val > exceedance(group_mixture(BASE, 0.01, 100), 3.0)
+
+    def test_grouped_scales_past_the_double_range(self):
+        # Classes at both ends of depth 10^4 have scales of 0 and inf; their
+        # log scales keep the tails exact.
+        mix = group_mixture(BASE, 0.1, 10_000)
+        assert math.isclose(exceedance(mix, 3.0), 6.264948198654956e-08, rel_tol=1e-12)
+        assert math.isclose(log_exceedance(mix, 3.0), -16.585710424009633, rel_tol=1e-12)
 
     def test_log_exceedance_consistency(self):
         mix = build_mixture(BASE, ErrorSchedule.constant(0.1, 6))
@@ -159,16 +163,16 @@ class TestExceedance:
 
 class TestConvexityRatio:
     def test_depth_zero_is_exactly_one(self):
-        assert convexity_ratio(BASE, 0.1, 0, 5.0) == 1.0
+        assert convexity_ratio(group_mixture(BASE, 0.1, 0), 5.0) == 1.0
 
     def test_known_cells(self):
         # Exact enumeration values for two table cells, frozen from a
         # 60-digit oracle.
         assert math.isclose(
-            convexity_ratio(BASE, 0.01, 5, 10.0), 7.5735541819709507, rel_tol=1e-10
+            convexity_ratio(group_mixture(BASE, 0.01, 5), 10.0), 7.5735541819709507, rel_tol=1e-10
         )
         assert math.isclose(
-            convexity_ratio(BASE, 0.1, 20, 10.0), 1.2097872298268169e18, rel_tol=1e-10
+            convexity_ratio(group_mixture(BASE, 0.1, 20), 10.0), 1.2097872298268169e18, rel_tol=1e-10
         )
 
     def test_figure_ratio_via_mixture(self):
@@ -180,13 +184,13 @@ class TestConvexityRatio:
     def test_monotone_in_depth(self):
         for a in (0.01, 0.1, 0.2):
             for k in (3.0, 5.0):
-                values = [exceedance_constant_a(BASE, a, n, k) for n in range(26)]
+                values = [exceedance(group_mixture(BASE, a, n), k) for n in range(26)]
                 assert all(x < y for x, y in zip(values, values[1:])), (a, k)
 
     def test_gain_region(self):
         for a in (0.01, 0.1, 0.2):
             for n in (1, 10, 25):
-                assert convexity_ratio(BASE, a, n, 3.0) > 1.0
+                assert convexity_ratio(group_mixture(BASE, a, n), 3.0) > 1.0
 
 
 class TestMoments:
@@ -216,6 +220,21 @@ class TestMoments:
             )
             assert math.isclose(mixture_raw_moment(mix, order), val, rel_tol=1e-7)
 
+    def test_deep_grouped_moments_match_closed_forms(self):
+        # Past n = 5000 some classes pair an underflowing weight with an
+        # overflowing scale power; the moments stay finite where the closed
+        # forms are, and are inf (not nan) where those overflow.
+        mix = group_mixture(BASE, 0.1, 10_000)
+        for order in (2, 4):
+            assert math.isclose(
+                mixture_raw_moment(mix, order),
+                moment_constant_a(order, 0.0, 1.0, 0.1, 10_000),
+                rel_tol=1e-9,
+            )
+        for order in (6, 8):
+            assert mixture_raw_moment(mix, order) == math.inf
+            assert moment_constant_a(order, 0.0, 1.0, 0.1, 10_000) == math.inf
+
     def test_order_guard(self):
         mix = build_mixture(BASE, ErrorSchedule.constant(0.1, 2))
         with pytest.raises(UnsupportedOrderError):
@@ -244,15 +263,50 @@ class TestAbsFirstMoment:
             mixture_abs_first_moment(mix)
 
 
+class TestGroupedEqualsEnumerated:
+    """group_mixture(base, a, n) and the enumerated constant schedule are one
+    distribution: every evaluator agrees at 1e-12 on random inputs."""
+
+    def test_random_constant_schedules(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(40):
+            mu = float(rng.uniform(-1.0, 1.0))
+            sigma = float(rng.uniform(0.2, 4.0))
+            a = float(rng.uniform(0.0, 0.6))
+            n = int(rng.integers(0, 13))
+            base = GaussianBase(mu, sigma)
+            grouped = group_mixture(base, a, n)
+            enumerated = build_mixture(base, ErrorSchedule.constant(a, n))
+            ctx = (mu, sigma, a, n)
+            points = mu + sigma * np.array([-3.0, -0.5, 0.0, 1.0, 4.0])
+            assert np.allclose(density(grouped, points), density(enumerated, points),
+                               rtol=1e-12, atol=0.0), ctx
+            for k in mu + sigma * np.array([-1.0, 0.5, 2.0, 5.0, 9.0]):
+                k = float(k)
+                assert math.isclose(exceedance(grouped, k), exceedance(enumerated, k),
+                                    rel_tol=1e-12), ctx
+                assert math.isclose(log_exceedance(grouped, k),
+                                    log_exceedance(enumerated, k), rel_tol=1e-12), ctx
+            for order in range(9):
+                assert math.isclose(mixture_raw_moment(grouped, order),
+                                    mixture_raw_moment(enumerated, order), rel_tol=1e-12), ctx
+            centered = GaussianBase(0.0, sigma)
+            assert math.isclose(
+                mixture_abs_first_moment(group_mixture(centered, a, n)),
+                mixture_abs_first_moment(build_mixture(centered, ErrorSchedule.constant(a, n))),
+                rel_tol=1e-12,
+            ), ctx
+
+
 class TestLogLog:
     def test_gaussian_slope_steepens(self):
-        series = loglog_series_constant_a(BASE, 0.0, 0, 2.0, 8.0, 60)
+        series = loglog_series(group_mixture(BASE, 0.0, 0), 2.0, 8.0, 60)
         slopes = local_slopes(series)
         assert all(a > b for a, b in zip(slopes, slopes[1:]))
 
     def test_flattening_with_depth(self):
-        s5 = loglog_series_constant_a(BASE, 0.1, 5, 2.0, 8.0, 60)
-        s50 = loglog_series_constant_a(BASE, 0.1, 50, 2.0, 8.0, 60)
+        s5 = loglog_series(group_mixture(BASE, 0.1, 5), 2.0, 8.0, 60)
+        s50 = loglog_series(group_mixture(BASE, 0.1, 50), 2.0, 8.0, 60)
         i = int(np.argmin(np.abs(s5.x - 6.0)))
         assert abs(tail_slope_estimate(s50, i - 2, i + 3)) < abs(
             tail_slope_estimate(s5, i - 2, i + 3)
@@ -260,11 +314,11 @@ class TestLogLog:
 
     def test_deep_recursion_dominates_everywhere(self):
         mix = build_mixture(BASE, ErrorSchedule.constant(0.1, 12))
-        base_series = loglog_series_constant_a(BASE, 0.1, 0, 3.0, 9.0, 30)
+        base_series = loglog_series(group_mixture(BASE, 0.1, 0), 3.0, 9.0, 30)
         deep_series = loglog_series(mix, 3.0, 9.0, 30)
         assert np.all(deep_series.log_p > base_series.log_p)
         # Still deeper recursion keeps lifting the tail (binomial path).
-        deeper = loglog_series_constant_a(BASE, 0.1, 25, 3.0, 9.0, 30)
+        deeper = loglog_series(group_mixture(BASE, 0.1, 25), 3.0, 9.0, 30)
         assert np.all(deeper.log_p > deep_series.log_p)
 
     def test_exact_power_law_slope(self):
@@ -274,13 +328,13 @@ class TestLogLog:
         assert np.max(np.abs(local_slopes(series) + 2.0)) < 1e-9
 
     def test_gaussian_window_slope_is_steep(self):
-        series = loglog_series_constant_a(BASE, 0.0, 0, 4.0, 6.0, 20)
+        series = loglog_series(group_mixture(BASE, 0.0, 0), 4.0, 6.0, 20)
         assert tail_slope_estimate(series, 0, 20) < -10.0
 
     def test_mixture_and_collapse_agree(self):
         mix = build_mixture(BASE, ErrorSchedule.constant(0.1, 8))
         s_enum = loglog_series(mix, 2.0, 8.0, 15)
-        s_binom = loglog_series_constant_a(BASE, 0.1, 8, 2.0, 8.0, 15)
+        s_binom = loglog_series(group_mixture(BASE, 0.1, 8), 2.0, 8.0, 15)
         assert np.allclose(s_enum.log_p, s_binom.log_p, rtol=1e-12)
 
     def test_grid_validation(self):
@@ -293,6 +347,6 @@ class TestLogLog:
             loglog_series(mix, 2.0, 5.0, 1)
 
     def test_degenerate_window(self):
-        series = loglog_series_constant_a(BASE, 0.1, 3, 2.0, 6.0, 10)
+        series = loglog_series(group_mixture(BASE, 0.1, 3), 2.0, 6.0, 10)
         with pytest.raises(ValueError):
             tail_slope_estimate(series, 0, 2)

@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from branchvol.branching import ErrorSchedule, GaussianBase, build_mixture
+from branchvol.branching import ErrorSchedule, GaussianBase, build_mixture, group_mixture
 from branchvol.closedform import BleedParams, m4_bleed, moment_constant_a
-from branchvol.mixstats import exceedance_constant_a
+from branchvol.mixstats import exceedance
 from branchvol.montecarlo import (
     MCSummary,
     SampleSpec,
@@ -92,7 +92,7 @@ class TestEstimates:
             )
         )
         t = report.targets[-1]
-        ref = exceedance_constant_a(BASE, 0.1, 5, 3.0)
+        ref = exceedance(group_mixture(BASE, 0.1, 5), 3.0)
         assert t.reliable
         assert abs(t.estimate - ref) < 4.0 * t.se
 
@@ -166,6 +166,17 @@ class TestMerge:
         s2 = sample(mix, SampleSpec(n_samples=1000, seed=2, thresholds=(2.0,)))
         with pytest.raises(ValueError):
             s1.merge(s2)
+
+
+class TestWeightedMixtures:
+    def test_unequal_weights_are_refused(self):
+        with pytest.raises(ValueError, match="equal"):
+            sample(group_mixture(BASE, 0.1, 5), SampleSpec(n_samples=100, seed=0))
+
+    def test_equal_weight_classes_are_sampled(self):
+        # Depth 1 has two classes of weight 1/2 each.
+        summary = sample(group_mixture(BASE, 0.1, 1), SampleSpec(n_samples=100, seed=0))
+        assert summary.n == 100
 
 
 class TestChecks:
