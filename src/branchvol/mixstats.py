@@ -11,43 +11,72 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from ._checks import check_order
 from .branching import GaussianBase, MixtureDistribution, group_mixture
-from .special import erfc, gaussian_abs_first_moment, log_erfc, scale_mixture_moment
+from .special import (
+    erfc_array,
+    gaussian_abs_first_moment,
+    log_erfc_array,
+    scale_mixture_moment,
+)
 
 _LN2 = math.log(2.0)
 _LN_HALF = -_LN2
 _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+_LN_SQRT_TWO_PI = math.log(_SQRT_TWO_PI)
 
 _CHUNK = 4096
 
-# Components whose sigma has |ln sigma| above this are left out of the
-# density: their sigma leaves the double range and their share is negligible.
-_DENSITY_LOG_SIGMA_LIMIT = 700.0
+# Density components whose |ln sigma| or -ln weight exceeds this are summed
+# in log space: their sigma or weight leaves the double range.
+_DENSITY_LINEAR_LIMIT = 700.0
 
 
-def _floats(arr: np.ndarray):
-    """The elements of a 1-d array as Python floats, converted chunk by chunk."""
-    for i in range(0, arr.size, _CHUNK):
-        yield from arr[i : i + _CHUNK].tolist()
+def _slices(n: int):
+    """Consecutive slices of at most _CHUNK elements covering range(n)."""
+    return (slice(i, i + _CHUNK) for i in range(0, n, _CHUNK))
+
+
+def _fsum(arrays) -> float:
+    """Exact sum of the elements of an iterable of float arrays, in any order."""
+    return math.fsum(chain.from_iterable(a.tolist() for a in arrays))
 
 
 def density(mixture: MixtureDistribution, x) -> float | np.ndarray:
-    """Mixture density at x (scalar or array): sum_i w_i phi(mu, sigma_i, x)."""
+    """Mixture density at x (scalar or array): sum_i w_i phi(mu, sigma_i, x).
+
+    Components whose sigma or weight leaves the double range are summed in
+    log space, so none is dropped. A density beyond the double range
+    returns inf.
+    """
     x_arr = np.asarray(x, dtype=np.float64)
     out = np.zeros(x_arr.shape)
-    keep = np.abs(math.log(mixture.sigma) + mixture.log_scales) <= _DENSITY_LOG_SIGMA_LIMIT
-    sigmas = mixture.component_sigmas[keep]
-    log_weights = mixture.log_weights[keep]
-    for i in range(0, sigmas.size, _CHUNK):
-        chunk = sigmas[i : i + _CHUNK]
-        z = (x_arr[..., None] - mixture.mu) / chunk
-        w = np.exp(log_weights[i : i + _CHUNK])
-        out += np.sum(w * np.exp(-0.5 * z * z) / (chunk * _SQRT_TWO_PI), axis=-1)
+    log_sigmas = math.log(mixture.sigma) + mixture.log_scales
+    linear = (np.abs(log_sigmas) <= _DENSITY_LINEAR_LIMIT) & (
+        mixture.log_weights >= -_DENSITY_LINEAR_LIMIT
+    )
+    sigmas = mixture.component_sigmas[linear]
+    log_weights = mixture.log_weights[linear]
+    # Overflow here means z * z past the double range (the term is 0) or a
+    # density past it (the result is inf).
+    with np.errstate(over="ignore", divide="ignore"):
+        for s in _slices(sigmas.size):
+            chunk = sigmas[s]
+            z = (x_arr[..., None] - mixture.mu) / chunk
+            w = np.exp(log_weights[s])
+            out += np.sum(w * np.exp(-0.5 * z * z) / (chunk * _SQRT_TWO_PI), axis=-1)
+        log_sigmas = log_sigmas[~linear]
+        log_weights = mixture.log_weights[~linear]
+        log_dx = np.log(np.abs(x_arr - mixture.mu))[..., None]
+        for s in _slices(log_sigmas.size):
+            ls = log_sigmas[s]
+            z2 = np.exp(2.0 * (log_dx - ls))
+            out += np.sum(np.exp(log_weights[s] - ls - _LN_SQRT_TWO_PI - 0.5 * z2), axis=-1)
     out *= mixture.weight
     if x_arr.ndim == 0:
         return float(out)
@@ -59,26 +88,29 @@ def _check_threshold(k: float) -> None:
         raise ValueError(f"threshold must be finite, got {k!r}")
 
 
-def _log_component_tail(delta: float, log_sigma: float) -> float:
-    # ln P(Normal(0, sigma^2) > delta) with sigma passed as log(sigma); safe
-    # for scale factors far outside the double range.
+def _log_tails(delta: float, log_sigmas: np.ndarray) -> np.ndarray:
+    # ln P(Normal(0, sigma_i^2) > delta) with each sigma passed as its log;
+    # safe for scale factors far outside the double range.
     if delta == 0.0:
-        return _LN_HALF
-    log_abs_z = math.log(abs(delta)) - 0.5 * _LN2 - log_sigma
-    if log_abs_z > 300.0:
-        return -math.inf if delta > 0.0 else 0.0
-    z = math.copysign(math.exp(log_abs_z), delta)
-    return _LN_HALF + log_erfc(z)
+        return np.full(log_sigmas.shape, _LN_HALF)
+    log_abs_z = (math.log(abs(delta)) - 0.5 * _LN2) - log_sigmas
+    out = np.full(log_sigmas.shape, -math.inf if delta > 0.0 else 0.0)
+    near = log_abs_z <= 300.0
+    z = np.copysign(np.exp(log_abs_z[near]), delta)
+    out[near] = _LN_HALF + log_erfc_array(z)
+    return out
 
 
-def _component_tail(delta: float, sigma: float, log_sigma: float) -> float:
-    # P(Normal(0, sigma^2) > delta); the log form covers sigmas that
+def _tails(delta: float, sigmas: np.ndarray, log_sigmas: np.ndarray) -> np.ndarray:
+    # P(Normal(0, sigma_i^2) > delta); the log form covers sigmas that
     # underflowed to 0 or are too small for delta / sigma to stay finite.
-    if sigma > 0.0:
-        z = delta / (_SQRT2 * sigma)
-        if math.isfinite(z):
-            return 0.5 * erfc(z)
-    return math.exp(_log_component_tail(delta, log_sigma))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = delta / (_SQRT2 * sigmas)
+    ok = np.isfinite(z)
+    out = np.empty(z.shape)
+    out[ok] = 0.5 * erfc_array(z[ok])
+    out[~ok] = np.exp(_log_tails(delta, log_sigmas[~ok]))
+    return out
 
 
 def exceedance(mixture: MixtureDistribution, k: float) -> float:
@@ -90,13 +122,10 @@ def exceedance(mixture: MixtureDistribution, k: float) -> float:
     _check_threshold(k)
     delta = k - mixture.mu
     log_sigma = math.log(mixture.sigma)
-    total = math.fsum(
-        math.exp(lw) * _component_tail(delta, s, log_sigma + ls)
-        for lw, s, ls in zip(
-            _floats(mixture.log_weights),
-            _floats(mixture.component_sigmas),
-            _floats(mixture.log_scales),
-        )
+    total = _fsum(
+        np.exp(mixture.log_weights[s])
+        * _tails(delta, mixture.sigma * mixture.scales[s], log_sigma + mixture.log_scales[s])
+        for s in _slices(mixture.n_components)
     )
     return min(1.0, mixture.weight * total)
 
@@ -105,22 +134,17 @@ def _logsumexp(terms: np.ndarray) -> float:
     m = float(terms.max())
     if m == -math.inf:
         return -math.inf
-    return m + math.log(math.fsum(math.exp(t - m) for t in _floats(terms)))
+    return m + math.log(_fsum(np.exp(terms[s] - m) for s in _slices(terms.size)))
 
 
 def log_exceedance(mixture: MixtureDistribution, k: float) -> float:
-    """ln P(X > k), computed per component in log space."""
+    """ln P(X > k), computed per component in log space, a chunk at a time."""
     _check_threshold(k)
     delta = k - mixture.mu
     log_sigma = math.log(mixture.sigma)
-    terms = np.fromiter(
-        (
-            lw + _log_component_tail(delta, log_sigma + ls)
-            for lw, ls in zip(_floats(mixture.log_weights), _floats(mixture.log_scales))
-        ),
-        np.float64,
-        mixture.n_components,
-    )
+    terms = np.empty(mixture.n_components)
+    for s in _slices(terms.size):
+        terms[s] = mixture.log_weights[s] + _log_tails(delta, log_sigma + mixture.log_scales[s])
     return math.log(mixture.weight) + _logsumexp(terms)
 
 

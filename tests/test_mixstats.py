@@ -1,13 +1,20 @@
 """Mixture evaluation: density, tails, moments, and log-log diagnostics."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
-from branchvol.branching import ErrorSchedule, GaussianBase, build_mixture, group_mixture
+from branchvol.branching import (
+    ErrorSchedule,
+    GaussianBase,
+    MixtureDistribution,
+    build_mixture,
+    group_mixture,
+)
 from branchvol.closedform import moment_constant_a
 from branchvol.mixstats import (
     LogLogSeries,
@@ -21,7 +28,7 @@ from branchvol.mixstats import (
     mixture_raw_moment,
     tail_slope_estimate,
 )
-from branchvol.special import UnsupportedOrderError
+from branchvol.special import UnsupportedOrderError, log_erfc
 
 mpmath.mp.dps = 50
 
@@ -30,6 +37,22 @@ BASE = GaussianBase(0.0, 1.0)
 
 def _phi(mu, sigma, x):
     return math.exp(-0.5 * ((x - mu) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
+
+
+def _two_component(log_scale):
+    # Equal weights on sigma = exp(log_scale) and sigma = 1, around mu = 0.3.
+    log_scales = np.array([log_scale, 0.0])
+    return MixtureDistribution(0.3, 1.0, np.exp(log_scales), log_scales, 0.5, np.zeros(2))
+
+
+def _mp_grouped_density(a, n, x):
+    # sum_j C(n, j) 2^-n phi(0, s_j, x) with s_j = (1+a)^j (1-a)^(n-j), in mpmath.
+    a, x = mpmath.mpf(a), mpmath.mpf(x)
+    total = mpmath.mpf(0)
+    for j in range(n + 1):
+        s = (1 + a) ** j * (1 - a) ** (n - j)
+        total += mpmath.binomial(n, j) * mpmath.exp(-x * x / (2 * s * s)) / s
+    return total / (mpmath.mpf(2) ** n * mpmath.sqrt(2 * mpmath.pi))
 
 
 class TestDensity:
@@ -96,6 +119,34 @@ class TestDensity:
         )
         assert abs(val - 1.0) < 1e-8
 
+    def test_deep_grouped_density_without_overflow_warnings(self):
+        # Classes with scales near e^-446 put z * z past the double range off
+        # the centre; that must give 0 quietly. 1e-9: lgamma weights past n = 300.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = density(group_mixture(BASE, 0.2, 2000), [0.0, 1.0])
+        for x, val in zip((0.0, 1.0), vals):
+            assert math.isclose(val, float(_mp_grouped_density(0.2, 2000, x)), rel_tol=1e-9)
+
+    def test_components_outside_the_double_range_are_kept(self):
+        # sigma = e^-710 and weight e^-720 dominate nothing off the centre
+        # but add e^-10 / sqrt(2 pi) at x = mu.
+        log_scales = np.array([-710.0, 0.0])
+        log_weights = np.array([-720.0, math.log1p(-math.exp(-720.0))])
+        mix = MixtureDistribution(0.0, 1.0, np.exp(log_scales), log_scales, 1.0, log_weights)
+        expected = (1.0 + math.exp(-10.0)) / math.sqrt(2.0 * math.pi)
+        assert math.isclose(density(mix, 0.0), expected, rel_tol=1e-14)
+        assert math.isclose(density(mix, 1.0), _phi(0.0, 1.0, 1.0), rel_tol=1e-14)
+
+    def test_density_past_the_double_range_is_inf(self):
+        # a = 0.9, n = 3000: the true density at 0 is about 2.19e2163.
+        mix = group_mixture(BASE, 0.9, 3000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = density(mix, [0.0, 5.0])
+        assert vals[0] == math.inf
+        assert math.isclose(vals[1], float(_mp_grouped_density(0.9, 3000, 5.0)), rel_tol=1e-9)
+
 
 class TestExceedance:
     def test_half_at_center(self):
@@ -159,6 +210,84 @@ class TestExceedance:
         val = log_exceedance(mix, k)
         assert val < -700.0
         assert math.isclose(val, ref, rel_tol=1e-12)
+
+
+def _reference_log_tail(delta, log_sigma):
+    # One component at a time, with the scalar log_erfc.
+    if delta == 0.0:
+        return math.log(0.5)
+    log_abs_z = math.log(abs(delta)) - 0.5 * math.log(2.0) - log_sigma
+    if log_abs_z > 300.0:
+        return -math.inf if delta > 0.0 else 0.0
+    return math.log(0.5) + log_erfc(math.copysign(math.exp(log_abs_z), delta))
+
+
+def _reference_log_exceedance(mix, k):
+    log_sigmas = (math.log(mix.sigma) + mix.log_scales).tolist()
+    terms = [lw + _reference_log_tail(k - mix.mu, ls)
+             for lw, ls in zip(mix.log_weights.tolist(), log_sigmas)]
+    m = max(terms)
+    return math.log(mix.weight) + m + math.log(math.fsum(math.exp(t - m) for t in terms))
+
+
+def _reference_exceedance(mix, k):
+    tails = []
+    for s, ls in zip(mix.component_sigmas.tolist(), (math.log(mix.sigma) + mix.log_scales).tolist()):
+        z = (k - mix.mu) / (math.sqrt(2.0) * s) if s > 0.0 else math.nan
+        if math.isfinite(z):
+            tails.append(0.5 * math.erfc(z) if z >= 0.0 else 1.0 - 0.5 * math.erfc(-z))
+        else:
+            tails.append(math.exp(_reference_log_tail(k - mix.mu, ls)))
+    weights = np.exp(mix.log_weights).tolist()
+    return mix.weight * math.fsum(w * t for w, t in zip(weights, tails))
+
+
+class TestTailKernel:
+    """The chunked tail kernel against per-component references and mpmath."""
+
+    def test_chunked_sums_match_per_component_reference(self):
+        mixtures = (
+            build_mixture(GaussianBase(0.2, 1.3), ErrorSchedule.bleed(0.25, 0.9, 13)),
+            group_mixture(GaussianBase(-0.1, 0.8), 0.1, 5000),
+        )
+        for mix in mixtures:
+            for k in (-3.0, 0.5, 3.0, 10.0, 50.0):
+                assert math.isclose(log_exceedance(mix, k), _reference_log_exceedance(mix, k),
+                                    rel_tol=1e-14), (mix.n_components, k)
+            for k in (-3.0, 0.5, 3.0, 10.0):
+                assert math.isclose(exceedance(mix, k), _reference_exceedance(mix, k),
+                                    rel_tol=1e-14), (mix.n_components, k)
+
+    def test_centre_and_far_branches_on_both_sides(self):
+        # One component with sigma = e^-400: ln|z| > 300 at mu +- 1, so its
+        # tail is 0 above the mean and 1 below it. At mu every tail is 1/2.
+        mix = _two_component(-400.0)
+        sqrt2 = mpmath.sqrt(2)
+        above = mpmath.log(mpmath.erfc(1 / sqrt2) / 4)
+        below = mpmath.log((1 + mpmath.erfc(-1 / sqrt2) / 2) / 2)
+        assert math.isclose(log_exceedance(mix, 1.3), float(above), rel_tol=1e-15)
+        assert math.isclose(log_exceedance(mix, -0.7), float(below), rel_tol=1e-14)
+        assert math.isclose(log_exceedance(mix, 0.3), math.log(0.5), rel_tol=1e-15)
+        # Past the double range sigma is 0, and exceedance takes the log form.
+        mix = _two_component(-800.0)
+        assert math.isclose(exceedance(mix, 1.3), float(mpmath.exp(above)), rel_tol=1e-15)
+        assert math.isclose(exceedance(mix, -0.7), float(mpmath.exp(below)), rel_tol=1e-15)
+        assert exceedance(mix, 0.3) == 0.5
+
+    def test_readme_loglog_grid_against_mpmath(self):
+        # The README loglog example: a = 0.1, N = 0, 5, 10, 25, 50, x in [2, 10].
+        a = mpmath.mpf(0.1)
+        worst = 0.0
+        for n in (0, 5, 10, 25, 50):
+            series = loglog_series(group_mixture(BASE, 0.1, n), 2.0, 10.0, 120)
+            sigmas = [(1 + a) ** j * (1 - a) ** (n - j) for j in range(n + 1)]
+            weights = [mpmath.binomial(n, j) / mpmath.mpf(2) ** (n + 1) for j in range(n + 1)]
+            for x, log_p in zip(series.x.tolist(), series.log_p.tolist()):
+                p = mpmath.fsum(w * mpmath.erfc(x / (mpmath.sqrt(2) * s))
+                                for w, s in zip(weights, sigmas))
+                ref = float(mpmath.log(p))
+                worst = max(worst, abs(log_p - ref) / abs(ref))
+        assert worst <= 4e-15
 
 
 class TestConvexityRatio:

@@ -13,9 +13,11 @@ from branchvol.special import (
     DivergenceError,
     UnsupportedOrderError,
     erfc,
+    erfc_array,
     gaussian_abs_first_moment,
     gaussian_raw_moment,
     log_erfc,
+    log_erfc_array,
     q_pochhammer,
 )
 
@@ -83,6 +85,44 @@ class TestLogErfc:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             log_erfc(math.inf)
+
+
+def _mp_log_erfc(z: float) -> float:
+    return float(mpmath.log(mpmath.erfc(mpmath.mpf(z))))
+
+
+class TestArrayForms:
+    """erfc_array and log_erfc_array against 50-digit mpmath, on both sides
+    of the switch between ln(erfc) and the continued fraction."""
+
+    def _check_log_erfc(self, grid, tol):
+        arr = log_erfc_array(grid)
+        for z, from_array in zip(grid.tolist(), arr.tolist()):
+            ref = _mp_log_erfc(z)
+            bound = tol * max(1.0, abs(ref))
+            assert abs(log_erfc(z) - ref) <= bound, z
+            assert abs(from_array - ref) <= bound, z
+
+    def test_log_erfc_dense_grid(self):
+        # Absolute error near z = 0, where ln erfc crosses 0; relative beyond.
+        self._check_log_erfc(np.linspace(-6.0, 25.0, 3101), 5e-16)
+
+    def test_log_erfc_across_the_switch_point(self):
+        self._check_log_erfc(np.linspace(24.0, 26.0, 401), 5e-16)
+
+    def test_log_erfc_far_tail(self):
+        self._check_log_erfc(np.geomspace(25.0, 1e130, 400), 5e-16)
+
+    def test_erfc_array_matches_scalar_with_exact_reflection(self):
+        grid = np.linspace(-8.0, 27.0, 701)
+        arr = erfc_array(grid)
+        assert arr.tolist() == [erfc(z) for z in grid.tolist()]
+        positive = grid > 0.0
+        assert np.array_equal(erfc_array(-grid[positive]), 2.0 - arr[positive])
+
+    def test_empty_arrays(self):
+        assert erfc_array(np.empty(0)).shape == (0,)
+        assert log_erfc_array(np.empty(0)).shape == (0,)
 
 
 class TestGaussianRawMoment:
