@@ -235,7 +235,7 @@ def _reference_exceedance(mix, k):
     for s, ls in zip(mix.component_sigmas.tolist(), (math.log(mix.sigma) + mix.log_scales).tolist()):
         z = (k - mix.mu) / (math.sqrt(2.0) * s) if s > 0.0 else math.nan
         if math.isfinite(z):
-            tails.append(0.5 * math.erfc(z) if z >= 0.0 else 1.0 - 0.5 * math.erfc(-z))
+            tails.append(0.5 * math.erfc(z))
         else:
             tails.append(math.exp(_reference_log_tail(k - mix.mu, ls)))
     weights = np.exp(mix.log_weights).tolist()
