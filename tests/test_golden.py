@@ -40,6 +40,13 @@ BYTE_EXACT = {
                       "--x=-4:4:1"],
     "explicit_moments": ["moments", "--schedule",
                          "explicit:0.3,0.25,0.2,0.15,0.1,0.05,0.3,0.2,0.1,0.05"],
+    # Deep enumerations, and a validate run spanning two 2^20-draw blocks.
+    "deep_bleed_moments": ["moments", "--schedule", "bleed:a1=0.2,lambda=0.9,N=20"],
+    "deep_bleed_density": ["density", "--schedule", "bleed:a1=0.2,lambda=0.9,N=18",
+                           "--x=-4:4:1"],
+    "deep_geometric_moments": ["moments", "--schedule", "geometric:a=0.2,N=18"],
+    "two_block_validate": ["validate", "--schedule", "constant:a=0.15,N=10",
+                           "--n-samples", "2000000", "--seed", "3"],
 }
 NUMERIC = {
     "geometric_exceed": ["exceed", "--schedule", "geometric:a=0.2,N=16",
