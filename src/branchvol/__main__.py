@@ -1,0 +1,6 @@
+"""``python -m branchvol``: the branchvol command."""
+
+from .cli import run
+
+if __name__ == "__main__":
+    run()

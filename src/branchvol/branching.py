@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -140,6 +141,12 @@ class MixtureDistribution:
     def component_sigmas(self) -> np.ndarray:
         return self.sigma * self.scales
 
+    @cached_property
+    def zero_log_weights(self) -> bool:
+        """True when every log-weight is exactly 0 (every enumeration): each
+        component weighs ``weight``, and exp(log_weights) can be skipped."""
+        return not self.log_weights.any()
+
 
 def build_mixture(base: GaussianBase, schedule: ErrorSchedule) -> MixtureDistribution:
     """Equal-weight mixture over all 2^N branches of the schedule.
@@ -156,14 +163,20 @@ def build_mixture(base: GaussianBase, schedule: ErrorSchedule) -> MixtureDistrib
             f"depth {n} exceeds the enumeration ceiling {MAX_ENUMERATION_DEPTH}; "
             "constant rates collapse to n + 1 classes with group_mixture"
         )
-    if schedule.mode is Mode.MULTIPLICATIVE:
-        scales = np.ones(1)
-        for a in schedule.rates:
-            scales = np.multiply.outer(scales, [1.0 + a, 1.0 - a]).ravel()
+    additive = schedule.mode is Mode.ADDITIVE
+    if additive:
+        op, scales, moves = np.add, np.zeros(1), [(a, -a) for a in schedule.rates]
     else:
-        scales = np.zeros(1)
-        for a in schedule.rates:
-            scales = np.add.outer(scales, [a, -a]).ravel()
+        op, scales = np.multiply, np.ones(1)
+        moves = [(1.0 + a, 1.0 - a) for a in schedule.rates]
+    for up, down in moves:
+        # Branch 2i + c goes to column c of row i: one full-length ufunc call
+        # per sign, where an outer product loops over 2 elements per row.
+        out = np.empty((scales.size, 2))
+        op(scales, up, out=out[:, 0])
+        op(scales, down, out=out[:, 1])
+        scales = out.ravel()
+    if additive:
         scales += 1.0
         bad = np.flatnonzero(scales <= 0.0)
         if bad.size:

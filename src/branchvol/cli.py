@@ -138,6 +138,8 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise ScheduleParseError(f"--x expects numbers, got {text!r}")
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ScheduleParseError(f"--x needs finite min, max and step, got {text!r}")
     if not (hi > lo and step > 0):
         raise ScheduleParseError(f"--x needs max > min and step > 0, got {text!r}")
     count = int(round((hi - lo) / step)) + 1
@@ -443,6 +445,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError as exc:  # e.g. a --x step too fine for the grid to fit
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -57,19 +57,22 @@ def density(mixture: MixtureDistribution, x) -> float | np.ndarray:
     x_arr = np.asarray(x, dtype=np.float64)
     out = np.zeros(x_arr.shape)
     log_sigmas = math.log(mixture.sigma) + mixture.log_scales
-    linear = (np.abs(log_sigmas) <= _DENSITY_LINEAR_LIMIT) & (
-        mixture.log_weights >= -_DENSITY_LINEAR_LIMIT
-    )
+    linear = np.abs(log_sigmas) <= _DENSITY_LINEAR_LIMIT
+    weighted = not mixture.zero_log_weights
+    if weighted:
+        linear &= mixture.log_weights >= -_DENSITY_LINEAR_LIMIT
     sigmas = mixture.component_sigmas[linear]
-    log_weights = mixture.log_weights[linear]
+    log_weights = mixture.log_weights[linear] if weighted else None
     # Overflow here means z * z past the double range (the term is 0) or a
     # density past it (the result is inf).
     with np.errstate(over="ignore", divide="ignore"):
         for s in _slices(sigmas.size):
             chunk = sigmas[s]
             z = (x_arr[..., None] - mixture.mu) / chunk
-            w = np.exp(log_weights[s])
-            out += np.sum(w * np.exp(-0.5 * z * z) / (chunk * _SQRT_TWO_PI), axis=-1)
+            terms = np.exp(-0.5 * z * z)
+            if weighted:
+                terms *= np.exp(log_weights[s])
+            out += np.sum(terms / (chunk * _SQRT_TWO_PI), axis=-1)
         log_sigmas = log_sigmas[~linear]
         log_weights = mixture.log_weights[~linear]
         log_dx = np.log(np.abs(x_arr - mixture.mu))[..., None]
@@ -161,12 +164,17 @@ def convexity_ratio(mixture: MixtureDistribution, k: float) -> float:
 def _mean_scale_power(mixture: MixtureDistribution, m: int) -> float:
     # E[scale^m] over the mixture weights. In deep grouped mixtures a tiny
     # weight can meet a power that overflows; such terms are taken in log
-    # space instead.
+    # space instead. A finite sum means every term was finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.exp(mixture.log_weights) * mixture.scales**m
-        bad = ~np.isfinite(terms)
-        terms[bad] = np.exp(mixture.log_weights[bad] + m * mixture.log_scales[bad])
-        return mixture.weight * float(np.sum(terms))
+        terms = mixture.scales**m
+        if not mixture.zero_log_weights:
+            terms *= np.exp(mixture.log_weights)
+        total = float(np.sum(terms))
+        if not math.isfinite(total):
+            bad = ~np.isfinite(terms)
+            terms[bad] = np.exp(mixture.log_weights[bad] + m * mixture.log_scales[bad])
+            total = float(np.sum(terms))
+        return mixture.weight * total
 
 
 def mixture_raw_moment(mixture: MixtureDistribution, order: int) -> float:

@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import MAX_MOMENT_ORDER, check_order
+from ._checks import check_order
 from .branching import MixtureDistribution
 
-_MAX_POWER = 2 * MAX_MOMENT_ORDER  # x^2k needed for the SE of moment k
 _BRANCH_COUNT_LIMIT = 2**16
 _BLOCK = 1 << 20
 
@@ -51,7 +50,9 @@ class MCSummary:
     seeds: tuple[int, ...]
     moment_orders: tuple[int, ...]
     thresholds: tuple[float, ...]
-    power_sums: np.ndarray  # power_sums[k] = sum of x^k, k = 0.._MAX_POWER
+    # power_sums[k] = sum of x^k for k = 0..2 max(max order, 4): x^2k gives
+    # the SE of moment k, and x^4, x^6, x^8 the kurtosis and its SE.
+    power_sums: np.ndarray
     exceed_counts: dict[float, int]
     branch_counts: np.ndarray | None = field(default=None)
 
@@ -84,13 +85,14 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
 
     Draws are blocked to bound memory; the block size is fixed so the
     stream, and therefore every statistic, is reproducible bit for bit.
-    Components are drawn uniformly, so every weight must be equal.
+    Components are drawn uniformly, so every weight must be equal. Power
+    sums run up to x^(2 max(max order, 4)), the highest power estimate reads.
     """
     if np.any(mixture.log_weights != mixture.log_weights[0]):
         raise ValueError("sample needs equal component weights; got a weighted mixture")
     rng = np.random.default_rng(spec.seed)
     n_comp = mixture.n_components
-    power_sums = np.zeros(_MAX_POWER + 1)
+    power_sums = np.zeros(2 * max((4, *spec.moment_orders)) + 1)
     exceed = {k: 0 for k in spec.thresholds}
     counts = (
         np.zeros(n_comp, dtype=np.int64) if n_comp <= _BRANCH_COUNT_LIMIT else None
@@ -99,13 +101,17 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
     while remaining:
         m = min(_BLOCK, remaining)
         idx = rng.integers(0, n_comp, size=m)
-        x = mixture.mu + mixture.sigma * mixture.scales[idx] * rng.standard_normal(m)
+        # mu + sigma * scale * z in place; this order fixes every bit of the sums.
+        x = mixture.scales[idx]
+        x *= mixture.sigma
+        x *= rng.standard_normal(m)
+        x += mixture.mu
         if counts is not None:
             counts += np.bincount(idx, minlength=n_comp)
         xp = np.ones(m)
         power_sums[0] += m
-        for k in range(1, _MAX_POWER + 1):
-            xp = xp * x
+        for k in range(1, power_sums.size):
+            xp *= x
             power_sums[k] += float(xp.sum())
         for k in exceed:
             exceed[k] += int(np.count_nonzero(x > k))

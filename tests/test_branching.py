@@ -3,7 +3,7 @@ mixtures, and the schedule grammar."""
 
 import math
 import tracemalloc
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -205,6 +205,36 @@ class TestScaleSet:
         with pytest.raises(NonPositiveScaleError) as err:
             build_mixture(GaussianBase(), ErrorSchedule.geometric(0.6, 3))
         assert "branch" in str(err.value)
+
+    @staticmethod
+    def _additive_reference(rates):
+        # Offsets summed left to right from 0, then 1 added, per branch in
+        # itertools.product order.
+        out = []
+        for signs in product((1, -1), repeat=len(rates)):
+            total = 0.0
+            for s, a in zip(signs, rates):
+                total += s * a
+            out.append(total + 1.0)
+        return np.array(out)
+
+    def test_additive_scales_bit_for_bit(self):
+        for a in (0.1, 0.3, 0.45):
+            for n in range(13):
+                schedule = ErrorSchedule.geometric(a, n)
+                scales = build_mixture(GaussianBase(), schedule).scales
+                assert np.array_equal(scales, self._additive_reference(schedule.rates)), (a, n)
+
+    def test_additive_error_names_the_first_bad_branch(self):
+        for a, n in ((0.6, 3), (0.7, 5), (0.55, 8)):
+            ref = self._additive_reference(ErrorSchedule.geometric(a, n).rates)
+            i = int(np.flatnonzero(ref <= 0.0)[0])
+            signs = next(islice(product((1, -1), repeat=n), i, None))
+            with pytest.raises(NonPositiveScaleError) as err:
+                build_mixture(GaussianBase(), ErrorSchedule.geometric(a, n))
+            assert str(err.value) == (
+                f"branch {i} with signs {signs} has scale {ref[i]:.6g} <= 0"
+            )
 
 
 class TestMixture:

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -277,3 +281,34 @@ class TestExitCodes:
         assert cli.main(["density", "--no-such-flag"]) == 2
         assert cli.main([]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("grid", ["-4:inf:1", "-inf:4:1", "-4:4:inf", "nan:4:1"])
+    def test_non_finite_grid_exits_two(self, grid, capsys):
+        assert cli.main(["density", "--schedule", "constant:a=0.1,N=5", f"--x={grid}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    def test_out_of_memory_exits_three(self, monkeypatch, capsys):
+        # A step of 1e-9 asks linspace for 8e9 points; fake its failure.
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 59.6 GiB")
+
+        monkeypatch.setattr(cli.np, "linspace", no_memory)
+        assert cli.main(["density", "--schedule", "constant:a=0.1,N=5",
+                         "--x=-4:4:1e-9"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory: Unable to allocate 59.6 GiB\n"
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["exceed", "--schedule", "constant:a=0.1,N=8", "--k", "3,5,10"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "branchvol", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected

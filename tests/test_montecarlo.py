@@ -45,6 +45,50 @@ class TestDeterminism:
         assert not np.array_equal(s1.power_sums, s2.power_sums)
 
 
+def _replay_power_sums(mixture, n_samples, seed, block=1 << 20):
+    # The original sampler, written out: x = mu + sigma * scale * z, then
+    # xp = xp * x up to x^16, one block of draws at a time.
+    rng = np.random.default_rng(seed)
+    sums = np.zeros(17)
+    remaining = n_samples
+    while remaining:
+        m = min(block, remaining)
+        idx = rng.integers(0, mixture.n_components, size=m)
+        x = mixture.mu + mixture.sigma * mixture.scales[idx] * rng.standard_normal(m)
+        xp = np.ones(m)
+        sums[0] += m
+        for k in range(1, 17):
+            xp = xp * x
+            sums[k] += float(xp.sum())
+        remaining -= m
+    return sums
+
+
+class TestStream:
+    """Power sums stop at the highest power estimate reads, and the stream
+    and every sum stay those of the original sampler, across blocks."""
+
+    MIX = build_mixture(GaussianBase(0.3, 1.7), ErrorSchedule.bleed(0.2, 0.9, 6))
+    N = (1 << 20) + 5
+
+    @pytest.mark.parametrize("orders", [(1, 2, 3, 4), (8,)])
+    def test_power_sums_match_the_replay(self, orders):
+        summary = sample(self.MIX, SampleSpec(n_samples=self.N, seed=17, moment_orders=orders))
+        top = 2 * max(max(orders), 4)
+        assert summary.power_sums.shape == (top + 1,)
+        replay = _replay_power_sums(self.MIX, self.N, 17)
+        assert np.array_equal(summary.power_sums, replay[: top + 1])
+
+    @pytest.mark.parametrize("orders", [(1, 2, 3, 4), (8,)])
+    def test_summaries_merge(self, orders):
+        specs = [SampleSpec(n_samples=self.N, seed=s, moment_orders=orders) for s in (5, 6)]
+        a, b = (sample(self.MIX, spec) for spec in specs)
+        merged = a.merge(b)
+        assert merged.n == 2 * self.N
+        assert np.array_equal(merged.power_sums, a.power_sums + b.power_sums)
+        assert estimate(merged).n == 2 * self.N
+
+
 class TestEstimates:
     def test_constant_stream_has_zero_se(self):
         # Degenerate summary built by hand: every draw equals 3.
