@@ -301,14 +301,15 @@ class TestExitCodes:
         assert captured.err == "error: out of memory: Unable to allocate 59.6 GiB\n"
 
 
-def test_python_dash_m_runs_the_cli(capsys):
+@pytest.mark.parametrize("module", ["branchvol", "branchvol.cli"])
+def test_python_dash_m_runs_the_cli(module, capsys):
     argv = ["exceed", "--schedule", "constant:a=0.1,N=8", "--k", "3,5,10"]
     assert cli.main(argv) == 0
     expected = capsys.readouterr().out
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "branchvol", *argv], env=env,
+    proc = subprocess.run([sys.executable, "-m", module, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
