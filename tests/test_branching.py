@@ -289,6 +289,25 @@ class TestGroupMixture:
         assert np.all(np.isfinite(mix.log_scales))
         assert math.isclose(math.fsum(np.exp(mix.log_weights)), 1.0, rel_tol=1e-9)
 
+    @pytest.mark.parametrize("n", [300, 301, 1000, 4097, 20000])
+    def test_weights_and_scales_pinned_per_class(self, n):
+        # Bit-for-bit against a per-class reference: exact binomials up to
+        # 300, three lgamma terms subtracted left to right above it.
+        a, ln2 = 0.1, math.log(2.0)
+        mix = group_mixture(GaussianBase(), a, n)
+        if n <= 300:
+            log_binom = [math.log(math.comb(n, i)) for i in range(n + 1)]
+        else:
+            lg = math.lgamma(n + 1)
+            log_binom = [lg - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                         for i in range(n + 1)]
+        assert np.array_equal(mix.log_weights, [lb - n * ln2 for lb in log_binom])
+        log_scales = np.array([i * math.log1p(a) + (n - i) * math.log1p(-a)
+                               for i in range(n + 1)])
+        assert np.array_equal(mix.log_scales, log_scales)
+        with np.errstate(over="ignore"):
+            assert np.array_equal(mix.scales, np.exp(log_scales))
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             group_mixture(GaussianBase(), 1.0, 3)

@@ -47,6 +47,12 @@ BYTE_EXACT = {
     "deep_geometric_moments": ["moments", "--schedule", "geometric:a=0.2,N=18"],
     "two_block_validate": ["validate", "--schedule", "constant:a=0.15,N=10",
                            "--n-samples", "2000000", "--seed", "3"],
+    # Grouped classes past n = 300, where the log-weights come from lgamma.
+    "grouped_exceed": ["exceed", "--schedule", "constant:a=0.1,N=100000", "--k", "3,10"],
+    "grouped_loglog": ["loglog", "--schedule", "constant:a=0.1,N=10000", "--x", "2:12:5"],
+    "grouped_density": ["density", "--schedule", "constant:a=0.2,N=2000", "--x=-4:4:1"],
+    "grouped_ratio_table": ["ratio-table", "--a", "0.1", "--n-list", "301,1000,5000",
+                            "--k-list", "3,5,10"],
 }
 NUMERIC = {
     "geometric_exceed": ["exceed", "--schedule", "geometric:a=0.2,N=16",

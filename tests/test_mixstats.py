@@ -104,6 +104,17 @@ class TestDensity:
         assert vals.shape == grid.shape
         assert math.isclose(vals[4], density(mix, 0.0), rel_tol=1e-15)
 
+    @pytest.mark.parametrize("mix", [
+        build_mixture(BASE, ErrorSchedule.bleed(0.2, 0.9, 13)),
+        group_mixture(BASE, 0.2, 5000),
+    ], ids=["enumerated", "grouped"])
+    def test_grid_equals_pointwise_bit_for_bit(self, mix):
+        # Each point keeps its own sum in the same order however the grid
+        # is split into blocks.
+        grid = np.linspace(-6.0, 6.0, 301)
+        pointwise = [density(mix, float(x)) for x in grid]
+        assert np.array_equal(density(mix, grid), pointwise)
+
     def test_binomial_collapse_matches_enumeration(self):
         grid = np.linspace(-5, 5, 41)
         for n in (0, 1, 6, 10):
