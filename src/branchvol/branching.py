@@ -210,10 +210,14 @@ def group_mixture(base: GaussianBase, a: float, n: int) -> MixtureDistribution:
     # equivalence checks); lgamma beyond it, where they would cost O(n^2).
     if n <= _EXACT_BINOM_LIMIT:
         log_binom = (math.log(math.comb(n, i)) for i in range(n + 1))
+        log_weights = np.fromiter((lb - n * _LN2 for lb in log_binom), np.float64, n + 1)
     else:
-        lg = math.lgamma(n + 1)
-        log_binom = (lg - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in range(n + 1))
-    log_weights = np.fromiter((lb - n * _LN2 for lb in log_binom), np.float64, n + 1)
+        # One table lg[i] = ln i!; ln (n - i)! is lg[n - i]. The three
+        # subtractions keep their per-class order, so every bit is the same.
+        lg = np.fromiter(map(math.lgamma, range(1, n + 2)), np.float64, n + 1)
+        log_weights = lg[-1] - lg
+        log_weights -= lg[::-1]
+        log_weights -= n * _LN2
     return MixtureDistribution(base.mu, base.sigma, scales, log_scales, 1.0, log_weights)
 
 

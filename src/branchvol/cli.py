@@ -10,6 +10,7 @@ randomness is the --seed flag consumed by validate.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -353,6 +354,7 @@ def _add_common(sp, with_seed=True) -> None:
         sp.add_argument("--seed", type=int, default=0, help="RNG seed (validate only)")
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="branchvol",

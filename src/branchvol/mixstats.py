@@ -31,6 +31,8 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _LN_SQRT_TWO_PI = math.log(_SQRT_TWO_PI)
 
 _CHUNK = 4096
+# Density grid points per block: temporaries stay (256 x _CHUNK) doubles.
+_GRID_BLOCK = 256
 
 # Density components whose |ln sigma| or -ln weight exceeds this are summed
 # in log space: their sigma or weight leaves the double range.
@@ -55,7 +57,6 @@ def density(mixture: MixtureDistribution, x) -> float | np.ndarray:
     returns inf.
     """
     x_arr = np.asarray(x, dtype=np.float64)
-    out = np.zeros(x_arr.shape)
     log_sigmas = math.log(mixture.sigma) + mixture.log_scales
     linear = np.abs(log_sigmas) <= _DENSITY_LINEAR_LIMIT
     weighted = not mixture.zero_log_weights
@@ -63,27 +64,34 @@ def density(mixture: MixtureDistribution, x) -> float | np.ndarray:
         linear &= mixture.log_weights >= -_DENSITY_LINEAR_LIMIT
     sigmas = mixture.component_sigmas[linear]
     log_weights = mixture.log_weights[linear] if weighted else None
-    # Overflow here means z * z past the double range (the term is 0) or a
-    # density past it (the result is inf).
+    far_log_sigmas = log_sigmas[~linear]
+    far_log_weights = mixture.log_weights[~linear]
+    x_col = x_arr.reshape(-1, 1)
+    out = np.zeros(x_arr.size)
+    # Grid points go a block at a time; each keeps its own sum, in the same
+    # order whatever the block size. Overflow here means z * z past the
+    # double range (the term is 0) or a density past it (the result is inf).
     with np.errstate(over="ignore", divide="ignore"):
-        for s in _slices(sigmas.size):
-            chunk = sigmas[s]
-            z = (x_arr[..., None] - mixture.mu) / chunk
-            terms = np.exp(-0.5 * z * z)
-            if weighted:
-                terms *= np.exp(log_weights[s])
-            out += np.sum(terms / (chunk * _SQRT_TWO_PI), axis=-1)
-        log_sigmas = log_sigmas[~linear]
-        log_weights = mixture.log_weights[~linear]
-        log_dx = np.log(np.abs(x_arr - mixture.mu))[..., None]
-        for s in _slices(log_sigmas.size):
-            ls = log_sigmas[s]
-            z2 = np.exp(2.0 * (log_dx - ls))
-            out += np.sum(np.exp(log_weights[s] - ls - _LN_SQRT_TWO_PI - 0.5 * z2), axis=-1)
+        for b in range(0, out.size, _GRID_BLOCK):
+            xb = x_col[b : b + _GRID_BLOCK]
+            ob = out[b : b + _GRID_BLOCK]
+            for s in _slices(sigmas.size):
+                chunk = sigmas[s]
+                z = (xb - mixture.mu) / chunk
+                terms = np.exp(-0.5 * z * z)
+                if weighted:
+                    terms *= np.exp(log_weights[s])
+                ob += np.sum(terms / (chunk * _SQRT_TWO_PI), axis=-1)
+            log_dx = np.log(np.abs(xb - mixture.mu))
+            for s in _slices(far_log_sigmas.size):
+                ls = far_log_sigmas[s]
+                z2 = np.exp(2.0 * (log_dx - ls))
+                terms = np.exp(far_log_weights[s] - ls - _LN_SQRT_TWO_PI - 0.5 * z2)
+                ob += np.sum(terms, axis=-1)
     out *= mixture.weight
     if x_arr.ndim == 0:
-        return float(out)
-    return out
+        return float(out[0])
+    return out.reshape(x_arr.shape)
 
 
 def _check_threshold(k: float) -> None:

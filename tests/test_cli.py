@@ -241,6 +241,30 @@ class TestOutputContract:
             payload = json.loads(p.read_text())
             assert payload["schema_version"] == 1
 
+    def test_shared_parser_leaks_nothing_between_calls(self, capsys):
+        # The parser is built once per process; a failed parse or --help in
+        # between must not change what later calls print.
+        readme = [
+            ["density", "--schedule", "constant:a=0.1,N=5", "--n-list", "0,5,10,25,50",
+             "--x=-4:4:0.05"],
+            ["exceed", "--schedule", "constant:a=0.1,N=8", "--k", "3,5,10"],
+            ["ratio-table"],
+            ["moments", "--schedule", "bleed:a1=0.2,lambda=0.9,N=10", "--orders", "2,4"],
+            ["loglog", "--schedule", "constant:a=0.1,N=50", "--n-list", "0,5,10,25,50",
+             "--x", "2:10:120"],
+            ["validate", "--schedule", "constant:a=0.1,N=8", "--n-samples", "1000000",
+             "--seed", "42"],
+        ]
+        first = [run_cli(*argv, capsys=capsys) for argv in readme]
+        assert cli.main(["exceed", "--schedule", "constant:a=0.1,N=8", "--k", "3",
+                         "--no-such-flag"]) == 2
+        assert cli.main(["exceed", "--schedule", "nope:a=1", "--k", "3"]) == 2
+        assert cli.main(["density", "--help"]) == 0
+        capsys.readouterr()
+        second = [run_cli(*argv, capsys=capsys) for argv in reversed(readme)]
+        assert all(rc == 0 for rc, _ in first)
+        assert first == second[::-1]
+
     def test_csv_number_format(self):
         assert cli._format_value(0.0) == "0"
         assert cli._format_value(1.5) == "1.5"

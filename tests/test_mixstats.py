@@ -1,6 +1,7 @@
 """Mixture evaluation: density, tails, moments, and log-log diagnostics."""
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -114,6 +115,18 @@ class TestDensity:
         grid = np.linspace(-6.0, 6.0, 301)
         pointwise = [density(mix, float(x)) for x in grid]
         assert np.array_equal(density(mix, grid), pointwise)
+
+    def test_fine_grid_memory_is_bounded(self):
+        # 40001 points x 256 components: unblocked temporaries took 235 MB.
+        mix = build_mixture(BASE, ErrorSchedule.bleed(0.2, 0.9, 8))
+        grid = np.linspace(-4.0, 4.0, 40001)
+        tracemalloc.start()
+        try:
+            density(mix, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_binomial_collapse_matches_enumeration(self):
         grid = np.linspace(-5, 5, 41)
