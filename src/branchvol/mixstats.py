@@ -39,9 +39,9 @@ _GRID_BLOCK = 256
 _DENSITY_LINEAR_LIMIT = 700.0
 
 
-def _slices(n: int):
-    """Consecutive slices of at most _CHUNK elements covering range(n)."""
-    return (slice(i, i + _CHUNK) for i in range(0, n, _CHUNK))
+def _slices(n: int, size: int = _CHUNK):
+    """Consecutive slices of at most size elements covering range(n)."""
+    return (slice(i, i + size) for i in range(0, n, size))
 
 
 def _fsum(arrays) -> float:
@@ -72,9 +72,8 @@ def density(mixture: MixtureDistribution, x) -> float | np.ndarray:
     # order whatever the block size. Overflow here means z * z past the
     # double range (the term is 0) or a density past it (the result is inf).
     with np.errstate(over="ignore", divide="ignore"):
-        for b in range(0, out.size, _GRID_BLOCK):
-            xb = x_col[b : b + _GRID_BLOCK]
-            ob = out[b : b + _GRID_BLOCK]
+        for g in _slices(out.size, _GRID_BLOCK):
+            xb, ob = x_col[g], out[g]
             for s in _slices(sigmas.size):
                 chunk = sigmas[s]
                 z = (xb - mixture.mu) / chunk
