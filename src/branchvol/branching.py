@@ -236,12 +236,16 @@ def variance_preserving_pair(sigma: float, v: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ScheduleSpec:
-    """Parsed schedule grammar kept in symbolic form so depth can be swapped."""
+    """Parsed schedule grammar kept in symbolic form so depth can be swapped.
+
+    ``a`` is the first rate: constant and geometric a, bleed a1, and the
+    first explicit rate (0.0 for an empty list). It generates an additive
+    schedule's powers a, a^2, ...
+    """
 
     kind: str
     n: int
-    a: float | None = None
-    a1: float | None = None
+    a: float
     lam: float | None = None
     rates: tuple[float, ...] | None = None
     additive: bool = False
@@ -251,7 +255,7 @@ class ScheduleSpec:
         if self.kind == "constant":
             schedule = ErrorSchedule.constant(self.a, depth)
         elif self.kind == "bleed":
-            schedule = ErrorSchedule.bleed(self.a1, self.lam, depth)
+            schedule = ErrorSchedule.bleed(self.a, self.lam, depth)
         elif self.kind == "geometric":
             return ErrorSchedule.geometric(self.a, depth)
         elif self.kind == "explicit":
@@ -323,21 +327,15 @@ def parse_schedule_spec(text: str) -> ScheduleSpec:
     if kind == "explicit":
         tokens = [tok for tok in args.split(",") if tok.strip()]
         rates = tuple(_to_float(tok, text) for tok in tokens)
-        return ScheduleSpec(kind=kind, n=len(rates), rates=rates, additive=additive)
-    if kind == "bleed":
-        kv = _parse_kv(args, ("a1", "lambda", "n"), text)
-        return ScheduleSpec(
-            kind=kind,
-            n=_to_int(kv["n"], text),
-            a1=_to_float(kv["a1"], text),
-            lam=_to_float(kv["lambda"], text),
-            additive=additive,
-        )
-    kv = _parse_kv(args, ("a", "n"), text)
+        return ScheduleSpec(kind=kind, n=len(rates), a=rates[0] if rates else 0.0,
+                            rates=rates, additive=additive)
+    keys = ("a1", "lambda", "n") if kind == "bleed" else ("a", "n")
+    kv = _parse_kv(args, keys, text)
     return ScheduleSpec(
         kind=kind,
         n=_to_int(kv["n"], text),
-        a=_to_float(kv["a"], text),
+        a=_to_float(kv[keys[0]], text),
+        lam=_to_float(kv["lambda"], text) if kind == "bleed" else None,
         additive=additive or kind == "geometric",
     )
 

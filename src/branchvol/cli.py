@@ -67,7 +67,7 @@ def _emit(args, command: str, columns: list[str], rows: list[list]) -> None:
             "schema_version": SCHEMA_VERSION,
             "command": command,
             "columns": columns,
-            "rows": [[None if c is None else c for c in row] for row in rows],
+            "rows": rows,
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -110,53 +110,44 @@ def parse_table_json(text: str) -> tuple[list[str], list[list]]:
     return payload["columns"], payload["rows"]
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, kind=float) -> list:
+    # Comma-separated values of one kind (float or int); empty tokens skipped.
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ScheduleParseError(f"{flag} expects comma-separated numbers, got {text!r}")
+        noun = "integers" if kind is int else "numbers"
+        raise ScheduleParseError(f"{flag} expects comma-separated {noun}, got {text!r}")
     if not values:
         raise ScheduleParseError(f"{flag} must not be empty")
     return values
 
 
-def _parse_ints(text: str, flag: str) -> list[int]:
+def _parse_range(text: str, last: str, kind=float) -> tuple:
+    # --x as min:max:<last> with finite endpoints; the last part is of the given kind.
     try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
+        lo, hi, third = text.split(":")
+        lo, hi, third = float(lo), float(hi), kind(third)
     except ValueError:
-        raise ScheduleParseError(f"{flag} expects comma-separated integers, got {text!r}")
-    if not values:
-        raise ScheduleParseError(f"{flag} must not be empty")
-    return values
+        raise ScheduleParseError(f"--x expects min:max:{last}, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ScheduleParseError(f"--x needs finite min and max, got {text!r}")
+    return lo, hi, third
 
 
 def _parse_grid(text: str) -> np.ndarray:
     # min:max:step, endpoints included (the count is rounded from the step).
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ScheduleParseError(f"--x expects min:max:step, got {text!r}")
-    try:
-        lo, hi, step = (float(p) for p in parts)
-    except ValueError:
-        raise ScheduleParseError(f"--x expects numbers, got {text!r}")
-    if not all(map(math.isfinite, (lo, hi, step))):
-        raise ScheduleParseError(f"--x needs finite min, max and step, got {text!r}")
-    if not (hi > lo and step > 0):
-        raise ScheduleParseError(f"--x needs max > min and step > 0, got {text!r}")
-    count = int(round((hi - lo) / step)) + 1
-    return np.linspace(lo, hi, count)
+    lo, hi, step = _parse_range(text, "step")
+    if not (hi > lo and 0.0 < step < math.inf):
+        raise ScheduleParseError(f"--x needs max > min and a finite step > 0, got {text!r}")
+    steps = (hi - lo) / step
+    if not math.isfinite(steps):
+        raise ScheduleParseError(f"--x has more points than a double can count, got {text!r}")
+    return np.linspace(lo, hi, int(round(steps)) + 1)
 
 
 def _parse_logrange(text: str) -> tuple[float, float, int]:
     # min:max:points with an integer point count on a geometric grid.
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ScheduleParseError(f"--x expects min:max:points, got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-        points = int(parts[2])
-    except ValueError:
-        raise ScheduleParseError(f"--x expects min:max:points, got {text!r}")
+    lo, hi, points = _parse_range(text, "points", int)
     if points < 3:
         raise ScheduleParseError("loglog needs at least 3 points for slope columns")
     return lo, hi, points
@@ -174,7 +165,7 @@ def _schedule_spec(args) -> ScheduleSpec:
 
 def _n_list(args, spec: ScheduleSpec) -> list[int]:
     if args.n_list:
-        return _parse_ints(args.n_list, "--n-list")
+        return _parse_list(args.n_list, "--n-list", int)
     return [spec.n]
 
 
@@ -200,7 +191,7 @@ def cmd_density(args) -> int:
 def cmd_exceed(args) -> int:
     base = _base(args)
     spec = _schedule_spec(args)
-    thresholds = _parse_floats(args.k, "--k")
+    thresholds = _parse_list(args.k, "--k")
     depths = _n_list(args, spec)
     rows = []
     for n in depths:
@@ -215,8 +206,8 @@ def cmd_exceed(args) -> int:
 def cmd_ratio_table(args) -> int:
     base = _base(args)
     rates = [args.a] if args.a is not None else [0.01, 0.1]
-    depths = _parse_ints(args.n_list, "--n-list") if args.n_list else [5, 10, 15, 20, 25]
-    thresholds = _parse_floats(args.k_list, "--k-list") if args.k_list else [3.0, 5.0, 10.0]
+    depths = _parse_list(args.n_list, "--n-list", int) if args.n_list else [5, 10, 15, 20, 25]
+    thresholds = _parse_list(args.k_list, "--k-list") if args.k_list else [3.0, 5.0, 10.0]
     columns = ["a", "N"] + [f"K{_format_value(k)}" for k in thresholds]
     rows = []
     for a in rates:
@@ -228,29 +219,26 @@ def cmd_ratio_table(args) -> int:
 
 
 def _closed_moment(spec: ScheduleSpec, order: int, mu: float, sigma: float, n: int):
-    if spec.kind == "constant" and not spec.additive:
+    if spec.additive:
+        if order not in (1, 2, 4):
+            return None
+        return closedform.moments_additive(order, mu, sigma, spec.a, n)
+    if spec.kind == "constant":
         return closedform.moment_constant_a(order, mu, sigma, spec.a, n)
-    if spec.kind == "geometric" or spec.additive:
-        if order in (1, 2, 4):
-            a = spec.a if spec.a is not None else (spec.rates[0] if spec.rates else 0.0)
-            return closedform.moments_additive(order, mu, sigma, a, n)
-        return None
-    schedule = spec.to_schedule(n)
-    return closedform.moment_multiplicative(order, mu, sigma, schedule.rates)
+    return closedform.moment_multiplicative(order, mu, sigma, spec.to_schedule(n).rates)
 
 
 def _limit_moment(spec: ScheduleSpec, order: int, mu: float, sigma: float):
-    if spec.kind == "bleed":
-        if order == 2:
-            return closedform.m2_bleed(
-                closedform.BleedParams(a1=spec.a1, lam=spec.lam, n=INFINITY, sigma=sigma)
-            )
-        if order == 4:
-            return closedform.m4_bleed(
-                closedform.BleedParams(a1=spec.a1, lam=spec.lam, n=INFINITY, sigma=sigma)
-            )
-    if spec.kind == "geometric" and order in (1, 2, 4):
+    # Constant rates diverge and explicit lists end; a bleed limit needs lambda < 1.
+    if spec.kind in ("constant", "explicit"):
+        return None
+    if spec.additive:
+        if order not in (1, 2, 4):
+            return None
         return closedform.moments_additive(order, mu, sigma, spec.a, INFINITY)
+    if spec.kind == "bleed" and order in (2, 4) and spec.lam < 1.0:
+        params = closedform.BleedParams(a1=spec.a, lam=spec.lam, n=INFINITY, sigma=sigma)
+        return closedform.m2_bleed(params) if order == 2 else closedform.m4_bleed(params)
     return None
 
 
@@ -258,7 +246,7 @@ def cmd_moments(args) -> int:
     base = _base(args)
     spec = _schedule_spec(args)
     orders = (
-        _parse_ints(args.orders, "--orders") if args.orders else [1, 2, 3, 4, 5, 6, 7, 8]
+        _parse_list(args.orders, "--orders", int) if args.orders else [1, 2, 3, 4, 5, 6, 7, 8]
     )
     n = spec.n
     mixture = None
@@ -300,9 +288,9 @@ def cmd_loglog(args) -> int:
 def cmd_validate(args) -> int:
     base = _base(args)
     spec = _schedule_spec(args)
-    orders = tuple(_parse_ints(args.orders, "--orders")) if args.orders else (1, 2, 3, 4)
+    orders = tuple(_parse_list(args.orders, "--orders", int)) if args.orders else (1, 2, 3, 4)
     if args.k_list:
-        thresholds = tuple(_parse_floats(args.k_list, "--k-list"))
+        thresholds = tuple(_parse_list(args.k_list, "--k-list"))
     else:
         thresholds = tuple(base.mu + base.sigma * m for m in (1.0, 2.0, 3.0))
     schedule = spec.to_schedule()
@@ -338,7 +326,7 @@ def cmd_validate(args) -> int:
     return 0 if all(c.passed is not False for c in checks) else 1
 
 
-def _add_common(sp, with_seed=True) -> None:
+def _add_common(sp) -> None:
     sp.add_argument("--mu", type=float, default=0.0, help="base location (default 0)")
     sp.add_argument("--sigma", type=float, default=1.0, help="base scale (default 1)")
     sp.add_argument(
@@ -350,8 +338,7 @@ def _add_common(sp, with_seed=True) -> None:
     )
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    if with_seed:
-        sp.add_argument("--seed", type=int, default=0, help="RNG seed (validate only)")
+    sp.add_argument("--seed", type=int, default=0, help="RNG seed (validate only)")
 
 
 @functools.cache  # one parser per process: parse_args leaves it unchanged
@@ -447,6 +434,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except OverflowError as exc:  # e.g. a moment of a mu or sigma near 1e308
+        print(f"error: result outside the double range: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except MemoryError as exc:  # e.g. a --x step too fine for the grid to fit
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)

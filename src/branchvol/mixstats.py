@@ -17,12 +17,7 @@ import numpy as np
 
 from ._checks import check_order
 from .branching import GaussianBase, MixtureDistribution, group_mixture
-from .special import (
-    erfc_array,
-    gaussian_abs_first_moment,
-    log_erfc_array,
-    scale_mixture_moment,
-)
+from .special import erfc, gaussian_abs_first_moment, log_erfc, scale_mixture_moment
 
 _LN2 = math.log(2.0)
 _LN_HALF = -_LN2
@@ -62,7 +57,7 @@ def density(mixture: MixtureDistribution, x) -> float | np.ndarray:
     weighted = not mixture.zero_log_weights
     if weighted:
         linear &= mixture.log_weights >= -_DENSITY_LINEAR_LIMIT
-    sigmas = mixture.component_sigmas[linear]
+    sigmas = mixture.sigma * mixture.scales[linear]
     log_weights = mixture.log_weights[linear] if weighted else None
     far_log_sigmas = log_sigmas[~linear]
     far_log_weights = mixture.log_weights[~linear]
@@ -107,7 +102,7 @@ def _log_tails(delta: float, log_sigmas: np.ndarray) -> np.ndarray:
     out = np.full(log_sigmas.shape, -math.inf if delta > 0.0 else 0.0)
     near = log_abs_z <= 300.0
     z = np.copysign(np.exp(log_abs_z[near]), delta)
-    out[near] = _LN_HALF + log_erfc_array(z)
+    out[near] = _LN_HALF + log_erfc(z)
     return out
 
 
@@ -118,7 +113,7 @@ def _tails(delta: float, sigmas: np.ndarray, log_sigmas: np.ndarray) -> np.ndarr
         z = delta / (_SQRT2 * sigmas)
     ok = np.isfinite(z)
     out = np.empty(z.shape)
-    out[ok] = 0.5 * erfc_array(z[ok])
+    out[ok] = 0.5 * erfc(z[ok])
     out[~ok] = np.exp(_log_tails(delta, log_sigmas[~ok]))
     return out
 
@@ -132,11 +127,12 @@ def exceedance(mixture: MixtureDistribution, k: float) -> float:
     _check_threshold(k)
     delta = k - mixture.mu
     log_sigma = math.log(mixture.sigma)
-    total = _fsum(
-        np.exp(mixture.log_weights[s])
-        * _tails(delta, mixture.sigma * mixture.scales[s], log_sigma + mixture.log_scales[s])
-        for s in _slices(mixture.n_components)
-    )
+    with np.errstate(over="ignore"):  # a sigma past the double range has tail 1/2
+        total = _fsum(
+            np.exp(mixture.log_weights[s])
+            * _tails(delta, mixture.sigma * mixture.scales[s], log_sigma + mixture.log_scales[s])
+            for s in _slices(mixture.n_components)
+        )
     return min(1.0, mixture.weight * total)
 
 
@@ -226,8 +222,8 @@ def _loglog_grid(mu: float, x_min: float, x_max: float, points: int) -> np.ndarr
         raise ValueError(f"need at least 2 points, got {points!r}")
     if not (x_min > 0.0 and x_min > mu):
         raise ValueError(f"x_min must exceed both 0 and mu, got {x_min!r}")
-    if not x_max > x_min:
-        raise ValueError(f"x_max must exceed x_min, got {x_max!r}")
+    if not (math.isfinite(x_max) and x_max > x_min):
+        raise ValueError(f"x_max must be finite and exceed x_min, got {x_max!r}")
     return np.linspace(math.log(x_min), math.log(x_max), points)
 
 

@@ -1,11 +1,11 @@
 """Special functions used throughout the package.
 
 Provides the complementary error function (the stdlib ``math.erfc`` with an
-exact reflection for negative arguments), its logarithm for deep-tail work
-(``ln erfc`` up to a switch point, a fixed-length continued fraction beyond
-it), array forms of both for the vectorized tail kernel, exact Gaussian raw
-moments up to order 8, the Gaussian absolute first moment, and the
-q-Pochhammer product with support for the infinite-depth limit.
+exact reflection for negative arguments) and its logarithm for deep-tail
+work (``ln erfc`` up to a switch point, a fixed-length continued fraction
+beyond it), each over a float or an array, exact Gaussian raw moments up to
+order 8, the Gaussian absolute first moment, and the q-Pochhammer product
+with support for the infinite-depth limit.
 
 All functions are pure and safe to call concurrently.
 """
@@ -39,57 +39,56 @@ class DivergenceError(ValueError):
 def _erfc_cf(z):
     # F(z) = 1/(z + (1/2)/(z + 1/(z + (3/2)/(z + 2/(z + ...))))), so that
     # erfc(z) = exp(-z^2)/sqrt(pi) * F(z); evaluated bottom-up over a fixed
-    # number of terms, for a float or an array of z >= _LOG_ERFC_SWITCH.
+    # number of terms, for an array of z >= _LOG_ERFC_SWITCH.
     t = z
     for k in range(_CF_TERMS, 0, -1):
         t = z + 0.5 * k / t
     return 1.0 / t
 
 
-def erfc(z: float) -> float:
-    """Complementary error function 1 - erf(z).
-
-    The stdlib math.erfc; negative arguments use the exact reflection
-    erfc(-z) = 2 - erfc(z). Underflows to 0.0 for z beyond ~26.6.
-    """
-    if not math.isfinite(z):
-        raise ValueError(f"erfc requires a finite argument, got {z!r}")
-    if z < 0.0:
-        return 2.0 - math.erfc(-z)
-    return math.erfc(z)
+def _finite_1d(z, name: str) -> np.ndarray:
+    x = np.atleast_1d(np.asarray(z, dtype=np.float64))
+    if not np.isfinite(x).all():
+        bad = float(x[~np.isfinite(x)][0])
+        raise ValueError(f"{name} requires a finite argument, got {bad!r}")
+    return x
 
 
-def log_erfc(z: float) -> float:
-    """Natural logarithm of erfc(z), stable arbitrarily far into the tail.
-
-    At and above the switch point this evaluates -z^2 - log(sqrt(pi)) +
-    log(F(z)) with the continued fraction F, so it keeps full relative
-    accuracy long after erfc itself underflows.
-    """
-    if not math.isfinite(z):
-        raise ValueError(f"log_erfc requires a finite argument, got {z!r}")
-    if z < _LOG_ERFC_SWITCH:
-        return math.log(erfc(z))
-    return -z * z - _LN_SQRT_PI + math.log(_erfc_cf(z))
-
-
-def erfc_array(z: np.ndarray) -> np.ndarray:
-    """erfc over a 1-d float array of finite arguments, with erfc's formulas."""
+def _erfc_1d(z: np.ndarray) -> np.ndarray:
     e = np.fromiter(map(math.erfc, np.abs(z).tolist()), np.float64, z.size)
     return np.where(z < 0.0, 2.0 - e, e)
 
 
-def log_erfc_array(z: np.ndarray) -> np.ndarray:
-    """log_erfc over a 1-d float array of finite arguments, with its formulas."""
-    far = z >= _LOG_ERFC_SWITCH
-    if not far.any():
-        return np.log(erfc_array(z))
-    out = np.empty(z.shape)
-    near = ~far
-    out[near] = np.log(erfc_array(z[near]))
-    zf = z[far]
-    out[far] = -zf * zf - _LN_SQRT_PI + np.log(_erfc_cf(zf))
-    return out
+def erfc(z):
+    """Complementary error function 1 - erf(z) of a float or a 1-d array.
+
+    The stdlib math.erfc; negative arguments use the exact reflection
+    erfc(-z) = 2 - erfc(z). Underflows to 0.0 for z beyond ~26.6. Returns a
+    float for a float and an array for an array; raises ValueError on a
+    non-finite argument.
+    """
+    out = _erfc_1d(_finite_1d(z, "erfc"))
+    return float(out[0]) if np.ndim(z) == 0 else out
+
+
+def log_erfc(z):
+    """Natural logarithm of erfc(z), stable arbitrarily far into the tail.
+
+    At and above the switch point this evaluates -z^2 - log(sqrt(pi)) +
+    log(F(z)) with the continued fraction F, so it keeps full relative
+    accuracy long after erfc itself underflows. Takes and returns a float
+    or a 1-d array, as erfc does.
+    """
+    x = _finite_1d(z, "log_erfc")
+    far = x >= _LOG_ERFC_SWITCH
+    if far.any():
+        out = np.empty(x.shape)
+        out[~far] = np.log(_erfc_1d(x[~far]))
+        zf = x[far]
+        out[far] = -zf * zf - _LN_SQRT_PI + np.log(_erfc_cf(zf))
+    else:
+        out = np.log(_erfc_1d(x))
+    return float(out[0]) if np.ndim(z) == 0 else out
 
 
 # E[Z^(2j)] = (2j-1)!! for a standard normal, j = 0..4.

@@ -378,6 +378,16 @@ class TestScheduleGrammar:
         sched = parse_schedule("explicit:0.1,0.01,0.001;mode=additive")
         assert sched.mode is Mode.ADDITIVE
 
+    @pytest.mark.parametrize("text, first", [
+        ("constant:a=0.1,N=5", 0.1),
+        ("bleed:a1=0.2,lambda=0.9,N=3", 0.2),
+        ("geometric:a=0.3,N=4", 0.3),
+        ("explicit:0.25,0.5", 0.25),
+        ("explicit:", 0.0),
+    ])
+    def test_spec_keeps_the_first_rate_in_one_field(self, text, first):
+        assert parse_schedule_spec(text).a == first
+
     def test_depth_override(self):
         spec = parse_schedule_spec("constant:a=0.1,N=5")
         assert spec.to_schedule(2).depth == 2

@@ -1,17 +1,21 @@
 """Command-line surface: outputs, round trips, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from branchvol import cli
 from branchvol.branching import GaussianBase, group_mixture
-from branchvol.closedform import BleedParams, m4_bleed
+from branchvol.closedform import BleedParams, m4_bleed, moments_additive
 from branchvol.mixstats import convexity_ratio, exceedance
 
 
@@ -158,6 +162,35 @@ class TestMomentsCommand:
         assert by_order[3][1] is None  # no additive closed form at order 3
         assert by_order[3][2] is not None  # enumeration still reported
         assert by_order[2][3] < 1e-12
+
+    @staticmethod
+    def _rows(capsys, schedule, orders="1,2,4"):
+        rc, out = run_cli("moments", "--schedule", schedule, "--orders", orders,
+                          capsys=capsys)
+        assert rc == 0
+        return {int(r[0]): r for r in cli.parse_table_csv(out)[1]}
+
+    def test_additive_bleed_matches_the_geometric_schedule(self, capsys):
+        # bleed with lambda = a1 in additive mode is the power sequence a, a^2, ...
+        bleed = self._rows(capsys, "bleed:a1=0.2,lambda=0.2,N=5;mode=additive")
+        geometric = self._rows(capsys, "geometric:a=0.2,N=5")
+        for order in (1, 2, 4):
+            closed, enum, _, limit = bleed[order][1:]
+            assert math.isclose(closed, enum, rel_tol=1e-12, abs_tol=1e-300)
+            assert math.isclose(closed, geometric[order][1], rel_tol=1e-12, abs_tol=1e-300)
+            assert math.isclose(enum, geometric[order][2], rel_tol=1e-12, abs_tol=1e-12)
+            want = moments_additive(order, 0.0, 1.0, 0.2, cli.INFINITY)
+            assert math.isclose(limit, want, rel_tol=1e-12, abs_tol=1e-300)
+        explicit = self._rows(capsys, "explicit:0.2,0.04,0.008;mode=additive")
+        assert all(r[4] is None for r in explicit.values())
+
+    @pytest.mark.parametrize("schedule", ["bleed:a1=0.2,lambda=1,N=5",
+                                          "bleed:a1=0.2,lambda=1.5,N=3"])
+    def test_bleed_without_a_limit_still_reports_moments(self, schedule, capsys):
+        rows = self._rows(capsys, schedule, "2,4,6")
+        for closed, enum, rel, limit in (r[1:] for r in rows.values()):
+            assert rel < 1e-12 and math.isclose(closed, enum, rel_tol=1e-12)
+            assert limit is None
 
 
 class TestLogLogCommand:
@@ -306,11 +339,26 @@ class TestExitCodes:
         assert cli.main([]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("grid", ["-4:inf:1", "-inf:4:1", "-4:4:inf", "nan:4:1"])
+    # The last grid is finite but has more points than a double can count.
+    @pytest.mark.parametrize("grid", ["-4:inf:1", "-inf:4:1", "-4:4:inf", "nan:4:1",
+                                      "-4:1e308:0.05"])
     def test_non_finite_grid_exits_two(self, grid, capsys):
         assert cli.main(["density", "--schedule", "constant:a=0.1,N=5", f"--x={grid}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("x", ["2:inf:5", "2:nan:5", "inf:8:5", "2:-inf:5"])
+    def test_non_finite_loglog_range_exits_two(self, x, capsys):
+        assert cli.main(["loglog", "--schedule", "constant:a=0.1,N=5", f"--x={x}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    def test_moment_past_the_double_range_exits_three(self, capsys):
+        assert cli.main(["moments", "--schedule", "constant:a=0.1,N=5",
+                         "--sigma", "1e200"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: result outside the double range")
 
     def test_out_of_memory_exits_three(self, monkeypatch, capsys):
         # A step of 1e-9 asks linspace for 8e9 points; fake its failure.
@@ -323,6 +371,51 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: out of memory: Unable to allocate 59.6 GiB\n"
+
+
+# The README command lines with every flag the loop may corrupt spelled out;
+# validate draws 2e4 samples instead of 1e6 so 300 cases stay quick.
+_README_FLAGS = [
+    ("density", {"schedule": "constant:a=0.1,N=5", "n-list": "0,5,10,25,50",
+                 "x": "-4:4:0.05", "mu": "0", "sigma": "1"}),
+    ("exceed", {"schedule": "constant:a=0.1,N=8", "k": "3,5,10", "mu": "0", "sigma": "1"}),
+    ("ratio-table", {"a": "0.1", "n-list": "5,10,15,20,25", "k-list": "3,5,10",
+                     "mu": "0", "sigma": "1"}),
+    ("moments", {"schedule": "bleed:a1=0.2,lambda=0.9,N=10", "orders": "2,4",
+                 "mu": "0", "sigma": "1"}),
+    ("loglog", {"schedule": "constant:a=0.1,N=50", "n-list": "0,5,10,25,50",
+                "x": "2:10:120", "mu": "0", "sigma": "1"}),
+    ("validate", {"schedule": "constant:a=0.1,N=8", "n-samples": "20000", "seed": "42",
+                  "orders": "1,2,3,4", "k-list": "1,2,3", "mu": "0", "sigma": "1"}),
+]
+_CORRUPTIBLE = ("x", "k", "k-list", "n-list", "orders", "a", "mu", "sigma", "schedule")
+# Integers stay <= 500 and no token makes a grid step below 1e-3, so no case
+# asks for much memory or time.
+_BAD_TOKENS = ["inf", "-inf", "nan", "", "1e308", "-1e308", "-3", "0", "-0", "2.5",
+               "500", "1e-3", "0.999", "1", "x", "1:2", "::", ":", ",", "1,2", " ",
+               "+", "-", ".", "1e400", "0x10", "NaN", "1_0"]
+# A number of the value: a list item, a range endpoint, or a schedule parameter.
+_NUMBER = re.compile(r"(?:(?<=[=,:])|^)[-+]?[0-9.]+(?:e[-+]?[0-9]+)?")
+
+
+def test_malformed_values_end_in_an_exit_code():
+    # Each case swaps one number of a README command line for a bad token.
+    # Warnings are errors here, so a leaked RuntimeWarning escapes main too.
+    rng = np.random.default_rng(6)
+    for i in range(300):
+        command, flags = _README_FLAGS[int(rng.integers(len(_README_FLAGS)))]
+        flags = dict(flags)
+        flag = str(rng.choice([f for f in _CORRUPTIBLE if f in flags]))
+        spans = [m.span() for m in _NUMBER.finditer(flags[flag])]
+        lo, hi = spans[int(rng.integers(len(spans)))]
+        token = _BAD_TOKENS[int(rng.integers(len(_BAD_TOKENS)))]
+        flags[flag] = flags[flag][:lo] + token + flags[flag][hi:]
+        argv = [command] + [f"--{name}={value}" for name, value in flags.items()]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        assert rc in (0, 1, 2, 3), (i, argv, rc)
+        assert rc in (0, 1) or "error:" in err.getvalue(), (i, argv, err.getvalue())
 
 
 @pytest.mark.parametrize("module", ["branchvol", "branchvol.cli"])

@@ -217,6 +217,15 @@ class TestExceedance:
         assert math.isclose(exceedance(mix, 3.0), 6.264948198654956e-08, rel_tol=1e-12)
         assert math.isclose(log_exceedance(mix, 3.0), -16.585710424009633, rel_tol=1e-12)
 
+    def test_base_sigma_near_the_double_limit(self):
+        # sigma * scale overflows for the wider components: their tail is 1/2
+        # and their density term is tiny, with no RuntimeWarning on the way.
+        mix = build_mixture(GaussianBase(0.0, 1e308), ErrorSchedule.constant(0.1, 10))
+        assert exceedance(mix, 1.0) == 0.5
+        assert math.isclose(log_exceedance(mix, 1.0), math.log(0.5), rel_tol=1e-15)
+        peak = density(mix, np.array([0.0, 1.0]))
+        assert np.all(peak > 0.0) and peak[0] == peak[1]
+
     def test_log_exceedance_consistency(self):
         mix = build_mixture(BASE, ErrorSchedule.constant(0.1, 6))
         for k in (0.0, 1.0, 4.0):
@@ -498,6 +507,15 @@ class TestLogLog:
             loglog_series(mix, 3.0, 2.0, 10)
         with pytest.raises(ValueError):
             loglog_series(mix, 2.0, 5.0, 1)
+
+    @pytest.mark.parametrize("x_max", [math.inf, math.nan])
+    def test_non_finite_x_max_is_rejected_without_warnings(self, x_max):
+        # A non-finite x_max must not reach np.linspace, which warns on it.
+        mix = group_mixture(BASE, 0.1, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="x_max must be finite"):
+                loglog_series(mix, 2.0, x_max, 5)
 
     def test_degenerate_window(self):
         series = loglog_series(group_mixture(BASE, 0.1, 3), 2.0, 6.0, 10)

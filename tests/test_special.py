@@ -1,4 +1,4 @@
-"""Checks for the scalar special functions against independent oracles
+"""Checks for the special functions against independent oracles
 (stdlib math, mpmath at 50 digits, and adaptive quadrature)."""
 
 import math
@@ -13,11 +13,9 @@ from branchvol.special import (
     DivergenceError,
     UnsupportedOrderError,
     erfc,
-    erfc_array,
     gaussian_abs_first_moment,
     gaussian_raw_moment,
     log_erfc,
-    log_erfc_array,
     q_pochhammer,
 )
 
@@ -92,11 +90,11 @@ def _mp_log_erfc(z: float) -> float:
 
 
 class TestArrayForms:
-    """erfc_array and log_erfc_array against 50-digit mpmath, on both sides
+    """erfc and log_erfc over arrays against 50-digit mpmath, on both sides
     of the switch between ln(erfc) and the continued fraction."""
 
     def _check_log_erfc(self, grid, tol):
-        arr = log_erfc_array(grid)
+        arr = log_erfc(grid)
         for z, from_array in zip(grid.tolist(), arr.tolist()):
             ref = _mp_log_erfc(z)
             bound = tol * max(1.0, abs(ref))
@@ -115,14 +113,29 @@ class TestArrayForms:
 
     def test_erfc_array_matches_scalar_with_exact_reflection(self):
         grid = np.linspace(-8.0, 27.0, 701)
-        arr = erfc_array(grid)
+        arr = erfc(grid)
         assert arr.tolist() == [erfc(z) for z in grid.tolist()]
         positive = grid > 0.0
-        assert np.array_equal(erfc_array(-grid[positive]), 2.0 - arr[positive])
+        assert np.array_equal(erfc(-grid[positive]), 2.0 - arr[positive])
+
+    def test_float_in_float_out_array_in_array_out(self):
+        # One evaluator per function: a float gives the matching array element.
+        grid = np.linspace(-6.0, 40.0, 2301)
+        for fn in (erfc, log_erfc):
+            arr = fn(grid)
+            assert isinstance(arr, np.ndarray) and arr.shape == grid.shape
+            scalars = [fn(z) for z in grid.tolist()]
+            assert all(type(v) is float for v in scalars)
+            assert arr.tolist() == scalars
+
+    def test_arrays_with_a_non_finite_element_are_rejected(self):
+        for fn in (erfc, log_erfc):
+            with pytest.raises(ValueError, match="finite argument, got nan"):
+                fn(np.array([0.5, math.nan, 1.0]))
 
     def test_empty_arrays(self):
-        assert erfc_array(np.empty(0)).shape == (0,)
-        assert log_erfc_array(np.empty(0)).shape == (0,)
+        assert erfc(np.empty(0)).shape == (0,)
+        assert log_erfc(np.empty(0)).shape == (0,)
 
 
 class TestGaussianRawMoment:
