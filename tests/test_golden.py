@@ -53,6 +53,13 @@ BYTE_EXACT = {
     "grouped_density": ["density", "--schedule", "constant:a=0.2,N=2000", "--x=-4:4:1"],
     "grouped_ratio_table": ["ratio-table", "--a", "0.1", "--n-list", "301,1000,5000",
                             "--k-list", "3,5,10"],
+    # Past one 4096-component chunk: thresholds below, at and far above mu.
+    "wide_bleed_exceed": ["exceed", "--schedule", "bleed:a1=0.2,lambda=0.9,N=15",
+                          "--k=-3,0,3,10,50"],
+    "wide_grouped_exceed": ["exceed", "--schedule", "constant:a=0.3,N=30000",
+                            "--k=-2,0,3,50"],
+    "wide_bleed_loglog": ["loglog", "--schedule", "bleed:a1=0.3,lambda=0.8,N=14",
+                          "--x", "2:50:8"],
 }
 NUMERIC = {
     "geometric_exceed": ["exceed", "--schedule", "geometric:a=0.2,N=16",
