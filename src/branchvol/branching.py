@@ -42,6 +42,19 @@ class ScheduleParseError(ValueError):
     """Schedule grammar string could not be parsed."""
 
 
+# The additive rule: rate j must be a^j, a the first rate, within these.
+_POWER_RTOL = 1e-9
+_POWER_ATOL = 1e-15
+
+
+def _check_power(a: float, j: int, r: float) -> None:
+    if not math.isclose(r, a**j, rel_tol=_POWER_RTOL, abs_tol=_POWER_ATOL):
+        raise ValueError(
+            "additive schedules require rates a, a^2, ..., a^N; "
+            f"position {j} has {r!r}, expected {a**j!r}"
+        )
+
+
 @dataclass(frozen=True)
 class ErrorSchedule:
     """Ordered error rates a(1)..a(N) plus the way they combine.
@@ -59,14 +72,9 @@ class ErrorSchedule:
         object.__setattr__(self, "rates", rates)
         for j, r in enumerate(rates, start=1):
             check_rate(r, f"rate a({j})")
-        if self.mode is Mode.ADDITIVE and rates:
-            a = rates[0]
+        if self.mode is Mode.ADDITIVE:
             for j, r in enumerate(rates, start=1):
-                if not math.isclose(r, a**j, rel_tol=1e-9, abs_tol=1e-15):
-                    raise ValueError(
-                        "additive schedules require rates a, a^2, ..., a^N; "
-                        f"position {j} has {r!r}, expected {a**j!r}"
-                    )
+                _check_power(rates[0], j, r)
 
     @property
     def depth(self) -> int:
@@ -270,6 +278,30 @@ class ScheduleSpec:
         if self.additive:
             schedule = ErrorSchedule.explicit(schedule.rates, Mode.ADDITIVE)
         return schedule
+
+    def check_additive(self, n: int) -> None:
+        """Apply ErrorSchedule's additive rule at depth n without building n rates.
+
+        Constant and bleed rates are a lam^(j-1) (lam = 1 for constant), as
+        the schedule would hold them. Where they fall, checking stops once
+        both they and a^j are within the absolute tolerance of 0, where every
+        later position passes; where they rise, the gap to the falling a^j
+        only grows, so position n decides.
+        """
+        if not self.additive or self.kind == "geometric":
+            return
+        if self.kind == "explicit":
+            for j, r in enumerate(self.rates, start=1):
+                _check_power(self.a, j, r)
+            return
+        lam = 1.0 if self.kind == "constant" else self.lam
+        if lam == self.a:  # a a^(j-1): the power sequence itself
+            return
+        for j in range(n, n + 1) if lam > 1.0 else range(1, n + 1):
+            r = self.a * lam ** (j - 1)
+            _check_power(self.a, j, r)
+            if max(r, self.a**j) <= _POWER_ATOL:
+                return
 
 
 def _parse_kv(args: str, expected: tuple[str, ...], text: str) -> dict[str, str]:

@@ -220,6 +220,7 @@ def cmd_ratio_table(args) -> int:
 
 def _closed_moment(spec: ScheduleSpec, order: int, mu: float, sigma: float, n: int):
     if spec.additive:
+        spec.check_additive(n)
         if order not in (1, 2, 4):
             return None
         return closedform.moments_additive(order, mu, sigma, spec.a, n)

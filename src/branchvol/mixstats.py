@@ -33,6 +33,13 @@ _GRID_BLOCK = 256
 # in log space: their sigma or weight leaves the double range.
 _DENSITY_LINEAR_LIMIT = 700.0
 
+# exp(d) is exactly 0.0 below d = -745.13. Log-tail terms that provably lie
+# this far below another term add nothing to the sum and are skipped; the
+# margin covers rounding in the bounds while terms stay above _PRUNE_FLOOR.
+_PRUNE_GAP = 750.0
+_PRUNE_FLOOR = -1e15
+_EXP_ZERO = -746.0
+
 
 def _slices(n: int, size: int = _CHUNK):
     """Consecutive slices of at most size elements covering range(n)."""
@@ -140,17 +147,50 @@ def _logsumexp(terms: np.ndarray) -> float:
     m = float(terms.max())
     if m == -math.inf:
         return -math.inf
-    return m + math.log(_fsum(np.exp(terms[s] - m) for s in _slices(terms.size)))
+    # Differences below _EXP_ZERO exponentiate to 0.0, which fsum ignores.
+    diffs = (terms[s] - m for s in _slices(terms.size))
+    return m + math.log(_fsum(np.exp(d[d >= _EXP_ZERO]) for d in diffs))
+
+
+def _log_tail_bounds(delta: float, log_weights: np.ndarray, log_sigmas: np.ndarray) -> np.ndarray:
+    # Upper bounds on log_weights + _log_tails(delta, log_sigmas): a tail is
+    # at most 1, and 1/2 erfc(z) <= 1/2 exp(-z^2) for z >= 0.
+    if delta <= 0.0:
+        return log_weights
+    log_abs_z = (math.log(delta) - 0.5 * _LN2) - log_sigmas
+    with np.errstate(over="ignore"):
+        return log_weights + _LN_HALF - np.exp(2.0 * log_abs_z)
 
 
 def log_exceedance(mixture: MixtureDistribution, k: float) -> float:
-    """ln P(X > k), computed per component in log space, a chunk at a time."""
+    """ln P(X > k), computed per component in log space, a chunk at a time.
+
+    Past one chunk, a component is skipped when its bound lies _PRUNE_GAP
+    below the exact term of the component with the largest bound: its
+    exp(term - max) would be exactly 0.0, so the result keeps every bit.
+    """
     _check_threshold(k)
     delta = k - mixture.mu
     log_sigma = math.log(mixture.sigma)
+    lw, ls = mixture.log_weights, mixture.log_scales
     terms = np.empty(mixture.n_components)
+    floor = -math.inf
+    if terms.size > _CHUNK:
+        # terms holds the bounds until the exact terms overwrite them
+        for s in _slices(terms.size):
+            terms[s] = _log_tail_bounds(delta, lw[s], log_sigma + ls[s])
+        j = int(np.argmax(terms))
+        anchor = lw[j] + float(_log_tails(delta, np.array([log_sigma + ls[j]]))[0])
+        if math.isfinite(anchor) and anchor >= _PRUNE_FLOOR:
+            floor = anchor - _PRUNE_GAP
     for s in _slices(terms.size):
-        terms[s] = mixture.log_weights[s] + _log_tails(delta, log_sigma + mixture.log_scales[s])
+        if floor == -math.inf or terms[s].min() >= floor:
+            terms[s] = lw[s] + _log_tails(delta, log_sigma + ls[s])
+            continue
+        keep = terms[s] >= floor
+        terms[s] = -math.inf
+        if keep.any():
+            terms[s][keep] = lw[s][keep] + _log_tails(delta, log_sigma + ls[s][keep])
     return math.log(mixture.weight) + _logsumexp(terms)
 
 

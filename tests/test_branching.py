@@ -124,6 +124,37 @@ class TestErrorSchedule:
         # The genuine power sequence passes.
         ErrorSchedule.explicit([0.1, 0.01, 0.001], Mode.ADDITIVE)
 
+    @staticmethod
+    def _error(make):
+        try:
+            make()
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize("text", [
+        "constant:a=0.1,N={n};mode=additive", "constant:a=1e-16,N={n};mode=additive",
+        "bleed:a1=0.3,lambda=0.9,N={n};mode=additive",
+        "bleed:a1=0.3,lambda=0.3,N={n};mode=additive",
+        "bleed:a1=0.2,lambda=0.2000001,N={n};mode=additive",
+        "bleed:a1=0.01,lambda=0.0001,N={n};mode=additive"])
+    def test_spec_rule_matches_the_built_schedule(self, text):
+        # check_additive builds no rates, yet decides as ErrorSchedule does.
+        for n in range(MAX_ENUMERATION_DEPTH + 1):
+            spec = parse_schedule_spec(text.format(n=n))
+            assert self._error(lambda: spec.check_additive(n)) == self._error(
+                spec.to_schedule), n
+
+    def test_spec_rule_at_depths_past_any_enumeration(self):
+        for text in ("constant:a=0.1,N=30", "bleed:a1=0.3,lambda=0.9,N=30",
+                     "bleed:a1=0.3,lambda=1.5,N=30", "bleed:a1=0.1,lambda=0.2,N=1000000000"):
+            with pytest.raises(ValueError, match="additive schedules require"):
+                parse_schedule_spec(text + ";mode=additive").check_additive(30)
+        for text in ("bleed:a1=0.3,lambda=0.3", "bleed:a1=0.3,lambda=0.30000000001",
+                     "constant:a=0", "bleed:a1=1e-300,lambda=1.5"):
+            parse_schedule_spec(f"{text},N=100;mode=additive").check_additive(100)
+        parse_schedule_spec("bleed:a1=0.3,lambda=0.3,N=9;mode=additive").check_additive(10**9)
+
 
 class TestScaleSet:
     def test_zero_rate_gives_unit_scales(self):

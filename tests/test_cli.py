@@ -184,6 +184,24 @@ class TestMomentsCommand:
         explicit = self._rows(capsys, "explicit:0.2,0.04,0.008;mode=additive")
         assert all(r[4] is None for r in explicit.values())
 
+    @pytest.mark.parametrize("schedule", ["constant:a=0.1,N={};mode=additive",
+                                          "bleed:a1=0.3,lambda=0.9,N={};mode=additive"])
+    def test_additive_rule_holds_past_the_enumeration_depth(self, schedule, capsys):
+        # N = 20 is enumerated and rejected by the schedule; N = 30 and 10^9
+        # only get closed forms, and must be rejected the same way.
+        errors = set()
+        for n in (20, 30, 10**9):
+            assert cli.main(["moments", "--schedule", schedule.format(n), "--orders", "2"]) == 3
+            errors.add(capsys.readouterr().err)
+        assert len(errors) == 1
+        assert errors.pop().startswith("error: additive schedules require rates a, a^2")
+
+    def test_additive_power_sequence_past_the_enumeration_depth(self, capsys):
+        bleed = self._rows(capsys, "bleed:a1=0.3,lambda=0.3,N=30;mode=additive")
+        geometric = self._rows(capsys, "geometric:a=0.3,N=30")
+        assert bleed == geometric
+        assert math.isclose(bleed[2][1], 1.098901098901, rel_tol=1e-12)
+
     @pytest.mark.parametrize("schedule", ["bleed:a1=0.2,lambda=1,N=5",
                                           "bleed:a1=0.2,lambda=1.5,N=3"])
     def test_bleed_without_a_limit_still_reports_moments(self, schedule, capsys):

@@ -16,6 +16,7 @@ from branchvol.branching import (
     build_mixture,
     group_mixture,
 )
+from branchvol import mixstats
 from branchvol.closedform import moment_constant_a
 from branchvol.mixstats import (
     LogLogSeries,
@@ -321,6 +322,88 @@ class TestTailKernel:
                 ref = float(mpmath.log(p))
                 worst = max(worst, abs(log_p - ref) / abs(ref))
         assert worst <= 4e-15
+
+
+def _unpruned_log_exceedance(mix, k):
+    # Every component through _log_tails, a chunk at a time, and the plain
+    # log-sum-exp over all of them: log_exceedance without any pruning.
+    log_sigma = math.log(mix.sigma)
+    terms = np.concatenate([
+        mix.log_weights[s] + mixstats._log_tails(k - mix.mu, log_sigma + mix.log_scales[s])
+        for s in mixstats._slices(mix.n_components)])
+    m = float(terms.max())
+    if m == -math.inf:
+        return -math.inf
+    total = math.fsum(np.exp(terms - m).tolist())
+    return math.log(mix.weight) + (m + math.log(total))
+
+
+def _thresholds(mix):
+    # Below and at mu, then 3, 10 and 50 base sigmas and 1000 above it.
+    return [mix.mu + d for d in (-5.0, 0.0)] + [
+        mix.mu + c * mix.sigma for c in (3.0, 10.0, 50.0)] + [mix.mu + 1e3]
+
+
+class TestPrunedTails:
+    """Past one chunk, log_exceedance skips terms whose exp(term - max) is
+    exactly 0.0; every result must equal the unpruned sum bit for bit."""
+
+    @pytest.mark.parametrize("a", [0.01, 0.1, 0.3])
+    @pytest.mark.parametrize("n", [4097, 10_000, 100_000])
+    def test_grouped_equals_unpruned(self, n, a):
+        mix = group_mixture(GaussianBase(0.2, 1.3), a, n)
+        for k in _thresholds(mix):
+            assert log_exceedance(mix, k) == _unpruned_log_exceedance(mix, k), k
+
+    @pytest.mark.parametrize("depth", [13, 15])
+    def test_enumerated_bleed_equals_unpruned(self, depth):
+        mix = build_mixture(GaussianBase(-0.1, 0.9), ErrorSchedule.bleed(0.3, 0.9, depth))
+        for k in _thresholds(mix):
+            assert log_exceedance(mix, k) == _unpruned_log_exceedance(mix, k), k
+
+    def test_sigma_near_the_double_limit(self):
+        mix = group_mixture(GaussianBase(0.0, 1e300), 0.1, 10_000)
+        for k in _thresholds(mix)[:-1] + [1e303]:
+            assert log_exceedance(mix, k) == _unpruned_log_exceedance(mix, k), k
+
+    def test_every_tail_minus_inf(self):
+        # sigma = e^-800 for every component: ln|z| > 300 at mu + 1.
+        log_scales = np.full(5000, -800.0)
+        mix = MixtureDistribution(0.0, 1.0, np.exp(log_scales), log_scales, 1 / 5000,
+                                  np.zeros(5000))
+        assert log_exceedance(mix, 1.0) == -math.inf == _unpruned_log_exceedance(mix, 1.0)
+        assert log_exceedance(mix, -1.0) == 0.0 == _unpruned_log_exceedance(mix, -1.0)
+
+    def test_anchor_below_the_floor_keeps_every_component(self):
+        # Every term lies near -1e16, where rounding could outgrow the gap.
+        log_scales = np.linspace(-22.0, -19.0, 5000)
+        mix = MixtureDistribution(0.0, 1.0, np.exp(log_scales), log_scales, 1 / 5000,
+                                  np.zeros(5000))
+        val = log_exceedance(mix, 1.0)
+        assert -1e17 < val < -1e15
+        assert val == _unpruned_log_exceedance(mix, 1.0)
+
+    def test_heaviest_class_with_a_minus_inf_tail(self, monkeypatch):
+        # n = 10^5, a = 0.1: the most likely class has ln-scale about -502,
+        # so its tail at k = 3 is -inf; the bound, not the weight, must pick
+        # the anchor for the pruning to skip most classes.
+        mix = group_mixture(BASE, 0.1, 100_000)
+        heaviest = int(np.argmax(mix.log_weights))
+        log_sigma = mix.log_scales[heaviest : heaviest + 1]
+        assert mixstats._log_tails(3.0, log_sigma)[0] == -math.inf
+        evaluated = []
+        log_tails = mixstats._log_tails
+
+        def counting(delta, log_sigmas):
+            evaluated.append(log_sigmas.size)
+            return log_tails(delta, log_sigmas)
+
+        monkeypatch.setattr(mixstats, "_log_tails", counting)
+        val = log_exceedance(mix, 3.0)
+        assert sum(evaluated) < 0.1 * mix.n_components
+        monkeypatch.undo()
+        assert val == _unpruned_log_exceedance(mix, 3.0)
+        assert math.isclose(val, -130.5977324757, rel_tol=1e-12)
 
 
 class TestConvexityRatio:
