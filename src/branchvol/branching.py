@@ -47,8 +47,12 @@ _POWER_RTOL = 1e-9
 _POWER_ATOL = 1e-15
 
 
+def _is_power(a: float, j: int, r: float) -> bool:
+    return math.isclose(r, a**j, rel_tol=_POWER_RTOL, abs_tol=_POWER_ATOL)
+
+
 def _check_power(a: float, j: int, r: float) -> None:
-    if not math.isclose(r, a**j, rel_tol=_POWER_RTOL, abs_tol=_POWER_ATOL):
+    if not _is_power(a, j, r):
         raise ValueError(
             "additive schedules require rates a, a^2, ..., a^N; "
             f"position {j} has {r!r}, expected {a**j!r}"
@@ -283,24 +287,36 @@ class ScheduleSpec:
         """Apply ErrorSchedule's additive rule at depth n without building n rates.
 
         Constant and bleed rates are a lam^(j-1) (lam = 1 for constant), as
-        the schedule would hold them. Where they fall, checking stops once
-        both they and a^j are within the absolute tolerance of 0, where every
-        later position passes; where they rise, the gap to the falling a^j
-        only grows, so position n decides.
+        the schedule would hold them, so a few positions decide the rule and
+        the error names the same first failing position.
         """
         if not self.additive or self.kind == "geometric":
             return
+        a = self.a
         if self.kind == "explicit":
             for j, r in enumerate(self.rates, start=1):
-                _check_power(self.a, j, r)
+                _check_power(a, j, r)
             return
         lam = 1.0 if self.kind == "constant" else self.lam
-        if lam == self.a:  # a a^(j-1): the power sequence itself
+        if lam == a:  # a a^(j-1): the power sequence itself
             return
-        for j in range(n, n + 1) if lam > 1.0 else range(1, n + 1):
-            r = self.a * lam ** (j - 1)
-            _check_power(self.a, j, r)
-            if max(r, self.a**j) <= _POWER_ATOL:
+        if lam >= 1.0:
+            # Rates that never fall only move away from the falling a^j, so
+            # the failing positions are the ones past a bisection point.
+            ok, bad = 1, n + 1
+            while bad - ok > 1:
+                mid = (ok + bad) // 2
+                if _is_power(a, mid, a * lam ** (mid - 1)):
+                    ok = mid
+                else:
+                    bad = mid
+            if bad <= n:
+                _check_power(a, bad, a * lam ** (bad - 1))
+            return
+        for j in range(1, n + 1):
+            r = a * lam ** (j - 1)
+            _check_power(a, j, r)
+            if max(r, a**j) <= _POWER_ATOL:  # both stay within it from here on
                 return
 
 

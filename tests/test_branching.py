@@ -137,7 +137,10 @@ class TestErrorSchedule:
         "bleed:a1=0.3,lambda=0.9,N={n};mode=additive",
         "bleed:a1=0.3,lambda=0.3,N={n};mode=additive",
         "bleed:a1=0.2,lambda=0.2000001,N={n};mode=additive",
-        "bleed:a1=0.01,lambda=0.0001,N={n};mode=additive"])
+        "bleed:a1=0.01,lambda=0.0001,N={n};mode=additive",
+        "bleed:a1=0.01,lambda=1.2,N={n};mode=additive",
+        "bleed:a1=1e-17,lambda=1.5,N={n};mode=additive",
+        "constant:a=0.9999999999999999,N={n};mode=additive"])
     def test_spec_rule_matches_the_built_schedule(self, text):
         # check_additive builds no rates, yet decides as ErrorSchedule does.
         for n in range(MAX_ENUMERATION_DEPTH + 1):
@@ -147,13 +150,16 @@ class TestErrorSchedule:
 
     def test_spec_rule_at_depths_past_any_enumeration(self):
         for text in ("constant:a=0.1,N=30", "bleed:a1=0.3,lambda=0.9,N=30",
-                     "bleed:a1=0.3,lambda=1.5,N=30", "bleed:a1=0.1,lambda=0.2,N=1000000000"):
+                     "bleed:a1=0.3,lambda=1.5,N=30", "bleed:a1=0.1,lambda=0.2,N=1000000000",
+                     "constant:a=0.9999999999999999,N=1000000000"):
+            spec = parse_schedule_spec(text + ";mode=additive")
             with pytest.raises(ValueError, match="additive schedules require"):
-                parse_schedule_spec(text + ";mode=additive").check_additive(30)
-        for text in ("bleed:a1=0.3,lambda=0.3", "bleed:a1=0.3,lambda=0.30000000001",
-                     "constant:a=0", "bleed:a1=1e-300,lambda=1.5"):
-            parse_schedule_spec(f"{text},N=100;mode=additive").check_additive(100)
-        parse_schedule_spec("bleed:a1=0.3,lambda=0.3,N=9;mode=additive").check_additive(10**9)
+                spec.check_additive(spec.n)
+        for text in ("bleed:a1=0.3,lambda=0.3,N=1000000000", "constant:a=0,N=1000000000",
+                     "bleed:a1=0.3,lambda=0.30000000001,N=1000000000",
+                     "bleed:a1=1e-300,lambda=1.5,N=100"):
+            spec = parse_schedule_spec(text + ";mode=additive")
+            spec.check_additive(spec.n)
 
 
 class TestScaleSet:

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # leave no cache file in perfbench/
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
