@@ -10,6 +10,7 @@ constant rate also has a grouped form: n + 1 binomially weighted classes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -22,6 +23,7 @@ MAX_ENUMERATION_DEPTH = 24
 """Largest depth for which the 2^N branches are materialized explicitly."""
 
 _LN2 = math.log(2.0)
+_LN_MAX = math.log(sys.float_info.max)
 _EXACT_BINOM_LIMIT = 300
 
 
@@ -47,15 +49,29 @@ _POWER_RTOL = 1e-9
 _POWER_ATOL = 1e-15
 
 
+def _times_power(c: float, x: float, k: int) -> float:
+    """c x^k, through logs where x^k alone leaves the double range; a product
+    past that range is inf, whatever its sign."""
+    try:
+        return c * x**k
+    except OverflowError:
+        if c == 0.0:
+            return c
+        ln_r = math.log(abs(c)) + k * math.log(abs(x))
+        return math.exp(ln_r) if ln_r < _LN_MAX else math.inf
+
+
 def _is_power(a: float, j: int, r: float) -> bool:
-    return math.isclose(r, a**j, rel_tol=_POWER_RTOL, abs_tol=_POWER_ATOL)
+    # A rate past the double range (inf) matches no power.
+    power = _times_power(1.0, a, j)
+    return math.isfinite(r) and math.isclose(r, power, rel_tol=_POWER_RTOL, abs_tol=_POWER_ATOL)
 
 
 def _check_power(a: float, j: int, r: float) -> None:
     if not _is_power(a, j, r):
         raise ValueError(
             "additive schedules require rates a, a^2, ..., a^N; "
-            f"position {j} has {r!r}, expected {a**j!r}"
+            f"position {j} has {r!r}, expected {_times_power(1.0, a, j)!r}"
         )
 
 
@@ -96,13 +112,18 @@ class ErrorSchedule:
         check_depth(n)
         if not (lam >= 0.0 and math.isfinite(lam)):
             raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
-        return cls(tuple(float(a1) * lam**k for k in range(n)))
+        a1 = float(a1)
+        try:  # the plain product is the fast path: it costs a third less
+            rates = tuple(a1 * lam**k for k in range(n))
+        except OverflowError:  # lam^k left the double range
+            rates = tuple(_times_power(a1, lam, k) for k in range(n))
+        return cls(rates)
 
     @classmethod
     def geometric(cls, a: float, n: int) -> "ErrorSchedule":
         """Additive-mode schedule with rates a, a^2, ..., a^n."""
         check_depth(n)
-        return cls(tuple(float(a) ** j for j in range(1, n + 1)), Mode.ADDITIVE)
+        return cls(tuple(_times_power(1.0, float(a), j) for j in range(1, n + 1)), Mode.ADDITIVE)
 
     @classmethod
     def explicit(
@@ -283,8 +304,8 @@ class ScheduleSpec:
             schedule = ErrorSchedule.explicit(schedule.rates, Mode.ADDITIVE)
         return schedule
 
-    def check_additive(self, n: int) -> None:
-        """Apply ErrorSchedule's additive rule at depth n without building n rates.
+    def check_additive(self) -> None:
+        """Apply ErrorSchedule's additive rule at depth N without building N rates.
 
         Constant and bleed rates are a lam^(j-1) (lam = 1 for constant), as
         the schedule would hold them, so a few positions decide the rule and
@@ -303,18 +324,18 @@ class ScheduleSpec:
         if lam >= 1.0:
             # Rates that never fall only move away from the falling a^j, so
             # the failing positions are the ones past a bisection point.
-            ok, bad = 1, n + 1
+            ok, bad = 1, self.n + 1
             while bad - ok > 1:
                 mid = (ok + bad) // 2
-                if _is_power(a, mid, a * lam ** (mid - 1)):
+                if _is_power(a, mid, _times_power(a, lam, mid - 1)):
                     ok = mid
                 else:
                     bad = mid
-            if bad <= n:
-                _check_power(a, bad, a * lam ** (bad - 1))
+            if bad <= self.n:
+                _check_power(a, bad, _times_power(a, lam, bad - 1))
             return
-        for j in range(1, n + 1):
-            r = a * lam ** (j - 1)
+        for j in range(1, self.n + 1):
+            r = _times_power(a, lam, j - 1)
             _check_power(a, j, r)
             if max(r, a**j) <= _POWER_ATOL:  # both stay within it from here on
                 return

@@ -157,12 +157,6 @@ def _base(args) -> GaussianBase:
     return GaussianBase(mu=args.mu, sigma=args.sigma)
 
 
-def _schedule_spec(args) -> ScheduleSpec:
-    if not args.schedule:
-        raise ScheduleParseError("--schedule is required for this command")
-    return parse_schedule_spec(args.schedule)
-
-
 def _n_list(args, spec: ScheduleSpec) -> list[int]:
     if args.n_list:
         return _parse_list(args.n_list, "--n-list", int)
@@ -178,7 +172,7 @@ def _mixture(base: GaussianBase, spec: ScheduleSpec, n: int) -> MixtureDistribut
 
 def cmd_density(args) -> int:
     base = _base(args)
-    spec = _schedule_spec(args)
+    spec = parse_schedule_spec(args.schedule)
     grid = _parse_grid(args.x)
     depths = _n_list(args, spec)
     columns = ["x"] + [f"f_N{n}" for n in depths]
@@ -190,7 +184,7 @@ def cmd_density(args) -> int:
 
 def cmd_exceed(args) -> int:
     base = _base(args)
-    spec = _schedule_spec(args)
+    spec = parse_schedule_spec(args.schedule)
     thresholds = _parse_list(args.k, "--k")
     depths = _n_list(args, spec)
     rows = []
@@ -218,15 +212,14 @@ def cmd_ratio_table(args) -> int:
     return 0
 
 
-def _closed_moment(spec: ScheduleSpec, order: int, mu: float, sigma: float, n: int):
+def _closed_moment(spec: ScheduleSpec, order: int, mu: float, sigma: float):
     if spec.additive:
-        spec.check_additive(n)
         if order not in (1, 2, 4):
             return None
-        return closedform.moments_additive(order, mu, sigma, spec.a, n)
+        return closedform.moments_additive(order, mu, sigma, spec.a, spec.n)
     if spec.kind == "constant":
-        return closedform.moment_constant_a(order, mu, sigma, spec.a, n)
-    return closedform.moment_multiplicative(order, mu, sigma, spec.to_schedule(n).rates)
+        return closedform.moment_constant_a(order, mu, sigma, spec.a, spec.n)
+    return closedform.moment_multiplicative(order, mu, sigma, spec.to_schedule().rates)
 
 
 def _limit_moment(spec: ScheduleSpec, order: int, mu: float, sigma: float):
@@ -245,17 +238,18 @@ def _limit_moment(spec: ScheduleSpec, order: int, mu: float, sigma: float):
 
 def cmd_moments(args) -> int:
     base = _base(args)
-    spec = _schedule_spec(args)
+    spec = parse_schedule_spec(args.schedule)
     orders = (
         _parse_list(args.orders, "--orders", int) if args.orders else [1, 2, 3, 4, 5, 6, 7, 8]
     )
-    n = spec.n
     mixture = None
-    if n <= MAX_ENUMERATION_DEPTH:
+    if spec.n <= MAX_ENUMERATION_DEPTH:
         mixture = build_mixture(base, spec.to_schedule())
+    # Once, after the build so that its rate errors come first.
+    spec.check_additive()
     rows = []
     for order in orders:
-        closed = _closed_moment(spec, order, base.mu, base.sigma, n)
+        closed = _closed_moment(spec, order, base.mu, base.sigma)
         enum = mixstats.mixture_raw_moment(mixture, order) if mixture is not None else None
         rel = None
         if closed is not None and enum is not None:
@@ -273,7 +267,7 @@ def cmd_moments(args) -> int:
 
 def cmd_loglog(args) -> int:
     base = _base(args)
-    spec = _schedule_spec(args)
+    spec = parse_schedule_spec(args.schedule)
     lo, hi, points = _parse_logrange(args.x)
     depths = _n_list(args, spec)
     rows = []
@@ -288,7 +282,7 @@ def cmd_loglog(args) -> int:
 
 def cmd_validate(args) -> int:
     base = _base(args)
-    spec = _schedule_spec(args)
+    spec = parse_schedule_spec(args.schedule)
     orders = tuple(_parse_list(args.orders, "--orders", int)) if args.orders else (1, 2, 3, 4)
     if args.k_list:
         thresholds = tuple(_parse_list(args.k_list, "--k-list"))
@@ -330,16 +324,14 @@ def cmd_validate(args) -> int:
 def _add_common(sp) -> None:
     sp.add_argument("--mu", type=float, default=0.0, help="base location (default 0)")
     sp.add_argument("--sigma", type=float, default=1.0, help="base scale (default 1)")
-    sp.add_argument(
-        "--schedule",
-        help=(
-            "constant:a=<r>,N=<n> | bleed:a1=<r>,lambda=<r>,N=<n> | "
-            "geometric:a=<r>,N=<n> | explicit:<r1,r2,...>[;mode=additive]"
-        ),
-    )
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.add_argument("--seed", type=int, default=0, help="RNG seed (validate only)")
+
+
+def _add_schedule(sp) -> None:
+    sp.add_argument("--schedule", required=True, help=(
+        "constant:a=<r>,N=<n> | bleed:a1=<r>,lambda=<r>,N=<n> | "
+        "geometric:a=<r>,N=<n> | explicit:<r1,r2,...>[;mode=additive]"))
 
 
 @functools.cache  # one parser per process: parse_args leaves it unchanged
@@ -352,12 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("density", help="density curves, optionally for several depths")
+    _add_schedule(sp)
     _add_common(sp)
     sp.add_argument("--x", required=True, help="grid min:max:step (use --x=-4:4:0.05)")
     sp.add_argument("--n-list", help="comma-separated depths overriding the schedule N")
     sp.set_defaults(func=cmd_density)
 
     sp = sub.add_parser("exceed", help="tail probabilities P(X > K)")
+    _add_schedule(sp)
     _add_common(sp)
     sp.add_argument("--k", required=True, help="comma-separated thresholds")
     sp.add_argument("--n-list", help="comma-separated depths overriding the schedule N")
@@ -375,19 +369,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "moments", help="closed-form vs enumerated raw moments, with limits"
     )
+    _add_schedule(sp)
     _add_common(sp)
     sp.add_argument("--orders", help="comma-separated orders (default 1..8)")
     sp.set_defaults(func=cmd_moments)
 
     sp = sub.add_parser("loglog", help="log-log survival series with local slopes")
+    _add_schedule(sp)
     _add_common(sp)
     sp.add_argument("--x", required=True, help="geometric grid min:max:points")
     sp.add_argument("--n-list", help="comma-separated depths overriding the schedule N")
     sp.set_defaults(func=cmd_loglog)
 
     sp = sub.add_parser("validate", help="Monte Carlo check against exact values")
+    _add_schedule(sp)
     _add_common(sp)
     sp.add_argument("--n-samples", type=int, default=1_000_000)
+    sp.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     sp.add_argument("--orders", help="moment targets (default 1,2,3,4)")
     sp.add_argument("--k-list", help="exceedance targets (default mu + {1,2,3} sigma)")
     sp.add_argument(

@@ -289,12 +289,10 @@ def tail_slope_estimate(series: LogLogSeries, start: int, stop: int) -> float:
     return float(np.dot(dx, lp - lp.mean()) / np.dot(dx, dx))
 
 
-def local_slopes(series: LogLogSeries, half_window: int = 2) -> np.ndarray:
-    """Per-point least-squares slope over a centered window (clipped at the ends)."""
+def local_slopes(series: LogLogSeries) -> np.ndarray:
+    """Per-point least-squares slope over a centered 5-point window (clipped at the ends)."""
     n = len(series)
     out = np.empty(n)
     for i in range(n):
-        lo = max(0, i - half_window)
-        hi = min(n, i + half_window + 1)
-        out[i] = tail_slope_estimate(series, lo, hi)
+        out[i] = tail_slope_estimate(series, max(0, i - 2), min(n, i + 3))
     return out

@@ -164,8 +164,8 @@ class MomentsReport:
             ],
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 def estimate(summary: MCSummary) -> MomentsReport:
@@ -221,9 +221,9 @@ class TargetCheck:
 
 
 def check_report(
-    report: MomentsReport, references: dict[tuple[str, float], float], n_se: float = 4.0
+    report: MomentsReport, references: dict[tuple[str, float], float]
 ) -> list[TargetCheck]:
-    """Compare every target against its reference at the given SE multiple.
+    """Compare every target against its reference within 4 standard errors.
 
     Unreliable targets are refused (passed = None) rather than reported as
     confirmations; zero-SE targets pass only on exact equality.
@@ -239,6 +239,6 @@ def check_report(
             z = 0.0 if passed else math.inf
         else:
             z = (t.estimate - ref) / t.se
-            passed = abs(z) <= n_se
+            passed = abs(z) <= 4.0
         checks.append(TargetCheck(t.kind, t.key, t.estimate, t.se, ref, z, True, passed))
     return checks

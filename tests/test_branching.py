@@ -118,6 +118,23 @@ class TestErrorSchedule:
         with pytest.raises(ValueError):
             ErrorSchedule.explicit([-0.1])
 
+    @pytest.mark.parametrize("a1, first_bad", [(1e-300, 1705), (1e-320, 1819)])
+    def test_rates_past_the_double_range_name_the_first_rate_at_one(self, a1, first_bad):
+        # lam^k leaves the double range near k = 1750: after the first rate
+        # >= 1 for a1 = 1e-300, before it for a1 = 1e-320.
+        rates = ErrorSchedule.bleed(a1, 1.5, first_bad - 1).rates
+        assert max(rates) < 1.0
+        with pytest.raises(ValueError) as err:
+            ErrorSchedule.bleed(a1, 1.5, 3000)
+        head, _, r = str(err.value).rpartition(" ")
+        assert head == f"rate a({first_bad}) must lie in [0, 1), got"
+        assert math.isclose(float(r), rates[-1] * 1.5, rel_tol=1e-12)
+
+    def test_zero_rates_survive_an_overflowing_lambda(self):
+        assert ErrorSchedule.bleed(0.0, 1.5, 3000).rates == (0.0,) * 3000
+        with pytest.raises(ValueError, match=r"rate a\(1\) must lie in \[0, 1\), got 1.5"):
+            ErrorSchedule.geometric(1.5, 3000)
+
     def test_additive_requires_power_sequence(self):
         with pytest.raises(ValueError):
             ErrorSchedule.explicit([0.1, 0.1], Mode.ADDITIVE)
@@ -145,7 +162,7 @@ class TestErrorSchedule:
         # check_additive builds no rates, yet decides as ErrorSchedule does.
         for n in range(MAX_ENUMERATION_DEPTH + 1):
             spec = parse_schedule_spec(text.format(n=n))
-            assert self._error(lambda: spec.check_additive(n)) == self._error(
+            assert self._error(spec.check_additive) == self._error(
                 spec.to_schedule), n
 
     def test_spec_rule_at_depths_past_any_enumeration(self):
@@ -154,12 +171,29 @@ class TestErrorSchedule:
                      "constant:a=0.9999999999999999,N=1000000000"):
             spec = parse_schedule_spec(text + ";mode=additive")
             with pytest.raises(ValueError, match="additive schedules require"):
-                spec.check_additive(spec.n)
+                spec.check_additive()
         for text in ("bleed:a1=0.3,lambda=0.3,N=1000000000", "constant:a=0,N=1000000000",
                      "bleed:a1=0.3,lambda=0.30000000001,N=1000000000",
                      "bleed:a1=1e-300,lambda=1.5,N=100"):
             spec = parse_schedule_spec(text + ";mode=additive")
-            spec.check_additive(spec.n)
+            spec.check_additive()
+
+    def test_spec_rule_where_the_rates_leave_the_double_range(self):
+        # Bisection probes lam^(j-1) far past 1e308; such a rate is off-power.
+        deep = parse_schedule_spec("bleed:a1=1e-300,lambda=1.5,N=100000;mode=additive")
+        built = parse_schedule_spec("bleed:a1=1e-300,lambda=1.5,N=1700;mode=additive")
+        error = self._error(deep.check_additive)
+        assert error.startswith("additive schedules require rates a, a^2, ..., a^N; position ")
+        assert error == self._error(built.check_additive) == self._error(built.to_schedule)
+        # Where a^j overflows too, the rule still fails where it does at N = 30.
+        for text in ("constant:a=1.5,N={}", "bleed:a1=1.5,lambda=2,N={}",
+                     "bleed:a1=5e-324,lambda=1e300,N={}"):
+            shallow, deep = (parse_schedule_spec(text.format(n) + ";mode=additive")
+                             for n in (30, 100000))
+            error = self._error(deep.check_additive)
+            assert error.startswith("additive schedules require")
+            assert error == self._error(shallow.check_additive)
+        parse_schedule_spec("bleed:a1=0,lambda=1.5,N=100000;mode=additive").check_additive()
 
 
 class TestScaleSet:

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, round trips, determinism, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -378,6 +379,24 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: result outside the double range")
 
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--schedule", "bleed:a1=1e-300,lambda=1.5,N=3000", "--orders", "2"],
+        ["exceed", "--schedule", "bleed:a1=1e-300,lambda=1.5,N=3000", "--k", "3"]])
+    def test_overflowing_schedule_names_its_first_rate_at_one(self, argv, capsys):
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rate a(1705) must lie in [0, 1), got 1.1468468627276653\n"
+
+    def test_overflowing_additive_rule_names_a_position(self, capsys):
+        assert cli.main(["moments", "--schedule",
+                         "bleed:a1=1e-300,lambda=1.5,N=100000;mode=additive",
+                         "--orders", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: additive schedules require rates a, a\^2, \.\.\., a\^N; "
+                            r"position \d+ has \S+, expected \S+\n", captured.err)
+
     def test_out_of_memory_exits_three(self, monkeypatch, capsys):
         # A step of 1e-9 asks linspace for 8e9 points; fake its failure.
         def no_memory(*args, **kwargs):
@@ -389,6 +408,65 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: out of memory: Unable to allocate 59.6 GiB\n"
+
+
+class TestFlagSurface:
+    # Every (command, flag) pair the parser declares, each read by its command.
+    FLAGS = {
+        "density": {"--schedule", "--mu", "--sigma", "--format", "--out", "--x", "--n-list"},
+        "exceed": {"--schedule", "--mu", "--sigma", "--format", "--out", "--k", "--n-list"},
+        "ratio-table": {"--mu", "--sigma", "--format", "--out", "--a", "--n-list", "--k-list"},
+        "moments": {"--schedule", "--mu", "--sigma", "--format", "--out", "--orders"},
+        "loglog": {"--schedule", "--mu", "--sigma", "--format", "--out", "--x", "--n-list"},
+        "validate": {"--schedule", "--mu", "--sigma", "--format", "--out", "--n-samples",
+                     "--seed", "--orders", "--k-list", "--self-test"},
+    }
+    VALID = {
+        "density": ["--schedule", "constant:a=0.1,N=3", "--x=0:1:1"],
+        "exceed": ["--schedule", "constant:a=0.1,N=3", "--k", "3"],
+        "ratio-table": ["--a", "0.1", "--n-list", "5"],
+        "moments": ["--schedule", "constant:a=0.1,N=3", "--orders", "2"],
+        "loglog": ["--schedule", "constant:a=0.1,N=3", "--x", "2:6:3"],
+        "validate": ["--schedule", "constant:a=0.1,N=3", "--n-samples", "2000"],
+    }
+
+    def test_declared_flags(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        declared = {
+            name: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, sp in sub.choices.items()
+        }
+        assert declared == self.FLAGS
+
+    @pytest.mark.parametrize("command, extra", [
+        ("density", ["--seed", "1"]), ("exceed", ["--seed", "1"]),
+        ("ratio-table", ["--seed", "1"]), ("moments", ["--seed", "1"]),
+        ("loglog", ["--seed", "1"]),
+        ("ratio-table", ["--schedule", "bleed:a1=0.2,lambda=0.9,N=3"])])
+    def test_flag_no_command_reads_exits_two(self, command, extra, capsys):
+        assert cli.main([command] + self.VALID[command]) == 0
+        capsys.readouterr()
+        assert cli.main([command] + self.VALID[command] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: unrecognized arguments" in captured.err
+
+    @pytest.mark.parametrize("command", ["density", "exceed", "moments", "loglog", "validate"])
+    def test_missing_schedule_exits_two(self, command, capsys):
+        assert cli.main([command] + self.VALID[command]) in (0, 1)
+        capsys.readouterr()
+        assert cli.main([command] + self.VALID[command][2:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: the following arguments are required: --schedule" in captured.err
+
+    def test_rate_errors_of_the_build_precede_the_additive_rule(self, capsys):
+        # Rate 3 is 1.125; the power rule would fail first at position 2.
+        assert cli.main(["moments", "--schedule",
+                         "bleed:a1=0.5,lambda=1.5,N=5;mode=additive"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rate a(3) must lie in [0, 1), got 1.125\n"
 
 
 # The README command lines with every flag the loop may corrupt spelled out;

@@ -4,8 +4,9 @@ The calls are every call of the three benchmark workloads at seeds 1, 7 and
 31337 (from perfbench/workloads.py, read but not changed) and the README
 command-line examples with --format json. Two trees that print the same
 digest gave the same argv, exit code, stdout and stderr on every call.
+branchvol is imported from this tree's src/, whatever PYTHONPATH holds.
 
-    PYTHONPATH=src python3 tools/output_digest.py
+    python3 tools/output_digest.py
 """
 
 import contextlib
@@ -17,7 +18,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # leave no cache file in perfbench/
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402
 
 from branchvol import cli  # noqa: E402
