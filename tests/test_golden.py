@@ -46,6 +46,11 @@ BYTE_EXACT = {
     "deep_geometric_moments": ["moments", "--schedule", "geometric:a=0.2,N=18"],
     "two_block_validate": ["validate", "--schedule", "constant:a=0.15,N=10",
                            "--n-samples", "2000000", "--seed", "3"],
+    # Three blocks, the last of 902849 draws (not a multiple of 8), with
+    # power sums up to x^16.
+    "three_block_validate": ["validate", "--schedule", "bleed:a1=0.2,lambda=0.9,N=12",
+                             "--n-samples", "3000001", "--orders", "1,2,3,4,5,6,7,8",
+                             "--seed", "5"],
     # Grouped classes past n = 300, where the log-weights come from lgamma.
     "grouped_exceed": ["exceed", "--schedule", "constant:a=0.1,N=100000", "--k", "3,10"],
     "grouped_loglog": ["loglog", "--schedule", "constant:a=0.1,N=10000", "--x", "2:12:5"],
