@@ -212,14 +212,15 @@ def cmd_ratio_table(args) -> int:
     return 0
 
 
-def _closed_moment(spec: ScheduleSpec, order: int, mu: float, sigma: float):
+def _closed_moment(spec: ScheduleSpec, schedule, order: int, mu: float, sigma: float):
+    # schedule is the built spec, needed only for multiplicative non-constant rates.
     if spec.additive:
         if order not in (1, 2, 4):
             return None
         return closedform.moments_additive(order, mu, sigma, spec.a, spec.n)
     if spec.kind == "constant":
         return closedform.moment_constant_a(order, mu, sigma, spec.a, spec.n)
-    return closedform.moment_multiplicative(order, mu, sigma, spec.to_schedule().rates)
+    return closedform.moment_multiplicative(order, mu, sigma, schedule.rates)
 
 
 def _limit_moment(spec: ScheduleSpec, order: int, mu: float, sigma: float):
@@ -242,14 +243,18 @@ def cmd_moments(args) -> int:
     orders = (
         _parse_list(args.orders, "--orders", int) if args.orders else [1, 2, 3, 4, 5, 6, 7, 8]
     )
-    mixture = None
+    # Built once per command: past the enumeration depth only the
+    # multiplicative closed form of non-constant rates reads it.
+    schedule = mixture = None
+    if spec.n <= MAX_ENUMERATION_DEPTH or not (spec.additive or spec.kind == "constant"):
+        schedule = spec.to_schedule()
     if spec.n <= MAX_ENUMERATION_DEPTH:
-        mixture = build_mixture(base, spec.to_schedule())
+        mixture = build_mixture(base, schedule)
     # Once, after the build so that its rate errors come first.
     spec.check_additive()
     rows = []
     for order in orders:
-        closed = _closed_moment(spec, order, base.mu, base.sigma)
+        closed = _closed_moment(spec, schedule, order, base.mu, base.sigma)
         enum = mixstats.mixture_raw_moment(mixture, order) if mixture is not None else None
         rel = None
         if closed is not None and enum is not None:

@@ -9,6 +9,7 @@ beyond the enumeration ceiling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -39,6 +40,26 @@ _DENSITY_LINEAR_LIMIT = 700.0
 _PRUNE_GAP = 750.0
 _PRUNE_FLOOR = -1e15
 _EXP_ZERO = -746.0
+
+
+# Largest piece _pairwise_sum hands to its leaf: 2^14 doubles stay in cache.
+_LEAF = 2**14
+
+
+def _pairwise_sum(leaf, lo: int, hi: int):
+    """Sum of leaf(i, j) over pieces of range(lo, hi), in np.sum's order.
+
+    numpy's pairwise sum halves a block, the left half rounded down to a
+    multiple of 8, until a piece is small. Splitting the same way down to
+    _LEAF elements and adding on the way back up gives np.sum's bits when
+    each leaf returns np.sum of its piece; a leaf may return an array of
+    such sums. Module-level, so the recursion holds no reference cycle.
+    """
+    if hi - lo <= _LEAF:
+        return leaf(lo, hi)
+    half = (hi - lo) // 2
+    half -= half % 8
+    return _pairwise_sum(leaf, lo, lo + half) + _pairwise_sum(leaf, lo + half, hi)
 
 
 def _slices(n: int, size: int = _CHUNK):
@@ -205,19 +226,30 @@ def convexity_ratio(mixture: MixtureDistribution, k: float) -> float:
 
 
 def _mean_scale_power(mixture: MixtureDistribution, m: int) -> float:
-    # E[scale^m] over the mixture weights. In deep grouped mixtures a tiny
-    # weight can meet a power that overflows; such terms are taken in log
-    # space instead. A finite sum means every term was finite.
+    # E[scale^m] over the mixture weights, a leaf at a time in np.sum's
+    # order. In deep grouped mixtures a tiny weight can meet a power that
+    # overflows; a second pass takes such terms in log space instead. A
+    # finite sum means every term was finite.
+    scales, lw, ls = mixture.scales, mixture.log_weights, mixture.log_scales
+    weighted = not mixture.zero_log_weights
+    terms = np.empty(min(_LEAF, scales.size))
+    weights = np.empty(terms.size if weighted else 0)
+
+    def leaf(i: int, j: int, repair: bool = False) -> float:
+        t = terms[: j - i]
+        np.power(scales[i:j], m, out=t)
+        if weighted:
+            t *= np.exp(lw[i:j], out=weights[: j - i])
+        if repair:
+            bad = ~np.isfinite(t)
+            t[bad] = np.exp(lw[i:j][bad] + m * ls[i:j][bad])
+        return float(np.sum(t))
+
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = mixture.scales**m
-        if not mixture.zero_log_weights:
-            terms *= np.exp(mixture.log_weights)
-        total = float(np.sum(terms))
+        total = _pairwise_sum(leaf, 0, scales.size)
         if not math.isfinite(total):
-            bad = ~np.isfinite(terms)
-            terms[bad] = np.exp(mixture.log_weights[bad] + m * mixture.log_scales[bad])
-            total = float(np.sum(terms))
-        return mixture.weight * total
+            total = _pairwise_sum(functools.partial(leaf, repair=True), 0, scales.size)
+    return mixture.weight * total
 
 
 def mixture_raw_moment(mixture: MixtureDistribution, order: int) -> float:

@@ -17,6 +17,7 @@ import numpy as np
 
 from ._checks import check_order
 from .branching import MixtureDistribution
+from .mixstats import _LEAF, _pairwise_sum
 
 _BRANCH_COUNT_LIMIT = 2**16
 _BLOCK = 1 << 20
@@ -85,6 +86,7 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
 
     Draws are blocked to bound memory; the block size is fixed so the
     stream, and therefore every statistic, is reproducible bit for bit.
+    Each block is summed over cache-sized leaves in np.sum's own order.
     Components are drawn uniformly, so every weight must be equal. Power
     sums run up to x^(2 max(max order, 4)), the highest power estimate reads.
     """
@@ -92,29 +94,46 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
         raise ValueError("sample needs equal component weights; got a weighted mixture")
     rng = np.random.default_rng(spec.seed)
     n_comp = mixture.n_components
-    power_sums = np.zeros(2 * max((4, *spec.moment_orders)) + 1)
+    n_pow = 2 * max((4, *spec.moment_orders)) + 1
+    power_sums = np.zeros(n_pow)
     exceed = {k: 0 for k in spec.thresholds}
     counts = (
         np.zeros(n_comp, dtype=np.int64) if n_comp <= _BRANCH_COUNT_LIMIT else None
     )
+    z = np.empty(min(_BLOCK, spec.n_samples))
+    x = np.empty(min(_LEAF, z.size))
+    powers = np.empty(x.size)
+
+    def leaf(i: int, j: int) -> np.ndarray:
+        # Sums of x^0..x^(n_pow - 1), then the exceedance counts, over draws
+        # i..j of the block: every power stays in cache.
+        xl, xp = x[: j - i], powers[: j - i]
+        # mu + sigma * scale * z in place; this order fixes every bit of the sums.
+        np.take(mixture.scales, idx[i:j], out=xl)
+        xl *= mixture.sigma
+        xl *= zb[i:j]
+        xl += mixture.mu
+        sums = np.empty(n_pow + len(exceed))
+        sums[0] = j - i
+        xp.fill(1.0)
+        for k in range(1, n_pow):
+            xp *= xl
+            sums[k] = xp.sum()
+        for t, k in enumerate(exceed, start=n_pow):
+            sums[t] = np.count_nonzero(xl > k)
+        return sums
+
     remaining = spec.n_samples
     while remaining:
         m = min(_BLOCK, remaining)
         idx = rng.integers(0, n_comp, size=m)
-        # mu + sigma * scale * z in place; this order fixes every bit of the sums.
-        x = mixture.scales[idx]
-        x *= mixture.sigma
-        x *= rng.standard_normal(m)
-        x += mixture.mu
+        zb = rng.standard_normal(out=z[:m])
         if counts is not None:
             counts += np.bincount(idx, minlength=n_comp)
-        xp = np.ones(m)
-        power_sums[0] += m
-        for k in range(1, power_sums.size):
-            xp *= x
-            power_sums[k] += float(xp.sum())
-        for k in exceed:
-            exceed[k] += int(np.count_nonzero(x > k))
+        sums = _pairwise_sum(leaf, 0, m)
+        power_sums += sums[:n_pow]
+        for t, k in enumerate(exceed, start=n_pow):
+            exceed[k] += int(sums[t])
         remaining -= m
     return MCSummary(
         n=spec.n_samples,

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from branchvol import cli
-from branchvol.branching import GaussianBase, group_mixture
+from branchvol.branching import GaussianBase, ScheduleSpec, group_mixture
 from branchvol.closedform import BleedParams, m4_bleed, moments_additive
 from branchvol.mixstats import convexity_ratio, exceedance
 
@@ -202,6 +202,23 @@ class TestMomentsCommand:
         geometric = self._rows(capsys, "geometric:a=0.3,N=30")
         assert bleed == geometric
         assert math.isclose(bleed[2][1], 1.098901098901, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("schedule", ["bleed:a1=0.2,lambda=0.9,N=12",
+                                          "bleed:a1=0.2,lambda=0.9,N=1000",
+                                          "explicit:0.3,0.2,0.1",
+                                          "constant:a=0.1,N=8"])
+    def test_schedule_is_built_once_per_command(self, schedule, monkeypatch, capsys):
+        calls = []
+        to_schedule = ScheduleSpec.to_schedule
+
+        def counted(spec, *args):
+            calls.append(spec)
+            return to_schedule(spec, *args)
+
+        monkeypatch.setattr(ScheduleSpec, "to_schedule", counted)
+        rows = self._rows(capsys, schedule, "1,2,3,4,5,6,7,8")
+        assert len(calls) == 1
+        assert all(r[1] is not None for r in rows.values())
 
     @pytest.mark.parametrize("schedule", ["bleed:a1=0.2,lambda=1,N=5",
                                           "bleed:a1=0.2,lambda=1.5,N=3"])

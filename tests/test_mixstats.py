@@ -1,5 +1,6 @@
 """Mixture evaluation: density, tails, moments, and log-log diagnostics."""
 
+import gc
 import math
 import tracemalloc
 import warnings
@@ -484,6 +485,92 @@ class TestMoments:
         mix = build_mixture(BASE, ErrorSchedule.constant(0.1, 2))
         with pytest.raises(UnsupportedOrderError):
             mixture_raw_moment(mix, 9)
+
+
+def _order_data(n):
+    # Magnitudes over 24 decades, each odd element nearly cancelling the one
+    # before it: any change in the order of additions changes the sum's bits.
+    rng = np.random.default_rng(2024)
+    a = rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 12, n)
+    a[1::2] = -a[0::2][: n // 2] * (1 + 2.0**-40)
+    return a
+
+
+def _halving_sum(leaf, lo, hi):
+    # _pairwise_sum without the round-down of the left half to a multiple of 8.
+    if hi - lo <= mixstats._LEAF:
+        return leaf(lo, hi)
+    half = (hi - lo) // 2
+    return _halving_sum(leaf, lo, lo + half) + _halving_sum(leaf, lo + half, hi)
+
+
+class TestPairwiseSum:
+    """_pairwise_sum adds leaves in np.sum's own pairwise order. If a numpy
+    release changes that order, these fail instead of output bits drifting."""
+
+    LENGTHS = [0, 1, 7, 8, 127, 128, 129, 2**14 - 1, 2**14 + 1, 2**20 + 5, 951424]
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_leaf_sums_add_up_to_numpy_sum(self, n):
+        a = _order_data(n)
+        total = mixstats._pairwise_sum(lambda i, j: float(np.sum(a[i:j])), 0, n)
+        assert total == np.sum(a)
+
+    @pytest.mark.parametrize("n", [2**20 + 5, 951424])
+    def test_the_data_tells_split_orders_apart(self, n):
+        a = _order_data(n)
+        assert _halving_sum(lambda i, j: float(np.sum(a[i:j])), 0, n) != np.sum(a)
+
+
+def _full_length_scale_power(mixture, m):
+    # The one-array form of mixstats._mean_scale_power, written out.
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = mixture.scales**m
+        if not mixture.zero_log_weights:
+            terms *= np.exp(mixture.log_weights)
+        total = float(np.sum(terms))
+        if not math.isfinite(total):
+            bad = ~np.isfinite(terms)
+            terms[bad] = np.exp(mixture.log_weights[bad] + m * mixture.log_scales[bad])
+            total = float(np.sum(terms))
+        return mixture.weight * total
+
+
+class TestScalePowerLeaves:
+    """E[scale^m] summed over cache-sized leaves keeps every bit of the
+    one-array sum, in bounded memory and without reference cycles."""
+
+    @pytest.mark.parametrize("mixture", [
+        build_mixture(BASE, ErrorSchedule.bleed(0.2, 0.9, 17)),
+        group_mixture(BASE, 0.1, 100_000),  # overflowing powers: the log-space pass
+    ], ids=["bleed17", "grouped1e5"])
+    def test_bits_match_the_full_length_sum(self, mixture):
+        for m in range(17):
+            assert mixstats._mean_scale_power(mixture, m) == _full_length_scale_power(mixture, m)
+
+    def test_peak_memory_is_a_leaf(self):
+        # One full-length power array of 2^20 doubles took 8 MB.
+        mix = build_mixture(BASE, ErrorSchedule.bleed(0.2, 0.9, 20))
+        tracemalloc.start()
+        try:
+            mixstats._mean_scale_power(mix, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_no_reference_cycle_keeps_the_leaves(self):
+        mixtures = [build_mixture(BASE, ErrorSchedule.bleed(0.2, 0.9, 16)),
+                    group_mixture(BASE, 0.1, 10_000)]
+        gc.collect()
+        gc.disable()
+        try:
+            for mix in mixtures:
+                for m in (2, 4, 8):
+                    mixstats._mean_scale_power(mix, m)
+                    assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestAbsFirstMoment:

@@ -1,8 +1,10 @@
 """Seeded sampling: determinism, merging, uniform branch hits, and
 agreement with the exact values at 4 standard errors."""
 
+import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +89,52 @@ class TestStream:
         assert merged.n == 2 * self.N
         assert np.array_equal(merged.power_sums, a.power_sums + b.power_sums)
         assert estimate(merged).n == 2 * self.N
+
+
+class TestLeaves:
+    """Each block is summed over cache-sized leaves: the counts are those of
+    the whole block, memory stays near the block's draws, and no reference
+    cycle outlives a call."""
+
+    MIX = TestStream.MIX
+    N = TestStream.N
+
+    def test_counts_match_the_replay(self):
+        thresholds = (0.5, 2.0)
+        summary = sample(self.MIX, SampleSpec(n_samples=self.N, seed=17, thresholds=thresholds))
+        rng = np.random.default_rng(17)
+        counts = np.zeros(self.MIX.n_components, dtype=np.int64)
+        exceed = dict.fromkeys(thresholds, 0)
+        for m in (1 << 20, 5):
+            idx = rng.integers(0, self.MIX.n_components, size=m)
+            x = self.MIX.mu + self.MIX.sigma * self.MIX.scales[idx] * rng.standard_normal(m)
+            counts += np.bincount(idx, minlength=self.MIX.n_components)
+            for k in thresholds:
+                exceed[k] += int(np.count_nonzero(x > k))
+        assert np.array_equal(summary.branch_counts, counts)
+        assert summary.exceed_counts == exceed
+
+    def test_peak_memory_is_the_block_draws(self):
+        # The draws and indices of one 2^20 block take 16 MB; full-length
+        # powers and products took 25.7 MB.
+        spec = SampleSpec(n_samples=self.N, seed=17, thresholds=(1.0, 3.0))
+        tracemalloc.start()
+        try:
+            sample(self.MIX, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 21 * 2**20
+
+    def test_no_reference_cycle_keeps_the_blocks(self):
+        gc.collect()
+        gc.disable()
+        try:
+            for n in (1000, self.N):
+                sample(self.MIX, SampleSpec(n_samples=n, seed=3, thresholds=(1.0,)))
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestEstimates:
