@@ -61,20 +61,6 @@ def _times_power(c: float, x: float, k: int) -> float:
         return math.exp(ln_r) if ln_r < _LN_MAX else math.inf
 
 
-def _is_power(a: float, j: int, r: float) -> bool:
-    # A rate past the double range (inf) matches no power.
-    power = _times_power(1.0, a, j)
-    return math.isfinite(r) and math.isclose(r, power, rel_tol=_POWER_RTOL, abs_tol=_POWER_ATOL)
-
-
-def _check_power(a: float, j: int, r: float) -> None:
-    if not _is_power(a, j, r):
-        raise ValueError(
-            "additive schedules require rates a, a^2, ..., a^N; "
-            f"position {j} has {r!r}, expected {_times_power(1.0, a, j)!r}"
-        )
-
-
 @dataclass(frozen=True)
 class ErrorSchedule:
     """Ordered error rates a(1)..a(N) plus the way they combine.
@@ -93,8 +79,13 @@ class ErrorSchedule:
         for j, r in enumerate(rates, start=1):
             check_rate(r, f"rate a({j})")
         if self.mode is Mode.ADDITIVE:
+            # Every rate lies in [0, 1) by now, so no power leaves the double range.
             for j, r in enumerate(rates, start=1):
-                _check_power(rates[0], j, r)
+                if not math.isclose(r, rates[0]**j, rel_tol=_POWER_RTOL, abs_tol=_POWER_ATOL):
+                    raise ValueError(
+                        "additive schedules require rates a, a^2, ..., a^N; "
+                        f"position {j} has {r!r}, expected {rates[0]**j!r}"
+                    )
 
     @property
     def depth(self) -> int:
@@ -273,7 +264,9 @@ class ScheduleSpec:
 
     ``a`` is the first rate: constant and geometric a, bleed a1, and the
     first explicit rate (0.0 for an empty list). It generates an additive
-    schedule's powers a, a^2, ...
+    schedule's powers a, a^2, ... Only an explicit list, whose rates the
+    user gives, may be marked additive; geometric always is. The first rate
+    of constant, bleed and geometric must lie in [0, 1).
     """
 
     kind: str
@@ -283,62 +276,30 @@ class ScheduleSpec:
     rates: tuple[float, ...] | None = None
     additive: bool = False
 
+    def __post_init__(self) -> None:
+        # At construction, before any depth is chosen: every command and
+        # depth reports these alike, and no rates are built to find them.
+        if self.kind == "explicit":
+            return
+        if self.additive and self.kind != "geometric":
+            raise ScheduleParseError(
+                "mode=additive applies only to explicit: lists; "
+                "the additive regime a, a^2, ..., a^N is geometric:a=<r>,N=<n>"
+            )
+        check_rate(self.a, "rate a(1)")
+
     def to_schedule(self, n: int | None = None) -> ErrorSchedule:
         depth = self.n if n is None else n
         if self.kind == "constant":
-            schedule = ErrorSchedule.constant(self.a, depth)
-        elif self.kind == "bleed":
-            schedule = ErrorSchedule.bleed(self.a, self.lam, depth)
-        elif self.kind == "geometric":
+            return ErrorSchedule.constant(self.a, depth)
+        if self.kind == "bleed":
+            return ErrorSchedule.bleed(self.a, self.lam, depth)
+        if self.kind == "geometric":
             return ErrorSchedule.geometric(self.a, depth)
-        elif self.kind == "explicit":
-            if n is not None and n != len(self.rates):
-                raise ScheduleParseError(
-                    "explicit schedules have a fixed depth; cannot override N"
-                )
-            mode = Mode.ADDITIVE if self.additive else Mode.MULTIPLICATIVE
-            return ErrorSchedule.explicit(self.rates, mode)
-        else:  # pragma: no cover - kinds are fixed at parse time
-            raise ScheduleParseError(f"unknown schedule kind {self.kind!r}")
-        if self.additive:
-            schedule = ErrorSchedule.explicit(schedule.rates, Mode.ADDITIVE)
-        return schedule
-
-    def check_additive(self) -> None:
-        """Apply ErrorSchedule's additive rule at depth N without building N rates.
-
-        Constant and bleed rates are a lam^(j-1) (lam = 1 for constant), as
-        the schedule would hold them, so a few positions decide the rule and
-        the error names the same first failing position.
-        """
-        if not self.additive or self.kind == "geometric":
-            return
-        a = self.a
-        if self.kind == "explicit":
-            for j, r in enumerate(self.rates, start=1):
-                _check_power(a, j, r)
-            return
-        lam = 1.0 if self.kind == "constant" else self.lam
-        if lam == a:  # a a^(j-1): the power sequence itself
-            return
-        if lam >= 1.0:
-            # Rates that never fall only move away from the falling a^j, so
-            # the failing positions are the ones past a bisection point.
-            ok, bad = 1, self.n + 1
-            while bad - ok > 1:
-                mid = (ok + bad) // 2
-                if _is_power(a, mid, _times_power(a, lam, mid - 1)):
-                    ok = mid
-                else:
-                    bad = mid
-            if bad <= self.n:
-                _check_power(a, bad, _times_power(a, lam, bad - 1))
-            return
-        for j in range(1, self.n + 1):
-            r = _times_power(a, lam, j - 1)
-            _check_power(a, j, r)
-            if max(r, a**j) <= _POWER_ATOL:  # both stay within it from here on
-                return
+        if n is not None and n != len(self.rates):
+            raise ScheduleParseError("explicit schedules have a fixed depth; cannot override N")
+        mode = Mode.ADDITIVE if self.additive else Mode.MULTIPLICATIVE
+        return ErrorSchedule.explicit(self.rates, mode)
 
 
 def _parse_kv(args: str, expected: tuple[str, ...], text: str) -> dict[str, str]:
@@ -377,8 +338,9 @@ def parse_schedule_spec(text: str) -> ScheduleSpec:
     """Parse the schedule grammar into a ScheduleSpec.
 
     Grammar: ``constant:a=<real>,N=<int>`` | ``bleed:a1=<real>,lambda=<real>,N=<int>``
-    | ``geometric:a=<real>,N=<int>`` | ``explicit:<comma-separated reals>``,
-    each with optional suffix ``;mode=additive``.
+    | ``geometric:a=<real>,N=<int>`` | ``explicit:<comma-separated reals>``.
+    The suffix ``;mode=additive`` marks an explicit list as additive; it is
+    implied on geometric, the additive regime a, a^2, ..., a^N.
     """
     body = text.strip()
     additive = False

@@ -165,7 +165,7 @@ def _n_list(args, spec: ScheduleSpec) -> list[int]:
 
 def _mixture(base: GaussianBase, spec: ScheduleSpec, n: int) -> MixtureDistribution:
     # Constant rates collapse to n + 1 classes; everything else is enumerated.
-    if spec.kind == "constant" and not spec.additive:
+    if spec.kind == "constant":
         return group_mixture(base, spec.a, n)
     return build_mixture(base, spec.to_schedule(n))
 
@@ -243,15 +243,14 @@ def cmd_moments(args) -> int:
     orders = (
         _parse_list(args.orders, "--orders", int) if args.orders else [1, 2, 3, 4, 5, 6, 7, 8]
     )
-    # Built once per command: past the enumeration depth only the
-    # multiplicative closed form of non-constant rates reads it.
+    # Built once per command. Past the enumeration depth, bleed rates feed
+    # the multiplicative closed form, and an explicit list (no longer than
+    # its argv) is still checked; constant and geometric need only a and N.
     schedule = mixture = None
-    if spec.n <= MAX_ENUMERATION_DEPTH or not (spec.additive or spec.kind == "constant"):
+    if spec.n <= MAX_ENUMERATION_DEPTH or spec.kind in ("bleed", "explicit"):
         schedule = spec.to_schedule()
     if spec.n <= MAX_ENUMERATION_DEPTH:
         mixture = build_mixture(base, schedule)
-    # Once, after the build so that its rate errors come first.
-    spec.check_additive()
     rows = []
     for order in orders:
         closed = _closed_moment(spec, schedule, order, base.mu, base.sigma)

@@ -9,7 +9,6 @@ beyond the enumeration ceiling.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -228,28 +227,28 @@ def convexity_ratio(mixture: MixtureDistribution, k: float) -> float:
 def _mean_scale_power(mixture: MixtureDistribution, m: int) -> float:
     # E[scale^m] over the mixture weights, a leaf at a time in np.sum's
     # order. In deep grouped mixtures a tiny weight can meet a power that
-    # overflows; a second pass takes such terms in log space instead. A
-    # finite sum means every term was finite.
+    # overflows; a leaf whose sum is not finite takes such terms in log
+    # space and sums again. Terms are never negative, so a finite leaf sum
+    # means every term of the leaf was finite.
     scales, lw, ls = mixture.scales, mixture.log_weights, mixture.log_scales
     weighted = not mixture.zero_log_weights
     terms = np.empty(min(_LEAF, scales.size))
     weights = np.empty(terms.size if weighted else 0)
 
-    def leaf(i: int, j: int, repair: bool = False) -> float:
+    def leaf(i: int, j: int) -> float:
         t = terms[: j - i]
         np.power(scales[i:j], m, out=t)
         if weighted:
             t *= np.exp(lw[i:j], out=weights[: j - i])
-        if repair:
+        total = float(np.sum(t))
+        if not math.isfinite(total):
             bad = ~np.isfinite(t)
             t[bad] = np.exp(lw[i:j][bad] + m * ls[i:j][bad])
-        return float(np.sum(t))
+            total = float(np.sum(t))
+        return total
 
     with np.errstate(over="ignore", invalid="ignore"):
-        total = _pairwise_sum(leaf, 0, scales.size)
-        if not math.isfinite(total):
-            total = _pairwise_sum(functools.partial(leaf, repair=True), 0, scales.size)
-    return mixture.weight * total
+        return mixture.weight * _pairwise_sum(leaf, 0, scales.size)
 
 
 def mixture_raw_moment(mixture: MixtureDistribution, order: int) -> float:

@@ -16,6 +16,7 @@ from branchvol.branching import (
     Mode,
     NonPositiveScaleError,
     ScheduleParseError,
+    ScheduleSpec,
     build_mixture,
     group_mixture,
     parse_schedule,
@@ -140,60 +141,9 @@ class TestErrorSchedule:
             ErrorSchedule.explicit([0.1, 0.1], Mode.ADDITIVE)
         # The genuine power sequence passes.
         ErrorSchedule.explicit([0.1, 0.01, 0.001], Mode.ADDITIVE)
-
-    @staticmethod
-    def _error(make):
-        try:
-            make()
-        except ValueError as exc:
-            return str(exc)
-        return None
-
-    @pytest.mark.parametrize("text", [
-        "constant:a=0.1,N={n};mode=additive", "constant:a=1e-16,N={n};mode=additive",
-        "bleed:a1=0.3,lambda=0.9,N={n};mode=additive",
-        "bleed:a1=0.3,lambda=0.3,N={n};mode=additive",
-        "bleed:a1=0.2,lambda=0.2000001,N={n};mode=additive",
-        "bleed:a1=0.01,lambda=0.0001,N={n};mode=additive",
-        "bleed:a1=0.01,lambda=1.2,N={n};mode=additive",
-        "bleed:a1=1e-17,lambda=1.5,N={n};mode=additive",
-        "constant:a=0.9999999999999999,N={n};mode=additive"])
-    def test_spec_rule_matches_the_built_schedule(self, text):
-        # check_additive builds no rates, yet decides as ErrorSchedule does.
-        for n in range(MAX_ENUMERATION_DEPTH + 1):
-            spec = parse_schedule_spec(text.format(n=n))
-            assert self._error(spec.check_additive) == self._error(
-                spec.to_schedule), n
-
-    def test_spec_rule_at_depths_past_any_enumeration(self):
-        for text in ("constant:a=0.1,N=30", "bleed:a1=0.3,lambda=0.9,N=30",
-                     "bleed:a1=0.3,lambda=1.5,N=30", "bleed:a1=0.1,lambda=0.2,N=1000000000",
-                     "constant:a=0.9999999999999999,N=1000000000"):
-            spec = parse_schedule_spec(text + ";mode=additive")
-            with pytest.raises(ValueError, match="additive schedules require"):
-                spec.check_additive()
-        for text in ("bleed:a1=0.3,lambda=0.3,N=1000000000", "constant:a=0,N=1000000000",
-                     "bleed:a1=0.3,lambda=0.30000000001,N=1000000000",
-                     "bleed:a1=1e-300,lambda=1.5,N=100"):
-            spec = parse_schedule_spec(text + ";mode=additive")
-            spec.check_additive()
-
-    def test_spec_rule_where_the_rates_leave_the_double_range(self):
-        # Bisection probes lam^(j-1) far past 1e308; such a rate is off-power.
-        deep = parse_schedule_spec("bleed:a1=1e-300,lambda=1.5,N=100000;mode=additive")
-        built = parse_schedule_spec("bleed:a1=1e-300,lambda=1.5,N=1700;mode=additive")
-        error = self._error(deep.check_additive)
-        assert error.startswith("additive schedules require rates a, a^2, ..., a^N; position ")
-        assert error == self._error(built.check_additive) == self._error(built.to_schedule)
-        # Where a^j overflows too, the rule still fails where it does at N = 30.
-        for text in ("constant:a=1.5,N={}", "bleed:a1=1.5,lambda=2,N={}",
-                     "bleed:a1=5e-324,lambda=1e300,N={}"):
-            shallow, deep = (parse_schedule_spec(text.format(n) + ";mode=additive")
-                             for n in (30, 100000))
-            error = self._error(deep.check_additive)
-            assert error.startswith("additive schedules require")
-            assert error == self._error(shallow.check_additive)
-        parse_schedule_spec("bleed:a1=0,lambda=1.5,N=100000;mode=additive").check_additive()
+        # Every rate is checked before the rule, which would fail at position 2.
+        with pytest.raises(ValueError, match=r"^rate a\(3\) must lie in \[0, 1\), got 1.5$"):
+            ErrorSchedule.explicit([0.5, 0.5, 1.5], Mode.ADDITIVE)
 
 
 class TestScaleSet:
@@ -440,6 +390,7 @@ class TestScheduleGrammar:
         sched = parse_schedule("geometric:a=0.1,N=3")
         assert sched.mode is Mode.ADDITIVE
         assert sched.rates == pytest.approx((0.1, 0.01, 0.001), rel=1e-15)
+        assert parse_schedule("geometric:a=0.1,N=3;mode=additive") == sched
 
     def test_explicit(self):
         sched = parse_schedule("explicit:0.1,0.2,0.3")
@@ -484,5 +435,27 @@ class TestScheduleGrammar:
             parse_schedule(bad)
 
     def test_additive_suffix_on_constant_violates_invariant(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ScheduleParseError, match=r"geometric:a=<r>,N=<n>"):
             parse_schedule("constant:a=0.1,N=3;mode=additive")
+        with pytest.raises(ScheduleParseError, match=r"geometric:a=<r>,N=<n>"):
+            ScheduleSpec(kind="constant", n=3, a=0.1, additive=True)
+
+    @pytest.mark.parametrize("text", [
+        "constant:a=0.1,N={n};mode=additive", "constant:a=1e-16,N={n};mode=additive",
+        "bleed:a1=0.3,lambda=0.9,N={n};mode=additive",
+        "bleed:a1=0.3,lambda=0.3,N={n};mode=additive",
+        "bleed:a1=0.2,lambda=0.2000001,N={n};mode=additive",
+        "bleed:a1=0.01,lambda=0.0001,N={n};mode=additive",
+        "bleed:a1=0.01,lambda=1.2,N={n};mode=additive",
+        "bleed:a1=1e-17,lambda=1.5,N={n};mode=additive",
+        "constant:a=0.9999999999999999,N={n};mode=additive",
+        "bleed:a1=1.5,lambda=2,N={n};mode=additive"])
+    def test_additive_suffix_is_refused_on_rate_formulas(self, text):
+        # Only an explicit list gives its rates; geometric is the additive regime.
+        errors = set()
+        for n in (*range(MAX_ENUMERATION_DEPTH + 2), 10**9):
+            with pytest.raises(ScheduleParseError) as err:
+                parse_schedule_spec(text.format(n=n))
+            errors.add(str(err.value))
+        assert errors == {"mode=additive applies only to explicit: lists; "
+                          "the additive regime a, a^2, ..., a^N is geometric:a=<r>,N=<n>"}

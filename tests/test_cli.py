@@ -9,13 +9,14 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from branchvol import cli
-from branchvol.branching import GaussianBase, ScheduleSpec, group_mixture
+from branchvol.branching import MAX_ENUMERATION_DEPTH, GaussianBase, ScheduleSpec, group_mixture
 from branchvol.closedform import BleedParams, m4_bleed, moments_additive
 from branchvol.mixstats import convexity_ratio, exceedance
 
@@ -24,6 +25,12 @@ def run_cli(*argv, capsys=None):
     rc = cli.main(list(argv))
     out = capsys.readouterr().out if capsys is not None else None
     return rc, out
+
+
+def schedule_argvs(schedule):
+    # Every command that takes --schedule, with the other flags it needs.
+    return [[command, "--schedule", schedule] + TestFlagSurface.VALID[command][2:]
+            for command in ("density", "exceed", "moments", "loglog", "validate")]
 
 
 class TestDensityCommand:
@@ -171,37 +178,48 @@ class TestMomentsCommand:
         assert rc == 0
         return {int(r[0]): r for r in cli.parse_table_csv(out)[1]}
 
-    def test_additive_bleed_matches_the_geometric_schedule(self, capsys):
-        # bleed with lambda = a1 in additive mode is the power sequence a, a^2, ...
-        bleed = self._rows(capsys, "bleed:a1=0.2,lambda=0.2,N=5;mode=additive")
+    @staticmethod
+    def _powers(a, n):
+        # The explicit spelling of geometric:a=<a>,N=<n>.
+        return "explicit:" + ",".join(repr(a**j) for j in range(1, n + 1)) + ";mode=additive"
+
+    def test_additive_explicit_list_matches_the_geometric_schedule(self, capsys):
+        explicit = self._rows(capsys, self._powers(0.2, 5))
         geometric = self._rows(capsys, "geometric:a=0.2,N=5")
         for order in (1, 2, 4):
-            closed, enum, _, limit = bleed[order][1:]
+            closed, enum, _, limit = explicit[order][1:]
             assert math.isclose(closed, enum, rel_tol=1e-12, abs_tol=1e-300)
-            assert math.isclose(closed, geometric[order][1], rel_tol=1e-12, abs_tol=1e-300)
-            assert math.isclose(enum, geometric[order][2], rel_tol=1e-12, abs_tol=1e-12)
+            assert geometric[order][1:3] == [closed, enum]
+            assert limit is None  # an explicit list ends
             want = moments_additive(order, 0.0, 1.0, 0.2, cli.INFINITY)
-            assert math.isclose(limit, want, rel_tol=1e-12, abs_tol=1e-300)
-        explicit = self._rows(capsys, "explicit:0.2,0.04,0.008;mode=additive")
-        assert all(r[4] is None for r in explicit.values())
+            assert math.isclose(geometric[order][4], want, rel_tol=1e-12, abs_tol=1e-300)
 
     @pytest.mark.parametrize("schedule", ["constant:a=0.1,N={};mode=additive",
-                                          "bleed:a1=0.3,lambda=0.9,N={};mode=additive"])
+                                          "bleed:a1=0.3,lambda=0.9,N={};mode=additive",
+                                          "bleed:a1=0.9999999999999999,lambda=0.9999999999999998,"
+                                          "N={};mode=additive"])
     def test_additive_rule_holds_past_the_enumeration_depth(self, schedule, capsys):
-        # N = 20 is enumerated and rejected by the schedule; N = 30 and 10^9
-        # only get closed forms, and must be rejected the same way.
+        # The suffix belongs to explicit lists: on a rate formula every
+        # command refuses it at parse, at every depth, in the same words.
         errors = set()
-        for n in (20, 30, 10**9):
-            assert cli.main(["moments", "--schedule", schedule.format(n), "--orders", "2"]) == 3
-            errors.add(capsys.readouterr().err)
-        assert len(errors) == 1
-        assert errors.pop().startswith("error: additive schedules require rates a, a^2")
+        for n in (5, 20, 30, 10**9):
+            for argv in schedule_argvs(schedule.format(n)):
+                started = time.perf_counter()
+                assert cli.main(argv) == 2
+                assert time.perf_counter() - started < 1.0
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                errors.add(captured.err)
+        assert errors == {"error: mode=additive applies only to explicit: lists; the additive "
+                          "regime a, a^2, ..., a^N is geometric:a=<r>,N=<n>\n"}
 
     def test_additive_power_sequence_past_the_enumeration_depth(self, capsys):
-        bleed = self._rows(capsys, "bleed:a1=0.3,lambda=0.3,N=30;mode=additive")
+        explicit = self._rows(capsys, self._powers(0.3, 30))
         geometric = self._rows(capsys, "geometric:a=0.3,N=30")
-        assert bleed == geometric
-        assert math.isclose(bleed[2][1], 1.098901098901, rel_tol=1e-12)
+        for order in (1, 2, 4):
+            assert explicit[order][1:4] == geometric[order][1:4]
+            assert explicit[order][2] is None and explicit[order][4] is None
+        assert math.isclose(explicit[2][1], 1.098901098901, rel_tol=1e-12)
 
     @pytest.mark.parametrize("schedule", ["bleed:a1=0.2,lambda=0.9,N=12",
                                           "bleed:a1=0.2,lambda=0.9,N=1000",
@@ -405,14 +423,27 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: rate a(1705) must lie in [0, 1), got 1.1468468627276653\n"
 
-    def test_overflowing_additive_rule_names_a_position(self, capsys):
-        assert cli.main(["moments", "--schedule",
-                         "bleed:a1=1e-300,lambda=1.5,N=100000;mode=additive",
-                         "--orders", "2"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert re.fullmatch(r"error: additive schedules require rates a, a\^2, \.\.\., a\^N; "
-                            r"position \d+ has \S+, expected \S+\n", captured.err)
+    @pytest.mark.parametrize("schedule", ["constant:a={},N={}", "geometric:a={},N={}",
+                                          "bleed:a1={},lambda=0.9,N={}"])
+    def test_a_bad_first_rate_reads_alike_everywhere(self, schedule, capsys):
+        errors = set()
+        for n in (0, 5, 30):
+            for argv in schedule_argvs(schedule.format(1.5, n)):
+                assert cli.main(argv) == 3
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                errors.add(captured.err)
+        assert errors == {"error: rate a(1) must lie in [0, 1), got 1.5\n"}
+
+    def test_explicit_additive_errors_do_not_change_at_the_enumeration_depth(self, capsys):
+        # Rate 2 breaks the power rule, but the rate range is checked first
+        # at 24 rates (enumerated) and at 25 (closed forms only) alike.
+        for n in (MAX_ENUMERATION_DEPTH, MAX_ENUMERATION_DEPTH + 1):
+            for argv in schedule_argvs("explicit:" + "0.5," * (n - 1) + "1.5;mode=additive"):
+                assert cli.main(argv) == 3
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"error: rate a({n}) must lie in [0, 1), got 1.5\n"
 
     def test_out_of_memory_exits_three(self, monkeypatch, capsys):
         # A step of 1e-9 asks linspace for 8e9 points; fake its failure.
@@ -480,7 +511,7 @@ class TestFlagSurface:
     def test_rate_errors_of_the_build_precede_the_additive_rule(self, capsys):
         # Rate 3 is 1.125; the power rule would fail first at position 2.
         assert cli.main(["moments", "--schedule",
-                         "bleed:a1=0.5,lambda=1.5,N=5;mode=additive"]) == 3
+                         "explicit:0.5,0.75,1.125,1.6875,2.53125;mode=additive"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: rate a(3) must lie in [0, 1), got 1.125\n"

@@ -14,8 +14,10 @@ from pathlib import Path
 import pytest
 
 from branchvol import cli
+from branchvol.branching import parse_schedule
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # name -> argv; the first six are the README command-line examples.
 BYTE_EXACT = {
@@ -82,6 +84,24 @@ def _golden(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(BYTE_EXACT))
 def test_byte_identical(name):
     assert _stdout(BYTE_EXACT[name]) == _golden(name)
+
+
+def _readme_lines() -> list[str]:
+    return README.read_text().splitlines()
+
+
+def test_readme_examples_are_the_golden_cases():
+    examples = [line.split()[1:] for line in _readme_lines() if line.startswith("branchvol ")]
+    assert examples == [argv for name, argv in BYTE_EXACT.items() if name.startswith("readme_")]
+
+
+def test_readme_schedule_grammar_parses():
+    lines = _readme_lines()
+    start = lines.index("```", lines.index("Schedule grammar:")) + 1
+    block = lines[start:lines.index("```", start)]
+    assert len(block) >= 4
+    for line in block:
+        parse_schedule(line.partition("#")[0])
 
 
 if __name__ == "__main__":
