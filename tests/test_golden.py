@@ -66,6 +66,9 @@ BYTE_EXACT = {
                             "--k=-2,0,3,50"],
     "wide_bleed_loglog": ["loglog", "--schedule", "bleed:a1=0.3,lambda=0.8,N=14",
                           "--x", "2:50:8"],
+    # Exact sums of up to 2^18 terms.
+    "wide18_bleed_exceed": ["exceed", "--schedule", "bleed:a1=0.2,lambda=0.9,N=18",
+                            "--k", "3,10,50"],
 }
 
 
