@@ -66,9 +66,106 @@ def _slices(n: int, size: int = _CHUNK):
     return (slice(i, i + size) for i in range(0, n, size))
 
 
+# Sums of at most this many elements go to math.fsum, which is faster on
+# most of them (measured on the benchmark's own sums; the bucket sum has a
+# fixed cost of about 50 us).
+_FSUM_MAX = 1024
+# Elements per bucket-sum batch: the temporaries stay in cache, and every
+# bucket holds far fewer than the 2^26 elements below which its float64 sum
+# is exact.
+_BATCH = 2**14
+# Batches holding an element this large, an inf or a nan go to math.fsum:
+# fewer than 2^63 smaller elements cannot sum past the double range.
+_BIG = 2.0**960
+# frexp exponents run from -1073 (the smallest subnormal) to 1024. Bucket
+# b = e + 1073 holds elements m * 2^(b - _SHIFT), m the 53-bit integer
+# mantissa, so the sum is sum(bucket sums * 2^b) / 2^_SHIFT.
+_EXP_BIAS = 1073
+_SHIFT = _EXP_BIAS + 53
+_BUCKETS = 2098
+# Room for the high mantissa halves (26 buckets up) and one 32-bit carry,
+# rounded up to whole 8-bucket limbs.
+_LIMBS = (_BUCKETS + 26 + 32 + 7) // 8
+_LIMB_WEIGHTS = 1 << np.arange(8, dtype=np.int64)
+
+
+def _batches(arrays):
+    """The elements of arrays, in order, in arrays of _BATCH elements (the
+    last may be shorter)."""
+    pending, size = [], 0
+    for a in arrays:
+        pending.append(a)
+        size += a.size
+        if size >= _BATCH:
+            x = np.concatenate(pending) if len(pending) > 1 else a
+            full = size - size % _BATCH
+            yield from (x[s] for s in _slices(full, _BATCH))
+            pending, size = [x[full:]], size - full
+    if size:
+        yield np.concatenate(pending)
+
+
+def _add_buckets(acc: np.ndarray, x: np.ndarray) -> None:
+    # Split each mantissa m into m = 2^26 hi + lo with 0 <= lo < 2^26 and
+    # sum each half per exponent: integers of at most 2^41, so exact.
+    f, e = np.frexp(x)
+    e += _EXP_BIAS
+    f *= 2.0**27
+    hi = np.floor(f)
+    f -= hi
+    f *= 2.0**26
+    acc[:_BUCKETS] += np.bincount(e, f, _BUCKETS).astype(np.int64)
+    acc[26 : _BUCKETS + 26] += np.bincount(e, hi, _BUCKETS).astype(np.int64)
+
+
+def _bucket_total(acc: np.ndarray) -> int:
+    # sum(acc[b] * 2^b) as a Python int. One carry leaves every bucket
+    # below 2^33 in magnitude; 8 buckets fold into one int64 limb, and the
+    # limbs' 8 byte planes each read as one little-endian int. A negative
+    # limb's bytes read as limb + 2^64, which the last line takes back.
+    carry = acc >> 32
+    acc &= 0xFFFFFFFF
+    acc[32:] += carry[:-32]
+    limbs = (acc.reshape(-1, 8) @ _LIMB_WEIGHTS).astype("<i8")
+    planes = limbs.view(np.uint8).reshape(-1, 8).T.tobytes()
+    total = sum(
+        int.from_bytes(planes[k * _LIMBS : (k + 1) * _LIMBS], "little") << 8 * k
+        for k in range(8)
+    )
+    return total - (int.from_bytes((limbs < 0).tobytes(), "little") << 64)
+
+
+def _expansion(total: int) -> list[float]:
+    # Doubles whose exact sum is total / 2^_SHIFT, largest first.
+    parts = []
+    while total:
+        parts.append(total / (1 << _SHIFT))
+        num, den = parts[-1].as_integer_ratio()
+        total -= num << (_SHIFT - den.bit_length() + 1)
+    return parts
+
+
 def _fsum(arrays) -> float:
-    """Exact sum of the elements of an iterable of float arrays, in any order."""
-    return math.fsum(chain.from_iterable(a.tolist() for a in arrays))
+    """math.fsum of the elements of an iterable of float arrays, bit for bit.
+
+    Past _FSUM_MAX elements the sum is exact in exponent buckets (Neal's
+    superaccumulator, arXiv:1505.05571): numpy sums the integer mantissa
+    halves per exponent, Python ints combine the buckets, and one int/int
+    division rounds once, correctly, as math.fsum does. A batch holding an
+    inf, a nan or an element of 2^960 or more hands the rest to math.fsum,
+    with the batches before it entering as their exact sum.
+    """
+    batches = _batches(arrays)
+    first = next(batches, np.empty(0))
+    if first.size <= _FSUM_MAX:
+        return math.fsum(first.tolist())
+    acc = np.zeros(8 * _LIMBS, dtype=np.int64)
+    for x in chain([first], batches):
+        if not (-_BIG < x.min() and x.max() < _BIG):
+            rest = chain.from_iterable(b.tolist() for b in chain([x], batches))
+            return math.fsum(chain(_expansion(_bucket_total(acc)), rest))
+        _add_buckets(acc, x)
+    return _bucket_total(acc) / (1 << _SHIFT)
 
 
 def density(mixture: MixtureDistribution, x) -> float | np.ndarray:
@@ -167,7 +264,7 @@ def _logsumexp(terms: np.ndarray) -> float:
     m = float(terms.max())
     if m == -math.inf:
         return -math.inf
-    # Differences below _EXP_ZERO exponentiate to 0.0, which fsum ignores.
+    # Differences below _EXP_ZERO exponentiate to 0.0, which adds nothing.
     diffs = (terms[s] - m for s in _slices(terms.size))
     return m + math.log(_fsum(np.exp(d[d >= _EXP_ZERO]) for d in diffs))
 

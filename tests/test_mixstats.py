@@ -4,6 +4,7 @@ import gc
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -520,6 +521,82 @@ class TestPairwiseSum:
     def test_the_data_tells_split_orders_apart(self, n):
         a = _order_data(n)
         assert _halving_sum(lambda i, j: float(np.sum(a[i:j])), 0, n) != np.sum(a)
+
+
+def _sum_data(kind, n):
+    rng = np.random.default_rng(n)
+    if kind == "signed":
+        return rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 12, n)
+    if kind == "subnormal":  # multiples of 2^-1074, subnormal and just above
+        return rng.integers(-(2**54), 2**54, n) * 5e-324
+    if kind == "cancelling":  # x and -x, plus one ulp of the largest x
+        x = rng.standard_normal(n // 2) * 10.0 ** rng.uniform(-8, 8, n // 2)
+        a = np.concatenate([x, -x, [math.ulp(np.abs(x).max())] * (n % 2)])
+        rng.shuffle(a)
+        return a
+    if kind == "spread600":
+        return rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)
+    return np.zeros(n)
+
+
+def _chunked(a, shape):
+    # One array, or many 1-200-element chunks as pruned grouped sums arrive.
+    if shape == "one":
+        return [a]
+    cuts = np.cumsum(np.random.default_rng(a.size).integers(1, 201, a.size))
+    return np.split(a, cuts[cuts < a.size])
+
+
+def _outcome(total):
+    # The bits of a sum, or the exception it raised.
+    try:
+        return total().hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+class TestExactSum:
+    """_fsum gives math.fsum's bits, inf, nan or exception, on either side
+    of the size past which it sums in exponent buckets."""
+
+    T = mixstats._FSUM_MAX
+
+    @pytest.mark.parametrize("shape", ["one", "small"])
+    @pytest.mark.parametrize("n", [T - 1, T, T + 1, 3 * mixstats._BATCH + 5])
+    @pytest.mark.parametrize("kind", ["signed", "subnormal", "cancelling", "spread600",
+                                      "zeros"])
+    def test_bits_match_math_fsum(self, kind, n, shape):
+        a = _sum_data(kind, n)
+        expected = math.fsum(a.tolist())
+        got = mixstats._fsum(iter(_chunked(a, shape)))
+        assert got.hex() == expected.hex()
+
+    def test_empty_input_sums_to_zero(self):
+        for arrays in ([], [np.empty(0)], [np.empty(0)] * 3):
+            assert mixstats._fsum(iter(arrays)).hex() == (0.0).hex()
+
+    def test_many_equal_terms_round_once(self):
+        # 2^24 + 5 copies of 1 - 2^-53: the exact sum lies just below a
+        # halfway point between two doubles.
+        n = 2**24 + 5
+        term = 1.0 - 2.0**-53
+        expected = float(n * Fraction(term))
+        assert mixstats._fsum(iter([np.full(n, term)])) == expected
+
+    @pytest.mark.parametrize("shape", ["one", "small"])
+    @pytest.mark.parametrize("special", [
+        [math.inf], [-math.inf], [math.nan], [math.inf, math.nan], [math.inf, -math.inf],
+        [1e308, 1e308, -1e308], [1e308, -1e308, 1e308], [2.0**960, 1.0], [2.0**960, -2.0**960],
+    ], ids=["inf", "-inf", "nan", "inf-nan", "inf-inf", "overflow", "no-overflow", "big",
+            "big-cancels"])
+    @pytest.mark.parametrize("where", ["first", "later"])
+    def test_non_finite_and_huge_terms_follow_math_fsum(self, special, where, shape):
+        # Later, the small terms cancel: the batches before a huge one must
+        # enter math.fsum as their exact sum, not a rounded one.
+        small = _sum_data("signed", 3 * mixstats._BATCH + 1)
+        a = np.concatenate([special, small] if where == "first" else [small, special, -small])
+        expected = _outcome(lambda: math.fsum(a.tolist()))
+        assert _outcome(lambda: mixstats._fsum(iter(_chunked(a, shape)))) == expected
 
 
 def _full_length_scale_power(mixture, m):
