@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from ._checks import check_order
 from .branching import MixtureDistribution
 from .mixstats import _LEAF, _pairwise_sum
 
-_BRANCH_COUNT_LIMIT = 2**16
 _BLOCK = 1 << 20
 
 
@@ -55,18 +54,12 @@ class MCSummary:
     # the SE of moment k, and x^4, x^6, x^8 the kurtosis and its SE.
     power_sums: np.ndarray
     exceed_counts: dict[float, int]
-    branch_counts: np.ndarray | None = field(default=None)
 
     def merge(self, other: "MCSummary") -> "MCSummary":
         """Combine two runs; addition of sufficient statistics, so the merge
         is associative and order-insensitive up to float rounding."""
         if self.moment_orders != other.moment_orders or self.thresholds != other.thresholds:
             raise ValueError("cannot merge summaries with different targets")
-        counts = None
-        if self.branch_counts is not None and other.branch_counts is not None:
-            if self.branch_counts.shape != other.branch_counts.shape:
-                raise ValueError("cannot merge summaries over different mixtures")
-            counts = self.branch_counts + other.branch_counts
         return MCSummary(
             n=self.n + other.n,
             seeds=self.seeds + other.seeds,
@@ -77,7 +70,6 @@ class MCSummary:
                 k: self.exceed_counts[k] + other.exceed_counts[k]
                 for k in self.exceed_counts
             },
-            branch_counts=counts,
         )
 
 
@@ -93,13 +85,9 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
     if np.any(mixture.log_weights != mixture.log_weights[0]):
         raise ValueError("sample needs equal component weights; got a weighted mixture")
     rng = np.random.default_rng(spec.seed)
-    n_comp = mixture.n_components
     n_pow = 2 * max((4, *spec.moment_orders)) + 1
     power_sums = np.zeros(n_pow)
     exceed = {k: 0 for k in spec.thresholds}
-    counts = (
-        np.zeros(n_comp, dtype=np.int64) if n_comp <= _BRANCH_COUNT_LIMIT else None
-    )
     z = np.empty(min(_BLOCK, spec.n_samples))
     x = np.empty(min(_LEAF, z.size))
     powers = np.empty(x.size)
@@ -126,10 +114,8 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
     remaining = spec.n_samples
     while remaining:
         m = min(_BLOCK, remaining)
-        idx = rng.integers(0, n_comp, size=m)
+        idx = rng.integers(0, mixture.n_components, size=m)
         zb = rng.standard_normal(out=z[:m])
-        if counts is not None:
-            counts += np.bincount(idx, minlength=n_comp)
         sums = _pairwise_sum(leaf, 0, m)
         power_sums += sums[:n_pow]
         for t, k in enumerate(exceed, start=n_pow):
@@ -142,7 +128,6 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
         thresholds=spec.thresholds,
         power_sums=power_sums,
         exceed_counts=exceed,
-        branch_counts=counts,
     )
 
 

@@ -35,7 +35,8 @@ class TestDeterminism:
         s1 = sample(mix, spec)
         s2 = sample(mix, spec)
         assert np.array_equal(s1.power_sums, s2.power_sums)
-        assert np.array_equal(s1.branch_counts, s2.branch_counts)
+        # Both follow the seed's stream: branch indices, then normals.
+        assert np.array_equal(s1.power_sums, _replay_power_sums(mix, 50_000, 123)[:9])
         assert s1.exceed_counts == s2.exceed_counts
         r1, r2 = estimate(s1), estimate(s2)
         assert r1.to_json() == r2.to_json()
@@ -103,15 +104,12 @@ class TestLeaves:
         thresholds = (0.5, 2.0)
         summary = sample(self.MIX, SampleSpec(n_samples=self.N, seed=17, thresholds=thresholds))
         rng = np.random.default_rng(17)
-        counts = np.zeros(self.MIX.n_components, dtype=np.int64)
         exceed = dict.fromkeys(thresholds, 0)
         for m in (1 << 20, 5):
             idx = rng.integers(0, self.MIX.n_components, size=m)
             x = self.MIX.mu + self.MIX.sigma * self.MIX.scales[idx] * rng.standard_normal(m)
-            counts += np.bincount(idx, minlength=self.MIX.n_components)
             for k in thresholds:
                 exceed[k] += int(np.count_nonzero(x > k))
-        assert np.array_equal(summary.branch_counts, counts)
         assert summary.exceed_counts == exceed
 
     def test_peak_memory_is_the_block_draws(self):
@@ -220,10 +218,14 @@ class TestBranchUniformity:
         for n in (4, 8):
             mix = _mix(0.1, n)
             summary = sample(mix, SampleSpec(n_samples=1_000_000, seed=31))
+            # The sampler draws the seed's branch indices first; replay them.
+            assert np.array_equal(summary.power_sums, _replay_power_sums(mix, summary.n, 31)[:9])
+            idx = np.random.default_rng(31).integers(0, mix.n_components, size=summary.n)
+            counts = np.bincount(idx, minlength=mix.n_components)
             p = 2.0**-n
             se = math.sqrt(p * (1 - p) * summary.n)
             expected = summary.n * p
-            assert np.all(np.abs(summary.branch_counts - expected) < 5.0 * se)
+            assert np.all(np.abs(counts - expected) < 5.0 * se)
 
 
 class TestMerge:
