@@ -120,9 +120,10 @@ def _add_buckets(acc: np.ndarray, x: np.ndarray) -> None:
 
 def _bucket_total(acc: np.ndarray) -> int:
     # sum(acc[b] * 2^b) as a Python int. One carry leaves every bucket
-    # below 2^33 in magnitude; 8 buckets fold into one int64 limb, and the
-    # limbs' 8 byte planes each read as one little-endian int. A negative
-    # limb's bytes read as limb + 2^64, which the last line takes back.
+    # below 2^33 in magnitude, so the fold of 8 buckets into one int64 limb
+    # cannot overflow however many elements were summed; the limbs' 8 byte
+    # planes each read as one little-endian int. A negative limb's bytes
+    # read as limb + 2^64, which the last line takes back.
     carry = acc >> 32
     acc &= 0xFFFFFFFF
     acc[32:] += carry[:-32]
