@@ -23,8 +23,23 @@ MAX_ENUMERATION_DEPTH = 24
 """Largest depth for which the 2^N branches are materialized explicitly."""
 
 _LN2 = math.log(2.0)
+_LN_2PI = math.log(2.0 * math.pi)
 _LN_MAX = math.log(sys.float_info.max)
 _EXACT_BINOM_LIMIT = 300
+
+# Loader's saddle-point binomial (C. Loader, "Fast and Accurate Computation
+# of Binomial Probabilities", 2000; R's dbinom). stirlerr(k) = ln k! -
+# (k + 1/2) ln k + k - ln(2 pi)/2: a table for k <= 15 (k = 0 unused), then
+# its Stirling series with as many terms as each range needs.
+_STIRLERR = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+_STIRLING = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
+_STIRLING_TERMS = ((35.0, 5), (80.0, 4), (500.0, 3), (math.inf, 2))  # k <= cut: terms
 
 
 class Mode(Enum):
@@ -216,6 +231,99 @@ def build_mixture(base: GaussianBase, schedule: ErrorSchedule) -> MixtureDistrib
     )
 
 
+def _stirlerr(k: np.ndarray) -> np.ndarray:
+    """stirlerr at the ascending integers k >= 1: the table up to 15, then
+    one slice per series length."""
+    out = np.empty_like(k)
+    lo = int(np.searchsorted(k, 15.0, "right"))
+    out[:lo] = _STIRLERR[k[:lo].astype(np.intp)]
+    for cut, terms in _STIRLING_TERMS:
+        hi = int(np.searchsorted(k, cut, "right"))
+        if hi > lo:
+            x, o = k[lo:hi], out[lo:hi]
+            x2 = x * x
+            o.fill(_STIRLING[terms - 1])
+            for c in _STIRLING[terms - 2::-1]:  # Horner's rule in 1/k^2
+                o /= x2
+                np.subtract(c, o, out=o)
+            o /= x
+        lo = hi
+    return out
+
+
+def _bd0_series(x: np.ndarray, m: float) -> np.ndarray:
+    """bd0(x, m) = x ln(x/m) + m - x where |x - m| < (x + m)/10, from its
+    series in v = (x - m)/(x + m). Eight terms: the ninth is below 1e-18
+    of the sum, since v^2 < 1/100."""
+    d = x - m
+    v = d / (x + m)
+    s = d * v
+    e = 2.0 * x * v
+    v *= v
+    for k in range(3, 19, 2):
+        e *= v
+        s += e / k
+    return s
+
+
+def _log_binomial_halves(n: int) -> np.ndarray:
+    """ln C(n, j) 2^-n for j = 0..n//2: -n ln 2 at j = 0 and, above it,
+    Loader's stirlerr(n) - stirlerr(j) - stirlerr(n-j) - bd0(j, n/2)
+    - bd0(n-j, n/2) - (ln 2 pi + ln(j (n-j)/n))/2. Where j <= 9n/22, the
+    two bd0 sum to j log1p(d) + (n-j) log1p(-d), d = (j - n/2)/(n/2): their
+    m - x terms cancel exactly, and log1p keeps digits that ln(x/m) loses
+    near the switch to the series."""
+    h, m, r = n // 2, n / 2.0, 9 * n // 22
+    half = np.empty(h + 1)
+    half[0] = -(n * _LN2)
+    w = half[1:]
+    k = np.arange(1.0, n + 1.0)  # k[i] = i + 1
+    minus = slice(n - 2, n - h - 2, -1)  # n - j for j = 1..h
+    x, y = k[:h], k[minus]
+    st = _stirlerr(k)
+    np.subtract(st[-1], st[:h], out=w)
+    w -= st[minus]
+    t = st[:h]  # scratch from here on
+    np.multiply(x, y, out=t)
+    t /= n
+    np.log(t, out=t)
+    t += _LN_2PI
+    t *= 0.5
+    w -= t
+    d = np.subtract(x[:r], m, out=t[:r])
+    d /= m
+    up = np.log1p(d)
+    up *= x[:r]
+    np.negative(d, out=d)
+    np.log1p(d, out=d)
+    d *= y[:r]
+    d += up
+    w[:r] -= d
+    b = _bd0_series(np.concatenate((x[r:], y[r:])), m)
+    w[r:] -= b[:h - r]
+    w[r:] -= b[h - r:]
+    return half
+
+
+def _binomial_log_weights(n: int) -> np.ndarray:
+    """ln C(n, j) 2^-n for j = 0..n, from the half j <= n/2 mirrored."""
+    h = n // 2
+    if n <= _EXACT_BINOM_LIMIT:
+        # Exact binomials (they enter 1e-12 equivalence checks): math.comb's
+        # integers by the recurrence C(n, i+1) = C(n, i) (n - i) / (i + 1).
+        c, log_binom = 1, []
+        for i in range(h + 1):
+            log_binom.append(math.log(c))
+            c = c * (n - i) // (i + 1)
+        half = np.array(log_binom) - n * _LN2
+    else:
+        half = _log_binomial_halves(n)
+    out = np.empty(n + 1)
+    out[:h + 1] = half
+    out[n - h:] = half[::-1]
+    return out
+
+
 def group_mixture(base: GaussianBase, a: float, n: int) -> MixtureDistribution:
     """The depth-n constant-rate mixture as its n + 1 binomial classes.
 
@@ -225,23 +333,12 @@ def group_mixture(base: GaussianBase, a: float, n: int) -> MixtureDistribution:
     """
     check_rate(a)
     check_depth(n)
+    log_weights = _binomial_log_weights(n)  # first: its scratch is gone before the scales
     j = np.arange(n + 1, dtype=np.float64)
     log_scales = j * math.log1p(a)
     log_scales += np.multiply(n - j, math.log1p(-a), out=j)
     with np.errstate(over="ignore"):
         scales = np.exp(log_scales)
-    # Exact big-int binomials up to _EXACT_BINOM_LIMIT (they enter 1e-12
-    # equivalence checks); lgamma beyond it, where they would cost O(n^2).
-    if n <= _EXACT_BINOM_LIMIT:
-        log_binom = (math.log(math.comb(n, i)) for i in range(n + 1))
-        log_weights = np.fromiter((lb - n * _LN2 for lb in log_binom), np.float64, n + 1)
-    else:
-        # One table lg[i] = ln i!; ln (n - i)! is lg[n - i]. The three
-        # subtractions keep their per-class order, so every bit is the same.
-        lg = np.fromiter(map(math.lgamma, range(1, n + 2)), np.float64, n + 1)
-        log_weights = lg[-1] - lg
-        log_weights -= lg[::-1]
-        log_weights -= n * _LN2
     return MixtureDistribution(base.mu, base.sigma, scales, log_scales, 1.0, log_weights)
 
 

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from itertools import islice, product
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -308,26 +309,51 @@ class TestGroupMixture:
         assert mix.n_components == 10_001
         assert mix.scales[0] == 0.0 and mix.scales[-1] == math.inf
         assert np.all(np.isfinite(mix.log_scales))
-        assert math.isclose(math.fsum(np.exp(mix.log_weights)), 1.0, rel_tol=1e-9)
+        assert math.isclose(math.fsum(np.exp(mix.log_weights)), 1.0, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("n", [301, 1000, 10_000, 100_000])
+    def test_weights_sum_to_one(self, n):
+        total = math.fsum(np.exp(group_mixture(GaussianBase(), 0.1, n).log_weights))
+        assert abs(total - 1.0) <= 4.4e-16
 
     @pytest.mark.parametrize("n", [300, 301, 1000, 4097, 20000])
     def test_weights_and_scales_pinned_per_class(self, n):
-        # Bit-for-bit against a per-class reference: exact binomials up to
-        # 300, three lgamma terms subtracted left to right above it.
+        # Up to 300, bit for bit against the exact binomials. Above it,
+        # against 40-digit mpmath on classes at both ends, at the stirlerr
+        # cut points (of j and of n - j), on both sides of the bd0 series
+        # switch at 9n/22, and at the mode; and exactly symmetric.
         a, ln2 = 0.1, math.log(2.0)
         mix = group_mixture(GaussianBase(), a, n)
         if n <= 300:
             log_binom = [math.log(math.comb(n, i)) for i in range(n + 1)]
+            assert np.array_equal(mix.log_weights, [lb - n * ln2 for lb in log_binom])
         else:
-            lg = math.lgamma(n + 1)
-            log_binom = [lg - math.lgamma(i + 1) - math.lgamma(n - i + 1)
-                         for i in range(n + 1)]
-        assert np.array_equal(mix.log_weights, [lb - n * ln2 for lb in log_binom])
+            assert np.array_equal(mix.log_weights, mix.log_weights[::-1])
+            switch = 9 * n // 22
+            near = [0, 1, 2, 15, 16, 35, 36, 80, 81, 500, 501,
+                    switch - 1, switch, switch + 1, switch + 2, n // 2, (n + 1) // 2]
+            classes = sorted({j for i in near for j in (i, n - i) if 0 <= j <= n})
+            with mpmath.workdps(40):
+                for j in classes:
+                    ref = mpmath.log(mpmath.binomial(n, j)) - n * mpmath.log(2)
+                    tol = 1e-14 * max(1.0, abs(float(ref)))
+                    assert abs(mix.log_weights[j] - ref) <= tol, j
         log_scales = np.array([i * math.log1p(a) + (n - i) * math.log1p(-a)
                                for i in range(n + 1)])
         assert np.array_equal(mix.log_scales, log_scales)
         with np.errstate(over="ignore"):
             assert np.array_equal(mix.scales, np.exp(log_scales))
+
+    def test_peak_memory_of_a_deep_build(self):
+        # The weights' scratch is freed before the scale arrays exist: the
+        # peak is the four (n + 1)-length arrays of the scale phase.
+        tracemalloc.start()
+        try:
+            group_mixture(GaussianBase(), 0.1, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.3 * 2**20
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -53,7 +53,8 @@ BYTE_EXACT = {
     "three_block_validate": ["validate", "--schedule", "bleed:a1=0.2,lambda=0.9,N=12",
                              "--n-samples", "3000001", "--orders", "1,2,3,4,5,6,7,8",
                              "--seed", "5"],
-    # Grouped classes past n = 300, where the log-weights come from lgamma.
+    # Grouped classes past n = 300, where the log-weights come from Loader's
+    # saddle point, not exact binomials.
     "grouped_exceed": ["exceed", "--schedule", "constant:a=0.1,N=100000", "--k", "3,10"],
     "grouped_loglog": ["loglog", "--schedule", "constant:a=0.1,N=10000", "--x", "2:12:5"],
     "grouped_density": ["density", "--schedule", "constant:a=0.2,N=2000", "--x=-4:4:1"],

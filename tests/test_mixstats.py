@@ -148,12 +148,12 @@ class TestDensity:
 
     def test_deep_grouped_density_without_overflow_warnings(self):
         # Classes with scales near e^-446 put z * z past the double range off
-        # the centre; that must give 0 quietly. 1e-9: lgamma weights past n = 300.
+        # the centre; that must give 0 quietly.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             vals = density(group_mixture(BASE, 0.2, 2000), [0.0, 1.0])
         for x, val in zip((0.0, 1.0), vals):
-            assert math.isclose(val, float(_mp_grouped_density(0.2, 2000, x)), rel_tol=1e-9)
+            assert math.isclose(val, float(_mp_grouped_density(0.2, 2000, x)), rel_tol=1e-12)
 
     def test_components_outside_the_double_range_are_kept(self):
         # sigma = e^-710 and weight e^-720 dominate nothing off the centre
@@ -172,7 +172,7 @@ class TestDensity:
             warnings.simplefilter("error")
             vals = density(mix, [0.0, 5.0])
         assert vals[0] == math.inf
-        assert math.isclose(vals[1], float(_mp_grouped_density(0.9, 3000, 5.0)), rel_tol=1e-9)
+        assert math.isclose(vals[1], float(_mp_grouped_density(0.9, 3000, 5.0)), rel_tol=1e-12)
 
 
 class TestExceedance:
@@ -204,8 +204,8 @@ class TestExceedance:
         ref = 0.5 * math.erfc(2.0 / math.sqrt(2))
         for n in (0, 3, 50):
             assert math.isclose(exceedance(group_mixture(BASE, 0.0, n), 2.0), ref, rel_tol=1e-12)
-        # Depths past the exact-binomial limit go through lgamma weights.
-        assert math.isclose(exceedance(group_mixture(BASE, 0.0, 1000), 2.0), ref, rel_tol=1e-11)
+        # Depths past the exact-binomial limit take saddle-point weights.
+        assert math.isclose(exceedance(group_mixture(BASE, 0.0, 1000), 2.0), ref, rel_tol=1e-14)
 
     def test_supports_very_deep_recursion(self):
         val = exceedance(group_mixture(BASE, 0.01, 10_000), 3.0)
@@ -215,10 +215,20 @@ class TestExceedance:
 
     def test_grouped_scales_past_the_double_range(self):
         # Classes at both ends of depth 10^4 have scales of 0 and inf; their
-        # log scales keep the tails exact.
+        # log scales keep the tails exact. References: 50-digit mpmath over
+        # the classes within 80 nats of the largest term.
         mix = group_mixture(BASE, 0.1, 10_000)
-        assert math.isclose(exceedance(mix, 3.0), 6.264948198654956e-08, rel_tol=1e-12)
-        assert math.isclose(log_exceedance(mix, 3.0), -16.585710424009633, rel_tol=1e-12)
+        assert math.isclose(exceedance(mix, 3.0), 6.2649481987335951e-08, rel_tol=1e-12)
+        assert math.isclose(log_exceedance(mix, 3.0), -16.585710423997081, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("n", [301, 1000, 5000, 30000])
+    def test_grouped_tails_at_plus_and_minus_k_sum_to_one(self, n):
+        # X - mu is symmetric, so P(X > k) + P(X > -k) = 1, to one ulp when
+        # the class weights sum to 1.
+        for a in (0.1, 0.3):
+            mix = group_mixture(BASE, a, n)
+            for k in (0.0, 0.5, 2.0, 3.0):
+                assert abs(exceedance(mix, k) + exceedance(mix, -k) - 1.0) <= math.ulp(1.0)
 
     def test_base_sigma_near_the_double_limit(self):
         # sigma * scale overflows for the wider components: their tail is 1/2
@@ -405,7 +415,7 @@ class TestPrunedTails:
         assert sum(evaluated) < 0.1 * mix.n_components
         monkeypatch.undo()
         assert val == _unpruned_log_exceedance(mix, 3.0)
-        assert math.isclose(val, -130.5977324757, rel_tol=1e-12)
+        assert math.isclose(val, -130.59773247585449, rel_tol=1e-12)  # 50-digit mpmath
 
 
 class TestConvexityRatio:
@@ -476,7 +486,7 @@ class TestMoments:
             assert math.isclose(
                 mixture_raw_moment(mix, order),
                 moment_constant_a(order, 0.0, 1.0, 0.1, 10_000),
-                rel_tol=1e-9,
+                rel_tol=1e-13,
             )
         for order in (6, 8):
             assert mixture_raw_moment(mix, order) == math.inf
