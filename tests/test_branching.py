@@ -316,7 +316,7 @@ class TestGroupMixture:
         total = math.fsum(np.exp(group_mixture(GaussianBase(), 0.1, n).log_weights))
         assert abs(total - 1.0) <= 4.4e-16
 
-    @pytest.mark.parametrize("n", [300, 301, 1000, 4097, 20000])
+    @pytest.mark.parametrize("n", [1, 2, 299, 300, 301, 1000, 4097, 20000])
     def test_weights_and_scales_pinned_per_class(self, n):
         # Up to 300, bit for bit against the exact binomials. Above it,
         # against 40-digit mpmath on classes at both ends, at the stirlerr
