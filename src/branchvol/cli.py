@@ -189,10 +189,8 @@ def cmd_exceed(args) -> int:
     depths = _n_list(args, spec)
     rows = []
     for n in depths:
-        mixture = _mixture(base, spec, n)
-        for k in thresholds:
-            log_p = mixstats.log_exceedance(mixture, k)
-            rows.append([n, k, math.exp(log_p), log_p])
+        log_ps = mixstats.log_exceedance(_mixture(base, spec, n), thresholds).tolist()
+        rows.extend([n, k, math.exp(log_p), log_p] for k, log_p in zip(thresholds, log_ps))
     _emit(args, "exceed", ["N", "K", "p_exceed", "ln_p"], rows)
     return 0
 
@@ -206,8 +204,8 @@ def cmd_ratio_table(args) -> int:
     rows = []
     for a in rates:
         for n in depths:
-            mixture = group_mixture(base, a, n)
-            rows.append([a, n] + [mixstats.convexity_ratio(mixture, k) for k in thresholds])
+            ratios = mixstats.convexity_ratio(group_mixture(base, a, n), thresholds)
+            rows.append([a, n] + ratios.tolist())
     _emit(args, "ratio-table", columns, rows)
     return 0
 

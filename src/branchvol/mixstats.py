@@ -23,6 +23,7 @@ _LN2 = math.log(2.0)
 _LN_HALF = -_LN2
 _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+_LN_SQRT_TWO_OVER_PI = 0.5 * math.log(2.0 / math.pi)
 _LN_SQRT_TWO_PI = math.log(_SQRT_TWO_PI)
 
 _CHUNK = 4096
@@ -33,11 +34,16 @@ _GRID_BLOCK = 256
 # in log space: their sigma or weight leaves the double range.
 _DENSITY_LINEAR_LIMIT = 700.0
 
-# exp(d) is exactly 0.0 below d = -745.13. Log-tail terms that provably lie
-# this far below another term add nothing to the sum and are skipped; the
-# margin covers rounding in the bounds while terms stay above _PRUNE_FLOOR.
-_PRUNE_GAP = 750.0
-_PRUNE_FLOOR = -1e15
+# Past this many components, log_exceedance bounds every term first and
+# skips the terms that provably cannot move the rounded sum; at or below it,
+# every threshold and component goes through one table pass.
+_CUT = 256
+# Terms whose bound lies this many nats below the anchor term are skipped.
+_GAP = 60.0
+# Past this |anchor| an ulp of a term reaches 0.125, and rounding in the
+# bounds could outgrow the e^1 margin of the slack: nothing is skipped.
+_PRUNE_LIMIT = 1e15
+# exp(d) is exactly 0.0 below d = -745.13.
 _EXP_ZERO = -746.0
 
 
@@ -146,6 +152,18 @@ def _expansion(total: int) -> list[float]:
     return parts
 
 
+def _bucket_sum(batches) -> tuple[int, np.ndarray | None]:
+    # The exact sum of the batches times 2^_SHIFT, up to the first batch
+    # holding an inf, a nan or an element of 2^960 or more; that batch too,
+    # or None when there was none.
+    acc = np.zeros(8 * _LIMBS, dtype=np.int64)
+    for x in batches:
+        if not (-_BIG < x.min() and x.max() < _BIG):
+            return _bucket_total(acc), x
+        _add_buckets(acc, x)
+    return _bucket_total(acc), None
+
+
 def _fsum(arrays) -> float:
     """math.fsum of the elements of an iterable of float arrays, bit for bit.
 
@@ -160,13 +178,33 @@ def _fsum(arrays) -> float:
     first = next(batches, np.empty(0))
     if first.size <= _FSUM_MAX:
         return math.fsum(first.tolist())
-    acc = np.zeros(8 * _LIMBS, dtype=np.int64)
-    for x in chain([first], batches):
-        if not (-_BIG < x.min() and x.max() < _BIG):
-            rest = chain.from_iterable(b.tolist() for b in chain([x], batches))
-            return math.fsum(chain(_expansion(_bucket_total(acc)), rest))
-        _add_buckets(acc, x)
-    return _bucket_total(acc) / (1 << _SHIFT)
+    total, bad = _bucket_sum(chain([first], batches))
+    if bad is None:
+        return total / (1 << _SHIFT)
+    rest = chain.from_iterable(b.tolist() for b in chain([bad], batches))
+    return math.fsum(chain(_expansion(total), rest))
+
+
+def _fsum_pair(arrays, slack: float) -> tuple[float, float] | None:
+    """(math.fsum(xs), math.fsum(xs + [slack])) for the elements xs of an
+    iterable of float arrays, from one exact sum; None ("not proven") when
+    slack or an element is an inf, a nan or of 2^960 or more in magnitude."""
+    if not -_BIG < slack < _BIG:
+        return None
+    batches = _batches(arrays)
+    first = next(batches, np.empty(0))
+    if first.size <= _FSUM_MAX:
+        if first.size and not (-_BIG < first.min() and first.max() < _BIG):
+            return None
+        xs = first.tolist()
+        r = math.fsum(xs)
+        xs.append(slack)
+        return r, math.fsum(xs)
+    total, bad = _bucket_sum(chain([first], batches))
+    if bad is not None:
+        return None
+    num, den = slack.as_integer_ratio()  # den is at most 2^1074, so this is exact
+    return total / (1 << _SHIFT), (total + (num << _SHIFT) // den) / (1 << _SHIFT)
 
 
 def density(mixture: MixtureDistribution, x) -> float | np.ndarray:
@@ -213,21 +251,39 @@ def density(mixture: MixtureDistribution, x) -> float | np.ndarray:
     return out.reshape(x_arr.shape)
 
 
-def _check_threshold(k: float) -> None:
-    if not math.isfinite(k):
-        raise ValueError(f"threshold must be finite, got {k!r}")
+def _deltas(mixture: MixtureDistribution, k) -> np.ndarray:
+    # k - mu for a float or a 1-d array of finite thresholds, as a 1-d
+    # array. A distance past the double range is inf, whose tail is 0 or 1.
+    ks = np.asarray(k, dtype=np.float64)
+    if ks.ndim > 1:
+        raise ValueError(f"thresholds must be a float or a 1-d array, got shape {ks.shape}")
+    ks = ks.reshape(-1)
+    bad = ks[~np.isfinite(ks)]
+    if bad.size:
+        raise ValueError(f"threshold must be finite, got {float(bad[0])!r}")
+    with np.errstate(over="ignore"):
+        return ks - mixture.mu
 
 
-def _log_tails(delta: float, log_sigmas: np.ndarray) -> np.ndarray:
-    # ln P(Normal(0, sigma_i^2) > delta) with each sigma passed as its log;
-    # safe for scale factors far outside the double range.
-    if delta == 0.0:
-        return np.full(log_sigmas.shape, _LN_HALF)
-    log_abs_z = (math.log(abs(delta)) - 0.5 * _LN2) - log_sigmas
-    out = np.full(log_sigmas.shape, -math.inf if delta > 0.0 else 0.0)
+def _like(k, values: list[float]) -> float | np.ndarray:
+    # A float for a float threshold, an array for an array.
+    return values[0] if np.ndim(k) == 0 else np.array(values)
+
+
+def _log_tails(delta, log_sigmas: np.ndarray) -> np.ndarray:
+    # ln P(Normal(0, sigma_j^2) > delta) with each sigma passed as its log;
+    # safe for scale factors far outside the double range. delta is a float,
+    # or a (t, 1) column that makes a (t, n) table; math.log takes each
+    # ln|delta|. At delta = 0, ln|z| = -inf and the tail is exactly 1/2.
+    d = np.asarray(delta, dtype=np.float64)
+    ln_d = np.reshape([math.log(abs(x)) if x else -math.inf for x in d.ravel().tolist()],
+                      d.shape)
+    log_abs_z = (ln_d - 0.5 * _LN2) - log_sigmas
+    out = np.empty(log_abs_z.shape)
+    out[...] = np.where(d > 0.0, -math.inf, 0.0)
     near = log_abs_z <= 300.0
-    z = np.copysign(np.exp(log_abs_z[near]), delta)
-    out[near] = _LN_HALF + log_erfc(z)
+    sign = np.broadcast_to(d, out.shape)[near] if d.ndim else d
+    out[near] = _LN_HALF + log_erfc(np.copysign(np.exp(log_abs_z[near]), sign))
     return out
 
 
@@ -249,8 +305,7 @@ def exceedance(mixture: MixtureDistribution, k: float) -> float:
     Exact summation over all components; may underflow to 0.0 in very deep
     tails, where log_exceedance stays usable.
     """
-    _check_threshold(k)
-    delta = k - mixture.mu
+    (delta,) = _deltas(mixture, k).tolist()
     log_sigma = math.log(mixture.sigma)
     with np.errstate(over="ignore"):  # a sigma past the double range has tail 1/2
         total = _fsum(
@@ -261,13 +316,27 @@ def exceedance(mixture: MixtureDistribution, k: float) -> float:
     return min(1.0, mixture.weight * total)
 
 
+def _exp_diffs(terms: np.ndarray, m: float, keep: np.ndarray | None = None):
+    # exp(t - m) over the terms (those where keep), a chunk at a time.
+    # Differences below _EXP_ZERO exponentiate to 0.0, which adds nothing.
+    for s in _slices(terms.size):
+        d = (terms[s] if keep is None else terms[s][keep[s]]) - m
+        yield np.exp(d[d >= _EXP_ZERO])
+
+
 def _logsumexp(terms: np.ndarray) -> float:
     m = float(terms.max())
     if m == -math.inf:
         return -math.inf
-    # Differences below _EXP_ZERO exponentiate to 0.0, which adds nothing.
-    diffs = (terms[s] - m for s in _slices(terms.size))
-    return m + math.log(_fsum(np.exp(d[d >= _EXP_ZERO]) for d in diffs))
+    return m + math.log(_fsum(_exp_diffs(terms, m)))
+
+
+def _row_logsumexp(terms: np.ndarray) -> list[float]:
+    # _logsumexp of each row of a (t, n) table, n <= _CUT.
+    m = terms.max(axis=1)
+    e = np.exp(terms - np.where(m > -math.inf, m, 0.0)[:, None])
+    return [mi + math.log(math.fsum(row)) if mi > -math.inf else -math.inf
+            for mi, row in zip(m.tolist(), e.tolist())]
 
 
 def _log_tail_bounds(delta: float, log_weights: np.ndarray, log_sigmas: np.ndarray) -> np.ndarray:
@@ -280,46 +349,95 @@ def _log_tail_bounds(delta: float, log_weights: np.ndarray, log_sigmas: np.ndarr
         return log_weights + _LN_HALF - np.exp(2.0 * log_abs_z)
 
 
-def log_exceedance(mixture: MixtureDistribution, k: float) -> float:
-    """ln P(X > k), computed per component in log space, a chunk at a time.
+def _below_bound(delta: float, bound: float, log_sigma: float) -> float:
+    # A lower bound on the term ln w + ln P whose _log_tail_bounds bound is
+    # given, within ln 2 of the term. P >= 1/2 when delta <= 0. Otherwise
+    # erfc(z) > 2/sqrt(pi) exp(-z^2) / (z + sqrt(z^2 + 2)) (Abramowitz and
+    # Stegun 7.1.13), where z + sqrt(z^2 + 2) = sqrt(2) exp(asinh(z/sqrt(2))).
+    # A finite bound has z^2 in the double range, so exp(ln z) is finite.
+    if delta <= 0.0 or bound == -math.inf:
+        return bound + _LN_HALF
+    z = math.exp((math.log(delta) - 0.5 * _LN2) - log_sigma)
+    return bound + _LN_SQRT_TWO_OVER_PI - math.asinh(z / _SQRT2)
 
-    Past one chunk, a component is skipped when its bound lies _PRUNE_GAP
-    below the exact term of the component with the largest bound: its
-    exp(term - max) would be exactly 0.0, so the result keeps every bit.
-    """
-    _check_threshold(k)
-    delta = k - mixture.mu
-    log_sigma = math.log(mixture.sigma)
+
+def _pruned_logsumexp(mixture: MixtureDistribution, delta: float) -> float:
+    # _logsumexp of the terms ln w_i + ln P_i, skipping those whose bound
+    # lies _GAP below the anchor (a lower bound on the term with the largest
+    # bound) when the rounded sum provably ignores them.
     lw, ls = mixture.log_weights, mixture.log_scales
-    terms = np.empty(mixture.n_components)
-    floor = -math.inf
-    if terms.size > _CHUNK:
-        # terms holds the bounds until the exact terms overwrite them
-        for s in _slices(terms.size):
-            terms[s] = _log_tail_bounds(delta, lw[s], log_sigma + ls[s])
-        j = int(np.argmax(terms))
-        anchor = lw[j] + float(_log_tails(delta, np.array([log_sigma + ls[j]]))[0])
-        if math.isfinite(anchor) and anchor >= _PRUNE_FLOOR:
-            floor = anchor - _PRUNE_GAP
-    for s in _slices(terms.size):
-        if floor == -math.inf or terms[s].min() >= floor:
-            terms[s] = lw[s] + _log_tails(delta, log_sigma + ls[s])
-            continue
-        keep = terms[s] >= floor
-        terms[s] = -math.inf
-        if keep.any():
-            terms[s][keep] = lw[s][keep] + _log_tails(delta, log_sigma + ls[s][keep])
-    return math.log(mixture.weight) + _logsumexp(terms)
+    log_sigma = math.log(mixture.sigma)
+    n = mixture.n_components
+    terms = np.empty(n)  # the bounds, until the exact terms overwrite them
+    for s in _slices(n):
+        terms[s] = _log_tail_bounds(delta, lw[s], log_sigma + ls[s])
+    j = int(np.argmax(terms))
+    anchor = _below_bound(delta, float(terms[j]), log_sigma + float(ls[j]))
+    floor = anchor - _GAP if abs(anchor) <= _PRUNE_LIMIT else -math.inf
+    keep = terms >= floor
+
+    def evaluate(mask: np.ndarray) -> None:
+        for s in _slices(n):
+            ms = mask[s]
+            if ms.all():
+                terms[s] = lw[s] + _log_tails(delta, log_sigma + ls[s])
+            elif ms.any():
+                terms[s][ms] = lw[s][ms] + _log_tails(delta, log_sigma + ls[s][ms])
+
+    evaluate(keep)
+    skipped = n - int(np.count_nonzero(keep))
+    if skipped:
+        # A skipped term lies below its bound, below floor, up to rounding
+        # far under 1 nat, so the skipped exp(t - m) add up to less than
+        # slack. Rounding is monotone: when adding slack leaves the rounded
+        # sum of the kept terms unchanged, adding the skipped terms would
+        # too. The largest term is kept, since it is at least the anchor.
+        m = float(np.max(terms, where=keep, initial=-math.inf))
+        slack = skipped * math.exp(floor - m + 1.0)
+        pair = _fsum_pair(_exp_diffs(terms, m, keep), slack)
+        if pair is not None and pair[0] == pair[1]:
+            return m + math.log(pair[0])
+        evaluate(~keep)
+    return _logsumexp(terms)
 
 
-def convexity_ratio(mixture: MixtureDistribution, k: float) -> float:
-    """Tail inflation P(X > k) / P(X > k | depth 0), against the base Gaussian.
+def log_exceedance(mixture: MixtureDistribution, k) -> float | np.ndarray:
+    """ln P(X > k) for a float or a 1-d array of thresholds k, returned as
+    the same kind; computed per component in log space.
+
+    Up to _CUT components, every threshold and component goes through one
+    table pass, a block of thresholds at a time. Past it, each threshold
+    bounds every term from above, evaluates only the terms whose bound
+    lies within _GAP of the anchor, and keeps that sum when adding a bound
+    on all skipped terms leaves its rounded value unchanged; else it
+    evaluates every term. Every result has the bits of the full sum, and
+    an array of thresholds the bits of a loop over them.
+    """
+    deltas = _deltas(mixture, k)
+    n = mixture.n_components
+    if n <= _CUT:
+        lw = mixture.log_weights
+        log_sigmas = math.log(mixture.sigma) + mixture.log_scales
+        sums = []
+        for s in _slices(deltas.size, max(1, _LEAF // max(1, n))):
+            sums += _row_logsumexp(lw + _log_tails(deltas[s, None], log_sigmas))
+    else:
+        sums = [_pruned_logsumexp(mixture, d) for d in deltas.tolist()]
+    ln_w = math.log(mixture.weight)
+    return _like(k, [ln_w + v for v in sums])
+
+
+def convexity_ratio(mixture: MixtureDistribution, k) -> float | np.ndarray:
+    """Tail inflation P(X > k) / P(X > k | depth 0), against the base Gaussian,
+    for a float or a 1-d array of thresholds k, returned as the same kind.
 
     Evaluated as a difference of log tail probabilities, so ratios of order
     10^18 on probabilities of order 10^-24 keep full relative accuracy.
     """
     base = group_mixture(GaussianBase(mixture.mu, mixture.sigma), 0.0, 0)
-    return math.exp(log_exceedance(mixture, k) - log_exceedance(base, k))
+    ks = np.atleast_1d(k)
+    pairs = zip(log_exceedance(mixture, ks).tolist(), log_exceedance(base, ks).tolist())
+    return _like(k, [math.exp(top - bottom) for top, bottom in pairs])
 
 
 def _mean_scale_power(mixture: MixtureDistribution, m: int) -> float:
@@ -402,7 +520,7 @@ def loglog_series(
     """Survival function on a geometric grid, in log-log coordinates."""
     log_x = _loglog_grid(mixture.mu, x_min, x_max, points)
     x = np.exp(log_x)
-    log_p = np.array([log_exceedance(mixture, v) for v in x])
+    log_p = log_exceedance(mixture, x)
     return LogLogSeries(x=x, log_x=log_x, log_p=log_p)
 
 

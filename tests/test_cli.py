@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -413,6 +414,18 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: result outside the double range")
+
+    def test_a_threshold_distance_past_the_double_range_leaks_no_warning(self, capsys):
+        # The grid hands each x to the tails as a float64, and x - mu
+        # overflows: every ln P is -inf, and the slope window says so.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["loglog", "--schedule", "constant:a=0.1,N=10",
+                           "--x", "1e307:1e308:5", "--mu=-1e308"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: slope window contains non-finite ln P values\n"
 
     @pytest.mark.parametrize("argv", [
         ["moments", "--schedule", "bleed:a1=1e-300,lambda=1.5,N=3000", "--orders", "2"],

@@ -356,22 +356,128 @@ def _thresholds(mix):
         mix.mu + c * mix.sigma for c in (3.0, 10.0, 50.0)] + [mix.mu + 1e3]
 
 
+# Component counts on both sides of the table pass (_CUT = 256), of one
+# chunk and of the bucket sum's batches.
+_SIZES = [1, 256, 257, 301, 4096, 4097, 2**15, 10**5]
+
+
+def _seeded_mixtures(size):
+    # An equal-weight mixture (enumerated when size is a power of two) and
+    # a grouped one, both of size components, with seeded rates and base.
+    rng = np.random.default_rng(size)
+    base = GaussianBase(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.5, 2.0)))
+    depth = size.bit_length() - 1
+    if size == 2**depth:
+        rates = rng.uniform(0.01, 0.3, depth)
+        equal = build_mixture(base, ErrorSchedule.explicit(rates))
+    else:
+        log_scales = rng.uniform(-1.5, 1.5, size)
+        equal = MixtureDistribution(base.mu, base.sigma, np.exp(log_scales), log_scales,
+                                    1.0 / size, np.zeros(size))
+    return equal, group_mixture(base, float(rng.uniform(0.01, 0.3)), size - 1)
+
+
+def _wide_thresholds(mix):
+    # From below mu through k = mu to 80 base sigmas above it.
+    return [mix.mu] + [mix.mu + c * mix.sigma
+                       for c in (-5.0, -1.0, 0.5, 1.0, 3.0, 6.0, 10.0, 30.0, 50.0, 80.0)]
+
+
 class TestPrunedTails:
-    """Past one chunk, log_exceedance skips terms whose exp(term - max) is
-    exactly 0.0; every result must equal the unpruned sum bit for bit."""
+    """Past _CUT components, log_exceedance skips terms that provably cannot
+    move the rounded sum; every result must equal the unpruned sum bit for
+    bit, and the table pass must equal the per-threshold one."""
+
+    @pytest.mark.parametrize("size", _SIZES)
+    def test_seeded_mixtures_equal_unpruned(self, size):
+        for mix in _seeded_mixtures(size):
+            ks = _wide_thresholds(mix)
+            expected = [_unpruned_log_exceedance(mix, k) for k in ks]
+            assert [log_exceedance(mix, k) for k in ks] == expected, mix.n_components
+            assert log_exceedance(mix, np.array(ks)).tolist() == expected, mix.n_components
+
+    @pytest.mark.parametrize("size", [257, 4097, 2**15])
+    def test_a_narrow_gap_falls_back_to_every_term(self, size, monkeypatch):
+        # With a gap of 2 nats the slack moves most rounded sums, so most
+        # thresholds take the fallback; the bits must not change.
+        monkeypatch.setattr(mixstats, "_GAP", 2.0)
+        outcomes = []
+        fsum_pair = mixstats._fsum_pair
+
+        def recording(arrays, slack):
+            pair = fsum_pair(arrays, slack)
+            outcomes.append(pair is not None and pair[0] == pair[1])
+            return pair
+
+        monkeypatch.setattr(mixstats, "_fsum_pair", recording)
+        for mix in _seeded_mixtures(size):
+            for k in _wide_thresholds(mix):
+                assert log_exceedance(mix, k) == _unpruned_log_exceedance(mix, k), k
+        assert outcomes.count(False) > len(outcomes) // 2
 
     @pytest.mark.parametrize("a", [0.01, 0.1, 0.3])
-    @pytest.mark.parametrize("n", [4097, 10_000, 100_000])
+    @pytest.mark.parametrize("n", [300, 4097, 10_000, 100_000])
     def test_grouped_equals_unpruned(self, n, a):
         mix = group_mixture(GaussianBase(0.2, 1.3), a, n)
         for k in _thresholds(mix):
             assert log_exceedance(mix, k) == _unpruned_log_exceedance(mix, k), k
 
-    @pytest.mark.parametrize("depth", [13, 15])
+    @pytest.mark.parametrize("depth", [9, 13, 15])
     def test_enumerated_bleed_equals_unpruned(self, depth):
         mix = build_mixture(GaussianBase(-0.1, 0.9), ErrorSchedule.bleed(0.3, 0.9, depth))
         for k in _thresholds(mix):
             assert log_exceedance(mix, k) == _unpruned_log_exceedance(mix, k), k
+
+    def test_the_anchor_lies_below_the_exact_term_within_ln2(self):
+        log_sigmas = np.random.default_rng(5).uniform(-6.0, 6.0, 2000)
+        for delta in (-3.0, -0.0, 0.0, 1e-3, 0.5, 3.0, 40.0):
+            exact = mixstats._log_tails(delta, log_sigmas)
+            bounds = mixstats._log_tail_bounds(delta, np.zeros(2000), log_sigmas)
+            below = np.array([mixstats._below_bound(delta, b, ls)
+                              for b, ls in zip(bounds.tolist(), log_sigmas.tolist())])
+            finite = exact > -math.inf
+            gap = (exact - below)[finite]
+            # Far out the bound is tight, and only rounding can cross it.
+            assert np.all(gap >= -1e-15 * np.abs(exact[finite])), delta
+            assert gap.size > 1000 and gap.max() <= math.log(2.0), delta
+
+    @pytest.mark.parametrize("size", [256, 4097])
+    def test_array_thresholds_equal_the_scalar_loop(self, size):
+        # 150 thresholds: three blocks of the table pass at 256 components.
+        for mix in _seeded_mixtures(size):
+            ks = np.linspace(mix.mu - 5.0 * mix.sigma, mix.mu + 80.0 * mix.sigma, 150)
+            got = log_exceedance(mix, ks)
+            assert isinstance(got, np.ndarray) and got.shape == (150,)
+            assert got.tolist() == [log_exceedance(mix, k) for k in ks.tolist()]
+            ks = ks[ks <= mix.mu + 10.0 * mix.sigma]  # further out a ratio can pass 1e308
+            ratios = convexity_ratio(mix, ks)
+            assert ratios.tolist() == [convexity_ratio(mix, k) for k in ks.tolist()]
+
+    def test_a_float_gives_a_float_and_an_array_an_array(self):
+        mix = group_mixture(BASE, 0.1, 10)
+        for k in (3.0, np.float64(3.0), np.array(3.0)):
+            assert type(log_exceedance(mix, k)) is float
+            assert type(convexity_ratio(mix, k)) is float
+        for ks in ([3.0], np.array([3.0, 5.0]), np.empty(0)):
+            assert log_exceedance(mix, ks).shape == np.shape(ks)
+            assert convexity_ratio(mix, ks).shape == np.shape(ks)
+
+    @pytest.mark.parametrize("ks", [[3.0, math.nan], [math.inf], np.ones((2, 2))],
+                             ids=["nan", "inf", "2-d"])
+    def test_bad_thresholds_raise_value_error(self, ks):
+        for mix in (group_mixture(BASE, 0.1, 10), group_mixture(BASE, 0.1, 1000)):
+            with pytest.raises(ValueError, match="threshold"):
+                log_exceedance(mix, ks)
+
+    def test_a_distance_past_the_double_range_is_not_a_warning(self):
+        # k - mu overflows to inf on a float64 threshold: the tail is 0 above
+        # mu and 1 below it, with no RuntimeWarning.
+        for mix in (group_mixture(GaussianBase(-1e308, 1.0), 0.1, n) for n in (10, 1000)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert log_exceedance(mix, np.float64(1e308)) == -math.inf
+                assert log_exceedance(mix, np.array([1e308])).tolist() == [-math.inf]
+                assert exceedance(mix, np.float64(1e308)) == 0.0
 
     def test_sigma_near_the_double_limit(self):
         mix = group_mixture(GaussianBase(0.0, 1e300), 0.1, 10_000)
@@ -592,6 +698,24 @@ class TestExactSum:
         term = 1.0 - 2.0**-53
         expected = float(n * Fraction(term))
         assert mixstats._fsum(iter([np.full(n, term)])) == expected
+
+    @pytest.mark.parametrize("n", [T - 1, T, T + 1, 3 * mixstats._BATCH + 5])
+    @pytest.mark.parametrize("kind", ["signed", "subnormal", "cancelling", "zeros"])
+    def test_pair_matches_two_math_fsums(self, kind, n):
+        a = _sum_data(kind, n)
+        xs = a.tolist()
+        for slack in (0.0, 5e-324, 1e-300, 2.0**-60, 1.0, -3.5, 1e288):
+            pair = mixstats._fsum_pair(iter(_chunked(a, "small")), slack)
+            expected = (math.fsum(xs), math.fsum(xs + [slack]))
+            assert [v.hex() for v in pair] == [v.hex() for v in expected], slack
+
+    @pytest.mark.parametrize("n", [T - 1, T + 1, 3 * mixstats._BATCH + 5])
+    @pytest.mark.parametrize("special", [math.inf, -math.inf, math.nan, 2.0**960, -2.0**960])
+    def test_pair_is_not_proven_on_huge_or_non_finite_terms(self, special, n):
+        a = _sum_data("signed", n)
+        assert mixstats._fsum_pair(iter([a]), special) is None
+        a[n // 2] = special
+        assert mixstats._fsum_pair(iter(_chunked(a, "small")), 1.0) is None
 
     @pytest.mark.parametrize("shape", ["one", "small"])
     @pytest.mark.parametrize("special", [
