@@ -33,3 +33,11 @@ def check_order(order, lowest: int = 0) -> None:
         raise UnsupportedOrderError(
             f"moment order {order} outside supported range {lowest}..{MAX_MOMENT_ORDER}"
         )
+
+
+def power(x: float, k: int, name: str) -> float:
+    """x**k, whose OverflowError names x and k rather than an errno tuple."""
+    try:
+        return x**k
+    except OverflowError:
+        raise OverflowError(f"{name}^{k} with {name} = {x!r}") from None

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._checks import check_depth, check_order, check_rate, check_sigma
+from ._checks import check_depth, check_order, check_rate, check_sigma, power
 from .branching import NonPositiveScaleError
 from .special import (
     INFINITY,
@@ -130,7 +130,7 @@ def m2_bleed(params: BleedParams) -> float:
     For n = INFINITY the product converges whenever lam < 1; the limit for
     a1 = 0.2, lam = 0.9 evaluates to about 1.23151 sigma^2.
     """
-    return params.sigma**2 * q_pochhammer(-params.a1**2, params.lam**2, params.n)
+    return power(params.sigma, 2, "sigma") * q_pochhammer(-params.a1**2, params.lam**2, params.n)
 
 
 def m4_bleed(params: BleedParams) -> float:
@@ -144,7 +144,7 @@ def m4_bleed(params: BleedParams) -> float:
     q = params.lam**2
     return (
         3.0
-        * params.sigma**4
+        * power(params.sigma, 4, "sigma")
         * q_pochhammer(_M4_A * a2, q, params.n)
         * q_pochhammer(_M4_B * a2, q, params.n)
     )
@@ -190,7 +190,7 @@ def moments_additive(order: int, mu: float, sigma: float, a: float, n) -> float:
     q4 = _geometric_sum(a**4, n)
     e_s4 = 3.0 * m2 * m2 - 2.0 * q4
     return (
-        mu**4
+        power(mu, 4, "mu")
         + 6.0 * mu * mu * sigma * sigma * (1.0 + m2)
-        + 3.0 * sigma**4 * (1.0 + 6.0 * m2 + e_s4)
+        + 3.0 * power(sigma, 4, "sigma") * (1.0 + 6.0 * m2 + e_s4)
     )

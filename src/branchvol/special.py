@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from ._checks import UnsupportedOrderError  # noqa: F401  (public home of the error)
-from ._checks import check_depth, check_order, check_sigma
+from ._checks import check_depth, check_order, check_sigma, power
 
 INFINITY = math.inf
 """Depth marker for infinite products and moment limits."""
@@ -114,14 +114,14 @@ def scale_mixture_moment(order: int, mu: float, sigma: float, scale_moment) -> f
     """
     total = 0.0
     for m in range(0, order + 1, 2):
-        mu_pow = mu ** (order - m)
+        mu_pow = power(mu, order - m, "mu")
         if mu_pow == 0.0:  # skipped, so an infinite E[S^m] cannot turn 0 into nan
             continue
         total += (
             math.comb(order, m)
             * _EVEN_STANDARD_MOMENTS[m // 2]
             * mu_pow
-            * sigma**m
+            * power(sigma, m, "sigma")
             * (scale_moment(m) if m else 1.0)
         )
     return total

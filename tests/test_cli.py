@@ -408,12 +408,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
 
-    def test_moment_past_the_double_range_exits_three(self, capsys):
-        assert cli.main(["moments", "--schedule", "constant:a=0.1,N=5",
-                         "--sigma", "1e200"]) == 3
+    @pytest.mark.parametrize("argv, err", [
+        (["moments", "--schedule", "constant:a=0.1,N=5", "--sigma", "1e200"],
+         "sigma^2 with sigma = 1e+200"),
+        (["moments", "--schedule", "constant:a=0.1,N=4", "--mu=1e200"],
+         "mu^2 with mu = 1e+200"),
+        (["moments", "--schedule", "geometric:a=0.2,N=5", "--mu=1e200", "--orders", "4"],
+         "mu^4 with mu = 1e+200"),
+        (["moments", "--schedule", "bleed:a1=0.2,lambda=0.9,N=30", "--sigma=1e200",
+          "--orders", "4"], "sigma^4 with sigma = 1e+200"),
+        (["validate", "--schedule", "constant:a=0.1,N=4", "--mu=1e200",
+          "--n-samples", "1000"], "mu^2 with mu = 1e+200")])
+    def test_moment_past_the_double_range_exits_three(self, argv, err, capsys):
+        assert cli.main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: result outside the double range")
+        assert captured.err == f"error: result outside the double range: {err}\n"
 
     def test_a_threshold_distance_past_the_double_range_leaks_no_warning(self, capsys):
         # The grid hands each x to the tails as a float64, and x - mu
