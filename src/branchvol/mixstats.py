@@ -387,11 +387,11 @@ def _pruned_logsumexp(mixture: MixtureDistribution, delta: float) -> float:
     evaluate(keep)
     skipped = n - int(np.count_nonzero(keep))
     if skipped:
-        # A skipped term lies below its bound, below floor, up to rounding
-        # far under 1 nat, so the skipped exp(t - m) add up to less than
-        # slack. Rounding is monotone: when adding slack leaves the rounded
-        # sum of the kept terms unchanged, adding the skipped terms would
-        # too. The largest term is kept, since it is at least the anchor.
+        # A skipped term lies below its bound, and so below floor up to
+        # rounding far under 1 nat: the skipped exp(t - m) add up to less
+        # than slack. Rounding is monotone, so when adding slack leaves the
+        # rounded sum of the kept terms unchanged, adding the skipped terms
+        # would too. The largest term is kept: it is at least the anchor.
         m = float(np.max(terms, where=keep, initial=-math.inf))
         slack = skipped * math.exp(floor - m + 1.0)
         pair = _fsum_pair(_exp_diffs(terms, m, keep), slack)
