@@ -151,6 +151,22 @@ class GaussianBase:
         check_sigma(self.sigma)
 
 
+class _LogOfScales:
+    """The log_scales field of MixtureDistribution: np.log(scales) on the
+    first read of a mixture given None. A given array is stored on the
+    instance, which Python reads before this non-data descriptor. Read on
+    the class it raises, so the dataclass gives the field no default.
+    Threads that race on a first read store equal arrays."""
+
+    def __get__(self, mixture, owner=None):
+        if mixture is None:
+            raise AttributeError("log_scales belongs to each mixture")
+        log_scales = np.log(mixture.scales)
+        log_scales.setflags(write=False)
+        object.__setattr__(mixture, "log_scales", log_scales)
+        return log_scales
+
+
 @dataclass(frozen=True)
 class MixtureDistribution:
     """Mixture of Normal(mu, (sigma * scales[i])^2) components.
@@ -158,18 +174,26 @@ class MixtureDistribution:
     Component i weighs ``weight * exp(log_weights[i])``. ``weight`` is an
     exact common factor: 2^-N for an enumeration (exp(-N ln 2) is not 2^-N
     in every bit), 1.0 for grouped classes. ``log_scales`` stays finite
-    where ``scales`` leaves the double range.
+    where ``scales`` leaves the double range. Given as None, it is
+    ``np.log(scales)``, taken on first read and kept, so the moments,
+    densities and samples of an enumeration hold no second full-length
+    array. Every array is read-only.
     """
 
     mu: float
     sigma: float
     scales: np.ndarray
-    log_scales: np.ndarray
+    log_scales: np.ndarray | None = _LogOfScales()
     weight: float
     log_weights: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.scales, self.log_scales, self.log_weights):
+        arrays = [self.scales, self.log_weights]
+        if self.log_scales is None:
+            object.__delattr__(self, "log_scales")  # taken on first read
+        else:
+            arrays.append(self.log_scales)
+        for arr in arrays:
             arr.setflags(write=False)
 
     @property
@@ -185,6 +209,26 @@ class MixtureDistribution:
         """True when every log-weight is exactly 0 (every enumeration): each
         component weighs ``weight``, and exp(log_weights) can be skipped."""
         return not self.log_weights.any()
+
+
+# The last _TAIL_LAYERS layers expand runs of head elements into blocks of
+# about _BUILD_BLOCK scales, whose scratch stays in cache.
+_TAIL_LAYERS = 14
+_BUILD_BLOCK = 2**16
+
+
+def _expand(x: np.ndarray, op, moves, out: np.ndarray, scratch: np.ndarray) -> None:
+    """x through the moves, the last layer written into out; the layers
+    between alternate between the two rows of scratch. Element i of a
+    layer goes to elements 2i (up) and 2i + 1 (down) of the next: one
+    ufunc call per sign, where an outer product loops over 2 per row."""
+    if not moves:
+        out[:] = x
+    for t, (up, down) in enumerate(moves, start=1):
+        y = (out if t == len(moves) else scratch[t % 2, : 2 * x.size]).reshape(-1, 2)
+        op(x, up, out=y[:, 0])
+        op(x, down, out=y[:, 1])
+        x = y.ravel()
 
 
 def build_mixture(base: GaussianBase, schedule: ErrorSchedule) -> MixtureDistribution:
@@ -204,30 +248,37 @@ def build_mixture(base: GaussianBase, schedule: ErrorSchedule) -> MixtureDistrib
         )
     additive = schedule.mode is Mode.ADDITIVE
     if additive:
-        op, scales, moves = np.add, np.zeros(1), [(a, -a) for a in schedule.rates]
+        op, start, moves = np.add, np.zeros(1), [(a, -a) for a in schedule.rates]
     else:
-        op, scales = np.multiply, np.ones(1)
+        op, start = np.multiply, np.ones(1)
         moves = [(1.0 + a, 1.0 - a) for a in schedule.rates]
-    for up, down in moves:
-        # Branch 2i + c goes to column c of row i: one full-length ufunc call
-        # per sign, where an outer product loops over 2 elements per row.
-        out = np.empty((scales.size, 2))
-        op(scales, up, out=out[:, 0])
-        op(scales, down, out=out[:, 1])
-        scales = out.ravel()
-    if additive:
-        scales += 1.0
-        bad = np.flatnonzero(scales <= 0.0)
-        if bad.size:
-            i = int(bad[0])
-            signs = tuple(1 - 2 * (i >> (n - 1 - j) & 1) for j in range(n))
-            raise NonPositiveScaleError(
-                f"branch {i} with signs {signs} has scale {scales[i]:.6g} <= 0"
-            )
+    # The first n - k layers build a head of 2^(n-k) partial scales; each
+    # run of head elements then goes through the last k layers in scratch
+    # and lands in its block of the output, so the output is the one
+    # full-length array. Every scale is still the same left-to-right
+    # chain of ufunc steps, so blocking moves no bit.
+    k = min(n, _TAIL_LAYERS)
+    head = np.empty(2 ** (n - k))
+    run = min(head.size, _BUILD_BLOCK >> k)
+    scales = np.empty(2**n)
+    scratch = np.empty((2, max(head.size, run << k) // 2))
+    _expand(start, op, moves[: n - k], head, scratch)
+    for i in range(0, head.size, run):
+        block = scales[i << k : (i + run) << k]
+        _expand(head[i : i + run], op, moves[n - k :], block, scratch)
+        if additive:
+            block += 1.0
+            bad = np.flatnonzero(block <= 0.0)
+            if bad.size:
+                b = (i << k) + int(bad[0])
+                signs = tuple(1 - 2 * (b >> (n - 1 - j) & 1) for j in range(n))
+                raise NonPositiveScaleError(
+                    f"branch {b} with signs {signs} has scale {scales[b]:.6g} <= 0"
+                )
     # Equal weights as a zero-stride view: no weight array at depth 24.
+    # The log-scales are taken on first read.
     return MixtureDistribution(
-        base.mu, base.sigma, scales, np.log(scales), 2.0**-n,
-        np.broadcast_to(0.0, scales.shape),
+        base.mu, base.sigma, scales, None, 2.0**-n, np.broadcast_to(0.0, scales.shape),
     )
 
 

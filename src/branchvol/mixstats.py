@@ -25,6 +25,7 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _LN_SQRT_TWO_OVER_PI = 0.5 * math.log(2.0 / math.pi)
 _LN_SQRT_TWO_PI = math.log(_SQRT_TWO_PI)
+_LN_MAX = math.log(np.finfo(np.float64).max)  # math.exp raises above it
 
 _CHUNK = 4096
 # Density grid points per block: temporaries stay (256 x _CHUNK) doubles.
@@ -207,6 +208,16 @@ def _fsum_pair(arrays, slack: float) -> tuple[float, float] | None:
     return total / (1 << _SHIFT), (total + (num << _SHIFT) // den) / (1 << _SHIFT)
 
 
+def _all_linear(mixture: MixtureDistribution) -> bool:
+    # Every |ln(sigma scale)| is at most |ln sigma| + max(-ln min(scales),
+    # ln max(scales)); a nat of margin covers the rounding of the logs.
+    lo, hi = float(mixture.scales.min()), float(mixture.scales.max())
+    if not (0.0 < lo and hi < math.inf):
+        return False
+    spread = max(-math.log(lo), math.log(hi))
+    return abs(math.log(mixture.sigma)) + spread < _DENSITY_LINEAR_LIMIT - 1.0
+
+
 def density(mixture: MixtureDistribution, x) -> float | np.ndarray:
     """Mixture density at x (scalar or array): sum_i w_i phi(mu, sigma_i, x).
 
@@ -215,30 +226,41 @@ def density(mixture: MixtureDistribution, x) -> float | np.ndarray:
     returns inf.
     """
     x_arr = np.asarray(x, dtype=np.float64)
-    log_sigmas = math.log(mixture.sigma) + mixture.log_scales
-    linear = np.abs(log_sigmas) <= _DENSITY_LINEAR_LIMIT
     weighted = not mixture.zero_log_weights
-    if weighted:
-        linear &= mixture.log_weights >= -_DENSITY_LINEAR_LIMIT
-    sigmas = mixture.sigma * mixture.scales[linear]
-    log_weights = mixture.log_weights[linear] if weighted else None
-    far_log_sigmas = log_sigmas[~linear]
-    far_log_weights = mixture.log_weights[~linear]
+    if weighted or not _all_linear(mixture):
+        log_sigmas = math.log(mixture.sigma) + mixture.log_scales
+        linear = np.abs(log_sigmas) <= _DENSITY_LINEAR_LIMIT
+        if weighted:
+            linear &= mixture.log_weights >= -_DENSITY_LINEAR_LIMIT
+        scales = mixture.scales[linear]
+        log_weights = mixture.log_weights[linear] if weighted else None
+        far_log_sigmas = log_sigmas[~linear]
+        far_log_weights = mixture.log_weights[~linear]
+    else:  # no mask, gather or log-scales: each chunk's sigmas as they are used
+        scales, log_weights = mixture.scales, None
+        far_log_sigmas = far_log_weights = np.empty(0)
     x_col = x_arr.reshape(-1, 1)
     out = np.zeros(x_arr.size)
+    # Two tables of (grid block x chunk) doubles, reused: a new process
+    # maps and faults in fresh multi-megabyte temporaries on every chunk.
+    tables = np.empty((2, min(out.size, _GRID_BLOCK) * min(scales.size, _CHUNK)))
     # Grid points go a block at a time; each keeps its own sum, in the same
     # order whatever the block size. Overflow here means z * z past the
     # double range (the term is 0) or a density past it (the result is inf).
     with np.errstate(over="ignore", divide="ignore"):
         for g in _slices(out.size, _GRID_BLOCK):
             xb, ob = x_col[g], out[g]
-            for s in _slices(sigmas.size):
-                chunk = sigmas[s]
-                z = (xb - mixture.mu) / chunk
-                terms = np.exp(-0.5 * z * z)
+            for s in _slices(scales.size):
+                chunk = mixture.sigma * scales[s]
+                z, terms = (t[: xb.size * chunk.size].reshape(xb.size, chunk.size) for t in tables)
+                np.divide(xb - mixture.mu, chunk, out=z)
+                np.multiply(-0.5, z, out=terms)
+                terms *= z
+                np.exp(terms, out=terms)
                 if weighted:
                     terms *= np.exp(log_weights[s])
-                ob += np.sum(terms / (chunk * _SQRT_TWO_PI), axis=-1)
+                terms /= chunk * _SQRT_TWO_PI
+                ob += np.sum(terms, axis=-1)
             log_dx = np.log(np.abs(xb - mixture.mu))
             for s in _slices(far_log_sigmas.size):
                 ls = far_log_sigmas[s]
@@ -432,12 +454,14 @@ def convexity_ratio(mixture: MixtureDistribution, k) -> float | np.ndarray:
     for a float or a 1-d array of thresholds k, returned as the same kind.
 
     Evaluated as a difference of log tail probabilities, so ratios of order
-    10^18 on probabilities of order 10^-24 keep full relative accuracy.
+    10^18 on probabilities of order 10^-24 keep full relative accuracy. A
+    ratio past the double range is inf.
     """
     base = group_mixture(GaussianBase(mixture.mu, mixture.sigma), 0.0, 0)
     ks = np.atleast_1d(k)
     pairs = zip(log_exceedance(mixture, ks).tolist(), log_exceedance(base, ks).tolist())
-    return _like(k, [math.exp(top - bottom) for top, bottom in pairs])
+    logs = [top - bottom for top, bottom in pairs]
+    return _like(k, [math.inf if d > _LN_MAX else math.exp(d) for d in logs])
 
 
 def _mean_scale_power(mixture: MixtureDistribution, m: int) -> float:
@@ -446,7 +470,7 @@ def _mean_scale_power(mixture: MixtureDistribution, m: int) -> float:
     # overflows; a leaf whose sum is not finite takes such terms in log
     # space and sums again. Terms are never negative, so a finite leaf sum
     # means every term of the leaf was finite.
-    scales, lw, ls = mixture.scales, mixture.log_weights, mixture.log_scales
+    scales, lw = mixture.scales, mixture.log_weights
     weighted = not mixture.zero_log_weights
     terms = np.empty(min(_LEAF, scales.size))
     weights = np.empty(terms.size if weighted else 0)
@@ -459,7 +483,7 @@ def _mean_scale_power(mixture: MixtureDistribution, m: int) -> float:
         total = float(np.sum(t))
         if not math.isfinite(total):
             bad = ~np.isfinite(t)
-            t[bad] = np.exp(lw[i:j][bad] + m * ls[i:j][bad])
+            t[bad] = np.exp(lw[i:j][bad] + m * mixture.log_scales[i:j][bad])
             total = float(np.sum(t))
         return total
 

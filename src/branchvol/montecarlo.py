@@ -78,7 +78,8 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
 
     Draws are blocked to bound memory; the block size is fixed so the
     stream, and therefore every statistic, is reproducible bit for bit.
-    Each block is summed over cache-sized leaves in np.sum's own order.
+    Each block draws its component indices, then its normals a cache-sized
+    leaf at a time, and is summed over those leaves in np.sum's own order.
     Components are drawn uniformly, so every weight must be equal. Power
     sums run up to x^(2 max(max order, 4)), the highest power estimate reads.
     """
@@ -88,18 +89,21 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
     n_pow = 2 * max((4, *spec.moment_orders)) + 1
     power_sums = np.zeros(n_pow)
     exceed = {k: 0 for k in spec.thresholds}
-    z = np.empty(min(_BLOCK, spec.n_samples))
-    x = np.empty(min(_LEAF, z.size))
-    powers = np.empty(x.size)
+    x = np.empty(min(_LEAF, spec.n_samples))
+    z, powers = np.empty(x.size), np.empty(x.size)
 
     def leaf(i: int, j: int) -> np.ndarray:
         # Sums of x^0..x^(n_pow - 1), then the exceedance counts, over draws
-        # i..j of the block: every power stays in cache.
-        xl, xp = x[: j - i], powers[: j - i]
+        # i..j of the block: every power stays in cache. The leaf draws its
+        # own normals. That the stream is the one of a single block-long
+        # standard_normal call rests on _pairwise_sum visiting the leaves
+        # once each, in ascending order.
+        xl, xp, zl = x[: j - i], powers[: j - i], z[: j - i]
+        rng.standard_normal(out=zl)
         # mu + sigma * scale * z in place; this order fixes every bit of the sums.
         np.take(mixture.scales, idx[i:j], out=xl)
         xl *= mixture.sigma
-        xl *= zb[i:j]
+        xl *= zl
         xl += mixture.mu
         sums = np.empty(n_pow + len(exceed))
         sums[0] = j - i
@@ -114,8 +118,9 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
     remaining = spec.n_samples
     while remaining:
         m = min(_BLOCK, remaining)
-        idx = rng.integers(0, mixture.n_components, size=m)
-        zb = rng.standard_normal(out=z[:m])
+        # int32 indices: numpy bounds int32 and int64 alike from 32-bit
+        # draws below 2^32, so the values and the stream are those of int64.
+        idx = rng.integers(0, mixture.n_components, size=m, dtype=np.int32)
         sums = _pairwise_sum(leaf, 0, m)
         power_sums += sums[:n_pow]
         for t, k in enumerate(exceed, start=n_pow):

@@ -2,6 +2,8 @@
 mixtures, and the schedule grammar."""
 
 import math
+import sys
+import threading
 import tracemalloc
 from itertools import islice, product
 
@@ -259,6 +261,93 @@ class TestScaleSet:
             )
 
 
+def _layerwise(schedule):
+    # The unblocked build: each layer a new full-length array, branch 2i + c
+    # of a layer from branch i of the one before, c = 0 for +a(j).
+    additive = schedule.mode is Mode.ADDITIVE
+    op = np.add if additive else np.multiply
+    scales = np.zeros(1) if additive else np.ones(1)
+    for a in schedule.rates:
+        up, down = (a, -a) if additive else (1.0 + a, 1.0 - a)
+        scales = np.column_stack((op(scales, up), op(scales, down))).ravel()
+    return scales + 1.0 if additive else scales
+
+
+class TestBlockedBuild:
+    """The build expands the last 14 layers a block at a time: every scale
+    has the bits of the layer-by-layer build, on both sides of the split."""
+
+    DEPTHS = [0, 1, 13, 14, 15, 21]
+
+    @pytest.mark.parametrize("n", DEPTHS)
+    @pytest.mark.parametrize("make", [
+        lambda n: ErrorSchedule.bleed(0.2, 0.9, n),
+        lambda n: ErrorSchedule.explicit(np.linspace(0.3, 0.01, n)),
+        lambda n: ErrorSchedule.geometric(0.1, n),
+        lambda n: ErrorSchedule.explicit([0.05**j for j in range(1, n + 1)], Mode.ADDITIVE),
+    ], ids=["bleed", "explicit", "geometric", "additive-explicit"])
+    def test_scales_equal_the_layerwise_build(self, make, n):
+        schedule = make(n)
+        scales = build_mixture(GaussianBase(), schedule).scales
+        assert np.array_equal(scales, _layerwise(schedule))
+
+    @pytest.mark.parametrize("n", [13, 14, 15, 21])
+    @pytest.mark.parametrize("a", [0.6, 0.99])
+    def test_nonpositive_scale_error_names_the_first_bad_branch(self, a, n):
+        # a = 0.99 first fails in the first block, a = 0.6 near the end.
+        schedule = ErrorSchedule.geometric(a, n)
+        ref = _layerwise(schedule)
+        i = int(np.flatnonzero(ref <= 0.0)[0])
+        signs = next(islice(product((1, -1), repeat=n), i, None))
+        with pytest.raises(NonPositiveScaleError) as err:
+            build_mixture(GaussianBase(), schedule)
+        assert str(err.value) == f"branch {i} with signs {signs} has scale {ref[i]:.6g} <= 0"
+
+
+class TestLogScalesOnFirstRead:
+    def test_read_later_equals_the_log(self):
+        for schedule in (ErrorSchedule.bleed(0.2, 0.9, 15), ErrorSchedule.geometric(0.1, 9)):
+            mix = build_mixture(GaussianBase(), schedule)
+            assert "log_scales" not in vars(mix)
+            log_scales = mix.log_scales
+            assert np.array_equal(log_scales, np.log(mix.scales))
+            assert mix.log_scales is log_scales
+            with pytest.raises(ValueError, match="read-only"):
+                log_scales[0] = 0.0
+
+    def test_given_log_scales_are_kept(self):
+        mix = group_mixture(GaussianBase(), 0.1, 10_000)
+        assert "log_scales" in vars(mix)
+        assert not mix.log_scales.flags.writeable
+
+    def test_mixtures_stay_frozen(self):
+        mix = build_mixture(GaussianBase(), ErrorSchedule.constant(0.1, 4))
+        with pytest.raises(AttributeError):
+            mix.log_scales = np.zeros(16)
+        with pytest.raises(AttributeError, match="no attribute 'log_scale'"):
+            mix.log_scale
+
+    def test_threads_reading_one_mixture_agree(self):
+        # Threads that race on the first read each get np.log(scales).
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                mix = build_mixture(GaussianBase(), ErrorSchedule.bleed(0.2, 0.9, 12))
+                seen = []
+                threads = [threading.Thread(target=lambda: seen.append(mix.log_scales))
+                           for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10.0)
+                assert not any(t.is_alive() for t in threads)
+                assert len(seen) == 8
+                assert all(np.array_equal(ls, np.log(mix.scales)) for ls in seen)
+        finally:
+            sys.setswitchinterval(switch)
+
+
 class TestMixture:
     def test_depth_zero_is_base_gaussian(self):
         mix = build_mixture(GaussianBase(0.5, 2.0), ErrorSchedule.constant(0.3, 0))
@@ -366,6 +455,8 @@ class TestGroupMixture:
 
 class TestEnumerationCeiling:
     def test_deepest_enumeration_fits_in_half_a_gigabyte(self):
+        # The 128 MiB scales plus the head and the block scratch; a new
+        # array per layer and the log-scales took 256 MiB.
         tracemalloc.start()
         try:
             mix = build_mixture(GaussianBase(), ErrorSchedule.bleed(0.2, 0.9, MAX_ENUMERATION_DEPTH))
@@ -373,7 +464,7 @@ class TestEnumerationCeiling:
         finally:
             tracemalloc.stop()
         assert mix.n_components == 2**MAX_ENUMERATION_DEPTH
-        assert peak < 0.5 * 2**30
+        assert peak < 140 * 2**20
 
 
 class TestVariancePreservingPair:

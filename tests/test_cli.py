@@ -136,6 +136,16 @@ class TestRatioTableCommand:
         _, rows = cli.parse_table_csv(out)
         assert rows[0][2:] == [1.0, 1.0, 1.0]
 
+    def test_a_ratio_past_the_double_range_prints_inf(self, capsys):
+        # ln of the ratio is 779 at k = 40 and 3158 at k = 80: the table
+        # keeps its finite cells and prints inf for these.
+        rc, out = run_cli("ratio-table", "--a", "0.1", "--n-list", "25", "--k-list", "30,40,80",
+                          capsys=capsys)
+        assert rc == 0
+        assert out.splitlines()[1].split(",")[3:] == ["inf", "inf"]
+        _, rows = cli.parse_table_csv(out)
+        assert math.isclose(rows[0][2], math.exp(432.9487283615693), rel_tol=1e-12)
+
 
 class TestMomentsCommand:
     def test_constant_schedule_closed_vs_enumeration(self, capsys):

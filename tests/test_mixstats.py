@@ -131,6 +131,18 @@ class TestDensity:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    @pytest.mark.parametrize("sigma", [1.0, 1e-300, 1e300, 1e-303])
+    def test_all_linear_shortcut_keeps_every_bit(self, sigma, monkeypatch):
+        # Equal weights and every |ln(sigma scale)| provably within the
+        # limit: no mask or log-scales, and the bits of the masked path.
+        # At 1e-303 the bound passes 699 and the masked path runs anyway.
+        mix = build_mixture(GaussianBase(0.0, sigma), ErrorSchedule.bleed(0.3, 0.9, 12))
+        grid = np.linspace(-4.0, 4.0, 17) * sigma
+        assert mixstats._all_linear(mix) == (sigma != 1e-303)
+        fast = density(mix, grid)
+        monkeypatch.setattr(mixstats, "_all_linear", lambda mixture: False)
+        assert np.array_equal(fast, density(mix, grid))
+
     def test_binomial_collapse_matches_enumeration(self):
         grid = np.linspace(-5, 5, 41)
         for n in (0, 1, 6, 10):
@@ -538,6 +550,14 @@ class TestConvexityRatio:
             convexity_ratio(group_mixture(BASE, 0.1, 20), 10.0), 1.2097872298268169e18, rel_tol=1e-10
         )
 
+    def test_a_ratio_past_the_double_range_is_inf(self):
+        mix = group_mixture(BASE, 0.1, 25)
+        assert convexity_ratio(mix, 80.0) == math.inf
+        assert convexity_ratio(mix, [35.0, 40.0]).tolist() == [
+            math.exp(log_exceedance(mix, 35.0) - log_exceedance(group_mixture(BASE, 0.1, 0), 35.0)),
+            math.inf,
+        ]
+
     def test_figure_ratio_via_mixture(self):
         mix = build_mixture(GaussianBase(0.0, 1.5), ErrorSchedule.constant(0.2, 1))
         baseline = 0.5 * math.erfc(4.0 / math.sqrt(2.0))  # P(Z > 6/1.5)
@@ -745,6 +765,33 @@ def _full_length_scale_power(mixture, m):
             terms[bad] = np.exp(mixture.log_weights[bad] + m * mixture.log_scales[bad])
             total = float(np.sum(terms))
         return mixture.weight * total
+
+
+class TestDeepEnumerationMemory:
+    """Moments and a density of bleed N = 20 hold the 8 MiB scales and
+    little else: the log-scales are never taken. With them, a new array
+    per build layer and the density's full-length mask and sigmas, the
+    peaks were 16.1 and 34.1 MiB."""
+
+    SCHEDULE = ErrorSchedule.bleed(0.2, 0.9, 20)
+
+    def _peak(self, evaluate):
+        tracemalloc.start()
+        try:
+            mix = build_mixture(BASE, self.SCHEDULE)
+            evaluate(mix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "log_scales" not in vars(mix)
+        return peak
+
+    def test_moments(self):
+        peak = self._peak(lambda mix: [mixture_raw_moment(mix, k) for k in range(1, 9)])
+        assert peak < 9 * 2**20
+
+    def test_density(self):
+        assert self._peak(lambda mix: density(mix, np.linspace(-4.0, 4.0, 9))) < 10 * 2**20
 
 
 class TestScalePowerLeaves:

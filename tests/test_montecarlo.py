@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from branchvol import mixstats, montecarlo
 from branchvol.branching import ErrorSchedule, GaussianBase, build_mixture, group_mixture
 from branchvol.closedform import BleedParams, m4_bleed, moment_constant_a
 from branchvol.mixstats import exceedance
@@ -113,8 +114,9 @@ class TestLeaves:
         assert summary.exceed_counts == exceed
 
     def test_peak_memory_is_the_block_draws(self):
-        # The draws and indices of one 2^20 block take 16 MB; full-length
-        # powers and products took 25.7 MB.
+        # The int32 indices of one 2^20 block take 4 MiB and each leaf
+        # draws its own normals; int64 indices and the block's normals
+        # took 17.1 MiB, full-length powers and products 25.7 MB.
         spec = SampleSpec(n_samples=self.N, seed=17, thresholds=(1.0, 3.0))
         tracemalloc.start()
         try:
@@ -122,7 +124,41 @@ class TestLeaves:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 21 * 2**20
+        assert peak < 6 * 2**20
+
+    def test_leaves_tile_each_block_once_in_ascending_order(self, monkeypatch):
+        # Each leaf draws its normals, so the stream is that of one
+        # block-long draw only if the leaves run in this order.
+        blocks = []
+
+        def recording(leaf, lo, hi):
+            blocks.append([])
+
+            def logged(i, j):
+                blocks[-1].append((i, j))
+                return leaf(i, j)
+            return mixstats._pairwise_sum(logged, lo, hi)
+
+        monkeypatch.setattr(montecarlo, "_pairwise_sum", recording)
+        sample(self.MIX, SampleSpec(n_samples=self.N, seed=17))
+        assert len(blocks) == 2
+        for leaves, m in zip(blocks, (1 << 20, 5)):
+            assert leaves[0][0] == 0 and leaves[-1][1] == m
+            assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
+            assert all(0 < j - i <= mixstats._LEAF for i, j in leaves)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 1000, 2**20, 2**24])
+    def test_int32_indices_take_the_int64_stream(self, n):
+        for size in (1, 5, 2**20):
+            narrow, wide = np.random.default_rng(n), np.random.default_rng(n)
+            assert np.array_equal(narrow.integers(0, n, size=size, dtype=np.int32),
+                                  wide.integers(0, n, size=size))
+            assert narrow.bit_generator.state == wide.bit_generator.state
+
+    def test_sampling_takes_no_log_scales(self):
+        mix = build_mixture(BASE, ErrorSchedule.bleed(0.2, 0.9, 12))
+        sample(mix, SampleSpec(n_samples=1000, seed=3, thresholds=(1.0,)))
+        assert "log_scales" not in vars(mix)
 
     def test_no_reference_cycle_keeps_the_blocks(self):
         gc.collect()
