@@ -42,6 +42,7 @@ from .mixstats import (
     loglog_series,
     mixture_abs_first_moment,
     mixture_raw_moment,
+    mixture_raw_moments,
     tail_slope_estimate,
 )
 from .montecarlo import (
@@ -105,6 +106,7 @@ __all__ = [
     "m4_bleed",
     "mixture_abs_first_moment",
     "mixture_raw_moment",
+    "mixture_raw_moments",
     "moment_constant_a",
     "moment_multiplicative",
     "moments_additive",

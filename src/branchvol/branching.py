@@ -151,69 +151,33 @@ class GaussianBase:
         check_sigma(self.sigma)
 
 
-class _LogOfScales:
-    """The log_scales field of MixtureDistribution: np.log(scales) on the
-    first read of a mixture given None. A given array is stored on the
-    instance, which Python reads before this non-data descriptor. Read on
-    the class it raises, so the dataclass gives the field no default.
-    Threads that race on a first read store equal arrays."""
+class _OnFirstRead:
+    """A field of MixtureDistribution computed on the first read of a
+    mixture given None, then kept and read-only. A given array is stored
+    on the instance, which Python reads before this non-data descriptor.
+    Read on the class it raises, so the dataclass gives the field no
+    default. Threads that race on a first read store equal arrays."""
+
+    def __init__(self, compute) -> None:
+        self.compute = compute
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
 
     def __get__(self, mixture, owner=None):
         if mixture is None:
-            raise AttributeError("log_scales belongs to each mixture")
-        log_scales = np.log(mixture.scales)
-        log_scales.setflags(write=False)
-        object.__setattr__(mixture, "log_scales", log_scales)
-        return log_scales
+            raise AttributeError(f"{self.name} belongs to each mixture")
+        value = self.compute(mixture)
+        value.setflags(write=False)
+        object.__setattr__(mixture, self.name, value)
+        return value
 
 
-@dataclass(frozen=True)
-class MixtureDistribution:
-    """Mixture of Normal(mu, (sigma * scales[i])^2) components.
-
-    Component i weighs ``weight * exp(log_weights[i])``. ``weight`` is an
-    exact common factor: 2^-N for an enumeration (exp(-N ln 2) is not 2^-N
-    in every bit), 1.0 for grouped classes. ``log_scales`` stays finite
-    where ``scales`` leaves the double range. Given as None, it is
-    ``np.log(scales)``, taken on first read and kept, so the moments,
-    densities and samples of an enumeration hold no second full-length
-    array. Every array is read-only.
-    """
-
-    mu: float
-    sigma: float
-    scales: np.ndarray
-    log_scales: np.ndarray | None = _LogOfScales()
-    weight: float
-    log_weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        arrays = [self.scales, self.log_weights]
-        if self.log_scales is None:
-            object.__delattr__(self, "log_scales")  # taken on first read
-        else:
-            arrays.append(self.log_scales)
-        for arr in arrays:
-            arr.setflags(write=False)
-
-    @property
-    def n_components(self) -> int:
-        return int(self.scales.size)
-
-    @property
-    def component_sigmas(self) -> np.ndarray:
-        return self.sigma * self.scales
-
-    @cached_property
-    def zero_log_weights(self) -> bool:
-        """True when every log-weight is exactly 0 (every enumeration): each
-        component weighs ``weight``, and exp(log_weights) can be skipped."""
-        return not self.log_weights.any()
-
-
-# The last _TAIL_LAYERS layers expand runs of head elements into blocks of
-# about _BUILD_BLOCK scales, whose scratch stays in cache.
+# The last _TAIL_LAYERS layers of an enumeration expand each head element
+# into _SCALE_BLOCK scales; the build expands runs of head elements into
+# blocks of about _BUILD_BLOCK scales. Both keep their scratch in cache.
 _TAIL_LAYERS = 14
+_SCALE_BLOCK = 2**_TAIL_LAYERS
 _BUILD_BLOCK = 2**16
 
 
@@ -231,6 +195,125 @@ def _expand(x: np.ndarray, op, moves, out: np.ndarray, scratch: np.ndarray) -> N
         x = y.ravel()
 
 
+@dataclass(frozen=True)
+class ScaleExpansion:
+    """The 2^N scales of an enumeration, held as a head of 2^(N-k) partial
+    scales and the (up, down) moves of the last k = min(N, 14) layers.
+
+    Head element i expands into scales i 2^k to (i + 1) 2^k - 1. Every
+    scale is the same left-to-right chain of ufunc steps however the head
+    is split, so neither the build nor the blocks move a bit. ADDITIVE
+    expansions add the 1 last.
+    """
+
+    head: np.ndarray
+    op: np.ufunc
+    moves: tuple[tuple[float, float], ...]
+    additive: bool
+
+    def _fill(self, i: int, run: int, out: np.ndarray, scratch: np.ndarray) -> None:
+        # Head elements i to i + run - 1 through the moves, into out.
+        _expand(self.head[i : i + run], self.op, self.moves, out, scratch)
+        if self.additive:
+            out += 1.0
+
+    def _run(self, size: int) -> int:
+        # Head elements whose expansion fills about size scales.
+        return min(self.head.size, size >> len(self.moves))
+
+    def build(self) -> np.ndarray:
+        """Every scale, in one new array: runs of head elements go through
+        the moves in cache-sized scratch, straight into their part of it."""
+        k, run = len(self.moves), self._run(_BUILD_BLOCK)
+        scales = np.empty(self.head.size << k)
+        scratch = np.empty((2, (run << k) // 2))
+        for i in range(0, self.head.size, run):
+            self._fill(i, run, scales[i << k : (i + run) << k], scratch)
+        return scales
+
+    def blocks(self):
+        """The scales in order, min(2^N, _SCALE_BLOCK) at a time: read-only
+        views of one reused scratch, each valid until the next is drawn."""
+        run = self._run(_SCALE_BLOCK)
+        out = np.empty(run << len(self.moves))
+        scratch = np.empty((2, out.size // 2))
+        view = out.view()
+        view.setflags(write=False)
+        for i in range(0, self.head.size, run):
+            self._fill(i, run, out, scratch)
+            yield view
+
+    def ends(self) -> tuple[float, float]:
+        """The first and last scales: branch 0 takes every up move, branch
+        2^N - 1 every down move. Rounding is monotone, so they are the
+        largest and the smallest scale."""
+        first, last = self.head[:1], self.head[-1:]
+        for up, down in self.moves:
+            first, last = self.op(first, up), self.op(last, down)
+        if self.additive:
+            first, last = first + 1.0, last + 1.0
+        return float(first[0]), float(last[0])
+
+
+@dataclass(frozen=True)
+class MixtureDistribution:
+    """Mixture of Normal(mu, (sigma * scales[i])^2) components.
+
+    Component i weighs ``weight * exp(log_weights[i])``. ``weight`` is an
+    exact common factor: 2^-N for an enumeration (exp(-N ln 2) is not 2^-N
+    in every bit), 1.0 for grouped classes. ``log_scales`` stays finite
+    where ``scales`` leaves the double range. An enumeration gives
+    ``scales`` as None with its ``expansion``: the array is built on first
+    read and kept, and until then ``scale_blocks`` expands the scales a
+    block at a time. ``log_scales`` given as None is ``np.log(scales)``,
+    taken on first read and kept. Every array is read-only.
+    """
+
+    mu: float
+    sigma: float
+    scales: np.ndarray | None = _OnFirstRead(lambda mixture: mixture.expansion.build())
+    log_scales: np.ndarray | None = _OnFirstRead(lambda mixture: np.log(mixture.scales))
+    weight: float
+    log_weights: np.ndarray
+    expansion: ScaleExpansion | None = None
+
+    def __post_init__(self) -> None:
+        if vars(self)["scales"] is None and self.expansion is None:
+            raise ValueError("scales given as None need an expansion to build them from")
+        for name in ("scales", "log_scales"):
+            if vars(self)[name] is None:
+                object.__delattr__(self, name)  # taken on first read
+            else:
+                vars(self)[name].setflags(write=False)
+        self.log_weights.setflags(write=False)
+
+    @property
+    def n_components(self) -> int:
+        return int(self.log_weights.size)
+
+    @property
+    def component_sigmas(self) -> np.ndarray:
+        return self.sigma * self.scales
+
+    @cached_property
+    def zero_log_weights(self) -> bool:
+        """True when every log-weight is exactly 0 (every enumeration): each
+        component weighs ``weight``, and exp(log_weights) can be skipped."""
+        return not self.log_weights.any()
+
+    def scale_blocks(self):
+        """The scales in order, in blocks of 2^14 (the last may be shorter).
+
+        Once the scales are built or given, the blocks are slices of them.
+        Until then each block is expanded into one reused scratch and is
+        valid only until the next is drawn: the 2^N array is not built.
+        """
+        if self.expansion is None or "scales" in vars(self):
+            scales = self.scales
+            return (scales[i : i + _SCALE_BLOCK] for i in range(0, scales.size, _SCALE_BLOCK))
+        return self.expansion.blocks()
+
+
 def build_mixture(base: GaussianBase, schedule: ErrorSchedule) -> MixtureDistribution:
     """Equal-weight mixture over all 2^N branches of the schedule.
 
@@ -239,6 +322,8 @@ def build_mixture(base: GaussianBase, schedule: ErrorSchedule) -> MixtureDistrib
     MULTIPLICATIVE: scale = prod_j (1 + s_j a(j)), always positive.
     ADDITIVE: scale = 1 + sum_j s_j a^j; raises NonPositiveScaleError if
     any branch's offset sum reaches -1. Depth 0 yields the base Gaussian.
+    The first N - 14 layers are built here; the scales are expanded from
+    them when first read.
     """
     n = schedule.depth
     if n > MAX_ENUMERATION_DEPTH:
@@ -252,33 +337,25 @@ def build_mixture(base: GaussianBase, schedule: ErrorSchedule) -> MixtureDistrib
     else:
         op, start = np.multiply, np.ones(1)
         moves = [(1.0 + a, 1.0 - a) for a in schedule.rates]
-    # The first n - k layers build a head of 2^(n-k) partial scales; each
-    # run of head elements then goes through the last k layers in scratch
-    # and lands in its block of the output, so the output is the one
-    # full-length array. Every scale is still the same left-to-right
-    # chain of ufunc steps, so blocking moves no bit.
     k = min(n, _TAIL_LAYERS)
     head = np.empty(2 ** (n - k))
-    run = min(head.size, _BUILD_BLOCK >> k)
-    scales = np.empty(2**n)
-    scratch = np.empty((2, max(head.size, run << k) // 2))
-    _expand(start, op, moves[: n - k], head, scratch)
-    for i in range(0, head.size, run):
-        block = scales[i << k : (i + run) << k]
-        _expand(head[i : i + run], op, moves[n - k :], block, scratch)
-        if additive:
-            block += 1.0
+    _expand(start, op, moves[: n - k], head, np.empty((2, head.size // 2)))
+    head.setflags(write=False)
+    expansion = ScaleExpansion(head, op, tuple(moves[n - k :]), additive)
+    if additive and expansion.ends()[1] <= 0.0:
+        # The last branch has the smallest scale, so some scale is <= 0:
+        # the blocks find the first.
+        for i, block in enumerate(expansion.blocks()):
             bad = np.flatnonzero(block <= 0.0)
             if bad.size:
-                b = (i << k) + int(bad[0])
+                b = i * block.size + int(bad[0])
                 signs = tuple(1 - 2 * (b >> (n - 1 - j) & 1) for j in range(n))
                 raise NonPositiveScaleError(
-                    f"branch {b} with signs {signs} has scale {scales[b]:.6g} <= 0"
+                    f"branch {b} with signs {signs} has scale {block[bad[0]]:.6g} <= 0"
                 )
     # Equal weights as a zero-stride view: no weight array at depth 24.
-    # The log-scales are taken on first read.
     return MixtureDistribution(
-        base.mu, base.sigma, scales, None, 2.0**-n, np.broadcast_to(0.0, scales.shape),
+        base.mu, base.sigma, None, None, 2.0**-n, np.broadcast_to(0.0, (2**n,)), expansion,
     )
 
 

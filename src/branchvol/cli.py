@@ -61,13 +61,23 @@ def _format_value(v) -> str:
     return s
 
 
+_NON_FINITE = ("inf", "-inf", "nan")
+
+
+def _json_cell(v):
+    # RFC 8259 JSON has no inf or nan: such a cell carries its CSV token.
+    if isinstance(v, float) and not math.isfinite(v):
+        return _format_value(v)
+    return v
+
+
 def _emit(args, command: str, columns: list[str], rows: list[list]) -> None:
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
             "columns": columns,
-            "rows": rows,
+            "rows": [[_json_cell(c) for c in row] for row in rows],
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -103,11 +113,14 @@ def _parse_cell(cell: str):
 
 
 def parse_table_json(text: str) -> tuple[list[str], list[list]]:
-    """Read back a JSON table emitted by this tool."""
+    """Read back a JSON table emitted by this tool; the cells "inf", "-inf"
+    and "nan" read as floats."""
     payload = json.loads(text)
     if payload.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {payload.get('schema_version')!r}")
-    return payload["columns"], payload["rows"]
+    rows = [[float(c) if isinstance(c, str) and c in _NON_FINITE else c for c in row]
+            for row in payload["rows"]]
+    return payload["columns"], rows
 
 
 def _parse_list(text: str, flag: str, kind=float) -> list:
@@ -249,15 +262,14 @@ def cmd_moments(args) -> int:
         schedule = spec.to_schedule()
     if spec.n <= MAX_ENUMERATION_DEPTH:
         mixture = build_mixture(base, schedule)
-    rows = []
-    for order in orders:
-        closed = _closed_moment(spec, schedule, order, base.mu, base.sigma)
-        enum = mixstats.mixture_raw_moment(mixture, order) if mixture is not None else None
-        rel = None
-        if closed is not None and enum is not None:
-            denom = max(abs(closed), abs(enum), 1e-300)
-            rel = abs(closed - enum) / denom
-        rows.append([order, closed, enum, rel, _limit_moment(spec, order, base.mu, base.sigma)])
+    rows = [[order, _closed_moment(spec, schedule, order, base.mu, base.sigma), None, None,
+             _limit_moment(spec, order, base.mu, base.sigma)] for order in orders]
+    if mixture is not None:
+        # Every scale moment in one pass, after the closed forms checked the orders.
+        for row, enum in zip(rows, mixstats.mixture_raw_moments(mixture, orders)):
+            row[2] = enum
+            if row[1] is not None:
+                row[3] = abs(row[1] - enum) / max(abs(row[1]), abs(enum), 1e-300)
     _emit(
         args,
         "moments",
@@ -292,9 +304,10 @@ def cmd_validate(args) -> int:
         thresholds = tuple(base.mu + base.sigma * m for m in (1.0, 2.0, 3.0))
     schedule = spec.to_schedule()
     mixture = build_mixture(base, schedule)
+    mixture.scales  # built once: sampling gathers from it, the references read its blocks
     references: dict[tuple[str, float], float] = {}
-    for order in orders:
-        references[("moment", float(order))] = mixstats.mixture_raw_moment(mixture, order)
+    for order, moment in zip(orders, mixstats.mixture_raw_moments(mixture, orders)):
+        references[("moment", float(order))] = moment
     for k in thresholds:
         references[("exceedance", k)] = mixstats.exceedance(mixture, k)
     if args.self_test:

@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from ._checks import check_order
-from .branching import GaussianBase, MixtureDistribution, group_mixture
+from .branching import _SCALE_BLOCK, GaussianBase, MixtureDistribution, group_mixture
 from .special import erfc, gaussian_abs_first_moment, log_erfc, scale_mixture_moment
 
 _LN2 = math.log(2.0)
@@ -49,7 +49,9 @@ _EXP_ZERO = -746.0
 
 
 # Largest piece _pairwise_sum hands to its leaf: 2^14 doubles stay in cache.
-_LEAF = 2**14
+# It is the block of MixtureDistribution.scale_blocks, so the leaves of 2^N
+# scales are exactly their blocks.
+_LEAF = _SCALE_BLOCK
 
 
 def _pairwise_sum(leaf, lo: int, hi: int):
@@ -210,8 +212,12 @@ def _fsum_pair(arrays, slack: float) -> tuple[float, float] | None:
 
 def _all_linear(mixture: MixtureDistribution) -> bool:
     # Every |ln(sigma scale)| is at most |ln sigma| + max(-ln min(scales),
-    # ln max(scales)); a nat of margin covers the rounding of the logs.
-    lo, hi = float(mixture.scales.min()), float(mixture.scales.max())
+    # ln max(scales)); a nat of margin covers the rounding of the logs. An
+    # enumeration's extremes are its last and first scales: nothing is built.
+    if mixture.expansion is not None:
+        hi, lo = mixture.expansion.ends()
+    else:
+        lo, hi = float(mixture.scales.min()), float(mixture.scales.max())
     if not (0.0 < lo and hi < math.inf):
         return False
     spread = max(-math.log(lo), math.log(hi))
@@ -234,39 +240,50 @@ def density(mixture: MixtureDistribution, x) -> float | np.ndarray:
             linear &= mixture.log_weights >= -_DENSITY_LINEAR_LIMIT
         scales = mixture.scales[linear]
         log_weights = mixture.log_weights[linear] if weighted else None
+        width = scales.size
+        chunks = ((scales[s], log_weights[s] if weighted else None) for s in _slices(width))
         far_log_sigmas = log_sigmas[~linear]
         far_log_weights = mixture.log_weights[~linear]
-    else:  # no mask, gather or log-scales: each chunk's sigmas as they are used
-        scales, log_weights = mixture.scales, None
+    else:  # no mask, gather or log-scales: the scales a block at a time
+        width = mixture.n_components
+        chunks = ((block[s], None) for block in mixture.scale_blocks()
+                  for s in _slices(block.size))
         far_log_sigmas = far_log_weights = np.empty(0)
     x_col = x_arr.reshape(-1, 1)
     out = np.zeros(x_arr.size)
+    grid = list(_slices(out.size, _GRID_BLOCK))
     # Two tables of (grid block x chunk) doubles, reused: a new process
     # maps and faults in fresh multi-megabyte temporaries on every chunk.
-    tables = np.empty((2, min(out.size, _GRID_BLOCK) * min(scales.size, _CHUNK)))
-    # Grid points go a block at a time; each keeps its own sum, in the same
-    # order whatever the block size. Overflow here means z * z past the
-    # double range (the term is 0) or a density past it (the result is inf).
+    tables = np.empty((2, min(out.size, _GRID_BLOCK) * min(width, _CHUNK)))
+    # Each chunk goes over the grid a block at a time; every point keeps
+    # its own sum, adding the chunks in order whatever the block size.
+    # Overflow here means z * z past the double range (the term is 0) or a
+    # density past it (the result is inf).
     with np.errstate(over="ignore", divide="ignore"):
-        for g in _slices(out.size, _GRID_BLOCK):
-            xb, ob = x_col[g], out[g]
-            for s in _slices(scales.size):
-                chunk = mixture.sigma * scales[s]
-                z, terms = (t[: xb.size * chunk.size].reshape(xb.size, chunk.size) for t in tables)
-                np.divide(xb - mixture.mu, chunk, out=z)
+        dx = x_col - mixture.mu
+        for chunk, chunk_log_weights in chunks:
+            sigmas = mixture.sigma * chunk
+            norms = sigmas * _SQRT_TWO_PI
+            if weighted:
+                weights = np.exp(chunk_log_weights)
+            for g in grid:
+                z, terms = (t[: dx[g].size * sigmas.size].reshape(-1, sigmas.size)
+                            for t in tables)
+                np.divide(dx[g], sigmas, out=z)
                 np.multiply(-0.5, z, out=terms)
                 terms *= z
                 np.exp(terms, out=terms)
                 if weighted:
-                    terms *= np.exp(log_weights[s])
-                terms /= chunk * _SQRT_TWO_PI
-                ob += np.sum(terms, axis=-1)
-            log_dx = np.log(np.abs(xb - mixture.mu))
+                    terms *= weights
+                terms /= norms
+                out[g] += np.sum(terms, axis=-1)
+        for g in grid:
+            log_dx = np.log(np.abs(dx[g]))
             for s in _slices(far_log_sigmas.size):
                 ls = far_log_sigmas[s]
                 z2 = np.exp(2.0 * (log_dx - ls))
                 terms = np.exp(far_log_weights[s] - ls - _LN_SQRT_TWO_PI - 0.5 * z2)
-                ob += np.sum(terms, axis=-1)
+                out[g] += np.sum(terms, axis=-1)
     out *= mixture.weight
     if x_arr.ndim == 0:
         return float(out[0])
@@ -309,15 +326,18 @@ def _log_tails(delta, log_sigmas: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tails(delta: float, sigmas: np.ndarray, log_sigmas: np.ndarray) -> np.ndarray:
-    # P(Normal(0, sigma_i^2) > delta); the log form covers sigmas that
-    # underflowed to 0 or are too small for delta / sigma to stay finite.
+def _tails(delta: float, sigma: float, scales: np.ndarray, log_scales) -> np.ndarray:
+    # P(Normal(0, (sigma scale_i)^2) > delta); the log form covers sigmas
+    # that underflowed to 0 or are too small for delta / sigma to stay
+    # finite. log_scales given as None are np.log(scales), taken there.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        z = delta / (_SQRT2 * sigmas)
+        z = delta / (_SQRT2 * (sigma * scales))
     ok = np.isfinite(z)
     out = np.empty(z.shape)
     out[ok] = 0.5 * erfc(z[ok])
-    out[~ok] = np.exp(_log_tails(delta, log_sigmas[~ok]))
+    bad = ~ok
+    ls = np.log(scales[bad]) if log_scales is None else log_scales[bad]
+    out[bad] = np.exp(_log_tails(delta, math.log(sigma) + ls))
     return out
 
 
@@ -328,12 +348,17 @@ def exceedance(mixture: MixtureDistribution, k: float) -> float:
     tails, where log_exceedance stays usable.
     """
     (delta,) = _deltas(mixture, k).tolist()
-    log_sigma = math.log(mixture.sigma)
+    lw = mixture.log_weights
+    # An enumeration's log-scales are np.log of its scales, taken by _tails
+    # where a tail needs them; other mixtures give theirs.
+    log_scales = None if mixture.expansion is not None else mixture.log_scales
+    starts = range(0, mixture.n_components, _SCALE_BLOCK)
     with np.errstate(over="ignore"):  # a sigma past the double range has tail 1/2
         total = _fsum(
-            np.exp(mixture.log_weights[s])
-            * _tails(delta, mixture.sigma * mixture.scales[s], log_sigma + mixture.log_scales[s])
-            for s in _slices(mixture.n_components)
+            np.exp(lw[i : i + b.size])
+            * _tails(delta, mixture.sigma, b,
+                     None if log_scales is None else log_scales[i : i + b.size])
+            for i, b in zip(starts, mixture.scale_blocks())
         )
     return min(1.0, mixture.weight * total)
 
@@ -464,43 +489,62 @@ def convexity_ratio(mixture: MixtureDistribution, k) -> float | np.ndarray:
     return _like(k, [math.inf if d > _LN_MAX else math.exp(d) for d in logs])
 
 
-def _mean_scale_power(mixture: MixtureDistribution, m: int) -> float:
-    # E[scale^m] over the mixture weights, a leaf at a time in np.sum's
-    # order. In deep grouped mixtures a tiny weight can meet a power that
-    # overflows; a leaf whose sum is not finite takes such terms in log
-    # space and sums again. Terms are never negative, so a finite leaf sum
-    # means every term of the leaf was finite.
-    scales, lw = mixture.scales, mixture.log_weights
+def _mean_scale_powers(mixture: MixtureDistribution, ms) -> np.ndarray:
+    # E[scale^m] over the mixture weights for each m of ms, in one pass over
+    # the leaves, each sum in np.sum's order. 2^N scales, as every
+    # enumeration has, split into leaves that are exactly the blocks of
+    # scale_blocks, which streams an enumeration that is not built; other
+    # counts slice the scales. In deep grouped mixtures a tiny weight can
+    # meet a power that overflows; a leaf whose sum is not finite takes such
+    # terms in log space and sums again. Terms are never negative, so a
+    # finite leaf sum means every term of the leaf was finite.
+    n, lw = mixture.n_components, mixture.log_weights
     weighted = not mixture.zero_log_weights
-    terms = np.empty(min(_LEAF, scales.size))
+    blocks = None if n & (n - 1) else mixture.scale_blocks()
+    terms = np.empty(min(_LEAF, n))
     weights = np.empty(terms.size if weighted else 0)
 
-    def leaf(i: int, j: int) -> float:
+    def leaf(i: int, j: int) -> np.ndarray:
+        x = mixture.scales[i:j] if blocks is None else next(blocks)
         t = terms[: j - i]
-        np.power(scales[i:j], m, out=t)
         if weighted:
-            t *= np.exp(lw[i:j], out=weights[: j - i])
-        total = float(np.sum(t))
-        if not math.isfinite(total):
-            bad = ~np.isfinite(t)
-            t[bad] = np.exp(lw[i:j][bad] + m * mixture.log_scales[i:j][bad])
-            total = float(np.sum(t))
-        return total
+            w = np.exp(lw[i:j], out=weights[: j - i])
+        sums = np.empty(len(ms))
+        for r, m in enumerate(ms):
+            np.power(x, m, out=t)
+            if weighted:
+                t *= w
+            sums[r] = np.sum(t)
+            if not math.isfinite(sums[r]):
+                bad = ~np.isfinite(t)
+                t[bad] = np.exp(lw[i:j][bad] + m * mixture.log_scales[i:j][bad])
+                sums[r] = np.sum(t)
+        return sums
 
     with np.errstate(over="ignore", invalid="ignore"):
-        return mixture.weight * _pairwise_sum(leaf, 0, scales.size)
+        return mixture.weight * _pairwise_sum(leaf, 0, n)
 
 
-def mixture_raw_moment(mixture: MixtureDistribution, order: int) -> float:
-    """Raw moment E[X^order] by exact summation over the components.
+def mixture_raw_moments(mixture: MixtureDistribution, orders) -> list[float]:
+    """Raw moments E[X^k] for each order k of orders, by exact summation
+    over the components: every E[scale^m] they need in one pass.
 
     Only even powers of the component scales contribute:
     E[X^k] = sum_{m even} C(k, m) E[Z^m] mu^(k-m) sigma^m * E[scale^m].
     """
-    check_order(order)
-    return scale_mixture_moment(
-        order, mixture.mu, mixture.sigma, lambda m: _mean_scale_power(mixture, m)
-    )
+    orders = list(orders)
+    for order in orders:
+        check_order(order)
+    # At mu = 0 only m = k survives the factor mu^(k-m).
+    ms = sorted({m for k in orders for m in range(2, k + 1, 2) if mixture.mu != 0.0 or m == k})
+    means = dict(zip(ms, _mean_scale_powers(mixture, ms).tolist())) if ms else {}
+    return [scale_mixture_moment(k, mixture.mu, mixture.sigma, means.__getitem__)
+            for k in orders]
+
+
+def mixture_raw_moment(mixture: MixtureDistribution, order: int) -> float:
+    """Raw moment E[X^order]: mixture_raw_moments of one order."""
+    return mixture_raw_moments(mixture, [order])[0]
 
 
 def mixture_abs_first_moment(mixture: MixtureDistribution) -> float:
@@ -513,7 +557,7 @@ def mixture_abs_first_moment(mixture: MixtureDistribution) -> float:
         raise ValueError(
             "absolute first moment is only supported for centered mixtures (mu = 0)"
         )
-    return gaussian_abs_first_moment(mixture.sigma) * _mean_scale_power(mixture, 1)
+    return gaussian_abs_first_moment(mixture.sigma) * float(_mean_scale_powers(mixture, [1])[0])
 
 
 @dataclass(frozen=True)

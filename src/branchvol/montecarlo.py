@@ -83,7 +83,7 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
     Components are drawn uniformly, so every weight must be equal. Power
     sums run up to x^(2 max(max order, 4)), the highest power estimate reads.
     """
-    if np.any(mixture.log_weights != mixture.log_weights[0]):
+    if not mixture.zero_log_weights and np.any(mixture.log_weights != mixture.log_weights[0]):
         raise ValueError("sample needs equal component weights; got a weighted mixture")
     rng = np.random.default_rng(spec.seed)
     n_pow = 2 * max((4, *spec.moment_orders)) + 1
@@ -120,6 +120,8 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
         m = min(_BLOCK, remaining)
         # int32 indices: numpy bounds int32 and int64 alike from 32-bit
         # draws below 2^32, so the values and the stream are those of int64.
+        # The last block's indices go first, so one block is held at a time.
+        idx = None
         idx = rng.integers(0, mixture.n_components, size=m, dtype=np.int32)
         sums = _pairwise_sum(leaf, 0, m)
         power_sums += sums[:n_pow]

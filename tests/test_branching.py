@@ -16,6 +16,7 @@ from branchvol.branching import (
     EnumerationLimitError,
     ErrorSchedule,
     GaussianBase,
+    MixtureDistribution,
     Mode,
     NonPositiveScaleError,
     ScheduleParseError,
@@ -273,6 +274,14 @@ def _layerwise(schedule):
     return scales + 1.0 if additive else scales
 
 
+_MAKES = pytest.mark.parametrize("make", [
+    lambda n: ErrorSchedule.bleed(0.2, 0.9, n),
+    lambda n: ErrorSchedule.explicit(np.linspace(0.3, 0.01, n)),
+    lambda n: ErrorSchedule.geometric(0.1, n),
+    lambda n: ErrorSchedule.explicit([0.05**j for j in range(1, n + 1)], Mode.ADDITIVE),
+], ids=["bleed", "explicit", "geometric", "additive-explicit"])
+
+
 class TestBlockedBuild:
     """The build expands the last 14 layers a block at a time: every scale
     has the bits of the layer-by-layer build, on both sides of the split."""
@@ -280,12 +289,7 @@ class TestBlockedBuild:
     DEPTHS = [0, 1, 13, 14, 15, 21]
 
     @pytest.mark.parametrize("n", DEPTHS)
-    @pytest.mark.parametrize("make", [
-        lambda n: ErrorSchedule.bleed(0.2, 0.9, n),
-        lambda n: ErrorSchedule.explicit(np.linspace(0.3, 0.01, n)),
-        lambda n: ErrorSchedule.geometric(0.1, n),
-        lambda n: ErrorSchedule.explicit([0.05**j for j in range(1, n + 1)], Mode.ADDITIVE),
-    ], ids=["bleed", "explicit", "geometric", "additive-explicit"])
+    @_MAKES
     def test_scales_equal_the_layerwise_build(self, make, n):
         schedule = make(n)
         scales = build_mixture(GaussianBase(), schedule).scales
@@ -299,6 +303,74 @@ class TestBlockedBuild:
         ref = _layerwise(schedule)
         i = int(np.flatnonzero(ref <= 0.0)[0])
         signs = next(islice(product((1, -1), repeat=n), i, None))
+        with pytest.raises(NonPositiveScaleError) as err:
+            build_mixture(GaussianBase(), schedule)
+        assert str(err.value) == f"branch {i} with signs {signs} has scale {ref[i]:.6g} <= 0"
+
+
+class TestScaleBlocks:
+    """An enumeration keeps the head and the last moves: its scales are
+    built on first read, and scale_blocks streams them until then, with
+    the bits of the layer-by-layer build."""
+
+    @pytest.mark.parametrize("n", TestBlockedBuild.DEPTHS)
+    @_MAKES
+    def test_blocks_equal_the_layerwise_build(self, make, n):
+        schedule = make(n)
+        mix = build_mixture(GaussianBase(), schedule)
+        streamed = [b.copy() for b in mix.scale_blocks()]
+        assert "scales" not in vars(mix)
+        assert {b.size for b in streamed} == {min(2**n, 2**14)}
+        assert np.array_equal(np.concatenate(streamed), _layerwise(schedule))
+        scales = mix.scales  # built on first read; the blocks are slices from now on
+        sliced = list(mix.scale_blocks())
+        assert np.array_equal(scales, _layerwise(schedule))
+        assert all(np.array_equal(a, b) for a, b in zip(streamed, sliced, strict=True))
+        assert all(np.shares_memory(b, scales) for b in sliced)
+
+    @pytest.mark.parametrize("n", [1, 13, 15, 21])
+    @_MAKES
+    def test_the_ends_are_the_extremes(self, make, n):
+        mix = build_mixture(GaussianBase(), make(n))
+        first, last = mix.expansion.ends()
+        assert "scales" not in vars(mix)
+        assert (first, last) == (mix.scales[0], mix.scales[-1])
+        assert (first, last) == (mix.scales.max(), mix.scales.min())
+
+    def test_streamed_blocks_are_read_only_views_of_one_scratch(self):
+        blocks = build_mixture(GaussianBase(), ErrorSchedule.bleed(0.2, 0.9, 16)).scale_blocks()
+        first, second = next(blocks), next(blocks)
+        assert np.shares_memory(first, second)
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 0.0
+
+    def test_the_deepest_build_holds_no_scales(self):
+        tracemalloc.start()
+        try:
+            mix = build_mixture(GaussianBase(), ErrorSchedule.bleed(0.2, 0.9, MAX_ENUMERATION_DEPTH))
+            assert mix.n_components == 2**MAX_ENUMERATION_DEPTH
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "scales" not in vars(mix) and peak < 2**16
+
+    def test_scales_given_as_none_need_an_expansion(self):
+        with pytest.raises(ValueError, match="expansion"):
+            MixtureDistribution(0.0, 1.0, None, None, 1.0, np.zeros(1))
+
+    def test_the_smallest_scale_may_be_tiny(self):
+        # At a = 0.5 the all-minus offset is -(1 - 2^-20) exactly: every
+        # scale is positive and the build streams no block to check.
+        mix = build_mixture(GaussianBase(), ErrorSchedule.geometric(0.5, 20))
+        assert mix.expansion.ends()[1] == 2.0**-20
+        assert "scales" not in vars(mix)
+        assert mix.scales.min() == 2.0**-20
+
+    def test_nonpositive_scale_error_at_depth_20(self):
+        schedule = ErrorSchedule.geometric(0.501, 20)
+        ref = _layerwise(schedule)
+        i = int(np.flatnonzero(ref <= 0.0)[0])
+        signs = next(islice(product((1, -1), repeat=20), i, None))
         with pytest.raises(NonPositiveScaleError) as err:
             build_mixture(GaussianBase(), schedule)
         assert str(err.value) == f"branch {i} with signs {signs} has scale {ref[i]:.6g} <= 0"
@@ -460,6 +532,7 @@ class TestEnumerationCeiling:
         tracemalloc.start()
         try:
             mix = build_mixture(GaussianBase(), ErrorSchedule.bleed(0.2, 0.9, MAX_ENUMERATION_DEPTH))
+            mix.scales  # built on first read
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -16,8 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from branchvol import cli
-from branchvol.branching import MAX_ENUMERATION_DEPTH, GaussianBase, ScheduleSpec, group_mixture
+from branchvol import cli, mixstats
+from branchvol.branching import (
+    MAX_ENUMERATION_DEPTH,
+    GaussianBase,
+    ScaleExpansion,
+    ScheduleSpec,
+    group_mixture,
+)
 from branchvol.closedform import BleedParams, m4_bleed, moments_additive
 from branchvol.mixstats import convexity_ratio, exceedance
 
@@ -26,6 +32,18 @@ def run_cli(*argv, capsys=None):
     rc = cli.main(list(argv))
     out = capsys.readouterr().out if capsys is not None else None
     return rc, out
+
+
+def count_calls(monkeypatch, owner, name):
+    # Replaces owner.name by a wrapper; returns the list of its calls.
+    calls, inner = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def schedule_argvs(schedule):
@@ -249,6 +267,18 @@ class TestMomentsCommand:
         assert len(calls) == 1
         assert all(r[1] is not None for r in rows.values())
 
+    @pytest.mark.parametrize("mu", ["0", "0.05"])
+    def test_scale_moments_take_one_pass_and_build_nothing(self, mu, monkeypatch, capsys):
+        # At mu = 0.05, orders 1-8 read E[S^m] for m = 2, 4, 6, 8 sixteen
+        # times over; one streamed pass sums all four.
+        passes = count_calls(monkeypatch, mixstats, "_mean_scale_powers")
+        builds = count_calls(monkeypatch, ScaleExpansion, "build")
+        rc, out = run_cli("moments", "--schedule", "bleed:a1=0.2,lambda=0.9,N=15",
+                          f"--mu={mu}", capsys=capsys)
+        assert rc == 0 and len(cli.parse_table_csv(out)[1]) == 8
+        assert len(passes) == 1 and len(builds) == 0
+        assert passes[0][1] == [2, 4, 6, 8]
+
     @pytest.mark.parametrize("schedule", ["bleed:a1=0.2,lambda=1,N=5",
                                           "bleed:a1=0.2,lambda=1.5,N=3"])
     def test_bleed_without_a_limit_still_reports_moments(self, schedule, capsys):
@@ -297,6 +327,16 @@ class TestValidateCommand:
         assert all(r[7] for r in rows)
         assert cli.main(args + ["--self-test"]) == 1
 
+    def test_the_scales_are_built_once(self, monkeypatch, capsys):
+        # Sampling gathers from the array; the references read its slices.
+        passes = count_calls(monkeypatch, mixstats, "_mean_scale_powers")
+        builds = count_calls(monkeypatch, ScaleExpansion, "build")
+        blocks = count_calls(monkeypatch, ScaleExpansion, "blocks")
+        rc, _ = run_cli("validate", "--schedule", "bleed:a1=0.2,lambda=0.9,N=15", "--mu=0.05",
+                        "--n-samples", "2000", "--orders", "1,2,3,4", capsys=capsys)
+        assert rc in (0, 1)
+        assert (len(builds), len(passes), len(blocks)) == (1, 1, 0)
+
     def test_seed_changes_output(self, capsys):
         base_args = (
             "validate", "--schedule", "constant:a=0.1,N=4", "--n-samples", "50000",
@@ -338,6 +378,25 @@ class TestOutputContract:
             assert columns and rows
             payload = json.loads(p.read_text())
             assert payload["schema_version"] == 1
+
+    def test_json_carries_non_finite_cells_as_csv_tokens(self, capsys):
+        # RFC 8259 has no Infinity or NaN; parse_table_json reads the tokens back.
+        def refuse(token):
+            raise ValueError(f"bare {token} in the JSON")
+
+        argv = ["ratio-table", "--a", "0.1", "--n-list", "25", "--k-list", "40,80"]
+        rc, text = run_cli(*argv, "--format", "json", capsys=capsys)
+        assert rc == 0
+        assert json.loads(text, parse_constant=refuse)["rows"] == [[0.1, 25, "inf", "inf"]]
+        assert cli.parse_table_json(text) == (["a", "N", "K40", "K80"],
+                                              [[0.1, 25, math.inf, math.inf]])
+        args = argparse.Namespace(format="json", out=None)
+        cli._emit(args, "t", ["a", "b", "c", "d"], [[-math.inf, math.nan, 1.5, "nan-free"]])
+        text = capsys.readouterr().out
+        assert json.loads(text, parse_constant=refuse)["rows"] == [["-inf", "nan", 1.5,
+                                                                    "nan-free"]]
+        (row,) = cli.parse_table_json(text)[1]
+        assert row[0] == -math.inf and math.isnan(row[1]) and row[2:] == [1.5, "nan-free"]
 
     def test_shared_parser_leaks_nothing_between_calls(self, capsys):
         # The parser is built once per process; a failed parse or --help in

@@ -30,6 +30,7 @@ from branchvol.mixstats import (
     loglog_series,
     mixture_abs_first_moment,
     mixture_raw_moment,
+    mixture_raw_moments,
     tail_slope_estimate,
 )
 from branchvol.special import UnsupportedOrderError, log_erfc
@@ -754,7 +755,7 @@ class TestExactSum:
 
 
 def _full_length_scale_power(mixture, m):
-    # The one-array form of mixstats._mean_scale_power, written out.
+    # The one-array form of mixstats._mean_scale_powers, one power written out.
     with np.errstate(over="ignore", invalid="ignore"):
         terms = mixture.scales**m
         if not mixture.zero_log_weights:
@@ -768,10 +769,11 @@ def _full_length_scale_power(mixture, m):
 
 
 class TestDeepEnumerationMemory:
-    """Moments and a density of bleed N = 20 hold the 8 MiB scales and
-    little else: the log-scales are never taken. With them, a new array
-    per build layer and the density's full-length mask and sigmas, the
-    peaks were 16.1 and 34.1 MiB."""
+    """Moments and a density of bleed N = 20 stream the scales a block at
+    a time: neither the 8 MiB scales nor the log-scales are built. Holding
+    the scales, the peaks were 8.5 and 9.2 MiB; with the log-scales too, a
+    new array per build layer and the density's full-length mask and
+    sigmas, 16.1 and 34.1 MiB."""
 
     SCHEDULE = ErrorSchedule.bleed(0.2, 0.9, 20)
 
@@ -783,15 +785,54 @@ class TestDeepEnumerationMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert "log_scales" not in vars(mix)
+        assert "scales" not in vars(mix) and "log_scales" not in vars(mix)
         return peak
 
     def test_moments(self):
-        peak = self._peak(lambda mix: [mixture_raw_moment(mix, k) for k in range(1, 9)])
-        assert peak < 9 * 2**20
+        assert self._peak(lambda mix: mixture_raw_moments(mix, range(1, 9))) < 2**20
 
     def test_density(self):
-        assert self._peak(lambda mix: density(mix, np.linspace(-4.0, 4.0, 9))) < 10 * 2**20
+        assert self._peak(lambda mix: density(mix, np.linspace(-4.0, 4.0, 9))) < 2**20
+
+
+class TestStreamedEqualsMaterialized:
+    """Moments, densities and exceedance stream an enumeration that is not
+    built; each has the bits it has once the scales are built and read as
+    slices. mu = 0.05 makes the moments read every even power."""
+
+    @staticmethod
+    def _bits(mix, points, ks):
+        values = mixture_raw_moments(mix, range(9))
+        for p in points:  # 300 points take two grid blocks
+            values += density(mix, np.linspace(-5.0, 5.0, p)).tolist()
+        values += [exceedance(mix, k) for k in ks]
+        return [float(v).hex() for v in values]
+
+    @pytest.mark.parametrize("n", [15, 17, 21])
+    @pytest.mark.parametrize("make", [
+        lambda n: ErrorSchedule.bleed(0.2, 0.9, n),
+        lambda n: ErrorSchedule.explicit(np.linspace(0.3, 0.01, n)),
+        lambda n: ErrorSchedule.geometric(0.1, n),
+    ], ids=["bleed", "explicit", "geometric"])
+    def test_bits(self, make, n):
+        # At N = 21, 300 points would take seconds a side, and each
+        # threshold a third of one: fewer go through the same blocks.
+        args = ((9, 300), (-0.7, 1.35, 3.95)) if n < 21 else ((9,), (3.95,))
+        mix = build_mixture(GaussianBase(0.05, 1.3), make(n))
+        streamed = self._bits(mix, *args)
+        assert "scales" not in vars(mix)
+        mix.scales  # built: every evaluator now reads slices
+        assert self._bits(mix, *args) == streamed
+
+    def test_tails_past_the_double_range_take_the_same_logs(self):
+        # sigma * scale rounds to 0 below scale 1/2: those tails take ln
+        # scale, from the blocks for an enumeration, given otherwise.
+        mix = build_mixture(GaussianBase(0.0, 5e-324), ErrorSchedule.bleed(0.3, 0.9, 15))
+        streamed = [exceedance(mix, k) for k in (-1e-323, 1e-323)]
+        given = MixtureDistribution(0.0, 5e-324, mix.scales.copy(), np.log(mix.scales),
+                                    mix.weight, np.zeros(mix.n_components))
+        assert streamed == [exceedance(given, k) for k in (-1e-323, 1e-323)]
+        assert 0.5 < streamed[0] < 1.0 and 0.0 < streamed[1] < 0.5
 
 
 class TestScalePowerLeaves:
@@ -803,15 +844,16 @@ class TestScalePowerLeaves:
         group_mixture(BASE, 0.1, 100_000),  # overflowing powers: the log-space pass
     ], ids=["bleed17", "grouped1e5"])
     def test_bits_match_the_full_length_sum(self, mixture):
-        for m in range(17):
-            assert mixstats._mean_scale_power(mixture, m) == _full_length_scale_power(mixture, m)
+        # Every power in one pass, each with the bits of its own full sum.
+        means = mixstats._mean_scale_powers(mixture, range(17)).tolist()
+        assert means == [_full_length_scale_power(mixture, m) for m in range(17)]
 
     def test_peak_memory_is_a_leaf(self):
         # One full-length power array of 2^20 doubles took 8 MB.
         mix = build_mixture(BASE, ErrorSchedule.bleed(0.2, 0.9, 20))
         tracemalloc.start()
         try:
-            mixstats._mean_scale_power(mix, 4)
+            mixstats._mean_scale_powers(mix, [4])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -825,7 +867,7 @@ class TestScalePowerLeaves:
         try:
             for mix in mixtures:
                 for m in (2, 4, 8):
-                    mixstats._mean_scale_power(mix, m)
+                    mixstats._mean_scale_powers(mix, [m])
                     assert gc.collect() == 0
         finally:
             gc.enable()

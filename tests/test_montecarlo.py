@@ -126,6 +126,18 @@ class TestLeaves:
             tracemalloc.stop()
         assert peak < 6 * 2**20
 
+    def test_one_block_of_indices_at_a_time(self):
+        # 2e6 draws take a 2^20 block and one of 951424: the first block's
+        # 4 MiB of indices go before the second is drawn (8.0 MiB together).
+        spec = SampleSpec(n_samples=2_000_000, seed=17, thresholds=(1.0, 3.0))
+        tracemalloc.start()
+        try:
+            sample(self.MIX, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
     def test_leaves_tile_each_block_once_in_ascending_order(self, monkeypatch):
         # Each leaf draws its normals, so the stream is that of one
         # block-long draw only if the leaves run in this order.

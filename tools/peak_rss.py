@@ -10,8 +10,9 @@ child figure at or below it is not the child's own, and is marked so.
     python3 tools/peak_rss.py                      # the default cases
     python3 tools/peak_rss.py "moments --schedule bleed:a1=0.2,lambda=0.9,N=24"
 
-The default cases are the README command lines and the slow commands that
-ROADMAP.md lists.
+The default cases are the README command lines, the slow commands that
+ROADMAP.md lists, and the deepest `moments` and the `validate` draw count of
+the benchmark's deep-build workload.
 """
 
 import os
@@ -30,6 +31,8 @@ SLOW_CASES = [
     "moments --schedule bleed:a1=0.2,lambda=0.9,N=24",
     "exceed --schedule geometric:a=0.1,N=30 --k 3",
     "validate --schedule constant:a=0.1,N=30 --n-samples 100000",
+    "moments --schedule bleed:a1=0.2,lambda=0.9,N=21",
+    "validate --schedule constant:a=0.1,N=8 --n-samples 2000000",
 ]
 
 
