@@ -264,9 +264,10 @@ class MixtureDistribution:
     in every bit), 1.0 for grouped classes. ``log_scales`` stays finite
     where ``scales`` leaves the double range. An enumeration gives
     ``scales`` as None with its ``expansion``: the array is built on first
-    read and kept, and until then ``scale_blocks`` expands the scales a
-    block at a time. ``log_scales`` given as None is ``np.log(scales)``,
-    taken on first read and kept. Every array is read-only.
+    read or on the second ``scale_blocks`` call and kept; the first call
+    expands the scales a block at a time. ``log_scales`` given as None is
+    ``np.log(scales)``, taken on first read and kept. Every array is
+    read-only.
     """
 
     mu: float
@@ -304,13 +305,17 @@ class MixtureDistribution:
     def scale_blocks(self):
         """The scales in order, in blocks of 2^14 (the last may be shorter).
 
-        Once the scales are built or given, the blocks are slices of them.
-        Until then each block is expanded into one reused scratch and is
-        valid only until the next is drawn: the 2^N array is not built.
+        The first call on an enumeration that is not built expands each
+        block into one reused scratch, valid only until the next is drawn:
+        the 2^N array is not built. A second call builds the scales and
+        keeps them, so a mixture read many times costs one expansion more
+        than a built one, not one per read. Once the scales are built or
+        given, the blocks are slices of them.
         """
-        if self.expansion is None or "scales" in vars(self):
+        if self.expansion is None or "scales" in vars(self) or "_streamed" in vars(self):
             scales = self.scales
             return (scales[i : i + _SCALE_BLOCK] for i in range(0, scales.size, _SCALE_BLOCK))
+        object.__setattr__(self, "_streamed", True)
         return self.expansion.blocks()
 
 

@@ -19,6 +19,7 @@ from branchvol.branching import (
     MixtureDistribution,
     Mode,
     NonPositiveScaleError,
+    ScaleExpansion,
     ScheduleParseError,
     ScheduleSpec,
     build_mixture,
@@ -336,6 +337,29 @@ class TestScaleBlocks:
         assert "scales" not in vars(mix)
         assert (first, last) == (mix.scales[0], mix.scales[-1])
         assert (first, last) == (mix.scales.max(), mix.scales.min())
+
+    def test_a_second_call_builds_the_scales_once(self, monkeypatch):
+        # A mixture read many times pays one expansion more than a built
+        # one: the first call streams, the second builds and keeps.
+        expanded = []
+        fill = ScaleExpansion._fill
+
+        def counted(self, i, run, out, scratch):
+            expanded.append(run)
+            fill(self, i, run, out, scratch)
+
+        monkeypatch.setattr(ScaleExpansion, "_fill", counted)
+        schedule = ErrorSchedule.bleed(0.2, 0.9, 17)
+        mix = build_mixture(GaussianBase(), schedule)
+        head = mix.expansion.head.size
+        streamed = [b.copy() for b in mix.scale_blocks()]
+        assert "scales" not in vars(mix) and sum(expanded) == head
+        reads = [list(mix.scale_blocks()) for _ in range(4)]
+        assert "scales" in vars(mix) and sum(expanded) == 2 * head
+        for sliced in reads:
+            assert all(np.shares_memory(b, mix.scales) for b in sliced)
+            assert all(np.array_equal(a, b) for a, b in zip(streamed, sliced, strict=True))
+        assert np.array_equal(mix.scales, _layerwise(schedule))
 
     def test_streamed_blocks_are_read_only_views_of_one_scratch(self):
         blocks = build_mixture(GaussianBase(), ErrorSchedule.bleed(0.2, 0.9, 16)).scale_blocks()

@@ -801,11 +801,12 @@ class TestStreamedEqualsMaterialized:
     slices. mu = 0.05 makes the moments read every even power."""
 
     @staticmethod
-    def _bits(mix, points, ks):
-        values = mixture_raw_moments(mix, range(9))
+    def _bits(mixture, points, ks):
+        # mixture() gives the mixture each evaluator call reads.
+        values = mixture_raw_moments(mixture(), range(9))
         for p in points:  # 300 points take two grid blocks
-            values += density(mix, np.linspace(-5.0, 5.0, p)).tolist()
-        values += [exceedance(mix, k) for k in ks]
+            values += density(mixture(), np.linspace(-5.0, 5.0, p)).tolist()
+        values += [exceedance(mixture(), k) for k in ks]
         return [float(v).hex() for v in values]
 
     @pytest.mark.parametrize("n", [15, 17, 21])
@@ -818,11 +819,18 @@ class TestStreamedEqualsMaterialized:
         # At N = 21, 300 points would take seconds a side, and each
         # threshold a third of one: fewer go through the same blocks.
         args = ((9, 300), (-0.7, 1.35, 3.95)) if n < 21 else ((9,), (3.95,))
-        mix = build_mixture(GaussianBase(0.05, 1.3), make(n))
-        streamed = self._bits(mix, *args)
-        assert "scales" not in vars(mix)
+        base, schedule = GaussianBase(0.05, 1.3), make(n)
+        fresh = []  # a second call on one mixture would build its scales
+
+        def streaming():
+            fresh.append(build_mixture(base, schedule))
+            return fresh[-1]
+
+        streamed = self._bits(streaming, *args)
+        assert not any("scales" in vars(mix) for mix in fresh)
+        mix = build_mixture(base, schedule)
         mix.scales  # built: every evaluator now reads slices
-        assert self._bits(mix, *args) == streamed
+        assert self._bits(lambda: mix, *args) == streamed
 
     def test_tails_past_the_double_range_take_the_same_logs(self):
         # sigma * scale rounds to 0 below scale 1/2: those tails take ln
