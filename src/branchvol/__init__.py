@@ -20,7 +20,6 @@ from .branching import (
     group_mixture,
     parse_schedule,
     parse_schedule_spec,
-    variance_preserving_pair,
 )
 from .closedform import (
     BleedParams,
@@ -61,7 +60,6 @@ from .special import (
     UnsupportedOrderError,
     erfc,
     gaussian_abs_first_moment,
-    gaussian_raw_moment,
     log_erfc,
     q_pochhammer,
 )
@@ -95,7 +93,6 @@ __all__ = [
     "estimate",
     "exceedance",
     "gaussian_abs_first_moment",
-    "gaussian_raw_moment",
     "group_mixture",
     "kurtosis_constant_a",
     "local_slopes",
@@ -114,6 +111,6 @@ __all__ = [
     "parse_schedule_spec",
     "q_pochhammer",
     "sample",
+    "tail_slope_estimate",
     "variance_growth_factor",
-    "variance_preserving_pair",
 ]

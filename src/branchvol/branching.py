@@ -292,10 +292,6 @@ class MixtureDistribution:
     def n_components(self) -> int:
         return int(self.log_weights.size)
 
-    @property
-    def component_sigmas(self) -> np.ndarray:
-        return self.sigma * self.scales
-
     @cached_property
     def zero_log_weights(self) -> bool:
         """True when every log-weight is exactly 0 (every enumeration): each
@@ -473,19 +469,6 @@ def group_mixture(base: GaussianBase, a: float, n: int) -> MixtureDistribution:
     with np.errstate(over="ignore"):
         scales = np.exp(log_scales)
     return MixtureDistribution(base.mu, base.sigma, scales, log_scales, 1.0, log_weights)
-
-
-def variance_preserving_pair(sigma: float, v: float) -> tuple[float, float]:
-    """Two-point scale mixture (low, high) whose mean square is sigma^2.
-
-    low = sigma (1 - v) and high = sigma sqrt(1 + 2v - v^2), so that
-    (low^2 + high^2) / 2 = sigma^2 identically.
-    """
-    check_sigma(sigma)
-    check_rate(v, "v")
-    low = sigma * (1.0 - v)
-    high = sigma * math.sqrt(1.0 + 2.0 * v - v * v)
-    return low, high
 
 
 @dataclass(frozen=True)

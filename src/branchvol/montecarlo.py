@@ -2,14 +2,12 @@
 
 Sampling picks a branch index uniformly (equivalent to N independent fair
 sign flips) and then draws from the branch's Gaussian. Summaries hold
-sufficient statistics only, so partial runs merge associatively; the
-generator is numpy's PCG64, which produces identical streams for a given
-seed on every platform.
+sufficient statistics only; the generator is numpy's PCG64, which produces
+identical streams for a given seed on every platform.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -44,33 +42,15 @@ class SampleSpec:
 
 @dataclass
 class MCSummary:
-    """Sufficient statistics of a sampling run (mergeable)."""
+    """Sufficient statistics of a sampling run."""
 
     n: int
-    seeds: tuple[int, ...]
     moment_orders: tuple[int, ...]
     thresholds: tuple[float, ...]
-    # power_sums[k] = sum of x^k for k = 0..2 max(max order, 4): x^2k gives
-    # the SE of moment k, and x^4, x^6, x^8 the kurtosis and its SE.
+    # power_sums[k] = sum of x^k for k up to twice the highest order: x^2k
+    # gives the SE of moment k.
     power_sums: np.ndarray
     exceed_counts: dict[float, int]
-
-    def merge(self, other: "MCSummary") -> "MCSummary":
-        """Combine two runs; addition of sufficient statistics, so the merge
-        is associative and order-insensitive up to float rounding."""
-        if self.moment_orders != other.moment_orders or self.thresholds != other.thresholds:
-            raise ValueError("cannot merge summaries with different targets")
-        return MCSummary(
-            n=self.n + other.n,
-            seeds=self.seeds + other.seeds,
-            moment_orders=self.moment_orders,
-            thresholds=self.thresholds,
-            power_sums=self.power_sums + other.power_sums,
-            exceed_counts={
-                k: self.exceed_counts[k] + other.exceed_counts[k]
-                for k in self.exceed_counts
-            },
-        )
 
 
 def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
@@ -81,12 +61,12 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
     Each block draws its component indices, then its normals a cache-sized
     leaf at a time, and is summed over those leaves in np.sum's own order.
     Components are drawn uniformly, so every weight must be equal. Power
-    sums run up to x^(2 max(max order, 4)), the highest power estimate reads.
+    sums run up to x^(2 max order), the highest power estimate reads.
     """
     if not mixture.zero_log_weights and np.any(mixture.log_weights != mixture.log_weights[0]):
         raise ValueError("sample needs equal component weights; got a weighted mixture")
     rng = np.random.default_rng(spec.seed)
-    n_pow = 2 * max((4, *spec.moment_orders)) + 1
+    n_pow = 2 * max(spec.moment_orders, default=0) + 1
     power_sums = np.zeros(n_pow)
     exceed = {k: 0 for k in spec.thresholds}
     x = np.empty(min(_LEAF, spec.n_samples))
@@ -130,7 +110,6 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
         remaining -= m
     return MCSummary(
         n=spec.n_samples,
-        seeds=(spec.seed,),
         moment_orders=spec.moment_orders,
         thresholds=spec.thresholds,
         power_sums=power_sums,
@@ -152,31 +131,7 @@ class MomentsReport:
     """Point estimates with standard errors for every requested target."""
 
     n: int
-    seeds: tuple[int, ...]
     targets: tuple[TargetEstimate, ...]
-    kurtosis: float
-    kurtosis_se: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "seed": list(self.seeds),
-            "kurtosis": self.kurtosis,
-            "kurtosis_se": self.kurtosis_se,
-            "targets": [
-                {
-                    "kind": t.kind,
-                    "key": t.key,
-                    "estimate": t.estimate,
-                    "se": t.se,
-                    "reliable": t.reliable,
-                }
-                for t in self.targets
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def estimate(summary: MCSummary) -> MomentsReport:
@@ -185,7 +140,7 @@ def estimate(summary: MCSummary) -> MomentsReport:
     Raw-moment estimates are sample means of x^k, so their SE is the sample
     standard deviation of x^k over sqrt(n); exceedance targets get binomial
     SEs and are flagged unreliable once the estimated probability drops
-    below 10/n. Kurtosis m4/m2^2 carries a delta-method SE.
+    below 10/n.
     """
     n = summary.n
     if n < 30:
@@ -200,21 +155,7 @@ def estimate(summary: MCSummary) -> MomentsReport:
         p = summary.exceed_counts[k] / n
         se = math.sqrt(p * (1.0 - p) / n)
         targets.append(TargetEstimate("exceedance", k, p, se, p >= 10.0 / n))
-    m2, m4 = float(mean_pow[2]), float(mean_pow[4])
-    kurt = m4 / m2**2
-    var_m2 = max(0.0, float(mean_pow[4]) - m2 * m2) / n
-    var_m4 = max(0.0, float(mean_pow[8]) - m4 * m4) / n
-    cov = (float(mean_pow[6]) - m2 * m4) / n
-    g4 = 1.0 / m2**2
-    g2 = -2.0 * m4 / m2**3
-    var_kurt = max(0.0, g4 * g4 * var_m4 + g2 * g2 * var_m2 + 2.0 * g4 * g2 * cov)
-    return MomentsReport(
-        n=n,
-        seeds=summary.seeds,
-        targets=tuple(targets),
-        kurtosis=kurt,
-        kurtosis_se=math.sqrt(var_kurt),
-    )
+    return MomentsReport(n=n, targets=tuple(targets))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 Provides the complementary error function (the stdlib ``math.erfc`` with an
 exact reflection for negative arguments) and its logarithm for deep-tail
 work (``ln erfc`` up to a switch point, a fixed-length continued fraction
-beyond it), each over a float or an array, exact Gaussian raw moments up to
-order 8, the Gaussian absolute first moment, and the q-Pochhammer product
-with support for the infinite-depth limit.
+beyond it), each over a float or an array, the raw moments of a Gaussian
+scale mixture up to order 8, the Gaussian absolute first moment, and the
+q-Pochhammer product with support for the infinite-depth limit.
 
 All functions are pure and safe to call concurrently.
 """
@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from ._checks import UnsupportedOrderError  # noqa: F401  (public home of the error)
-from ._checks import check_depth, check_order, check_sigma, power
+from ._checks import check_depth, check_sigma, power
 
 INFINITY = math.inf
 """Depth marker for infinite products and moment limits."""
@@ -93,17 +93,6 @@ def log_erfc(z):
 
 # E[Z^(2j)] = (2j-1)!! for a standard normal, j = 0..4.
 _EVEN_STANDARD_MOMENTS = (1.0, 1.0, 3.0, 15.0, 105.0)
-
-
-def gaussian_raw_moment(order: int, mu: float, sigma: float) -> float:
-    """Exact raw moment E[X^order] of X ~ Normal(mu, sigma^2).
-
-    Uses E[X^k] = sum_j C(k, 2j) (2j-1)!! sigma^(2j) mu^(k-2j); odd orders
-    with mu = 0 return exactly 0.0.
-    """
-    check_order(order)
-    check_sigma(sigma)
-    return scale_mixture_moment(order, mu, sigma, lambda m: 1.0)
 
 
 def scale_mixture_moment(order: int, mu: float, sigma: float, scale_moment) -> float:

@@ -26,7 +26,6 @@ from branchvol.branching import (
     group_mixture,
     parse_schedule,
     parse_schedule_spec,
-    variance_preserving_pair,
 )
 
 # Canonical depth-3 sign matrix: binary counting, +1 first, last column fastest.
@@ -449,11 +448,11 @@ class TestMixture:
         mix = build_mixture(GaussianBase(0.5, 2.0), ErrorSchedule.constant(0.3, 0))
         assert mix.n_components == 1
         assert mix.weight == 1.0
-        assert mix.component_sigmas.tolist() == [2.0]
+        assert (mix.sigma * mix.scales).tolist() == [2.0]
 
     def test_depth_one_split(self):
         mix = build_mixture(GaussianBase(0.0, 1.5), ErrorSchedule.constant(0.2, 1))
-        assert sorted(mix.component_sigmas.tolist()) == pytest.approx([1.2, 1.8], rel=1e-15)
+        assert sorted((mix.sigma * mix.scales).tolist()) == pytest.approx([1.2, 1.8], rel=1e-15)
         assert mix.weight == 0.5
 
     def test_depth_two_scales(self):
@@ -477,7 +476,7 @@ class TestGroupMixture:
 
     def test_depth_zero_is_base_gaussian(self):
         mix = group_mixture(GaussianBase(0.0, 1.5), 0.3, 0)
-        assert mix.component_sigmas.tolist() == [1.5]
+        assert (mix.sigma * mix.scales).tolist() == [1.5]
         assert mix.log_weights.tolist() == [0.0]
 
     def test_weights_match_enumerated_multiplicities(self):
@@ -562,32 +561,6 @@ class TestEnumerationCeiling:
             tracemalloc.stop()
         assert mix.n_components == 2**MAX_ENUMERATION_DEPTH
         assert peak < 140 * 2**20
-
-
-class TestVariancePreservingPair:
-    def test_degenerate(self):
-        assert variance_preserving_pair(1.0, 0.0) == (1.0, 1.0)
-
-    def test_half(self):
-        low, high = variance_preserving_pair(1.0, 0.5)
-        assert low == 0.5
-        assert math.isclose(high, math.sqrt(1.75), rel_tol=1e-15)
-
-    def test_mean_square_invariant(self):
-        rng = np.random.default_rng(19)
-        for _ in range(200):
-            sigma = float(rng.uniform(0.2, 5.0))
-            v = float(rng.uniform(0.0, 0.999))
-            low, high = variance_preserving_pair(sigma, v)
-            assert math.isclose((low**2 + high**2) / 2.0, sigma**2, rel_tol=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            variance_preserving_pair(1.0, 1.0)
-        with pytest.raises(ValueError):
-            variance_preserving_pair(1.0, -0.1)
-        with pytest.raises(ValueError):
-            variance_preserving_pair(0.0, 0.5)
 
 
 class TestScheduleGrammar:

@@ -10,12 +10,14 @@ import re
 import subprocess
 import sys
 import time
+import types
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import branchvol
 from branchvol import cli, mixstats
 from branchvol.branching import (
     MAX_ENUMERATION_DEPTH,
@@ -654,6 +656,55 @@ def test_malformed_values_end_in_an_exit_code():
         assert rc in (0, 1) or "error:" in err.getvalue(), (i, argv, err.getvalue())
 
 
+
+# Whole schedule strings, each malformed one way. Depths stay small: a
+# rate tuple of the given depth is built before any ceiling is checked.
+_BAD_SCHEDULES = [
+    # missing keys or parts
+    "", " ", "constant", "constant:", "constant:a=0.1", "constant:N=5",
+    "geometric:a=0.1", "bleed:a1=0.2,N=10", "bleed:lambda=0.9,N=10", ":a=0.1,N=5",
+    "constant:a=,N=5", "constant:a=0.1,N=",
+    # duplicate keys
+    "constant:a=0.1,a=0.2,N=5", "constant:a=0.1,N=5,N=6",
+    "bleed:a1=0.2,lambda=0.9,lambda=0.8,N=10",
+    # unknown keys or kinds
+    "constant:a=0.1,N=5,b=1", "constant:A=0.1,N=5", "geometric:a=0.1,lambda=0.9,N=5",
+    "bleed:a=0.2,lambda=0.9,N=10", "linear:a=0.1,N=5", "constant:a=0.1;N=5",
+    # empty and blank lists
+    "explicit:", "explicit: ", "explicit:,", "explicit: , ,", "explicit:0.1,,0.2",
+    "explicit:;mode=additive",
+    # nan, inf and out-of-range rates and depths
+    "constant:a=nan,N=5", "constant:a=inf,N=5", "constant:a=-inf,N=5",
+    "constant:a=1e400,N=5", "constant:a=0.1,N=nan", "constant:a=0.1,N=inf",
+    "constant:a=0.1,N=1e400", "bleed:a1=0.2,lambda=nan,N=10",
+    "bleed:a1=0.2,lambda=inf,N=10", "bleed:a1=0.2,lambda=1e400,N=10",
+    "geometric:a=nan,N=5", "explicit:0.1,nan", "explicit:inf", "explicit:1e400",
+    # doubled, empty or upper-case mode suffixes
+    "explicit:0.1,0.01;mode=additive;mode=additive", "explicit:0.1,0.01;MODE=ADDITIVE",
+    "constant:a=0.1,N=5;mode=Additive", "constant:a=0.1,N=5;mode=",
+    "constant:a=0.1,N=5;", "explicit:0.1;mode=multiplicative",
+    # non-ASCII digits
+    "constant:a=0.\u0661,N=5", "constant:a=0.1,N=\u0665", "constant:a=\uff10.1,N=5",
+    "explicit:0.1,0.\uff12", "constant:a=0.1,N=5\u00b2", "constant:a=0.1,N=\u2164",
+]
+
+
+@pytest.mark.parametrize("schedule", _BAD_SCHEDULES)
+def test_malformed_schedules_end_in_an_exit_code(schedule):
+    # Every command that takes --schedule, with the schedule alone setting the depth.
+    for command, flags in _README_FLAGS:
+        if "schedule" not in flags:
+            continue
+        flags = dict(flags, schedule=schedule)
+        flags.pop("n-list", None)
+        argv = [command] + [f"--{name}={value}" for name, value in flags.items()]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        assert rc in (0, 1, 2, 3), (argv, rc)
+        assert rc in (0, 1) or "error:" in err.getvalue(), (argv, err.getvalue())
+
+
 @pytest.mark.parametrize("module", ["branchvol", "branchvol.cli"])
 def test_python_dash_m_runs_the_cli(module, capsys):
     argv = ["exceed", "--schedule", "constant:a=0.1,N=8", "--k", "3,5,10"]
@@ -666,3 +717,11 @@ def test_python_dash_m_runs_the_cli(module, capsys):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+def test_all_lists_every_public_name():
+    # A name imported into the package but left out of __all__ is dropped by
+    # a star import; one left in __all__ after a deletion breaks it.
+    public = {name for name, value in vars(branchvol).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(branchvol.__all__) == public

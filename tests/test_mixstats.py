@@ -96,7 +96,7 @@ class TestDensity:
             else:
                 sched = ErrorSchedule.explicit(rng.uniform(0, 0.5, size=n))
             mix = build_mixture(GaussianBase(float(rng.uniform(-1, 1)), 1.0), sched)
-            span = 12.0 * float(mix.component_sigmas.max())
+            span = 12.0 * float((mix.sigma * mix.scales).max())
             val, _ = integrate.quad(
                 lambda x: density(mix, x), mix.mu - span, mix.mu + span, limit=300
             )
@@ -263,7 +263,7 @@ class TestExceedance:
         mix = build_mixture(BASE, ErrorSchedule.constant(0.1, 2))
         k = 48.0
         ref = mpmath.mpf(0)
-        for s in mix.component_sigmas:
+        for s in mix.sigma * mix.scales:
             ref += mpmath.erfc(k / (mpmath.sqrt(2) * mpmath.mpf(float(s)))) / 2
         ref = float(mpmath.log(ref / 4))
         val = log_exceedance(mix, k)
@@ -291,7 +291,7 @@ def _reference_log_exceedance(mix, k):
 
 def _reference_exceedance(mix, k):
     tails = []
-    for s, ls in zip(mix.component_sigmas.tolist(), (math.log(mix.sigma) + mix.log_scales).tolist()):
+    for s, ls in zip((mix.sigma * mix.scales).tolist(), (math.log(mix.sigma) + mix.log_scales).tolist()):
         z = (k - mix.mu) / (math.sqrt(2.0) * s) if s > 0.0 else math.nan
         if math.isfinite(z):
             tails.append(0.5 * math.erfc(z))
@@ -594,7 +594,7 @@ class TestMoments:
 
     def test_against_quadrature(self):
         mix = build_mixture(GaussianBase(0.5, 1.2), ErrorSchedule.constant(0.2, 6))
-        span = 14.0 * float(mix.component_sigmas.max())
+        span = 14.0 * float((mix.sigma * mix.scales).max())
         for order in (1, 2, 3, 4, 5, 6):
             val, _ = integrate.quad(
                 lambda x: x**order * density(mix, x),

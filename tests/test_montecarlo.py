@@ -1,8 +1,7 @@
-"""Seeded sampling: determinism, merging, uniform branch hits, and
+"""Seeded sampling: determinism, uniform branch hits, and
 agreement with the exact values at 4 standard errors."""
 
 import gc
-import json
 import math
 import tracemalloc
 
@@ -40,7 +39,7 @@ class TestDeterminism:
         assert np.array_equal(s1.power_sums, _replay_power_sums(mix, 50_000, 123)[:9])
         assert s1.exceed_counts == s2.exceed_counts
         r1, r2 = estimate(s1), estimate(s2)
-        assert r1.to_json() == r2.to_json()
+        assert r1 == r2
 
     def test_different_seeds_differ(self):
         mix = _mix(0.1, 6)
@@ -75,22 +74,13 @@ class TestStream:
     MIX = build_mixture(GaussianBase(0.3, 1.7), ErrorSchedule.bleed(0.2, 0.9, 6))
     N = (1 << 20) + 5
 
-    @pytest.mark.parametrize("orders", [(1, 2, 3, 4), (8,)])
+    @pytest.mark.parametrize("orders", [(1, 2, 3, 4), (8,), (1, 2), ()])
     def test_power_sums_match_the_replay(self, orders):
         summary = sample(self.MIX, SampleSpec(n_samples=self.N, seed=17, moment_orders=orders))
-        top = 2 * max(max(orders), 4)
+        top = 2 * max(orders, default=0)
         assert summary.power_sums.shape == (top + 1,)
         replay = _replay_power_sums(self.MIX, self.N, 17)
         assert np.array_equal(summary.power_sums, replay[: top + 1])
-
-    @pytest.mark.parametrize("orders", [(1, 2, 3, 4), (8,)])
-    def test_summaries_merge(self, orders):
-        specs = [SampleSpec(n_samples=self.N, seed=s, moment_orders=orders) for s in (5, 6)]
-        a, b = (sample(self.MIX, spec) for spec in specs)
-        merged = a.merge(b)
-        assert merged.n == 2 * self.N
-        assert np.array_equal(merged.power_sums, a.power_sums + b.power_sums)
-        assert estimate(merged).n == 2 * self.N
 
 
 class TestLeaves:
@@ -189,7 +179,6 @@ class TestEstimates:
         c, n = 3.0, 1000
         summary = MCSummary(
             n=n,
-            seeds=(0,),
             moment_orders=(1, 2, 4),
             thresholds=(),
             power_sums=np.array([n * c**k for k in range(17)], dtype=float),
@@ -242,11 +231,6 @@ class TestEstimates:
         (t,) = report.targets
         assert abs(t.estimate - m4_bleed(BleedParams(0.2, 0.9, 12))) < 4.0 * t.se
 
-    def test_kurtosis_delta_method(self):
-        mix = _mix(0.0, 0)
-        report = estimate(sample(mix, SampleSpec(n_samples=500_000, seed=11)))
-        assert abs(report.kurtosis - 3.0) < 4.0 * report.kurtosis_se
-
     def test_unreliable_targets_flagged(self):
         mix = _mix(0.1, 4)
         report = estimate(
@@ -276,40 +260,6 @@ class TestBranchUniformity:
             assert np.all(np.abs(counts - expected) < 5.0 * se)
 
 
-class TestMerge:
-    def test_partitioned_runs_merge_associatively(self):
-        mix = _mix(0.1, 5)
-        children = np.random.SeedSequence(99).spawn(4)
-        parts = [
-            sample(
-                mix,
-                SampleSpec(
-                    n_samples=25_000,
-                    seed=int(child.generate_state(1, dtype=np.uint64)[0]),
-                    thresholds=(2.0,),
-                ),
-            )
-            for child in children
-        ]
-        left = parts[0].merge(parts[1]).merge(parts[2]).merge(parts[3])
-        right = parts[0].merge(parts[1].merge(parts[2].merge(parts[3])))
-        assert left.n == right.n == 100_000
-        np.testing.assert_allclose(left.power_sums, right.power_sums, rtol=1e-12)
-        assert left.exceed_counts == right.exceed_counts
-        # Merged estimate agrees with the closed form at the usual gate.
-        report = estimate(left)
-        ref = moment_constant_a(2, 0.0, 1.0, 0.1, 5)
-        t = next(t for t in report.targets if t.kind == "moment" and t.key == 2.0)
-        assert abs(t.estimate - ref) < 4.0 * t.se
-
-    def test_merge_target_mismatch_rejected(self):
-        mix = _mix(0.1, 3)
-        s1 = sample(mix, SampleSpec(n_samples=1000, seed=1, thresholds=(1.0,)))
-        s2 = sample(mix, SampleSpec(n_samples=1000, seed=2, thresholds=(2.0,)))
-        with pytest.raises(ValueError):
-            s1.merge(s2)
-
-
 class TestWeightedMixtures:
     def test_unequal_weights_are_refused(self):
         with pytest.raises(ValueError, match="equal"):
@@ -329,7 +279,7 @@ class TestChecks:
             TargetEstimate("exceedance", 6.0, 0.0, 0.0, False),
         )
         report = type(
-            "R", (), {"targets": report_targets, "n": 100, "seeds": (0,)}
+            "R", (), {"targets": report_targets, "n": 100}
         )()
         refs = {
             ("moment", 2.0): 1.02,
@@ -340,19 +290,6 @@ class TestChecks:
         assert checks[0].passed is True
         assert checks[1].passed is False
         assert checks[2].passed is None and checks[2].z is None
-
-    def test_report_json_fields(self):
-        mix = _mix(0.1, 3)
-        report = estimate(
-            sample(mix, SampleSpec(n_samples=1000, seed=8, thresholds=(1.0,)))
-        )
-        payload = json.loads(report.to_json())
-        assert payload["n"] == 1000
-        assert payload["seed"] == [8]
-        kinds = {t["kind"] for t in payload["targets"]}
-        assert kinds == {"moment", "exceedance"}
-        for t in payload["targets"]:
-            assert set(t) == {"kind", "key", "estimate", "se", "reliable"}
 
 
 class TestSpecValidation:
