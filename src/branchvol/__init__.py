@@ -26,6 +26,7 @@ from .closedform import (
     kurtosis_constant_a,
     m2_bleed,
     m4_bleed,
+    moment_bleed,
     moment_constant_a,
     moment_multiplicative,
     moments_additive,
@@ -61,7 +62,6 @@ from .special import (
     erfc,
     gaussian_abs_first_moment,
     log_erfc,
-    q_pochhammer,
 )
 
 __version__ = "0.1.0"
@@ -104,12 +104,12 @@ __all__ = [
     "mixture_abs_first_moment",
     "mixture_raw_moment",
     "mixture_raw_moments",
+    "moment_bleed",
     "moment_constant_a",
     "moment_multiplicative",
     "moments_additive",
     "parse_schedule",
     "parse_schedule_spec",
-    "q_pochhammer",
     "sample",
     "tail_slope_estimate",
     "variance_growth_factor",

@@ -554,6 +554,11 @@ def parse_schedule_spec(text: str) -> ScheduleSpec:
     | ``geometric:a=<real>,N=<int>`` | ``explicit:<comma-separated reals>``.
     The suffix ``;mode=additive`` marks an explicit list as additive; it is
     implied on geometric, the additive regime a, a^2, ..., a^N.
+
+    Numbers are read as ``float()`` and ``int()`` read them, so with any
+    Unicode decimal digits (U+0661 is a 1); kind names, keys and the suffix
+    are case-insensitive; blank explicit items are skipped, as the list flags
+    skip empty tokens.
     """
     body = text.strip()
     additive = False

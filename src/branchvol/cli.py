@@ -223,28 +223,22 @@ def cmd_ratio_table(args) -> int:
     return 0
 
 
-def _closed_moment(spec: ScheduleSpec, schedule, order: int, mu: float, sigma: float):
-    # schedule is the built spec, needed only for multiplicative non-constant rates.
+def _closed_moment(spec: ScheduleSpec, schedule, order: int, mu: float, sigma: float, n):
+    # The closed form at depth n or the limit at n = INFINITY, else None.
+    # Additive forms cover orders 1, 2 and 4. Constant rates diverge, lists
+    # end; a geometric limit needs a < 1/2, a bleed one lambda < 1 (orders 2
+    # and 4). schedule, the built spec, serves finite multiplicative lists.
     if spec.additive:
-        if order not in (1, 2, 4):
+        if order not in (1, 2, 4) or n == INFINITY and (spec.kind == "explicit" or spec.a >= 0.5):
             return None
-        return closedform.moments_additive(order, mu, sigma, spec.a, spec.n)
-    if spec.kind == "constant":
-        return closedform.moment_constant_a(order, mu, sigma, spec.a, spec.n)
-    return closedform.moment_multiplicative(order, mu, sigma, schedule.rates)
-
-
-def _limit_moment(spec: ScheduleSpec, order: int, mu: float, sigma: float):
-    # Constant rates diverge and explicit lists end; a bleed limit needs lambda < 1.
-    if spec.kind in ("constant", "explicit"):
-        return None
-    if spec.additive:
-        if order not in (1, 2, 4):
-            return None
-        return closedform.moments_additive(order, mu, sigma, spec.a, INFINITY)
-    if spec.kind == "bleed" and order in (2, 4) and spec.lam < 1.0:
+        return closedform.moments_additive(order, mu, sigma, spec.a, n)
+    if n != INFINITY:
+        if spec.kind == "constant":
+            return closedform.moment_constant_a(order, mu, sigma, spec.a, n)
+        return closedform.moment_multiplicative(order, mu, sigma, schedule.rates)
+    if spec.kind == "bleed" and spec.lam < 1.0 and order in (2, 4):
         params = closedform.BleedParams(a1=spec.a, lam=spec.lam, n=INFINITY, sigma=sigma)
-        return closedform.m2_bleed(params) if order == 2 else closedform.m4_bleed(params)
+        return closedform.moment_bleed(order, mu, params)
     return None
 
 
@@ -262,8 +256,9 @@ def cmd_moments(args) -> int:
         schedule = spec.to_schedule()
     if spec.n <= MAX_ENUMERATION_DEPTH:
         mixture = build_mixture(base, schedule)
-    rows = [[order, _closed_moment(spec, schedule, order, base.mu, base.sigma), None, None,
-             _limit_moment(spec, order, base.mu, base.sigma)] for order in orders]
+    rows = [[order, _closed_moment(spec, schedule, order, base.mu, base.sigma, spec.n), None, None,
+             _closed_moment(spec, schedule, order, base.mu, base.sigma, INFINITY)]
+            for order in orders]
     if mixture is not None:
         # Every scale moment in one pass, after the closed forms checked the orders.
         for row, enum in zip(rows, mixstats.mixture_raw_moments(mixture, orders)):

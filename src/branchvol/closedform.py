@@ -3,30 +3,25 @@
 For multiplicative schedules the branch scale is a product of independent
 two-point factors, so E[scale^m] factorizes into per-layer even binomial
 parts h_m(a) = ((1+a)^m + (1-a)^m) / 2. Constant rates give h_m(a)^N
-(explosive in N for any a > 0), geometrically decaying rates give
-convergent q-Pochhammer products, and additive offset schedules give
-geometric sums that stay finite for every depth.
+(explosive in N for any a > 0); any other rate list, and geometrically
+decaying ("bleed") rates out to N = INFINITY, take the product of the
+per-layer factors, which converges for the decaying ones. Additive offset
+schedules give geometric sums that stay finite for every depth. Each form
+hands E[scale^m] to special.scale_mixture_moment.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from ._checks import check_depth, check_order, check_rate, check_sigma, power
+from ._checks import check_depth, check_order, check_rate, check_sigma
 from .branching import NonPositiveScaleError
-from .special import (
-    INFINITY,
-    UnsupportedOrderError,
-    q_pochhammer,
-    scale_mixture_moment,
-)
+from .special import INFINITY, DivergenceError, UnsupportedOrderError, scale_mixture_moment
 
 _LN_MAX = 709.0  # exp overflows just above this
-
-# Factor constants splitting 1 + 6u + u^2 = (1 - A u)(1 - B u).
-_M4_A = 2.0 * math.sqrt(2.0) - 3.0
-_M4_B = -(3.0 + 2.0 * math.sqrt(2.0))
+_HALF_ULP = 2.0**-54  # below half an ulp of any double, relative to it
 
 
 def _h_minus_one(order: int, a: float) -> float:
@@ -37,9 +32,19 @@ def _h_minus_one(order: int, a: float) -> float:
     )
 
 
-def _even_rate_factor(order: int, a: float) -> float:
-    """E[(1 + a s)^order] for a fair sign s."""
-    return 1.0 + _h_minus_one(order, a)
+def _layer_product(order: int, rates, tail=None) -> float:
+    # prod_j h_order(a_j) over the rates, left to right. A tail t says the
+    # rates fall at least as fast as a geometric sequence of ratio lam, with
+    # t = 1 / (1 - lam^2): h(lam a) - 1 <= lam^2 (h(a) - 1), so the factors
+    # from a_k on multiply to at most exp(t (h(a_k) - 1)). The product then
+    # stops once that is within half an ulp of 1, and the rates may be endless.
+    product = 1.0
+    for a in rates:
+        h = _h_minus_one(order, a)
+        if tail is not None and h * tail < _HALF_ULP or product == math.inf:
+            break
+        product *= 1.0 + h
+    return product
 
 
 def _growth(order: int, a: float, n: int) -> float:
@@ -74,9 +79,7 @@ def moment_multiplicative(order: int, mu: float, sigma: float, rates) -> float:
     rates = tuple(float(r) for r in rates)
     for r in rates:
         check_rate(r)
-    return scale_mixture_moment(
-        order, mu, sigma, lambda m: math.prod(_even_rate_factor(m, r) for r in rates)
-    )
+    return scale_mixture_moment(order, mu, sigma, lambda m: _layer_product(m, rates))
 
 
 def variance_growth_factor(a: float, n: int) -> float:
@@ -96,7 +99,7 @@ def kurtosis_constant_a(a: float, n: int) -> float:
     """Mixture kurtosis 3 ((a^4+6a^2+1)/(a^2+1)^2)^n; equals 3 iff a = 0."""
     check_rate(a)
     check_depth(n)
-    ratio = _even_rate_factor(4, a) / _even_rate_factor(2, a) ** 2
+    ratio = (1.0 + _h_minus_one(4, a)) / (1.0 + _h_minus_one(2, a)) ** 2
     arg = n * math.log(ratio)
     return 3.0 * (math.exp(arg) if arg < _LN_MAX else math.inf)
 
@@ -124,51 +127,49 @@ class BleedParams:
             check_depth(self.n)
 
 
-def m2_bleed(params: BleedParams) -> float:
-    """Second moment sigma^2 prod_{i=0}^{n-1} (1 + a1^2 lam^(2i)).
+def moment_bleed(order: int, mu: float, params: BleedParams) -> float:
+    """Raw moment E[X^order] of mu + sigma S Z over the rates a1 lam^k, k < n.
 
-    For n = INFINITY the product converges whenever lam < 1; the limit for
-    a1 = 0.2, lam = 0.9 evaluates to about 1.23151 sigma^2.
+    E[S^m] is the layer product of moment_multiplicative. For lam < 1 it
+    stops once the factors left cannot move it by half an ulp (or it is
+    inf), so n may be INFINITY; with lam = 1 that limit diverges.
     """
-    return power(params.sigma, 2, "sigma") * q_pochhammer(-params.a1**2, params.lam**2, params.n)
+    check_order(order, lowest=1)
+    a1, lam, n = params.a1, params.lam, params.n
+    if n == INFINITY and lam == 1.0:
+        raise DivergenceError("an infinite bleed product requires lam < 1")
+    tail = 1.0 / ((1.0 - lam) * (1.0 + lam)) if lam < 1.0 else None
+    return scale_mixture_moment(order, mu, params.sigma, lambda m: _layer_product(
+        m, (a1 * lam**k for k in (itertools.count() if n == INFINITY else range(n))), tail))
+
+
+def m2_bleed(params: BleedParams) -> float:
+    """Second moment sigma^2 prod_{i=0}^{n-1} (1 + a1^2 lam^(2i)); its limit
+    at a1 = 0.2, lam = 0.9 is about 1.23151 sigma^2."""
+    return moment_bleed(2, 0.0, params)
 
 
 def m4_bleed(params: BleedParams) -> float:
-    """Fourth moment 3 sigma^4 prod_{i=0}^{n-1} (1 + 6 a1^2 lam^(2i) + a1^4 lam^(4i)).
-
-    Each factor splits into two linear q-Pochhammer factors, so the limit
-    is a product of two convergent symbols; for a1 = 0.2, lam = 0.9 it is
-    about 9.8806 sigma^4.
-    """
-    a2 = params.a1**2
-    q = params.lam**2
-    return (
-        3.0
-        * power(params.sigma, 4, "sigma")
-        * q_pochhammer(_M4_A * a2, q, params.n)
-        * q_pochhammer(_M4_B * a2, q, params.n)
-    )
+    """Fourth moment 3 sigma^4 prod_{i=0}^{n-1} (1 + 6 a1^2 lam^(2i) + a1^4 lam^(4i));
+    its limit at a1 = 0.2, lam = 0.9 is about 9.8806 sigma^4."""
+    return moment_bleed(4, 0.0, params)
 
 
 def _geometric_sum(r: float, n) -> float:
     # sum_{j=1}^{n} r^j for 0 <= r < 1; n may be INFINITY.
     if n == INFINITY:
         return r / (1.0 - r)
-    if n == 0:
-        return 0.0
     return r * (1.0 - r**n) / (1.0 - r)
 
 
 def moments_additive(order: int, mu: float, sigma: float, a: float, n) -> float:
     """Raw moments {1, 2, 4} of the additive-offset mixture.
 
-    The signed offset s = sum_j e_j a^j has E[s^2] = sum_j a^(2j) and
-    E[s^4] = 3 E[s^2]^2 - 2 sum_j a^(4j), giving
-      M1 = mu
-      M2 = mu^2 + sigma^2 (1 + E[s^2])
-      M4 = mu^4 + 6 mu^2 sigma^2 (1 + E[s^2]) + 3 sigma^4 (1 + 6 E[s^2] + E[s^4]).
-    Requires sum_j a^j < 1 so every branch scale stays positive (for
-    n = INFINITY this means a < 1/2).
+    The branch scale is S = 1 + s for the signed offset s = sum_j e_j a^j,
+    with E[s^2] = sum_j a^(2j) and E[s^4] = 3 E[s^2]^2 - 2 sum_j a^(4j), so
+    E[S^2] = 1 + E[s^2] and E[S^4] = 1 + 6 E[s^2] + E[s^4]. Requires
+    sum_j a^j < 1 so every branch scale stays positive (for n = INFINITY
+    this means a < 1/2).
     """
     if order not in (1, 2, 4):
         raise UnsupportedOrderError(
@@ -182,15 +183,7 @@ def moments_additive(order: int, mu: float, sigma: float, a: float, n) -> float:
         raise NonPositiveScaleError(
             f"offset sum of rate {a} over depth {n} reaches 1; branch scales hit 0"
         )
-    if order == 1:
-        return mu
     m2 = _geometric_sum(a * a, n)
-    if order == 2:
-        return mu * mu + sigma * sigma * (1.0 + m2)
-    q4 = _geometric_sum(a**4, n)
-    e_s4 = 3.0 * m2 * m2 - 2.0 * q4
-    return (
-        power(mu, 4, "mu")
-        + 6.0 * mu * mu * sigma * sigma * (1.0 + m2)
-        + 3.0 * power(sigma, 4, "sigma") * (1.0 + 6.0 * m2 + e_s4)
-    )
+    e_s4 = 3.0 * m2 * m2 - 2.0 * _geometric_sum(a**4, n)
+    scale = {2: 1.0 + m2, 4: 1.0 + 6.0 * m2 + e_s4}
+    return scale_mixture_moment(order, mu, sigma, scale.__getitem__)

@@ -4,8 +4,9 @@ Provides the complementary error function (the stdlib ``math.erfc`` with an
 exact reflection for negative arguments) and its logarithm for deep-tail
 work (``ln erfc`` up to a switch point, a fixed-length continued fraction
 beyond it), each over a float or an array, the raw moments of a Gaussian
-scale mixture up to order 8, the Gaussian absolute first moment, and the
-q-Pochhammer product with support for the infinite-depth limit.
+scale mixture up to order 8 from the moments of its scale, the Gaussian
+absolute first moment, and the INFINITY depth marker with the
+DivergenceError of a limit that does not exist.
 
 All functions are pure and safe to call concurrently.
 """
@@ -17,7 +18,7 @@ import math
 import numpy as np
 
 from ._checks import UnsupportedOrderError  # noqa: F401  (public home of the error)
-from ._checks import check_depth, check_sigma, power
+from ._checks import check_sigma, power
 
 INFINITY = math.inf
 """Depth marker for infinite products and moment limits."""
@@ -120,33 +121,3 @@ def gaussian_abs_first_moment(sigma: float) -> float:
     """E|X| = sqrt(2/pi) * sigma for a centered Gaussian."""
     check_sigma(sigma)
     return math.sqrt(2.0 / math.pi) * sigma
-
-
-def q_pochhammer(a: float, q: float, n: int | float) -> float:
-    """q-shifted factorial (a; q)_n = prod_{i=0}^{n-1} (1 - a q^i).
-
-    ``n`` is a nonnegative integer, or INFINITY for the limit product. The
-    infinite form requires |q| < 1; iteration stops once the factor differs
-    from 1 by less than 1e-15, which bounds the dropped tail by roughly
-    |a q^i| / (1 - |q|).
-    """
-    if not (math.isfinite(a) and math.isfinite(q)):
-        raise ValueError("a and q must be finite")
-    if n == INFINITY:
-        if abs(q) >= 1.0:
-            raise DivergenceError(
-                f"infinite q-product requires |q| < 1, got q={q!r}"
-            )
-        product = 1.0
-        aq = a
-        while abs(aq) >= 1e-15:
-            product *= 1.0 - aq
-            aq *= q
-        return product
-    check_depth(n)
-    product = 1.0
-    aq = a
-    for _ in range(n):
-        product *= 1.0 - aq
-        aq *= q
-    return product

@@ -597,6 +597,19 @@ class TestScheduleGrammar:
     def test_spec_keeps_the_first_rate_in_one_field(self, text, first):
         assert parse_schedule_spec(text).a == first
 
+    @pytest.mark.parametrize("text, ascii_form", [
+        ("constant:a=0.\u0661,N=5", "constant:a=0.1,N=5"),  # Arabic-Indic one
+        ("constant:a=0.1,N=\u0665", "constant:a=0.1,N=5"),  # Arabic-Indic five
+        ("constant:a=\uff10.1,N=5", "constant:a=0.1,N=5"),  # full-width zero
+        ("constant:A=0.1,N=5", "constant:a=0.1,N=5"),
+        ("explicit:0.1,0.01;MODE=ADDITIVE", "explicit:0.1,0.01;mode=additive"),
+        ("explicit:0.1,,0.2", "explicit:0.1,0.2"),
+    ])
+    def test_documented_spellings_parse_as_their_ascii_form(self, text, ascii_form):
+        # Numbers as float() and int() read them, case-folded keys and
+        # suffix, and blank explicit items skipped.
+        assert parse_schedule_spec(text) == parse_schedule_spec(ascii_form)
+
     def test_depth_override(self):
         spec = parse_schedule_spec("constant:a=0.1,N=5")
         assert spec.to_schedule(2).depth == 2

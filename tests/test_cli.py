@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import branchvol
-from branchvol import cli, mixstats
+from branchvol import cli, closedform, mixstats
 from branchvol.branching import (
     MAX_ENUMERATION_DEPTH,
     GaussianBase,
@@ -288,6 +288,43 @@ class TestMomentsCommand:
         for closed, enum, rel, limit in (r[1:] for r in rows.values()):
             assert rel < 1e-12 and math.isclose(closed, enum, rel_tol=1e-12)
             assert limit is None
+
+    @pytest.mark.parametrize("schedule", ["geometric:a=0.5,N=10", "geometric:a=0.6,N=1"])
+    def test_geometric_without_a_limit_still_reports_moments(self, schedule, capsys):
+        # The offsets a + a^2 + ... reach 1 at N = INFINITY for a >= 1/2, but
+        # not at these depths: the limit is blank and the rest is printed.
+        rows = self._rows(capsys, schedule, "2,4")
+        for closed, enum, rel, limit in (r[1:] for r in rows.values()):
+            assert rel < 1e-12 and math.isclose(closed, enum, rel_tol=1e-12)
+            assert limit is None
+        if schedule.endswith("N=10"):
+            assert math.isclose(rows[2][1], 1.3333330154418945, rel_tol=1e-12)
+
+    def test_bleed_limits_at_a_nonzero_location(self, capsys):
+        # At mu = 1 each order mixes E[S^2] and E[S^4]; the limits are the
+        # closed forms at a depth where the factors have converged.
+        def rows(n):
+            rc, out = run_cli("moments", "--schedule", f"bleed:a1=0.2,lambda=0.9,N={n}",
+                              "--mu", "1", capsys=capsys)
+            assert rc == 0
+            return cli.parse_table_csv(out)[1]
+
+        limits = [(r[0], r[4]) for r in rows(10) if r[4] is not None]
+        deep = {r[0]: r[1] for r in rows(400)}
+        assert [order for order, _ in limits] == [2, 4]
+        for order, limit in limits:
+            assert math.isclose(limit, deep[order], rel_tol=1e-13), order
+
+    def test_limit_stops_once_the_product_overflows(self, monkeypatch, capsys):
+        # At lambda = 1 - 1e-7 the order-2 product leaves the double range
+        # after about 18000 layers and the order-4 one after about 3300,
+        # long before its rates fade (about 1.6e8 layers).
+        factors = count_calls(monkeypatch, closedform, "_h_minus_one")
+        started = time.perf_counter()
+        rows = self._rows(capsys, "bleed:a1=0.2,lambda=0.9999999,N=5", "2,4")
+        assert time.perf_counter() - started < 5.0
+        assert [r[4] for r in rows.values()] == [math.inf, math.inf]
+        assert len(factors) < 10**5
 
 
 class TestLogLogCommand:

@@ -3,6 +3,7 @@ the additive regime."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -167,6 +168,30 @@ class TestBleed:
         )
         assert math.isclose(m2_expected, 1.2315142313388336, rel_tol=1e-9)
         assert math.isclose(m4_expected, 9.8806226088161086, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("a1, lam", [(0.2, 0.9), (0.5, 0.5), (0.1, 0.99)])
+    def test_limits_against_mpmath(self, a1, lam):
+        # 50-digit products over the rates the doubles a1 and lam give,
+        # run until a factor is within 1e-45 of 1.
+        with mpmath.workdps(50):
+            for order, moment in ((2, m2_bleed), (4, m4_bleed)):
+                want, a = mpmath.mpf(order - 1), mpmath.mpf(a1)
+                while a**2 > 1e-46:
+                    want *= ((1 + a) ** order + (1 - a) ** order) / 2
+                    a *= lam
+                got = moment(BleedParams(a1, lam, INFINITY))
+                assert abs(got - want) <= 1e-14 * want, (order, got, want)
+
+    @pytest.mark.parametrize("a1, lam, n", [(0.2, 0.9, 10), (0.5, 0.5, 3), (0.1, 0.99, 2000),
+                                            (0.3, 1.0, 7), (0.7, 0.999, 400), (0.2, 0.0, 4)])
+    def test_finite_depths_are_the_layer_product(self, a1, lam, n):
+        # The same bits as the product over the schedule's rates, which the
+        # CLI's closed_form column prints.
+        rates = ErrorSchedule.bleed(a1, lam, n).rates
+        for sigma in (1.0, 1.7):
+            params = BleedParams(a1, lam, n, sigma=sigma)
+            assert m2_bleed(params) == moment_multiplicative(2, 0.0, sigma, rates)
+            assert m4_bleed(params) == moment_multiplicative(4, 0.0, sigma, rates)
 
     def test_monotone_in_depth_and_decay(self):
         vals_n = [m2_bleed(BleedParams(0.2, 0.9, n)) for n in range(0, 20)]

@@ -9,12 +9,9 @@ import pytest
 from scipy import integrate
 
 from branchvol.special import (
-    INFINITY,
-    DivergenceError,
     erfc,
     gaussian_abs_first_moment,
     log_erfc,
-    q_pochhammer,
     scale_mixture_moment,
 )
 
@@ -195,50 +192,3 @@ class TestGaussianAbsFirstMoment:
         with pytest.raises(ValueError):
             gaussian_abs_first_moment(-1.0)
 
-
-class TestQPochhammer:
-    def test_empty_product(self):
-        assert q_pochhammer(0.3, 0.5, 0) == 1.0
-
-    def test_zero_head_is_identity(self):
-        assert q_pochhammer(0.0, 0.9, INFINITY) == 1.0
-
-    def test_infinite_product_against_direct_iteration(self):
-        # Independent oracle: plain running product until the factor is 1.
-        expected = 1.0
-        i = 0
-        while True:
-            f = 1.0 + 0.04 * 0.81**i
-            if f == 1.0:
-                break
-            expected *= f
-            i += 1
-        val = q_pochhammer(-0.04, 0.81, INFINITY)
-        assert math.isclose(val, expected, rel_tol=1e-10)
-        assert math.isclose(val, 1.2315142313388336, rel_tol=1e-9)
-
-    def test_recurrence(self):
-        # (a; q)_{n+1} = (a; q)_n * (1 - a q^n) over random parameters.
-        rng = np.random.default_rng(11)
-        for _ in range(1000):
-            a = float(rng.uniform(-1.0, 1.0))
-            q = float(rng.uniform(-0.99, 0.99))
-            n = int(rng.integers(0, 51))
-            lhs = q_pochhammer(a, q, n + 1)
-            rhs = q_pochhammer(a, q, n) * (1.0 - a * q**n)
-            assert math.isclose(lhs, rhs, rel_tol=1e-14, abs_tol=1e-300), (a, q, n)
-
-    def test_q_of_one_allowed_for_finite_n(self):
-        assert math.isclose(q_pochhammer(-0.04, 1.0, 5), 1.04**5, rel_tol=1e-14)
-
-    def test_divergence_guard(self):
-        with pytest.raises(DivergenceError):
-            q_pochhammer(0.5, 1.0, INFINITY)
-        with pytest.raises(DivergenceError):
-            q_pochhammer(0.5, -1.2, INFINITY)
-
-    def test_rejects_bad_depth(self):
-        with pytest.raises(ValueError):
-            q_pochhammer(0.5, 0.5, -1)
-        with pytest.raises(ValueError):
-            q_pochhammer(0.5, 0.5, 2.5)

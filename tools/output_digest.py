@@ -6,7 +6,11 @@ command-line examples with --format json. Two trees that print the same
 digest gave the same argv, exit code, stdout and stderr on every call.
 branchvol is imported from this tree's src/, whatever PYTHONPATH holds.
 
-    python3 tools/output_digest.py
+stdout gets only the digest line. stderr gets one line per call: the first
+12 hex digits of that call's own sha256, then its argv, so a diff of the
+stderr of two trees names the calls that changed.
+
+    python3 tools/output_digest.py 2> calls.txt
 """
 
 import contextlib
@@ -33,5 +37,7 @@ for argv in argvs:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv)
-    h.update(json.dumps([argv, rc, out.getvalue(), err.getvalue()]).encode())
+    record = json.dumps([argv, rc, out.getvalue(), err.getvalue()]).encode()
+    h.update(record)
+    print(hashlib.sha256(record).hexdigest()[:12], *argv, file=sys.stderr)
 print(f"{h.hexdigest()}  {len(argvs)} calls")
