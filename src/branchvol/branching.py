@@ -265,15 +265,16 @@ class MixtureDistribution:
     where ``scales`` leaves the double range. An enumeration gives
     ``scales`` as None with its ``expansion``: the array is built on first
     read or on the second ``scale_blocks`` call and kept; the first call
-    expands the scales a block at a time. ``log_scales`` given as None is
-    ``np.log(scales)``, taken on first read and kept. Every array is
-    read-only.
+    expands the scales a block at a time, so a density, a moment or an
+    exceedance never builds the array, whatever sigma is. ``log_scales``
+    given as None is ``np.log(scales)``, taken on first read and kept, or
+    a block at a time by ``block_log_scales``. Every array is read-only.
     """
 
     mu: float
     sigma: float
     scales: np.ndarray | None = _OnFirstRead(lambda mixture: mixture.expansion.build())
-    log_scales: np.ndarray | None = _OnFirstRead(lambda mixture: np.log(mixture.scales))
+    log_scales: np.ndarray | None = _OnFirstRead(lambda m: m.block_log_scales(0, m.scales))
     weight: float
     log_weights: np.ndarray
     expansion: ScaleExpansion | None = None
@@ -287,6 +288,14 @@ class MixtureDistribution:
             else:
                 vars(self)[name].setflags(write=False)
         self.log_weights.setflags(write=False)
+
+    def block_log_scales(self, offset: int, block: np.ndarray, mask=...) -> np.ndarray:
+        """ln block[mask], block being scales[offset : offset + block.size]: a
+        slice of the held log-scales, else np.log (-inf for a 0 scale)."""
+        if "log_scales" in vars(self):
+            return self.log_scales[offset : offset + block.size][mask]
+        with np.errstate(divide="ignore"):
+            return np.log(block[mask])
 
     @property
     def n_components(self) -> int:

@@ -32,8 +32,12 @@ _CHUNK = 4096
 _GRID_BLOCK = 256
 
 # Density components whose |ln sigma| or -ln weight exceeds this are summed
-# in log space: their sigma or weight leaves the double range.
+# in log space: their sigma or weight leaves the double range. A chunk whose
+# sigmas lie a nat inside it takes no logs. A -inf log-sigma (a 0 scale) is
+# taken as the floor: a term of 0 off the centre and inf at it, no inf - inf.
 _DENSITY_LINEAR_LIMIT = 700.0
+_SIGMA_MIN, _SIGMA_MAX = math.exp(-699.0), math.exp(699.0)
+_LOG_SIGMA_FLOOR = -1e300
 
 # Past this many components, log_exceedance bounds every term first and
 # skips the terms that provably cannot move the rounded sum; at or below it,
@@ -210,20 +214,6 @@ def _fsum_pair(arrays, slack: float) -> tuple[float, float] | None:
     return total / (1 << _SHIFT), (total + (num << _SHIFT) // den) / (1 << _SHIFT)
 
 
-def _all_linear(mixture: MixtureDistribution) -> bool:
-    # Every |ln(sigma scale)| is at most |ln sigma| + max(-ln min(scales),
-    # ln max(scales)); a nat of margin covers the rounding of the logs. An
-    # enumeration's extremes are its last and first scales: nothing is built.
-    if mixture.expansion is not None:
-        hi, lo = mixture.expansion.ends()
-    else:
-        lo, hi = float(mixture.scales.min()), float(mixture.scales.max())
-    if not (0.0 < lo and hi < math.inf):
-        return False
-    spread = max(-math.log(lo), math.log(hi))
-    return abs(math.log(mixture.sigma)) + spread < _DENSITY_LINEAR_LIMIT - 1.0
-
-
 def density(mixture: MixtureDistribution, x) -> float | np.ndarray:
     """Mixture density at x (scalar or array): sum_i w_i phi(mu, sigma_i, x).
 
@@ -233,41 +223,37 @@ def density(mixture: MixtureDistribution, x) -> float | np.ndarray:
     """
     x_arr = np.asarray(x, dtype=np.float64)
     weighted = not mixture.zero_log_weights
-    if weighted or not _all_linear(mixture):
-        log_sigmas = math.log(mixture.sigma) + mixture.log_scales
-        linear = np.abs(log_sigmas) <= _DENSITY_LINEAR_LIMIT
-        if weighted:
-            linear &= mixture.log_weights >= -_DENSITY_LINEAR_LIMIT
-        scales = mixture.scales[linear]
-        log_weights = mixture.log_weights[linear] if weighted else None
-        width = scales.size
-        chunks = ((scales[s], log_weights[s] if weighted else None) for s in _slices(width))
-        far_log_sigmas = log_sigmas[~linear]
-        far_log_weights = mixture.log_weights[~linear]
-    else:  # no mask, gather or log-scales: the scales a block at a time
-        width = mixture.n_components
-        chunks = ((block[s], None) for block in mixture.scale_blocks()
-                  for s in _slices(block.size))
-        far_log_sigmas = far_log_weights = np.empty(0)
-    x_col = x_arr.reshape(-1, 1)
     out = np.zeros(x_arr.size)
     grid = list(_slices(out.size, _GRID_BLOCK))
     # Two tables of (grid block x chunk) doubles, reused: a new process
     # maps and faults in fresh multi-megabyte temporaries on every chunk.
-    tables = np.empty((2, min(out.size, _GRID_BLOCK) * min(width, _CHUNK)))
-    # Each chunk goes over the grid a block at a time; every point keeps
-    # its own sum, adding the chunks in order whatever the block size.
-    # Overflow here means z * z past the double range (the term is 0) or a
-    # density past it (the result is inf).
+    tables = np.empty((2, min(out.size, _GRID_BLOCK) * min(mixture.n_components, _CHUNK)))
+    starts = range(0, mixture.n_components, _SCALE_BLOCK)
+    chunks = ((i + s.start, block[s]) for i, block in zip(starts, mixture.scale_blocks())
+              for s in _slices(block.size))
+    # Each chunk goes over the grid a block at a time, its linear terms
+    # and then its far ones; every point keeps its own sum, adding them in
+    # order whatever the block size. Overflow here means z * z past the
+    # double range (the term is 0) or a density past it (the result is inf).
     with np.errstate(over="ignore", divide="ignore"):
-        dx = x_col - mixture.mu
-        for chunk, chunk_log_weights in chunks:
+        dx = x_arr.reshape(-1, 1) - mixture.mu
+        log_dx = np.log(np.abs(dx))
+        for i, chunk in chunks:
+            lw = mixture.log_weights[i : i + chunk.size]
             sigmas = mixture.sigma * chunk
+            far_ls = np.empty(0)
+            if not ((not weighted or lw.min() >= -_DENSITY_LINEAR_LIMIT)
+                    and _SIGMA_MIN <= sigmas.min() and sigmas.max() <= _SIGMA_MAX):
+                log_sigmas = math.log(mixture.sigma) + mixture.block_log_scales(i, chunk)
+                linear = np.abs(log_sigmas) <= _DENSITY_LINEAR_LIMIT
+                linear &= lw >= -_DENSITY_LINEAR_LIMIT
+                far_ls = np.maximum(log_sigmas[~linear], _LOG_SIGMA_FLOOR)
+                far_base = lw[~linear] - far_ls - _LN_SQRT_TWO_PI
+                sigmas, lw = sigmas[linear], lw[linear]
             norms = sigmas * _SQRT_TWO_PI
-            if weighted:
-                weights = np.exp(chunk_log_weights)
+            weights = np.exp(lw) if weighted else None
             for g in grid:
-                z, terms = (t[: dx[g].size * sigmas.size].reshape(-1, sigmas.size)
+                z, terms = (t[: dx[g].size * sigmas.size].reshape(dx[g].size, -1)
                             for t in tables)
                 np.divide(dx[g], sigmas, out=z)
                 np.multiply(-0.5, z, out=terms)
@@ -277,13 +263,15 @@ def density(mixture: MixtureDistribution, x) -> float | np.ndarray:
                     terms *= weights
                 terms /= norms
                 out[g] += np.sum(terms, axis=-1)
-        for g in grid:
-            log_dx = np.log(np.abs(dx[g]))
-            for s in _slices(far_log_sigmas.size):
-                ls = far_log_sigmas[s]
-                z2 = np.exp(2.0 * (log_dx - ls))
-                terms = np.exp(far_log_weights[s] - ls - _LN_SQRT_TWO_PI - 0.5 * z2)
-                out[g] += np.sum(terms, axis=-1)
+                if far_ls.size:  # exp(ln w - ln sigma - ln sqrt(2 pi) - z^2 / 2)
+                    terms = tables[0, : dx[g].size * far_ls.size].reshape(dx[g].size, -1)
+                    np.subtract(log_dx[g], far_ls, out=terms)
+                    terms *= 2.0
+                    np.exp(terms, out=terms)
+                    terms *= -0.5
+                    terms += far_base
+                    np.exp(terms, out=terms)
+                    out[g] += np.sum(terms, axis=-1)
     out *= mixture.weight
     if x_arr.ndim == 0:
         return float(out[0])
@@ -313,31 +301,31 @@ def _log_tails(delta, log_sigmas: np.ndarray) -> np.ndarray:
     # ln P(Normal(0, sigma_j^2) > delta) with each sigma passed as its log;
     # safe for scale factors far outside the double range. delta is a float,
     # or a (t, 1) column that makes a (t, n) table; math.log takes each
-    # ln|delta|. At delta = 0, ln|z| = -inf and the tail is exactly 1/2.
+    # ln|delta|. At delta = 0 the tail is 1/2, for a sigma of 0 (nan ln|z|) too.
     d = np.asarray(delta, dtype=np.float64)
-    ln_d = np.reshape([math.log(abs(x)) if x else -math.inf for x in d.ravel().tolist()],
-                      d.shape)
-    log_abs_z = (ln_d - 0.5 * _LN2) - log_sigmas
+    ds = d.ravel().tolist()
+    ln_d = np.reshape([math.log(abs(x)) if x else -math.inf for x in ds], d.shape)
+    with np.errstate(invalid="ignore"):
+        log_abs_z = (ln_d - 0.5 * _LN2) - log_sigmas
     out = np.empty(log_abs_z.shape)
-    out[...] = np.where(d > 0.0, -math.inf, 0.0)
+    out[...] = np.reshape([(-math.inf if x > 0 else 0.0) if x else _LN_HALF for x in ds], d.shape)
     near = log_abs_z <= 300.0
     sign = np.broadcast_to(d, out.shape)[near] if d.ndim else d
     out[near] = _LN_HALF + log_erfc(np.copysign(np.exp(log_abs_z[near]), sign))
     return out
 
 
-def _tails(delta: float, sigma: float, scales: np.ndarray, log_scales) -> np.ndarray:
-    # P(Normal(0, (sigma scale_i)^2) > delta); the log form covers sigmas
-    # that underflowed to 0 or are too small for delta / sigma to stay
-    # finite. log_scales given as None are np.log(scales), taken there.
+def _tails(delta: float, mixture: MixtureDistribution, i: int, scales: np.ndarray) -> np.ndarray:
+    # P(Normal(0, (sigma scale_j)^2) > delta) over the scales from component
+    # i; the log form covers sigmas that underflowed to 0 or make delta/sigma inf.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        z = delta / (_SQRT2 * (sigma * scales))
+        z = delta / (_SQRT2 * (mixture.sigma * scales))
     ok = np.isfinite(z)
     out = np.empty(z.shape)
     out[ok] = 0.5 * erfc(z[ok])
     bad = ~ok
-    ls = np.log(scales[bad]) if log_scales is None else log_scales[bad]
-    out[bad] = np.exp(_log_tails(delta, math.log(sigma) + ls))
+    ls = mixture.block_log_scales(i, scales, bad)
+    out[bad] = np.exp(_log_tails(delta, math.log(mixture.sigma) + ls))
     return out
 
 
@@ -349,17 +337,10 @@ def exceedance(mixture: MixtureDistribution, k: float) -> float:
     """
     (delta,) = _deltas(mixture, k).tolist()
     lw = mixture.log_weights
-    # An enumeration's log-scales are np.log of its scales, taken by _tails
-    # where a tail needs them; other mixtures give theirs.
-    log_scales = None if mixture.expansion is not None else mixture.log_scales
     starts = range(0, mixture.n_components, _SCALE_BLOCK)
     with np.errstate(over="ignore"):  # a sigma past the double range has tail 1/2
-        total = _fsum(
-            np.exp(lw[i : i + b.size])
-            * _tails(delta, mixture.sigma, b,
-                     None if log_scales is None else log_scales[i : i + b.size])
-            for i, b in zip(starts, mixture.scale_blocks())
-        )
+        total = _fsum(np.exp(lw[i : i + b.size]) * _tails(delta, mixture, i, b)
+                      for i, b in zip(starts, mixture.scale_blocks()))
     return min(1.0, mixture.weight * total)
 
 
@@ -517,7 +498,7 @@ def _mean_scale_powers(mixture: MixtureDistribution, ms) -> np.ndarray:
             sums[r] = np.sum(t)
             if not math.isfinite(sums[r]):
                 bad = ~np.isfinite(t)
-                t[bad] = np.exp(lw[i:j][bad] + m * mixture.log_scales[i:j][bad])
+                t[bad] = np.exp(lw[i:j][bad] + m * mixture.block_log_scales(i, x, bad))
                 sums[r] = np.sum(t)
         return sums
 

@@ -134,6 +134,22 @@ class TestExceedCommand:
             assert math.isclose(row[3], math.log(row[2]), rel_tol=1e-9)
 
 
+def test_scales_that_round_to_zero_agree_with_the_grouped_form(capsys):
+    # 1 - a is 2^-53, so 2325 of the 2^24 enumerated scales round to 0:
+    # each has tail 1/2 at k = mu, and density 0 off mu and inf at it.
+    rates = ",".join(["0.9999999999999999"] * 24)
+    for argv in (["exceed", "--k", "0,0.5"], ["density", "--x=-1:1:1"]):
+        tables = []
+        for schedule in (f"explicit:{rates}", "constant:a=0.9999999999999999,N=24"):
+            rc, out = run_cli(*argv, "--schedule", schedule, capsys=capsys)
+            assert rc == 0
+            tables.append(cli.parse_table_csv(out)[1])
+        enumerated, grouped = tables
+        for row, other in zip(enumerated, grouped, strict=True):
+            assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(row, other))
+    assert enumerated[1] == [0.0, math.inf]
+
+
 class TestRatioTableCommand:
     def test_default_reproduces_both_tables(self, capsys):
         rc, out = run_cli("ratio-table", capsys=capsys)

@@ -132,17 +132,16 @@ class TestDensity:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
-    @pytest.mark.parametrize("sigma", [1.0, 1e-300, 1e300, 1e-303])
-    def test_all_linear_shortcut_keeps_every_bit(self, sigma, monkeypatch):
-        # Equal weights and every |ln(sigma scale)| provably within the
-        # limit: no mask or log-scales, and the bits of the masked path.
-        # At 1e-303 the bound passes 699 and the masked path runs anyway.
-        mix = build_mixture(GaussianBase(0.0, sigma), ErrorSchedule.bleed(0.3, 0.9, 12))
-        grid = np.linspace(-4.0, 4.0, 17) * sigma
-        assert mixstats._all_linear(mix) == (sigma != 1e-303)
-        fast = density(mix, grid)
-        monkeypatch.setattr(mixstats, "_all_linear", lambda mixture: False)
-        assert np.array_equal(fast, density(mix, grid))
+    @pytest.mark.parametrize("s", [1e-300, 1e300, 1e-303])
+    def test_scale_invariance_past_the_linear_range(self, s):
+        # density(sigma = s, s x) s = density(sigma = 1, x). At 1e-303 some
+        # sigmas leave the linear range and are summed in log space; at
+        # 1e-305 the density itself leaves the double range.
+        schedule = ErrorSchedule.bleed(0.3, 0.9, 12)
+        grid = np.linspace(-4.0, 4.0, 17)
+        unit = density(build_mixture(BASE, schedule), grid)
+        scaled = density(build_mixture(GaussianBase(0.0, s), schedule), s * grid) * s
+        np.testing.assert_allclose(scaled, unit, rtol=1e-14, atol=0.0)
 
     def test_binomial_collapse_matches_enumeration(self):
         grid = np.linspace(-5, 5, 41)
@@ -777,10 +776,10 @@ class TestDeepEnumerationMemory:
 
     SCHEDULE = ErrorSchedule.bleed(0.2, 0.9, 20)
 
-    def _peak(self, evaluate):
+    def _peak(self, evaluate, base=BASE):
         tracemalloc.start()
         try:
-            mix = build_mixture(BASE, self.SCHEDULE)
+            mix = build_mixture(base, self.SCHEDULE)
             evaluate(mix)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -793,6 +792,14 @@ class TestDeepEnumerationMemory:
 
     def test_density(self):
         assert self._peak(lambda mix: density(mix, np.linspace(-4.0, 4.0, 9))) < 2**20
+
+    def test_density_with_sigmas_past_the_linear_range(self):
+        # At sigma = 1e-303 most chunks hold sigmas below e^-700, summed in
+        # log space from each chunk's own log-scales. The full-length mask,
+        # log-scales and gathered copies peaked at 34.0 MiB.
+        grid = np.linspace(-4e-303, 4e-303, 9)
+        peak = self._peak(lambda mix: density(mix, grid), GaussianBase(0.0, 1e-303))
+        assert peak < 2 * 2**20
 
 
 class TestStreamedEqualsMaterialized:
@@ -831,6 +838,17 @@ class TestStreamedEqualsMaterialized:
         mix = build_mixture(base, schedule)
         mix.scales  # built: every evaluator now reads slices
         assert self._bits(lambda: mix, *args) == streamed
+
+    def test_far_densities_take_the_same_logs(self):
+        # Below e^-700 a sigma's term takes ln scale: np.log of the streamed
+        # block, or a slice of the log-scales once they are held.
+        base, schedule = GaussianBase(0.0, 1e-303), ErrorSchedule.bleed(0.2, 0.9, 20)
+        grid = np.linspace(-4e-303, 4e-303, 9)
+        streamed = density(build_mixture(base, schedule), grid).tolist()
+        mix = build_mixture(base, schedule)
+        mix.log_scales  # built, with the scales
+        built = density(mix, grid).tolist()
+        assert [v.hex() for v in built] == [v.hex() for v in streamed]
 
     def test_tails_past_the_double_range_take_the_same_logs(self):
         # sigma * scale rounds to 0 below scale 1/2: those tails take ln

@@ -28,6 +28,7 @@ SLOW_CASES = [
     "loglog --schedule bleed:a1=0.2,lambda=0.9,N=20 --x 2:50:120",
     "exceed --schedule bleed:a1=0.2,lambda=0.9,N=24 --k 3,10,50",
     "density --schedule bleed:a1=0.2,lambda=0.9,N=22 --x=-4:4:0.05",
+    "density --schedule bleed:a1=0.2,lambda=0.9,N=22 --sigma 1e-303 --x=-4e-303:4e-303:1e-303",
     "moments --schedule bleed:a1=0.2,lambda=0.9,N=24",
     "exceed --schedule geometric:a=0.1,N=30 --k 3",
     "validate --schedule constant:a=0.1,N=30 --n-samples 100000",
