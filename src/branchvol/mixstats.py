@@ -471,33 +471,41 @@ def convexity_ratio(mixture: MixtureDistribution, k) -> float | np.ndarray:
 
 
 def _mean_scale_powers(mixture: MixtureDistribution, ms) -> np.ndarray:
-    # E[scale^m] over the mixture weights for each m of ms, in one pass over
-    # the leaves, each sum in np.sum's order. 2^N scales, as every
-    # enumeration has, split into leaves that are exactly the blocks of
-    # scale_blocks, which streams an enumeration that is not built; other
-    # counts slice the scales. In deep grouped mixtures a tiny weight can
+    # E[scale^m] over the mixture weights for each m of ms (ascending), in
+    # one pass over the leaves, each sum in np.sum's order. 2^N scales, as
+    # every enumeration has, split into leaves that are exactly the blocks
+    # of scale_blocks, which streams an enumeration that is not built;
+    # other counts slice the scales. Each leaf takes x^m as the product
+    # chain 1 * x * x * ... left to right, the rule of montecarlo.sample:
+    # IEEE products round alike on every CPU, where np.power's bits follow
+    # numpy's SIMD dispatch. In deep grouped mixtures a tiny weight can
     # meet a power that overflows; a leaf whose sum is not finite takes such
     # terms in log space and sums again. Terms are never negative, so a
     # finite leaf sum means every term of the leaf was finite.
     n, lw = mixture.n_components, mixture.log_weights
     weighted = not mixture.zero_log_weights
     blocks = None if n & (n - 1) else mixture.scale_blocks()
-    terms = np.empty(min(_LEAF, n))
-    weights = np.empty(terms.size if weighted else 0)
+    powers = np.empty(min(_LEAF, n))
+    terms = np.empty(powers.size if weighted else 0)
+    weights = np.empty(terms.size)
 
     def leaf(i: int, j: int) -> np.ndarray:
         x = mixture.scales[i:j] if blocks is None else next(blocks)
-        t = terms[: j - i]
+        p = powers[: j - i]
+        p.fill(1.0)
         if weighted:
             w = np.exp(lw[i:j], out=weights[: j - i])
         sums = np.empty(len(ms))
+        done = 0
         for r, m in enumerate(ms):
-            np.power(x, m, out=t)
-            if weighted:
-                t *= w
+            for _ in range(m - done):
+                p *= x
+            done = m
+            t = np.multiply(p, w, out=terms[: j - i]) if weighted else p
             sums[r] = np.sum(t)
             if not math.isfinite(sums[r]):
                 bad = ~np.isfinite(t)
+                t = t.copy()  # p carries the chain on to the next power
                 t[bad] = np.exp(lw[i:j][bad] + m * mixture.block_log_scales(i, x, bad))
                 sums[r] = np.sum(t)
         return sums

@@ -754,9 +754,12 @@ class TestExactSum:
 
 
 def _full_length_scale_power(mixture, m):
-    # The one-array form of mixstats._mean_scale_powers, one power written out.
+    # The one-array form of mixstats._mean_scale_powers, one power written
+    # out as its product chain 1 * x * ... * x.
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = mixture.scales**m
+        terms = np.ones(mixture.n_components)
+        for _ in range(m):
+            terms *= mixture.scales
         if not mixture.zero_log_weights:
             terms *= np.exp(mixture.log_weights)
         total = float(np.sum(terms))
