@@ -214,32 +214,39 @@ def cmd_ratio_table(args) -> int:
     depths = _parse_list(args.n_list, "--n-list", int) if args.n_list else [5, 10, 15, 20, 25]
     thresholds = _parse_list(args.k_list, "--k-list") if args.k_list else [3.0, 5.0, 10.0]
     columns = ["a", "N"] + [f"K{_format_value(k)}" for k in thresholds]
+    # The depth-0 tails, shared by every row.
+    base_log_p = mixstats.log_exceedance(group_mixture(base, 0.0, 0), thresholds)
     rows = []
     for a in rates:
         for n in depths:
-            ratios = mixstats.convexity_ratio(group_mixture(base, a, n), thresholds)
+            ratios = mixstats.convexity_ratio(group_mixture(base, a, n), thresholds,
+                                               base_log_p=base_log_p)
             rows.append([a, n] + ratios.tolist())
     _emit(args, "ratio-table", columns, rows)
     return 0
 
 
-def _closed_moment(spec: ScheduleSpec, schedule, order: int, mu: float, sigma: float, n):
-    # The closed form at depth n or the limit at n = INFINITY, else None.
+def _closed_moments(spec: ScheduleSpec, schedule, orders, mu: float, sigma: float, n) -> list:
+    # The closed form at depth n, or the limit at n = INFINITY, of each
+    # order, else None; each E[S^m] of a layer product is taken once.
     # Additive forms cover orders 1, 2 and 4. Constant rates diverge, lists
     # end; a geometric limit needs a < 1/2, a bleed one lambda < 1 (orders 2
     # and 4). schedule, the built spec, serves finite multiplicative lists.
     if spec.additive:
-        if order not in (1, 2, 4) or n == INFINITY and (spec.kind == "explicit" or spec.a >= 0.5):
-            return None
-        return closedform.moments_additive(order, mu, sigma, spec.a, n)
+        if n == INFINITY and (spec.kind == "explicit" or spec.a >= 0.5):
+            return [None] * len(orders)
+        return [closedform.moments_additive(k, mu, sigma, spec.a, n) if k in (1, 2, 4) else None
+                for k in orders]
     if n != INFINITY:
         if spec.kind == "constant":
-            return closedform.moment_constant_a(order, mu, sigma, spec.a, n)
-        return closedform.moment_multiplicative(order, mu, sigma, schedule.rates)
-    if spec.kind == "bleed" and spec.lam < 1.0 and order in (2, 4):
+            return [closedform.moment_constant_a(k, mu, sigma, spec.a, n) for k in orders]
+        return closedform.multiplicative_moments(orders, mu, sigma, schedule.rates)
+    if spec.kind == "bleed" and spec.lam < 1.0:
         params = closedform.BleedParams(a1=spec.a, lam=spec.lam, n=INFINITY, sigma=sigma)
-        return closedform.moment_bleed(order, mu, params)
-    return None
+        ks = [k for k in orders if k in (2, 4)]
+        limits = dict(zip(ks, closedform.bleed_moments(ks, mu, params)))
+        return [limits.get(k) for k in orders]
+    return [None] * len(orders)
 
 
 def cmd_moments(args) -> int:
@@ -256,9 +263,11 @@ def cmd_moments(args) -> int:
         schedule = spec.to_schedule()
     if spec.n <= MAX_ENUMERATION_DEPTH:
         mixture = build_mixture(base, schedule)
-    rows = [[order, _closed_moment(spec, schedule, order, base.mu, base.sigma, spec.n), None, None,
-             _closed_moment(spec, schedule, order, base.mu, base.sigma, INFINITY)]
-            for order in orders]
+    # Each column's first error, if any, comes at an order no later than
+    # the limits' first: a limit that fails fails at depth n too.
+    closed, limits = (_closed_moments(spec, schedule, orders, base.mu, base.sigma, n)
+                      for n in (spec.n, INFINITY))
+    rows = [[order, c, None, None, lim] for order, c, lim in zip(orders, closed, limits)]
     if mixture is not None:
         # Every scale moment in one pass, after the closed forms checked the orders.
         for row, enum in zip(rows, mixstats.mixture_raw_moments(mixture, orders)):

@@ -12,6 +12,7 @@ hands E[scale^m] to special.scale_mixture_moment.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -67,19 +68,34 @@ def moment_constant_a(order: int, mu: float, sigma: float, a: float, n: int) -> 
     return scale_mixture_moment(order, mu, sigma, lambda m: _growth(m, a, n))
 
 
-def moment_multiplicative(order: int, mu: float, sigma: float, rates) -> float:
-    """Raw moment E[X^order] for an arbitrary multiplicative rate sequence.
+def _moments(orders, mu: float, sigma: float, scale_moment) -> list[float]:
+    # scale_mixture_moment of each order in turn, each E[S^m] taken once.
+    scale_moment = functools.cache(scale_moment)
+    out = []
+    for order in orders:
+        check_order(order, lowest=1)
+        out.append(scale_mixture_moment(order, mu, sigma, scale_moment))
+    return out
+
+
+def multiplicative_moments(orders, mu: float, sigma: float, rates) -> list[float]:
+    """Raw moments E[X^k] for each order k of orders, for an arbitrary
+    multiplicative rate sequence; each E[scale^m] is taken once.
 
     E[scale^m] is the product over layers of the even factors h_m(a(j)),
     which is exact for any schedule; the constant and bleed forms are the
     special cases of this product.
     """
-    check_order(order, lowest=1)
     check_sigma(sigma)
     rates = tuple(float(r) for r in rates)
     for r in rates:
         check_rate(r)
-    return scale_mixture_moment(order, mu, sigma, lambda m: _layer_product(m, rates))
+    return _moments(orders, mu, sigma, lambda m: _layer_product(m, rates))
+
+
+def moment_multiplicative(order: int, mu: float, sigma: float, rates) -> float:
+    """Raw moment E[X^order]: multiplicative_moments of one order."""
+    return multiplicative_moments([order], mu, sigma, rates)[0]
 
 
 def variance_growth_factor(a: float, n: int) -> float:
@@ -127,20 +143,25 @@ class BleedParams:
             check_depth(self.n)
 
 
-def moment_bleed(order: int, mu: float, params: BleedParams) -> float:
-    """Raw moment E[X^order] of mu + sigma S Z over the rates a1 lam^k, k < n.
+def bleed_moments(orders, mu: float, params: BleedParams) -> list[float]:
+    """Raw moments E[X^k] of mu + sigma S Z over the rates a1 lam^k, k < n,
+    for each order k of orders; each E[S^m] is taken once.
 
-    E[S^m] is the layer product of moment_multiplicative. For lam < 1 it
+    E[S^m] is the layer product of multiplicative_moments. For lam < 1 it
     stops once the factors left cannot move it by half an ulp (or it is
     inf), so n may be INFINITY; with lam = 1 that limit diverges.
     """
-    check_order(order, lowest=1)
     a1, lam, n = params.a1, params.lam, params.n
     if n == INFINITY and lam == 1.0:
         raise DivergenceError("an infinite bleed product requires lam < 1")
     tail = 1.0 / ((1.0 - lam) * (1.0 + lam)) if lam < 1.0 else None
-    return scale_mixture_moment(order, mu, params.sigma, lambda m: _layer_product(
+    return _moments(orders, mu, params.sigma, lambda m: _layer_product(
         m, (a1 * lam**k for k in (itertools.count() if n == INFINITY else range(n))), tail))
+
+
+def moment_bleed(order: int, mu: float, params: BleedParams) -> float:
+    """Raw moment E[X^order]: bleed_moments of one order."""
+    return bleed_moments([order], mu, params)[0]
 
 
 def m2_bleed(params: BleedParams) -> float:

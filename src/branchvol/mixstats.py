@@ -455,17 +455,21 @@ def log_exceedance(mixture: MixtureDistribution, k) -> float | np.ndarray:
     return _like(k, [ln_w + v for v in sums])
 
 
-def convexity_ratio(mixture: MixtureDistribution, k) -> float | np.ndarray:
+def convexity_ratio(mixture: MixtureDistribution, k, *, base_log_p=None) -> float | np.ndarray:
     """Tail inflation P(X > k) / P(X > k | depth 0), against the base Gaussian,
     for a float or a 1-d array of thresholds k, returned as the same kind.
 
     Evaluated as a difference of log tail probabilities, so ratios of order
     10^18 on probabilities of order 10^-24 keep full relative accuracy. A
-    ratio past the double range is inf.
+    ratio past the double range is inf. base_log_p, when given, is the
+    log_exceedance at k of the depth-0 mixture of the same mu and sigma,
+    group_mixture(base, 0.0, 0), so a table of many mixtures takes it once.
     """
-    base = group_mixture(GaussianBase(mixture.mu, mixture.sigma), 0.0, 0)
     ks = np.atleast_1d(k)
-    pairs = zip(log_exceedance(mixture, ks).tolist(), log_exceedance(base, ks).tolist())
+    if base_log_p is None:
+        base = group_mixture(GaussianBase(mixture.mu, mixture.sigma), 0.0, 0)
+        base_log_p = log_exceedance(base, ks)
+    pairs = zip(log_exceedance(mixture, ks).tolist(), np.atleast_1d(base_log_p).tolist())
     logs = [top - bottom for top, bottom in pairs]
     return _like(k, [math.inf if d > _LN_MAX else math.exp(d) for d in logs])
 

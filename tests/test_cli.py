@@ -183,6 +183,26 @@ class TestRatioTableCommand:
         assert math.isclose(rows[0][2], math.exp(432.9487283615693), rel_tol=1e-12)
 
 
+    def test_base_tails_are_taken_once_per_command(self, monkeypatch, capsys):
+        # Every row shares the depth-0 Gaussian: one base evaluation, not
+        # one per (a, N) row (ten of the default table's twenty calls).
+        calls = count_calls(monkeypatch, mixstats, "log_exceedance")
+        rc, out = run_cli("ratio-table", capsys=capsys)
+        assert rc == 0 and len(cli.parse_table_csv(out)[1]) == 10
+        base_calls = [args for args in calls if args[0].n_components == 1]
+        assert len(calls) == 11 and len(base_calls) == 1
+        assert base_calls[0][1] == [3.0, 5.0, 10.0]
+
+    def test_a_given_base_keeps_every_bit(self):
+        ks = np.array([-1.0, 0.0, 3.0, 10.0, 40.0])
+        for base in (GaussianBase(0.0, 1.0), GaussianBase(-0.3, 2.5)):
+            base_log_p = mixstats.log_exceedance(group_mixture(base, 0.0, 0), ks)
+            for a, n in ((0.01, 5), (0.1, 25), (0.2, 400)):
+                mixture = group_mixture(base, a, n)
+                given = convexity_ratio(mixture, ks, base_log_p=base_log_p)
+                assert given.tolist() == convexity_ratio(mixture, ks).tolist()
+
+
 class TestMomentsCommand:
     def test_constant_schedule_closed_vs_enumeration(self, capsys):
         rc, out = run_cli(
@@ -219,8 +239,8 @@ class TestMomentsCommand:
         assert by_order[2][3] < 1e-12
 
     @staticmethod
-    def _rows(capsys, schedule, orders="1,2,4"):
-        rc, out = run_cli("moments", "--schedule", schedule, "--orders", orders,
+    def _rows(capsys, schedule, orders="1,2,4", *flags):
+        rc, out = run_cli("moments", "--schedule", schedule, "--orders", orders, *flags,
                           capsys=capsys)
         assert rc == 0
         return {int(r[0]): r for r in cli.parse_table_csv(out)[1]}
@@ -284,6 +304,20 @@ class TestMomentsCommand:
         rows = self._rows(capsys, schedule, "1,2,3,4,5,6,7,8")
         assert len(calls) == 1
         assert all(r[1] is not None for r in rows.values())
+
+    @pytest.mark.parametrize("mu", ["0", "0.05"])
+    @pytest.mark.parametrize("schedule, ms", [
+        ("bleed:a1=0.2,lambda=0.9,N=1000", [2, 4, 6, 8, 2, 4]),
+        ("bleed:a1=0.2,lambda=0.9,N=12", [2, 4, 6, 8, 2, 4]),
+        ("explicit:0.3,0.2,0.1", [2, 4, 6, 8])])
+    def test_each_closed_scale_moment_is_taken_once(self, schedule, ms, mu, monkeypatch, capsys):
+        # Orders 1-8 read E[S^m] at depth N for m = 2, 4, 6, 8, and in the
+        # bleed limit for m = 2, 4. Taken order by order at mu = 0.05, that
+        # was 16 + 3 layer products.
+        products = count_calls(monkeypatch, closedform, "_layer_product")
+        rows = self._rows(capsys, schedule, "1,2,3,4,5,6,7,8", f"--mu={mu}")
+        assert all(r[1] is not None for r in rows.values())
+        assert [args[0] for args in products] == ms
 
     @pytest.mark.parametrize("mu", ["0", "0.05"])
     def test_scale_moments_take_one_pass_and_build_nothing(self, mu, monkeypatch, capsys):

@@ -15,12 +15,15 @@ from branchvol.branching import (
 )
 from branchvol.closedform import (
     BleedParams,
+    bleed_moments,
     kurtosis_constant_a,
     m2_bleed,
     m4_bleed,
     moment_constant_a,
+    moment_bleed,
     moment_multiplicative,
     moments_additive,
+    multiplicative_moments,
     variance_growth_factor,
 )
 from branchvol.mixstats import mixture_raw_moment
@@ -192,6 +195,21 @@ class TestBleed:
             params = BleedParams(a1, lam, n, sigma=sigma)
             assert m2_bleed(params) == moment_multiplicative(2, 0.0, sigma, rates)
             assert m4_bleed(params) == moment_multiplicative(4, 0.0, sigma, rates)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.05, -1.3])
+    def test_many_orders_keep_the_bits_of_one(self, mu):
+        # Each E[S^m] is taken once for all orders, with the bits of a
+        # one-order call.
+        orders = [8, 1, 4, 2, 7, 3, 6, 5, 4]
+        rates = ErrorSchedule.bleed(0.2, 0.9, 300).rates
+        for params in (BleedParams(0.2, 0.9, 300, sigma=1.3),
+                       BleedParams(0.2, 0.9, INFINITY, sigma=1.3)):
+            assert bleed_moments(orders, mu, params) == [
+                moment_bleed(k, mu, params) for k in orders]
+        assert multiplicative_moments(orders, mu, 1.3, rates) == [
+            moment_multiplicative(k, mu, 1.3, rates) for k in orders]
+        with pytest.raises(UnsupportedOrderError):
+            multiplicative_moments([2, 9], mu, 1.3, rates)
 
     def test_monotone_in_depth_and_decay(self):
         vals_n = [m2_bleed(BleedParams(0.2, 0.9, n)) for n in range(0, 20)]

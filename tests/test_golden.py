@@ -9,6 +9,10 @@ To regenerate after an intended output change:
 
 import contextlib
 import io
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,6 +92,54 @@ def _golden(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(BYTE_EXACT))
 def test_byte_identical(name):
     assert _stdout(BYTE_EXACT[name]) == _golden(name)
+
+
+# Every moments golden, and a case whose order-4 rel_diff read 0 with
+# numpy's AVX-512 loops and 1.3e-16 without them when E[S^m] came from np.power.
+DISPATCH_CASES = [argv for argv in BYTE_EXACT.values() if argv[0] == "moments"] + [
+    ["moments", "--schedule", "geometric:a=0.103,N=17", "--sigma", "1.02"]]
+# numpy 2's names for its AVX-512 dispatch targets on x86.
+AVX512 = "X86_V4,AVX512_ICL,AVX512_SPR"
+_CHILD = """
+import contextlib, io, json, sys
+from numpy._core._multiarray_umath import __cpu_features__
+from branchvol import cli
+outs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0, argv
+    outs.append(out.getvalue())
+print(json.dumps([__cpu_features__["X86_V4"], outs]))
+"""
+
+
+def _cpu_features() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1, which has no X86_V4 target
+        return {}
+    return __cpu_features__
+
+
+def _moments_in_a_child(**env) -> tuple[bool, list[str]]:
+    # (X86_V4 in use, stdout of each dispatch case) from a fresh process.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(DISPATCH_CASES)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
+@pytest.mark.skipif(not _cpu_features().get("X86_V4"),
+                    reason="numpy reports no X86_V4 features to switch off")
+def test_moments_bytes_do_not_follow_the_cpu_dispatch():
+    with_avx512, expected = _moments_in_a_child()
+    without_avx512, outs = _moments_in_a_child(NPY_DISABLE_CPU_FEATURES=AVX512)
+    assert with_avx512 and not without_avx512
+    assert outs == expected
 
 
 def _readme_lines() -> list[str]:

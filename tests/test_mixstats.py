@@ -866,7 +866,8 @@ class TestStreamedEqualsMaterialized:
 
 class TestScalePowerLeaves:
     """E[scale^m] summed over cache-sized leaves keeps every bit of the
-    one-array sum, in bounded memory and without reference cycles."""
+    one-array sum, in bounded memory and without reference cycles, and
+    lies within a few roundings of mpmath."""
 
     @pytest.mark.parametrize("mixture", [
         build_mixture(BASE, ErrorSchedule.bleed(0.2, 0.9, 17)),
@@ -876,6 +877,23 @@ class TestScalePowerLeaves:
         # Every power in one pass, each with the bits of its own full sum.
         means = mixstats._mean_scale_powers(mixture, range(17)).tolist()
         assert means == [_full_length_scale_power(mixture, m) for m in range(17)]
+
+    @pytest.mark.parametrize("schedule", [
+        ErrorSchedule.bleed(0.2, 0.9, 12),
+        ErrorSchedule.bleed(0.3, 0.6, 13),
+        ErrorSchedule.explicit([0.5, 0.01, 0.9, 0.3, 0.7, 0.2, 0.05, 0.6, 0.4, 0.1, 0.8]),
+        ErrorSchedule.constant(0.2, 12),
+    ], ids=["bleed12", "bleed13", "explicit11", "constant12"])
+    def test_product_chain_against_mpmath(self, schedule):
+        # The chain rounds m - 1 times a term and the pairwise sum adds a
+        # few roundings more: the worst here is 2.7 units of 2^-53, as the
+        # np.power sums were.
+        mix = build_mixture(BASE, schedule)
+        scales = [mpmath.mpf(x) for x in mix.scales.tolist()]
+        means = mixstats._mean_scale_powers(mix, range(1, 9)).tolist()
+        for m, got in zip(range(1, 9), means):
+            ref = mpmath.fsum(x**m for x in scales) / len(scales)
+            assert abs(float((got - ref) / ref)) <= 4 * 2.0**-53, m
 
     def test_peak_memory_is_a_leaf(self):
         # One full-length power array of 2^20 doubles took 8 MB.
