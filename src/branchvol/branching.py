@@ -152,25 +152,18 @@ class GaussianBase:
 
 
 class _OnFirstRead:
-    """A field of MixtureDistribution computed on the first read of a
-    mixture given None, then kept and read-only. A given array is stored
-    on the instance, which Python reads before this non-data descriptor.
-    Read on the class it raises, so the dataclass gives the field no
-    default. Threads that race on a first read store equal arrays."""
-
-    def __init__(self, compute) -> None:
-        self.compute = compute
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
+    """MixtureDistribution.scales given None: built from the expansion on
+    first read, kept and read-only (threads racing on it store equal
+    arrays). A given array is stored on the instance, read before this
+    non-data descriptor. On the class it raises: the field has no default."""
 
     def __get__(self, mixture, owner=None):
         if mixture is None:
-            raise AttributeError(f"{self.name} belongs to each mixture")
-        value = self.compute(mixture)
-        value.setflags(write=False)
-        object.__setattr__(mixture, self.name, value)
-        return value
+            raise AttributeError("scales belongs to each mixture")
+        scales = mixture.expansion.build()
+        scales.setflags(write=False)
+        object.__setattr__(mixture, "scales", scales)
+        return scales
 
 
 # The last _TAIL_LAYERS layers of an enumeration expand each head element
@@ -262,40 +255,46 @@ class MixtureDistribution:
     Component i weighs ``weight * exp(log_weights[i])``. ``weight`` is an
     exact common factor: 2^-N for an enumeration (exp(-N ln 2) is not 2^-N
     in every bit), 1.0 for grouped classes. ``log_scales`` stays finite
-    where ``scales`` leaves the double range. An enumeration gives
-    ``scales`` as None with its ``expansion``: the array is built on first
-    read or on the second ``scale_blocks`` call and kept; the first call
-    expands the scales a block at a time, so a density, a moment or an
-    exceedance never builds the array, whatever sigma is. ``log_scales``
-    given as None is ``np.log(scales)``, taken on first read and kept, or
-    a block at a time by ``block_log_scales``. Every array is read-only.
+    where ``scales`` leaves the double range; given as None, as by every
+    enumeration, ln scale is taken where it is read and never kept. An
+    enumeration gives ``scales`` as None with its ``expansion``: the array
+    is built on first read and kept. Every array is read-only.
     """
 
     mu: float
     sigma: float
-    scales: np.ndarray | None = _OnFirstRead(lambda mixture: mixture.expansion.build())
-    log_scales: np.ndarray | None = _OnFirstRead(lambda m: m.block_log_scales(0, m.scales))
+    scales: np.ndarray | None = _OnFirstRead()
+    log_scales: np.ndarray | None
     weight: float
     log_weights: np.ndarray
     expansion: ScaleExpansion | None = None
 
     def __post_init__(self) -> None:
-        if vars(self)["scales"] is None and self.expansion is None:
-            raise ValueError("scales given as None need an expansion to build them from")
-        for name in ("scales", "log_scales"):
-            if vars(self)[name] is None:
-                object.__delattr__(self, name)  # taken on first read
-            else:
-                vars(self)[name].setflags(write=False)
-        self.log_weights.setflags(write=False)
+        if vars(self)["scales"] is None:
+            if self.expansion is None:
+                raise ValueError("scales given as None need an expansion to build them from")
+            object.__delattr__(self, "scales")  # built on first read
+        for array in (vars(self).get("scales"), self.log_scales, self.log_weights):
+            if array is not None:
+                array.setflags(write=False)
 
     def block_log_scales(self, offset: int, block: np.ndarray, mask=...) -> np.ndarray:
         """ln block[mask], block being scales[offset : offset + block.size]: a
-        slice of the held log-scales, else np.log (-inf for a 0 scale)."""
-        if "log_scales" in vars(self):
+        slice of the given log-scales, else np.log (-inf for a 0 scale)."""
+        if self.log_scales is not None:
             return self.log_scales[offset : offset + block.size][mask]
         with np.errstate(divide="ignore"):
             return np.log(block[mask])
+
+    def every_log_scale(self) -> np.ndarray:
+        """Every log-scale in one array: the given one, else a new array
+        filled from block_log_scales of each block and not kept."""
+        if self.log_scales is not None:
+            return self.log_scales
+        out = np.empty(self.n_components)
+        for i, block in zip(range(0, out.size, _SCALE_BLOCK), self.scale_blocks()):
+            out[i : i + block.size] = self.block_log_scales(i, block)
+        return out
 
     @property
     def n_components(self) -> int:
@@ -310,18 +309,15 @@ class MixtureDistribution:
     def scale_blocks(self):
         """The scales in order, in blocks of 2^14 (the last may be shorter).
 
-        The first call on an enumeration that is not built expands each
-        block into one reused scratch, valid only until the next is drawn:
-        the 2^N array is not built. A second call builds the scales and
-        keeps them, so a mixture read many times costs one expansion more
-        than a built one, not one per read. Once the scales are built or
-        given, the blocks are slices of them.
+        Slices of the scales once they are built or given. Until then each
+        call expands an enumeration anew, each block into one reused
+        scratch, valid only until the next is drawn: the 2^N array is not
+        built. A caller that reads one many times reads ``scales`` first.
         """
-        if self.expansion is None or "scales" in vars(self) or "_streamed" in vars(self):
-            scales = self.scales
-            return (scales[i : i + _SCALE_BLOCK] for i in range(0, scales.size, _SCALE_BLOCK))
-        object.__setattr__(self, "_streamed", True)
-        return self.expansion.blocks()
+        if self.expansion is not None and "scales" not in vars(self):
+            return self.expansion.blocks()
+        scales = self.scales
+        return (scales[i : i + _SCALE_BLOCK] for i in range(0, scales.size, _SCALE_BLOCK))
 
 
 def build_mixture(base: GaussianBase, schedule: ErrorSchedule) -> MixtureDistribution:

@@ -3,7 +3,8 @@
 Commands: density, exceed, ratio-table, moments, loglog, validate. Each
 emits a single table, as CSV (header row, '.' decimals, scientific
 notation once the exponent magnitude reaches 6) or as versioned JSON, to
-stdout or --out. Output is byte-stable for a fixed configuration; the only
+stdout or --out. Output is byte-identical for a fixed configuration on one
+numpy build and CPU target, and for moments on every CPU; the only
 randomness is the --seed flag consumed by validate.
 """
 
@@ -18,6 +19,7 @@ import sys
 import numpy as np
 
 from . import closedform, mixstats, montecarlo
+from ._checks import check_order
 from .branching import (
     MAX_ENUMERATION_DEPTH,
     GaussianBase,
@@ -252,9 +254,9 @@ def _closed_moments(spec: ScheduleSpec, schedule, orders, mu: float, sigma: floa
 def cmd_moments(args) -> int:
     base = _base(args)
     spec = parse_schedule_spec(args.schedule)
-    orders = (
-        _parse_list(args.orders, "--orders", int) if args.orders else [1, 2, 3, 4, 5, 6, 7, 8]
-    )
+    orders = _parse_list(args.orders, "--orders", int) if args.orders else list(range(1, 9))
+    for k in orders:  # one range, 1..8, for every schedule and depth
+        check_order(k, lowest=1)
     # Built once per command. Past the enumeration depth, bleed rates feed
     # the multiplicative closed form, and an explicit list (no longer than
     # its argv) is still checked; constant and geometric need only a and N.
@@ -269,7 +271,7 @@ def cmd_moments(args) -> int:
                       for n in (spec.n, INFINITY))
     rows = [[order, c, None, None, lim] for order, c, lim in zip(orders, closed, limits)]
     if mixture is not None:
-        # Every scale moment in one pass, after the closed forms checked the orders.
+        # Every scale moment in one pass.
         for row, enum in zip(rows, mixstats.mixture_raw_moments(mixture, orders)):
             row[2] = enum
             if row[1] is not None:

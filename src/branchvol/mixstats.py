@@ -389,11 +389,11 @@ def _below_bound(delta: float, bound: float, log_sigma: float) -> float:
     return bound + _LN_SQRT_TWO_OVER_PI - math.asinh(z / _SQRT2)
 
 
-def _pruned_logsumexp(mixture: MixtureDistribution, delta: float) -> float:
-    # _logsumexp of the terms ln w_i + ln P_i, skipping those whose bound
-    # lies _GAP below the anchor (a lower bound on the term with the largest
-    # bound) when the rounded sum provably ignores them.
-    lw, ls = mixture.log_weights, mixture.log_scales
+def _pruned_logsumexp(mixture: MixtureDistribution, ls: np.ndarray, delta: float) -> float:
+    # _logsumexp of the terms ln w_i + ln P_i, ls the log-scales, skipping
+    # those whose bound lies _GAP below the anchor (a lower bound on the
+    # term with the largest bound) when the rounded sum provably ignores them.
+    lw = mixture.log_weights
     log_sigma = math.log(mixture.sigma)
     n = mixture.n_components
     terms = np.empty(n)  # the bounds, until the exact terms overwrite them
@@ -443,14 +443,15 @@ def log_exceedance(mixture: MixtureDistribution, k) -> float | np.ndarray:
     """
     deltas = _deltas(mixture, k)
     n = mixture.n_components
+    ls = mixture.every_log_scale()  # formed once per call, not kept
     if n <= _CUT:
         lw = mixture.log_weights
-        log_sigmas = math.log(mixture.sigma) + mixture.log_scales
+        log_sigmas = math.log(mixture.sigma) + ls
         sums = []
         for s in _slices(deltas.size, max(1, _LEAF // max(1, n))):
             sums += _row_logsumexp(lw + _log_tails(deltas[s, None], log_sigmas))
     else:
-        sums = [_pruned_logsumexp(mixture, d) for d in deltas.tolist()]
+        sums = [_pruned_logsumexp(mixture, ls, d) for d in deltas.tolist()]
     ln_w = math.log(mixture.weight)
     return _like(k, [ln_w + v for v in sums])
 

@@ -337,28 +337,30 @@ class TestScaleBlocks:
         assert (first, last) == (mix.scales[0], mix.scales[-1])
         assert (first, last) == (mix.scales.max(), mix.scales.min())
 
-    def test_a_second_call_builds_the_scales_once(self, monkeypatch):
-        # A mixture read many times pays one expansion more than a built
-        # one: the first call streams, the second builds and keeps.
-        expanded = []
-        fill = ScaleExpansion._fill
+    def test_every_read_streams_and_builds_nothing(self, monkeypatch):
+        # Until the scales are read, each call expands them anew and keeps
+        # nothing: a caller that reads a mixture many times reads scales first.
+        expanded, built = [], []
+        fill, build = ScaleExpansion._fill, ScaleExpansion.build
 
         def counted(self, i, run, out, scratch):
             expanded.append(run)
             fill(self, i, run, out, scratch)
 
+        def counted_build(self):
+            built.append(self)
+            return build(self)
+
         monkeypatch.setattr(ScaleExpansion, "_fill", counted)
+        monkeypatch.setattr(ScaleExpansion, "build", counted_build)
         schedule = ErrorSchedule.bleed(0.2, 0.9, 17)
         mix = build_mixture(GaussianBase(), schedule)
         head = mix.expansion.head.size
-        streamed = [b.copy() for b in mix.scale_blocks()]
-        assert "scales" not in vars(mix) and sum(expanded) == head
-        reads = [list(mix.scale_blocks()) for _ in range(4)]
-        assert "scales" in vars(mix) and sum(expanded) == 2 * head
-        for sliced in reads:
-            assert all(np.shares_memory(b, mix.scales) for b in sliced)
-            assert all(np.array_equal(a, b) for a, b in zip(streamed, sliced, strict=True))
-        assert np.array_equal(mix.scales, _layerwise(schedule))
+        reads = [[b.copy() for b in mix.scale_blocks()] for _ in range(5)]
+        assert "scales" not in vars(mix) and not built
+        assert sum(expanded) == 5 * head
+        for blocks in reads:
+            assert np.array_equal(np.concatenate(blocks), _layerwise(schedule))
 
     def test_streamed_blocks_are_read_only_views_of_one_scratch(self):
         blocks = build_mixture(GaussianBase(), ErrorSchedule.bleed(0.2, 0.9, 16)).scale_blocks()
@@ -399,16 +401,18 @@ class TestScaleBlocks:
         assert str(err.value) == f"branch {i} with signs {signs} has scale {ref[i]:.6g} <= 0"
 
 
-class TestLogScalesOnFirstRead:
-    def test_read_later_equals_the_log(self):
+class TestMixtureFields:
+    """An enumeration's log-scales are None, and none are kept; its scales,
+    the one field left to build, are built on first read and kept."""
+
+    def test_an_enumeration_has_no_log_scales(self):
         for schedule in (ErrorSchedule.bleed(0.2, 0.9, 15), ErrorSchedule.geometric(0.1, 9)):
             mix = build_mixture(GaussianBase(), schedule)
-            assert "log_scales" not in vars(mix)
-            log_scales = mix.log_scales
+            assert mix.log_scales is None
+            log_scales = mix.every_log_scale()
+            assert "scales" not in vars(mix) and mix.log_scales is None
             assert np.array_equal(log_scales, np.log(mix.scales))
-            assert mix.log_scales is log_scales
-            with pytest.raises(ValueError, match="read-only"):
-                log_scales[0] = 0.0
+            assert mix.log_scales is None
 
     def test_given_log_scales_are_kept(self):
         mix = group_mixture(GaussianBase(), 0.1, 10_000)
@@ -423,14 +427,17 @@ class TestLogScalesOnFirstRead:
             mix.log_scale
 
     def test_threads_reading_one_mixture_agree(self):
-        # Threads that race on the first read each get np.log(scales).
+        # Threads that race on the first read of the scales each get the
+        # built array, read-only.
+        schedule = ErrorSchedule.bleed(0.2, 0.9, 12)
+        expected = _layerwise(schedule)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                mix = build_mixture(GaussianBase(), ErrorSchedule.bleed(0.2, 0.9, 12))
+                mix = build_mixture(GaussianBase(), schedule)
                 seen = []
-                threads = [threading.Thread(target=lambda: seen.append(mix.log_scales))
+                threads = [threading.Thread(target=lambda: seen.append(mix.scales))
                            for _ in range(8)]
                 for t in threads:
                     t.start()
@@ -438,7 +445,9 @@ class TestLogScalesOnFirstRead:
                     t.join(timeout=10.0)
                 assert not any(t.is_alive() for t in threads)
                 assert len(seen) == 8
-                assert all(np.array_equal(ls, np.log(mix.scales)) for ls in seen)
+                assert all(np.array_equal(s, expected) for s in seen)
+                assert not any(s.flags.writeable for s in seen)
+                assert any(s is mix.scales for s in seen)
         finally:
             sys.setswitchinterval(switch)
 

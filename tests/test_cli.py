@@ -331,6 +331,19 @@ class TestMomentsCommand:
         assert len(passes) == 1 and len(builds) == 0
         assert passes[0][1] == [2, 4, 6, 8]
 
+    @pytest.mark.parametrize("order", ["9", "0", "-1"])
+    @pytest.mark.parametrize("schedule", ["geometric:a=0.1,N=10", "geometric:a=0.1,N=30",
+                                          "bleed:a1=0.2,lambda=0.9,N=30",
+                                          "constant:a=0.1,N=10"])
+    def test_orders_outside_one_to_eight_exit_three(self, schedule, order, capsys):
+        # One range for every schedule and depth, checked before any build:
+        # past depth 24 no enumeration checked the order, and additive
+        # closed forms printed an empty row for it.
+        assert cli.main(["moments", "--schedule", schedule, f"--orders={order}"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: moment order {order} outside supported range 1..8\n"
+
     @pytest.mark.parametrize("schedule", ["bleed:a1=0.2,lambda=1,N=5",
                                           "bleed:a1=0.2,lambda=1.5,N=3"])
     def test_bleed_without_a_limit_still_reports_moments(self, schedule, capsys):
@@ -434,6 +447,40 @@ class TestValidateCommand:
         rc2, out2 = run_cli(*base_args, "--seed", "2", capsys=capsys)
         assert rc1 == rc2 == 0
         assert out1 != out2
+
+
+class TestOneExpansionPerMixture:
+    """Each command expands each enumerated mixture once: one stream of
+    blocks, or, for validate, which samples from the array, one build."""
+
+    BLEED = "bleed:a1=0.2,lambda=0.9,N=15"
+
+    @pytest.mark.parametrize("argv, streams", [
+        (["exceed", "--schedule", BLEED, "--k", "3,10,50", "--n-list", "9,15"], 1),
+        (["loglog", "--schedule", BLEED, "--x", "2:10:5", "--n-list", "9,15"], 1),
+        (["density", "--schedule", BLEED, "--x=-4:4:0.5", "--n-list", "9,15"], 1),
+        (["moments", "--schedule", BLEED, "--mu=0.05"], 1),
+        (["validate", "--schedule", "constant:a=0.1,N=8", "--n-samples", "2000"], 0),
+    ], ids=["exceed", "loglog", "density", "moments", "validate"])
+    def test_each_mixture_is_expanded_once(self, argv, streams, monkeypatch, capsys):
+        mixtures = []
+        build_mixture = cli.build_mixture
+
+        def kept(*args):
+            mixtures.append(build_mixture(*args))
+            return mixtures[-1]
+
+        monkeypatch.setattr(cli, "build_mixture", kept)
+        blocks = count_calls(monkeypatch, ScaleExpansion, "blocks")
+        builds = count_calls(monkeypatch, ScaleExpansion, "build")
+        assert cli.main(argv) in (0, 1)
+        capsys.readouterr()
+        assert mixtures
+        for mix in mixtures:
+            assert sum(args[0] is mix.expansion for args in blocks) == streams
+            assert sum(args[0] is mix.expansion for args in builds) == 1 - streams
+        assert len(blocks) == streams * len(mixtures)
+        assert len(builds) == (1 - streams) * len(mixtures)
 
 
 class TestOutputContract:

@@ -280,8 +280,16 @@ def _reference_log_tail(delta, log_sigma):
     return math.log(0.5) + log_erfc(math.copysign(math.exp(log_abs_z), delta))
 
 
+def _log_scales(mix):
+    # The given log-scales, else np.log of the whole scale array at once.
+    if mix.log_scales is not None:
+        return mix.log_scales
+    with np.errstate(divide="ignore"):
+        return np.log(mix.scales)
+
+
 def _reference_log_exceedance(mix, k):
-    log_sigmas = (math.log(mix.sigma) + mix.log_scales).tolist()
+    log_sigmas = (math.log(mix.sigma) + _log_scales(mix)).tolist()
     terms = [lw + _reference_log_tail(k - mix.mu, ls)
              for lw, ls in zip(mix.log_weights.tolist(), log_sigmas)]
     m = max(terms)
@@ -290,7 +298,8 @@ def _reference_log_exceedance(mix, k):
 
 def _reference_exceedance(mix, k):
     tails = []
-    for s, ls in zip((mix.sigma * mix.scales).tolist(), (math.log(mix.sigma) + mix.log_scales).tolist()):
+    log_sigmas = (math.log(mix.sigma) + _log_scales(mix)).tolist()
+    for s, ls in zip((mix.sigma * mix.scales).tolist(), log_sigmas):
         z = (k - mix.mu) / (math.sqrt(2.0) * s) if s > 0.0 else math.nan
         if math.isfinite(z):
             tails.append(0.5 * math.erfc(z))
@@ -351,9 +360,9 @@ class TestTailKernel:
 def _unpruned_log_exceedance(mix, k):
     # Every component through _log_tails, a chunk at a time, and the plain
     # log-sum-exp over all of them: log_exceedance without any pruning.
-    log_sigma = math.log(mix.sigma)
+    log_sigma, log_scales = math.log(mix.sigma), _log_scales(mix)
     terms = np.concatenate([
-        mix.log_weights[s] + mixstats._log_tails(k - mix.mu, log_sigma + mix.log_scales[s])
+        mix.log_weights[s] + mixstats._log_tails(k - mix.mu, log_sigma + log_scales[s])
         for s in mixstats._slices(mix.n_components)])
     m = float(terms.max())
     if m == -math.inf:
@@ -765,17 +774,18 @@ def _full_length_scale_power(mixture, m):
         total = float(np.sum(terms))
         if not math.isfinite(total):
             bad = ~np.isfinite(terms)
-            terms[bad] = np.exp(mixture.log_weights[bad] + m * mixture.log_scales[bad])
+            terms[bad] = np.exp(mixture.log_weights[bad] + m * _log_scales(mixture)[bad])
             total = float(np.sum(terms))
         return mixture.weight * total
 
 
 class TestDeepEnumerationMemory:
-    """Moments and a density of bleed N = 20 stream the scales a block at
-    a time: neither the 8 MiB scales nor the log-scales are built. Holding
-    the scales, the peaks were 8.5 and 9.2 MiB; with the log-scales too, a
-    new array per build layer and the density's full-length mask and
-    sigmas, 16.1 and 34.1 MiB."""
+    """Moments, a density and the log tails of bleed N = 20 stream the
+    scales a block at a time: the 8 MiB scales are not built, and no
+    log-scales are kept. Holding the scales, the moments and the density
+    peaked at 8.5 and 9.2 MiB; with the log-scales too, a new array per
+    build layer and the density's full-length mask and sigmas, 16.1 and
+    34.1 MiB."""
 
     SCHEDULE = ErrorSchedule.bleed(0.2, 0.9, 20)
 
@@ -787,7 +797,7 @@ class TestDeepEnumerationMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert "scales" not in vars(mix) and "log_scales" not in vars(mix)
+        assert "scales" not in vars(mix) and mix.log_scales is None
         return peak
 
     def test_moments(self):
@@ -804,19 +814,26 @@ class TestDeepEnumerationMemory:
         peak = self._peak(lambda mix: density(mix, grid), GaussianBase(0.0, 1e-303))
         assert peak < 2 * 2**20
 
+    def test_log_exceedance(self):
+        # One 8 MiB array of log-scales for the call, beside the pruned
+        # sum's terms (8 MiB) and mask (1 MiB). Building and keeping the
+        # scales and the log-scales peaked at 26.1 MiB and kept 16 MiB.
+        peak = self._peak(lambda mix: log_exceedance(mix, np.array([3.0, 10.0, 50.0])))
+        assert peak < 20 * 2**20
+
 
 class TestStreamedEqualsMaterialized:
-    """Moments, densities and exceedance stream an enumeration that is not
+    """Moments, densities and both tails stream an enumeration that is not
     built; each has the bits it has once the scales are built and read as
     slices. mu = 0.05 makes the moments read every even power."""
 
     @staticmethod
-    def _bits(mixture, points, ks):
-        # mixture() gives the mixture each evaluator call reads.
-        values = mixture_raw_moments(mixture(), range(9))
+    def _bits(mix, points, ks, log_ks):
+        values = mixture_raw_moments(mix, range(9))
         for p in points:  # 300 points take two grid blocks
-            values += density(mixture(), np.linspace(-5.0, 5.0, p)).tolist()
-        values += [exceedance(mixture(), k) for k in ks]
+            values += density(mix, np.linspace(-5.0, 5.0, p)).tolist()
+        values += [exceedance(mix, k) for k in ks]
+        values += log_exceedance(mix, np.array(log_ks)).tolist()
         return [float(v).hex() for v in values]
 
     @pytest.mark.parametrize("n", [15, 17, 21])
@@ -828,29 +845,25 @@ class TestStreamedEqualsMaterialized:
     def test_bits(self, make, n):
         # At N = 21, 300 points would take seconds a side, and each
         # threshold a third of one: fewer go through the same blocks.
-        args = ((9, 300), (-0.7, 1.35, 3.95)) if n < 21 else ((9,), (3.95,))
-        base, schedule = GaussianBase(0.05, 1.3), make(n)
-        fresh = []  # a second call on one mixture would build its scales
-
-        def streaming():
-            fresh.append(build_mixture(base, schedule))
-            return fresh[-1]
-
-        streamed = self._bits(streaming, *args)
-        assert not any("scales" in vars(mix) for mix in fresh)
-        mix = build_mixture(base, schedule)
+        if n < 21:
+            args = ((9, 300), (-0.7, 1.35, 3.95), (-3.0, 0.0, 3.0, 10.0, 50.0))
+        else:
+            args = ((9,), (3.95,), (3.0, 50.0))
+        mix = build_mixture(GaussianBase(0.05, 1.3), make(n))
+        streamed = self._bits(mix, *args)
+        assert "scales" not in vars(mix) and mix.log_scales is None
         mix.scales  # built: every evaluator now reads slices
-        assert self._bits(lambda: mix, *args) == streamed
+        assert self._bits(mix, *args) == streamed
 
     def test_far_densities_take_the_same_logs(self):
         # Below e^-700 a sigma's term takes ln scale: np.log of the streamed
-        # block, or a slice of the log-scales once they are held.
-        base, schedule = GaussianBase(0.0, 1e-303), ErrorSchedule.bleed(0.2, 0.9, 20)
+        # block, or a slice of log-scales given with the scales.
+        mix = build_mixture(GaussianBase(0.0, 1e-303), ErrorSchedule.bleed(0.2, 0.9, 20))
         grid = np.linspace(-4e-303, 4e-303, 9)
-        streamed = density(build_mixture(base, schedule), grid).tolist()
-        mix = build_mixture(base, schedule)
-        mix.log_scales  # built, with the scales
-        built = density(mix, grid).tolist()
+        streamed = density(mix, grid).tolist()
+        given = MixtureDistribution(0.0, 1e-303, mix.scales.copy(), _log_scales(mix),
+                                    mix.weight, np.zeros(mix.n_components))
+        built = density(given, grid).tolist()
         assert [v.hex() for v in built] == [v.hex() for v in streamed]
 
     def test_tails_past_the_double_range_take_the_same_logs(self):

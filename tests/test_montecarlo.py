@@ -160,7 +160,7 @@ class TestLeaves:
     def test_sampling_takes_no_log_scales(self):
         mix = build_mixture(BASE, ErrorSchedule.bleed(0.2, 0.9, 12))
         sample(mix, SampleSpec(n_samples=1000, seed=3, thresholds=(1.0,)))
-        assert "log_scales" not in vars(mix)
+        assert mix.log_scales is None
 
     def test_no_reference_cycle_keeps_the_blocks(self):
         gc.collect()
