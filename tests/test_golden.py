@@ -74,6 +74,9 @@ BYTE_EXACT = {
     # Exact sums of up to 2^18 terms.
     "wide18_bleed_exceed": ["exceed", "--schedule", "bleed:a1=0.2,lambda=0.9,N=18",
                             "--k", "3,10,50"],
+    # Closed forms and limits only, a million layers past the enumeration ceiling.
+    "million_bleed_moments": ["moments", "--schedule", "bleed:a1=0.2,lambda=0.9,N=1000000",
+                              "--mu=0.05"],
 }
 
 
