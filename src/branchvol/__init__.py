@@ -15,10 +15,8 @@ from .branching import (
     Mode,
     NonPositiveScaleError,
     ScheduleParseError,
-    ScheduleSpec,
     build_mixture,
     group_mixture,
-    parse_schedule,
     parse_schedule_spec,
 )
 from .closedform import (
@@ -83,7 +81,6 @@ __all__ = [
     "NonPositiveScaleError",
     "SampleSpec",
     "ScheduleParseError",
-    "ScheduleSpec",
     "TargetCheck",
     "TargetEstimate",
     "UnsupportedOrderError",
@@ -112,7 +109,6 @@ __all__ = [
     "moment_multiplicative",
     "moments_additive",
     "multiplicative_moments",
-    "parse_schedule",
     "parse_schedule_spec",
     "sample",
     "tail_slope_estimate",

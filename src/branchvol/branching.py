@@ -9,9 +9,10 @@ constant rate also has a grouped form: n + 1 binomially weighted classes.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
@@ -78,64 +79,100 @@ def _times_power(c: float, x: float, k: int) -> float:
 
 @dataclass(frozen=True)
 class ErrorSchedule:
-    """Ordered error rates a(1)..a(N) plus the way they combine.
+    """Error rates a(1)..a(N), held as their rule, plus the way they combine.
 
-    Every rate must lie in [0, 1). ADDITIVE schedules must be the power
-    sequence a, a^2, ..., a^N of a single generating rate, because the
-    branch offsets are the signed sums of those powers.
+    ``kind`` is constant (a at every level), bleed (a lam^(k-1) at level k),
+    geometric (the additive powers a, a^2, ..., a^N) or explicit (the
+    ``listed`` rates, ``a`` the first or 0.0). Construction checks the rule
+    without building a rate: every rate must lie in [0, 1), and ADDITIVE
+    rates must be the powers a, a^2, ..., a^N of the first, because the
+    branch offsets are the signed sums of those powers. Only explicit lists
+    choose their mode; geometric is ADDITIVE, constant and bleed are not.
     """
 
-    rates: tuple[float, ...]
+    kind: str
+    depth: int
+    a: float = 0.0
+    lam: float | None = None
+    listed: tuple[float, ...] = ()
     mode: Mode = Mode.MULTIPLICATIVE
 
     def __post_init__(self) -> None:
-        rates = tuple(float(r) for r in self.rates)
-        object.__setattr__(self, "rates", rates)
-        for j, r in enumerate(rates, start=1):
-            check_rate(r, f"rate a({j})")
-        if self.mode is Mode.ADDITIVE:
-            # Every rate lies in [0, 1) by now, so no power leaves the double range.
+        # In one fixed order, so every command and depth names the same
+        # first error.
+        if self.kind not in ("constant", "bleed", "geometric", "explicit"):
+            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        additive = self.mode is Mode.ADDITIVE
+        if self.kind != "explicit" and additive != (self.kind == "geometric"):
+            raise ScheduleParseError(
+                "mode=additive applies only to explicit: lists; "
+                "the additive regime a, a^2, ..., a^N is geometric:a=<r>,N=<n>"
+            )
+        if self.kind == "explicit":
+            rates = self.listed
             for j, r in enumerate(rates, start=1):
+                check_rate(r, f"rate a({j})")
+            # Every rate lies in [0, 1) by now, so no power leaves the double range.
+            for j, r in enumerate(rates if additive else (), start=1):
                 if not math.isclose(r, rates[0]**j, rel_tol=_POWER_RTOL, abs_tol=_POWER_ATOL):
                     raise ValueError(
                         "additive schedules require rates a, a^2, ..., a^N; "
                         f"position {j} has {r!r}, expected {rates[0]**j!r}"
                     )
+            if self.depth != len(rates):
+                raise ScheduleParseError(
+                    "explicit schedules have a fixed depth; cannot override N")
+            return
+        check_rate(self.a, "rate a(1)")
+        check_depth(self.depth)
+        if self.kind != "bleed":
+            return  # constant rates are a; geometric powers of a < 1 fall
+        lam = self.lam
+        if not (lam is not None and lam >= 0.0 and math.isfinite(lam)):
+            raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
+        if lam > 1.0:  # the rates rise: bisect for the first at 1 or above
+            k = bisect.bisect_left(range(self.depth), True,
+                                   key=lambda j: _times_power(self.a, lam, j) >= 1.0)
+            if k < self.depth:
+                check_rate(_times_power(self.a, lam, k), f"rate a({k + 1})")
 
     @property
-    def depth(self) -> int:
-        return len(self.rates)
+    def rates(self) -> tuple[float, ...]:
+        """a(1)..a(N), built anew at each read: N floats, so read it only
+        where the depth is bounded, as build_mixture does after its ceiling check."""
+        a, n = self.a, self.depth
+        if self.kind == "constant":
+            return (a,) * n
+        if self.kind == "bleed":
+            return tuple(_times_power(a, self.lam, k) for k in range(n))
+        if self.kind == "geometric":
+            return tuple(a**j for j in range(1, n + 1))
+        return self.listed
+
+    def at_depth(self, n: int) -> "ErrorSchedule":
+        """The same rule at depth n, checked anew; an explicit list keeps its own."""
+        return replace(self, depth=n)
 
     @classmethod
     def constant(cls, a: float, n: int) -> "ErrorSchedule":
         """Flat rate a at every level."""
-        check_depth(n)
-        return cls((float(a),) * n)
+        return cls("constant", n, float(a))
 
     @classmethod
     def bleed(cls, a1: float, lam: float, n: int) -> "ErrorSchedule":
         """Geometrically decaying rates a(k) = lam^(k-1) * a1."""
-        check_depth(n)
-        if not (lam >= 0.0 and math.isfinite(lam)):
-            raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
-        a1 = float(a1)
-        try:  # the plain product is the fast path: it costs a third less
-            rates = tuple(a1 * lam**k for k in range(n))
-        except OverflowError:  # lam^k left the double range
-            rates = tuple(_times_power(a1, lam, k) for k in range(n))
-        return cls(rates)
+        return cls("bleed", n, float(a1), float(lam))
 
     @classmethod
     def geometric(cls, a: float, n: int) -> "ErrorSchedule":
         """Additive-mode schedule with rates a, a^2, ..., a^n."""
-        check_depth(n)
-        return cls(tuple(_times_power(1.0, float(a), j) for j in range(1, n + 1)), Mode.ADDITIVE)
+        return cls("geometric", n, float(a), mode=Mode.ADDITIVE)
 
     @classmethod
-    def explicit(
-        cls, rates, mode: Mode = Mode.MULTIPLICATIVE
-    ) -> "ErrorSchedule":
-        return cls(tuple(float(r) for r in rates), mode)
+    def explicit(cls, rates, mode: Mode = Mode.MULTIPLICATIVE) -> "ErrorSchedule":
+        """The given rates, in order."""
+        listed = tuple(float(r) for r in rates)
+        return cls("explicit", len(listed), listed[0] if listed else 0.0, listed=listed, mode=mode)
 
 
 @dataclass(frozen=True)
@@ -476,50 +513,6 @@ def group_mixture(base: GaussianBase, a: float, n: int) -> MixtureDistribution:
     return MixtureDistribution(base.mu, base.sigma, scales, log_scales, 1.0, log_weights)
 
 
-@dataclass(frozen=True)
-class ScheduleSpec:
-    """Parsed schedule grammar kept in symbolic form so depth can be swapped.
-
-    ``a`` is the first rate: constant and geometric a, bleed a1, and the
-    first explicit rate (0.0 for an empty list). It generates an additive
-    schedule's powers a, a^2, ... Only an explicit list, whose rates the
-    user gives, may be marked additive; geometric always is. The first rate
-    of constant, bleed and geometric must lie in [0, 1).
-    """
-
-    kind: str
-    n: int
-    a: float
-    lam: float | None = None
-    rates: tuple[float, ...] | None = None
-    additive: bool = False
-
-    def __post_init__(self) -> None:
-        # At construction, before any depth is chosen: every command and
-        # depth reports these alike, and no rates are built to find them.
-        if self.kind == "explicit":
-            return
-        if self.additive and self.kind != "geometric":
-            raise ScheduleParseError(
-                "mode=additive applies only to explicit: lists; "
-                "the additive regime a, a^2, ..., a^N is geometric:a=<r>,N=<n>"
-            )
-        check_rate(self.a, "rate a(1)")
-
-    def to_schedule(self, n: int | None = None) -> ErrorSchedule:
-        depth = self.n if n is None else n
-        if self.kind == "constant":
-            return ErrorSchedule.constant(self.a, depth)
-        if self.kind == "bleed":
-            return ErrorSchedule.bleed(self.a, self.lam, depth)
-        if self.kind == "geometric":
-            return ErrorSchedule.geometric(self.a, depth)
-        if n is not None and n != len(self.rates):
-            raise ScheduleParseError("explicit schedules have a fixed depth; cannot override N")
-        mode = Mode.ADDITIVE if self.additive else Mode.MULTIPLICATIVE
-        return ErrorSchedule.explicit(self.rates, mode)
-
-
 def _parse_kv(args: str, expected: tuple[str, ...], text: str) -> dict[str, str]:
     found: dict[str, str] = {}
     for token in args.split(","):
@@ -552,8 +545,8 @@ def _to_int(value: str, text: str) -> int:
         raise ScheduleParseError(f"bad integer {value!r} in schedule {text!r}") from None
 
 
-def parse_schedule_spec(text: str) -> ScheduleSpec:
-    """Parse the schedule grammar into a ScheduleSpec.
+def parse_schedule_spec(text: str) -> ErrorSchedule:
+    """Parse the schedule grammar into a checked ErrorSchedule.
 
     Grammar: ``constant:a=<real>,N=<int>`` | ``bleed:a1=<real>,lambda=<real>,N=<int>``
     | ``geometric:a=<real>,N=<int>`` | ``explicit:<comma-separated reals>``.
@@ -578,22 +571,16 @@ def parse_schedule_spec(text: str) -> ScheduleSpec:
         raise ScheduleParseError(
             f"schedule {text!r} must start with constant:, bleed:, geometric: or explicit:"
         )
+    mode = Mode.ADDITIVE if additive or kind == "geometric" else Mode.MULTIPLICATIVE
     if kind == "explicit":
         tokens = [tok for tok in args.split(",") if tok.strip()]
-        rates = tuple(_to_float(tok, text) for tok in tokens)
-        return ScheduleSpec(kind=kind, n=len(rates), a=rates[0] if rates else 0.0,
-                            rates=rates, additive=additive)
+        return ErrorSchedule.explicit([_to_float(tok, text) for tok in tokens], mode)
     keys = ("a1", "lambda", "n") if kind == "bleed" else ("a", "n")
     kv = _parse_kv(args, keys, text)
-    return ScheduleSpec(
-        kind=kind,
-        n=_to_int(kv["n"], text),
-        a=_to_float(kv[keys[0]], text),
-        lam=_to_float(kv["lambda"], text) if kind == "bleed" else None,
-        additive=additive or kind == "geometric",
+    return ErrorSchedule(
+        kind,
+        _to_int(kv["n"], text),
+        _to_float(kv[keys[0]], text),
+        _to_float(kv["lambda"], text) if kind == "bleed" else None,
+        mode=mode,
     )
-
-
-def parse_schedule(text: str) -> ErrorSchedule:
-    """Parse the schedule grammar directly into an ErrorSchedule."""
-    return parse_schedule_spec(text).to_schedule()

@@ -22,10 +22,11 @@ from . import closedform, mixstats, montecarlo
 from ._checks import check_order
 from .branching import (
     MAX_ENUMERATION_DEPTH,
+    ErrorSchedule,
     GaussianBase,
     MixtureDistribution,
+    Mode,
     ScheduleParseError,
-    ScheduleSpec,
     build_mixture,
     group_mixture,
     parse_schedule_spec,
@@ -172,26 +173,26 @@ def _base(args) -> GaussianBase:
     return GaussianBase(mu=args.mu, sigma=args.sigma)
 
 
-def _n_list(args, spec: ScheduleSpec) -> list[int]:
+def _n_list(args, schedule: ErrorSchedule) -> list[int]:
     if args.n_list:
         return _parse_list(args.n_list, "--n-list", int)
-    return [spec.n]
+    return [schedule.depth]
 
 
-def _mixture(base: GaussianBase, spec: ScheduleSpec, n: int) -> MixtureDistribution:
+def _mixture(base: GaussianBase, schedule: ErrorSchedule, n: int) -> MixtureDistribution:
     # Constant rates collapse to n + 1 classes; everything else is enumerated.
-    if spec.kind == "constant":
-        return group_mixture(base, spec.a, n)
-    return build_mixture(base, spec.to_schedule(n))
+    if schedule.kind == "constant":
+        return group_mixture(base, schedule.a, n)
+    return build_mixture(base, schedule.at_depth(n))
 
 
 def cmd_density(args) -> int:
     base = _base(args)
-    spec = parse_schedule_spec(args.schedule)
+    schedule = parse_schedule_spec(args.schedule)
     grid = _parse_grid(args.x)
-    depths = _n_list(args, spec)
+    depths = _n_list(args, schedule)
     columns = ["x"] + [f"f_N{n}" for n in depths]
-    series = [mixstats.density(_mixture(base, spec, n), grid) for n in depths]
+    series = [mixstats.density(_mixture(base, schedule, n), grid) for n in depths]
     rows = [[grid[i]] + [s[i] for s in series] for i in range(grid.size)]
     _emit(args, "density", columns, rows)
     return 0
@@ -199,12 +200,12 @@ def cmd_density(args) -> int:
 
 def cmd_exceed(args) -> int:
     base = _base(args)
-    spec = parse_schedule_spec(args.schedule)
+    schedule = parse_schedule_spec(args.schedule)
     thresholds = _parse_list(args.k, "--k")
-    depths = _n_list(args, spec)
+    depths = _n_list(args, schedule)
     rows = []
     for n in depths:
-        log_ps = mixstats.log_exceedance(_mixture(base, spec, n), thresholds).tolist()
+        log_ps = mixstats.log_exceedance(_mixture(base, schedule, n), thresholds).tolist()
         rows.extend([n, k, math.exp(log_p), log_p] for k, log_p in zip(thresholds, log_ps))
     _emit(args, "exceed", ["N", "K", "p_exceed", "ln_p"], rows)
     return 0
@@ -228,47 +229,46 @@ def cmd_ratio_table(args) -> int:
     return 0
 
 
-def _closed_moments(spec: ScheduleSpec, schedule, orders, mu: float, sigma: float, n) -> list:
+def _closed_moments(schedule: ErrorSchedule, orders, mu: float, sigma: float, n) -> list:
     # The closed form at depth n, or the limit at n = INFINITY, of each
     # order, else None; each E[S^m] of a layer product is taken once.
     # Additive forms cover orders 1, 2 and 4. Constant rates diverge, lists
     # end; a geometric limit needs a < 1/2, a bleed one lambda < 1 (orders 2
-    # and 4). schedule, the built spec, serves finite multiplicative lists.
-    if spec.additive:
-        if n == INFINITY and (spec.kind == "explicit" or spec.a >= 0.5):
+    # and 4). Falling bleed rates are never built; the rates of a list or a
+    # rising bleed (bounded by the rate check) are.
+    kind, a, lam = schedule.kind, schedule.a, schedule.lam
+    if schedule.mode is Mode.ADDITIVE:
+        if n == INFINITY and (kind == "explicit" or a >= 0.5):
             return [None] * len(orders)
-        return [closedform.moments_additive(k, mu, sigma, spec.a, n) if k in (1, 2, 4) else None
+        return [closedform.moments_additive(k, mu, sigma, a, n) if k in (1, 2, 4) else None
                 for k in orders]
-    if n != INFINITY:
-        if spec.kind == "constant":
-            return [closedform.moment_constant_a(k, mu, sigma, spec.a, n) for k in orders]
-        return closedform.multiplicative_moments(orders, mu, sigma, schedule.rates)
-    if spec.kind == "bleed" and spec.lam < 1.0:
-        params = closedform.BleedParams(a1=spec.a, lam=spec.lam, n=INFINITY, sigma=sigma)
+    if n == INFINITY:
+        if kind != "bleed" or lam >= 1.0:
+            return [None] * len(orders)
+        params = closedform.BleedParams(a, lam, INFINITY, sigma)
         ks = [k for k in orders if k in (2, 4)]
         limits = dict(zip(ks, closedform.bleed_moments(ks, mu, params)))
         return [limits.get(k) for k in orders]
-    return [None] * len(orders)
+    if kind == "constant":
+        return [closedform.moment_constant_a(k, mu, sigma, a, n) for k in orders]
+    if kind == "bleed" and lam <= 1.0:
+        return closedform.bleed_moments(orders, mu, closedform.BleedParams(a, lam, n, sigma))
+    return closedform.multiplicative_moments(orders, mu, sigma, schedule.rates)
 
 
 def cmd_moments(args) -> int:
     base = _base(args)
-    spec = parse_schedule_spec(args.schedule)
+    schedule = parse_schedule_spec(args.schedule)
     orders = _parse_list(args.orders, "--orders", int) if args.orders else list(range(1, 9))
     for k in orders:  # one range, 1..8, for every schedule and depth
         check_order(k, lowest=1)
-    # Built once per command. Past the enumeration depth, bleed rates feed
-    # the multiplicative closed form, and an explicit list (no longer than
-    # its argv) is still checked; constant and geometric need only a and N.
-    schedule = mixture = None
-    if spec.n <= MAX_ENUMERATION_DEPTH or spec.kind in ("bleed", "explicit"):
-        schedule = spec.to_schedule()
-    if spec.n <= MAX_ENUMERATION_DEPTH:
+    mixture = None
+    if schedule.depth <= MAX_ENUMERATION_DEPTH:
         mixture = build_mixture(base, schedule)
     # Each column's first error, if any, comes at an order no later than
     # the limits' first: a limit that fails fails at depth n too.
-    closed, limits = (_closed_moments(spec, schedule, orders, base.mu, base.sigma, n)
-                      for n in (spec.n, INFINITY))
+    closed, limits = (_closed_moments(schedule, orders, base.mu, base.sigma, n)
+                      for n in (schedule.depth, INFINITY))
     rows = [[order, c, None, None, lim] for order, c, lim in zip(orders, closed, limits)]
     if mixture is not None:
         # Every scale moment in one pass.
@@ -287,12 +287,12 @@ def cmd_moments(args) -> int:
 
 def cmd_loglog(args) -> int:
     base = _base(args)
-    spec = parse_schedule_spec(args.schedule)
+    schedule = parse_schedule_spec(args.schedule)
     lo, hi, points = _parse_logrange(args.x)
-    depths = _n_list(args, spec)
+    depths = _n_list(args, schedule)
     rows = []
     for n in depths:
-        series = mixstats.loglog_series(_mixture(base, spec, n), lo, hi, points)
+        series = mixstats.loglog_series(_mixture(base, schedule, n), lo, hi, points)
         slopes = mixstats.local_slopes(series)
         for i in range(len(series)):
             rows.append([n, series.x[i], series.log_x[i], series.log_p[i], slopes[i]])
@@ -302,13 +302,14 @@ def cmd_loglog(args) -> int:
 
 def cmd_validate(args) -> int:
     base = _base(args)
-    spec = parse_schedule_spec(args.schedule)
+    schedule = parse_schedule_spec(args.schedule)
     orders = tuple(_parse_list(args.orders, "--orders", int)) if args.orders else (1, 2, 3, 4)
     if args.k_list:
         thresholds = tuple(_parse_list(args.k_list, "--k-list"))
     else:
         thresholds = tuple(base.mu + base.sigma * m for m in (1.0, 2.0, 3.0))
-    schedule = spec.to_schedule()
+    for k in orders:  # as moments checks them, before anything is built
+        check_order(k, lowest=1)
     mixture = build_mixture(base, schedule)
     mixture.scales  # built once: sampling gathers from it, the references read its blocks
     references: dict[tuple[str, float], float] = {}

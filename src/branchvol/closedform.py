@@ -22,7 +22,6 @@ from .branching import NonPositiveScaleError
 from .special import INFINITY, DivergenceError, UnsupportedOrderError, scale_mixture_moment
 
 _LN_MAX = 709.0  # exp overflows just above this
-_HALF_ULP = 2.0**-54  # below half an ulp of any double, relative to it
 
 
 def _h_minus_one(order: int, a: float) -> float:
@@ -33,18 +32,17 @@ def _h_minus_one(order: int, a: float) -> float:
     )
 
 
-def _layer_product(order: int, rates, tail=None) -> float:
-    # prod_j h_order(a_j) over the rates, left to right. A tail t says the
-    # rates fall at least as fast as a geometric sequence of ratio lam, with
-    # t = 1 / (1 - lam^2): h(lam a) - 1 <= lam^2 (h(a) - 1), so the factors
-    # from a_k on multiply to at most exp(t (h(a_k) - 1)). The product then
-    # stops once that is within half an ulp of 1, and the rates may be endless.
+def _layer_product(order: int, rates, falling: bool = False) -> float:
+    # prod_j h_order(a_j) over the rates, left to right. Rates that never
+    # rise (falling) give factors that never rise, so the product stops at
+    # the first factor that rounds to 1: every later one does too, and the
+    # rates may be endless. It stops as well once the product is inf.
     product = 1.0
     for a in rates:
-        h = _h_minus_one(order, a)
-        if tail is not None and h * tail < _HALF_ULP or product == math.inf:
+        factor = 1.0 + _h_minus_one(order, a)
+        if falling and factor == 1.0 or product == math.inf:
             break
-        product *= 1.0 + h
+        product *= factor
     return product
 
 
@@ -147,16 +145,15 @@ def bleed_moments(orders, mu: float, params: BleedParams) -> list[float]:
     """Raw moments E[X^k] of mu + sigma S Z over the rates a1 lam^k, k < n,
     for each order k of orders; each E[S^m] is taken once.
 
-    E[S^m] is the layer product of multiplicative_moments. For lam < 1 it
-    stops once the factors left cannot move it by half an ulp (or it is
-    inf), so n may be INFINITY; with lam = 1 that limit diverges.
+    E[S^m] is the layer product of multiplicative_moments, over the rates
+    as they fall: it stops at the first factor that rounds to 1 (or once it
+    is inf), so n may be INFINITY for lam < 1; with lam = 1 that limit diverges.
     """
     a1, lam, n = params.a1, params.lam, params.n
     if n == INFINITY and lam == 1.0:
         raise DivergenceError("an infinite bleed product requires lam < 1")
-    tail = 1.0 / ((1.0 - lam) * (1.0 + lam)) if lam < 1.0 else None
     return _moments(orders, mu, params.sigma, lambda m: _layer_product(
-        m, (a1 * lam**k for k in (itertools.count() if n == INFINITY else range(n))), tail))
+        m, (a1 * lam**k for k in (itertools.count() if n == INFINITY else range(n))), True))
 
 
 def moment_bleed(order: int, mu: float, params: BleedParams) -> float:

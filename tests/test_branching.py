@@ -21,10 +21,8 @@ from branchvol.branching import (
     NonPositiveScaleError,
     ScaleExpansion,
     ScheduleParseError,
-    ScheduleSpec,
     build_mixture,
     group_mixture,
-    parse_schedule,
     parse_schedule_spec,
 )
 
@@ -134,6 +132,22 @@ class TestErrorSchedule:
         head, _, r = str(err.value).rpartition(" ")
         assert head == f"rate a({first_bad}) must lie in [0, 1), got"
         assert math.isclose(float(r), rates[-1] * 1.5, rel_tol=1e-12)
+
+    def test_a_deep_rule_is_checked_without_building_its_rates(self):
+        # A rule is checked as a rule: a trillion layers cost no memory
+        # until .rates is read, and a rising bleed bisects for its first
+        # rate at 1.
+        tracemalloc.start()
+        try:
+            schedule = ErrorSchedule.bleed(0.2, 0.9, 10**12)
+            at_depth = schedule.at_depth(10**12 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert (schedule.depth, at_depth.depth) == (10**12, 10**12 + 1)
+        with pytest.raises(ValueError, match=r"^rate a\(1705\) must lie in \[0, 1\), got "):
+            ErrorSchedule.bleed(1e-300, 1.5, 10**12)
 
     def test_zero_rates_survive_an_overflowing_lambda(self):
         assert ErrorSchedule.bleed(0.0, 1.5, 3000).rates == (0.0,) * 3000
@@ -574,26 +588,26 @@ class TestEnumerationCeiling:
 
 class TestScheduleGrammar:
     def test_constant(self):
-        sched = parse_schedule("constant:a=0.1,N=5")
+        sched = parse_schedule_spec("constant:a=0.1,N=5")
         assert sched.rates == (0.1,) * 5
         assert sched.mode is Mode.MULTIPLICATIVE
 
     def test_bleed(self):
-        sched = parse_schedule("bleed:a1=0.2,lambda=0.9,N=3")
+        sched = parse_schedule_spec("bleed:a1=0.2,lambda=0.9,N=3")
         assert sched.rates == pytest.approx((0.2, 0.18, 0.162), rel=1e-15)
 
     def test_geometric_is_additive(self):
-        sched = parse_schedule("geometric:a=0.1,N=3")
+        sched = parse_schedule_spec("geometric:a=0.1,N=3")
         assert sched.mode is Mode.ADDITIVE
         assert sched.rates == pytest.approx((0.1, 0.01, 0.001), rel=1e-15)
-        assert parse_schedule("geometric:a=0.1,N=3;mode=additive") == sched
+        assert parse_schedule_spec("geometric:a=0.1,N=3;mode=additive") == sched
 
     def test_explicit(self):
-        sched = parse_schedule("explicit:0.1,0.2,0.3")
+        sched = parse_schedule_spec("explicit:0.1,0.2,0.3")
         assert sched.rates == (0.1, 0.2, 0.3)
 
     def test_explicit_additive_suffix(self):
-        sched = parse_schedule("explicit:0.1,0.01,0.001;mode=additive")
+        sched = parse_schedule_spec("explicit:0.1,0.01,0.001;mode=additive")
         assert sched.mode is Mode.ADDITIVE
 
     @pytest.mark.parametrize("text, first", [
@@ -620,10 +634,10 @@ class TestScheduleGrammar:
         assert parse_schedule_spec(text) == parse_schedule_spec(ascii_form)
 
     def test_depth_override(self):
-        spec = parse_schedule_spec("constant:a=0.1,N=5")
-        assert spec.to_schedule(2).depth == 2
+        schedule = parse_schedule_spec("constant:a=0.1,N=5")
+        assert schedule.at_depth(2) == ErrorSchedule.constant(0.1, 2)
         with pytest.raises(ScheduleParseError):
-            parse_schedule_spec("explicit:0.1,0.2").to_schedule(3)
+            parse_schedule_spec("explicit:0.1,0.2").at_depth(3)
 
     @pytest.mark.parametrize(
         "bad",
@@ -641,13 +655,13 @@ class TestScheduleGrammar:
     )
     def test_parse_errors(self, bad):
         with pytest.raises(ScheduleParseError):
-            parse_schedule(bad)
+            parse_schedule_spec(bad)
 
     def test_additive_suffix_on_constant_violates_invariant(self):
         with pytest.raises(ScheduleParseError, match=r"geometric:a=<r>,N=<n>"):
-            parse_schedule("constant:a=0.1,N=3;mode=additive")
+            parse_schedule_spec("constant:a=0.1,N=3;mode=additive")
         with pytest.raises(ScheduleParseError, match=r"geometric:a=<r>,N=<n>"):
-            ScheduleSpec(kind="constant", n=3, a=0.1, additive=True)
+            ErrorSchedule("constant", 3, 0.1, mode=Mode.ADDITIVE)
 
     @pytest.mark.parametrize("text", [
         "constant:a=0.1,N={n};mode=additive", "constant:a=1e-16,N={n};mode=additive",

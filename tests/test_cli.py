@@ -21,9 +21,9 @@ import branchvol
 from branchvol import cli, closedform, mixstats
 from branchvol.branching import (
     MAX_ENUMERATION_DEPTH,
+    ErrorSchedule,
     GaussianBase,
     ScaleExpansion,
-    ScheduleSpec,
     group_mixture,
 )
 from branchvol.closedform import BleedParams, m4_bleed, moments_additive
@@ -288,22 +288,20 @@ class TestMomentsCommand:
             assert explicit[order][2] is None and explicit[order][4] is None
         assert math.isclose(explicit[2][1], 1.098901098901, rel_tol=1e-12)
 
-    @pytest.mark.parametrize("schedule", ["bleed:a1=0.2,lambda=0.9,N=12",
-                                          "bleed:a1=0.2,lambda=0.9,N=1000",
-                                          "explicit:0.3,0.2,0.1",
-                                          "constant:a=0.1,N=8"])
-    def test_schedule_is_built_once_per_command(self, schedule, monkeypatch, capsys):
-        calls = []
-        to_schedule = ScheduleSpec.to_schedule
-
-        def counted(spec, *args):
-            calls.append(spec)
-            return to_schedule(spec, *args)
-
-        monkeypatch.setattr(ScheduleSpec, "to_schedule", counted)
+    @pytest.mark.parametrize("schedule, reads", [
+        ("bleed:a1=0.2,lambda=0.9,N=1000", 0), ("constant:a=0.1,N=1000", 0),
+        ("geometric:a=0.1,N=1000", 0), ("bleed:a1=0.2,lambda=0.9,N=12", 1),
+        ("constant:a=0.1,N=12", 1), ("geometric:a=0.1,N=12", 1),
+        ("explicit:0.3,0.2,0.1", 2)])
+    def test_rates_are_read_only_to_enumerate(self, schedule, reads, monkeypatch, capsys):
+        # The closed forms of a rate formula need only its rule; the
+        # enumeration reads the rates once, and a list's closed form once more.
+        calls, rates = [], ErrorSchedule.rates
+        monkeypatch.setattr(ErrorSchedule, "rates",
+                            property(lambda s: calls.append(s) or rates.fget(s)))
         rows = self._rows(capsys, schedule, "1,2,3,4,5,6,7,8")
-        assert len(calls) == 1
-        assert all(r[1] is not None for r in rows.values())
+        assert len(calls) == reads
+        assert all(rows[k][1] is not None for k in (1, 2, 4))
 
     @pytest.mark.parametrize("mu", ["0", "0.05"])
     @pytest.mark.parametrize("schedule, ms", [
@@ -438,6 +436,16 @@ class TestValidateCommand:
                         "--n-samples", "2000", "--orders", "1,2,3,4", capsys=capsys)
         assert rc in (0, 1)
         assert (len(builds), len(passes), len(blocks)) == (1, 1, 0)
+
+    @pytest.mark.parametrize("order", ["9", "0", "-1"])
+    def test_orders_outside_one_to_eight_exit_three(self, order, monkeypatch, capsys):
+        # One range for every order, as in moments, checked before any build.
+        builds = count_calls(monkeypatch, cli, "build_mixture")
+        assert cli.main(["validate", "--schedule", "constant:a=0.1,N=3",
+                         "--n-samples", "1000", f"--orders={order}"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and builds == []
+        assert captured.err == f"error: moment order {order} outside supported range 1..8\n"
 
     def test_seed_changes_output(self, capsys):
         base_args = (
@@ -686,6 +694,57 @@ class TestExitCodes:
         assert captured.err == "error: out of memory: Unable to allocate 59.6 GiB\n"
 
 
+class TestDeepSchedules:
+    """A schedule is checked as its rule: no depth costs memory before the
+    enumeration ceiling refuses it, and moments needs no rates past it.
+    Grouped commands (constant rates) are not run this deep: their class
+    arrays would take gigabytes."""
+
+    DEEP = 10**9
+    CEILING = (f"error: depth {DEEP} exceeds the enumeration ceiling {MAX_ENUMERATION_DEPTH}; "
+               "constant rates collapse to n + 1 classes with group_mixture\n")
+
+    @pytest.mark.parametrize("schedule", [f"bleed:a1=0.2,lambda=0.9,N={DEEP}",
+                                          f"geometric:a=0.1,N={DEEP}"])
+    def test_enumerating_commands_refuse_at_the_ceiling(self, schedule, capsys):
+        for argv in schedule_argvs(schedule):
+            if argv[0] == "moments":
+                continue
+            started = time.perf_counter()
+            assert cli.main(argv) == 3, argv
+            assert time.perf_counter() - started < 2.0, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == self.CEILING, argv
+
+    @pytest.mark.parametrize("schedule", [f"bleed:a1=0.2,lambda=0.9,N={DEEP}",
+                                          f"geometric:a=0.1,N={DEEP}",
+                                          f"constant:a=0.1,N={DEEP}"])
+    def test_moments_gives_the_closed_forms(self, schedule, capsys):
+        started = time.perf_counter()
+        rc, out = run_cli("moments", "--schedule", schedule, capsys=capsys)
+        assert rc == 0 and time.perf_counter() - started < 2.0
+        rows = cli.parse_table_csv(out)[1]
+        assert [r[0] for r in rows] == list(range(1, 9))
+        assert all(r[1] is not None and r[2] is None for r in rows if r[0] in (1, 2, 4))
+
+    # Each schedule fails its own check at its own N; the --n-list depths
+    # alone would pass (they did, before the schedule was checked as written).
+    @pytest.mark.parametrize("schedule, err", [
+        ("constant:a=0.1,N=-3", "error: depth must be a nonnegative integer, got -3\n"),
+        ("bleed:a1=0.2,lambda=0.9,N=-3", "error: depth must be a nonnegative integer, got -3\n"),
+        ("geometric:a=0.1,N=-3", "error: depth must be a nonnegative integer, got -3\n"),
+        ("bleed:a1=0.2,lambda=1.2,N=12",
+         "error: rate a(10) must lie in [0, 1), got 1.0319560703999997\n"),
+        ("explicit:0.1,1.5", "error: rate a(2) must lie in [0, 1), got 1.5\n")])
+    def test_the_schedule_is_checked_before_n_list_overrides_its_depth(
+            self, schedule, err, capsys):
+        for argv in schedule_argvs(schedule):
+            if argv[0] in ("density", "exceed", "loglog"):
+                assert cli.main(argv + ["--n-list", "1,2"]) == 3, argv
+                captured = capsys.readouterr()
+                assert captured.out == "" and captured.err == err, argv
+
+
 class TestFlagSurface:
     # Every (command, flag) pair the parser declares, each read by its command.
     FLAGS = {
@@ -791,8 +850,7 @@ def test_malformed_values_end_in_an_exit_code():
 
 
 
-# Whole schedule strings, each malformed one way. Depths stay small: a
-# rate tuple of the given depth is built before any ceiling is checked.
+# Whole schedule strings, each malformed one way.
 _BAD_SCHEDULES = [
     # missing keys or parts
     "", " ", "constant", "constant:", "constant:a=0.1", "constant:N=5",

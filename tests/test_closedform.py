@@ -196,6 +196,19 @@ class TestBleed:
             assert m2_bleed(params) == moment_multiplicative(2, 0.0, sigma, rates)
             assert m4_bleed(params) == moment_multiplicative(4, 0.0, sigma, rates)
 
+    def test_the_falling_stop_keeps_every_bit_of_the_full_product(self):
+        # The product stops at the first factor that rounds to 1; at a
+        # finite depth that is the product over every rate, bit for bit.
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            a1, lam = float(rng.uniform(0.0, 0.99)), float(rng.uniform(0.0, 1.0))
+            mu, sigma = float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.5, 2.0))
+            for n in (1, 7, 100, 3000):
+                rates = ErrorSchedule.bleed(a1, lam, n).rates
+                got = bleed_moments(range(1, 9), mu, BleedParams(a1, lam, n, sigma))
+                want = multiplicative_moments(range(1, 9), mu, sigma, rates)
+                assert list(map(float.hex, got)) == list(map(float.hex, want)), (a1, lam, n)
+
     @pytest.mark.parametrize("mu", [0.0, 0.05, -1.3])
     def test_many_orders_keep_the_bits_of_one(self, mu):
         # Each E[S^m] is taken once for all orders, with the bits of a

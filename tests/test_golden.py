@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from branchvol import cli
-from branchvol.branching import parse_schedule
+from branchvol.branching import parse_schedule_spec
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -160,7 +160,7 @@ def test_readme_schedule_grammar_parses():
     block = lines[start:lines.index("```", start)]
     assert len(block) >= 4
     for line in block:
-        parse_schedule(line.partition("#")[0])
+        parse_schedule_spec(line.partition("#")[0])
 
 
 if __name__ == "__main__":

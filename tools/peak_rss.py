@@ -11,8 +11,10 @@ child figure at or below it is not the child's own, and is marked so.
     python3 tools/peak_rss.py "moments --schedule bleed:a1=0.2,lambda=0.9,N=24"
 
 The default cases are the README command lines, the slow commands that
-ROADMAP.md lists, and the deepest `moments` and the `validate` draw count of
-the benchmark's deep-build workload.
+ROADMAP.md lists, the deepest `moments` and the `validate` draw count of
+the benchmark's deep-build workload, and two bleed commands at N = 10^9 that
+must end at once: `exceed` at the enumeration ceiling (exit 3) and `moments`
+from its closed forms.
 """
 
 import os
@@ -34,6 +36,8 @@ SLOW_CASES = [
     "validate --schedule constant:a=0.1,N=30 --n-samples 100000",
     "moments --schedule bleed:a1=0.2,lambda=0.9,N=21",
     "validate --schedule constant:a=0.1,N=8 --n-samples 2000000",
+    "exceed --schedule bleed:a1=0.2,lambda=0.9,N=1000000000 --k 3",
+    "moments --schedule bleed:a1=0.2,lambda=0.9,N=1000000000",
 ]
 
 
