@@ -77,6 +77,10 @@ BYTE_EXACT = {
     # Closed forms and limits only, a million layers past the enumeration ceiling.
     "million_bleed_moments": ["moments", "--schedule", "bleed:a1=0.2,lambda=0.9,N=1000000",
                               "--mu=0.05"],
+    # Rising bleed rates, whose closed forms take the layer product over
+    # rates past a1.
+    "rising_bleed_moments": ["moments", "--schedule", "bleed:a1=0.05,lambda=1.2,N=16",
+                             "--mu=0.05", "--sigma", "1.1"],
 }
 
 
