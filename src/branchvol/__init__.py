@@ -21,15 +21,12 @@ from .branching import (
 )
 from .closedform import (
     BleedParams,
-    bleed_moments,
     kurtosis_constant_a,
     m2_bleed,
     m4_bleed,
-    moment_bleed,
     moment_constant_a,
-    moment_multiplicative,
     moments_additive,
-    multiplicative_moments,
+    schedule_moments,
     variance_growth_factor,
 )
 from .mixstats import (
@@ -84,7 +81,6 @@ __all__ = [
     "TargetCheck",
     "TargetEstimate",
     "UnsupportedOrderError",
-    "bleed_moments",
     "build_mixture",
     "check_report",
     "convexity_ratio",
@@ -104,13 +100,11 @@ __all__ = [
     "mixture_abs_first_moment",
     "mixture_raw_moment",
     "mixture_raw_moments",
-    "moment_bleed",
     "moment_constant_a",
-    "moment_multiplicative",
     "moments_additive",
-    "multiplicative_moments",
     "parse_schedule_spec",
     "sample",
+    "schedule_moments",
     "tail_slope_estimate",
     "variance_growth_factor",
 ]

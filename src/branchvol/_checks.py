@@ -1,10 +1,13 @@
-"""Argument checks shared by every module of the package."""
+"""Argument checks and double-range limits shared by every module of the package."""
 
 from __future__ import annotations
 
 import math
+import sys
 
 MAX_MOMENT_ORDER = 8
+LN_MAX = math.log(sys.float_info.max)
+"""Largest argument at which math.exp is finite; it raises above this."""
 
 
 class UnsupportedOrderError(ValueError):

@@ -11,21 +11,19 @@ from __future__ import annotations
 
 import bisect
 import math
-import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from ._checks import check_depth, check_rate, check_sigma
+from ._checks import LN_MAX, check_depth, check_rate, check_sigma
 
 MAX_ENUMERATION_DEPTH = 24
 """Largest depth for which the 2^N branches are materialized explicitly."""
 
 _LN2 = math.log(2.0)
 _LN_2PI = math.log(2.0 * math.pi)
-_LN_MAX = math.log(sys.float_info.max)
 _EXACT_BINOM_LIMIT = 300
 
 # Loader's saddle-point binomial (C. Loader, "Fast and Accurate Computation
@@ -74,7 +72,7 @@ def _times_power(c: float, x: float, k: int) -> float:
         if c == 0.0:
             return c
         ln_r = math.log(abs(c)) + k * math.log(abs(x))
-        return math.exp(ln_r) if ln_r < _LN_MAX else math.inf
+        return math.exp(ln_r) if ln_r < LN_MAX else math.inf
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from .branching import (
     ErrorSchedule,
     GaussianBase,
     MixtureDistribution,
-    Mode,
     ScheduleParseError,
     build_mixture,
     group_mixture,
@@ -229,33 +228,6 @@ def cmd_ratio_table(args) -> int:
     return 0
 
 
-def _closed_moments(schedule: ErrorSchedule, orders, mu: float, sigma: float, n) -> list:
-    # The closed form at depth n, or the limit at n = INFINITY, of each
-    # order, else None; each E[S^m] of a layer product is taken once.
-    # Additive forms cover orders 1, 2 and 4. Constant rates diverge, lists
-    # end; a geometric limit needs a < 1/2, a bleed one lambda < 1 (orders 2
-    # and 4). Falling bleed rates are never built; the rates of a list or a
-    # rising bleed (bounded by the rate check) are.
-    kind, a, lam = schedule.kind, schedule.a, schedule.lam
-    if schedule.mode is Mode.ADDITIVE:
-        if n == INFINITY and (kind == "explicit" or a >= 0.5):
-            return [None] * len(orders)
-        return [closedform.moments_additive(k, mu, sigma, a, n) if k in (1, 2, 4) else None
-                for k in orders]
-    if n == INFINITY:
-        if kind != "bleed" or lam >= 1.0:
-            return [None] * len(orders)
-        params = closedform.BleedParams(a, lam, INFINITY, sigma)
-        ks = [k for k in orders if k in (2, 4)]
-        limits = dict(zip(ks, closedform.bleed_moments(ks, mu, params)))
-        return [limits.get(k) for k in orders]
-    if kind == "constant":
-        return [closedform.moment_constant_a(k, mu, sigma, a, n) for k in orders]
-    if kind == "bleed" and lam <= 1.0:
-        return closedform.bleed_moments(orders, mu, closedform.BleedParams(a, lam, n, sigma))
-    return closedform.multiplicative_moments(orders, mu, sigma, schedule.rates)
-
-
 def cmd_moments(args) -> int:
     base = _base(args)
     schedule = parse_schedule_spec(args.schedule)
@@ -267,7 +239,7 @@ def cmd_moments(args) -> int:
         mixture = build_mixture(base, schedule)
     # Each column's first error, if any, comes at an order no later than
     # the limits' first: a limit that fails fails at depth n too.
-    closed, limits = (_closed_moments(schedule, orders, base.mu, base.sigma, n)
+    closed, limits = (closedform.schedule_moments(schedule, orders, base.mu, base.sigma, n)
                       for n in (schedule.depth, INFINITY))
     rows = [[order, c, None, None, lim] for order, c, lim in zip(orders, closed, limits)]
     if mixture is not None:

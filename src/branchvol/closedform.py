@@ -7,7 +7,8 @@ parts h_m(a) = ((1+a)^m + (1-a)^m) / 2. Constant rates give h_m(a)^N
 decaying ("bleed") rates out to N = INFINITY, take the product of the
 per-layer factors, which converges for the decaying ones. Additive offset
 schedules give geometric sums that stay finite for every depth. Each form
-hands E[scale^m] to special.scale_mixture_moment.
+hands E[scale^m] to special.scale_mixture_moment; schedule_moments decides
+which form, or limit, a schedule has.
 """
 
 from __future__ import annotations
@@ -17,11 +18,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from ._checks import check_depth, check_order, check_rate, check_sigma
-from .branching import NonPositiveScaleError
+from ._checks import LN_MAX, check_depth, check_order, check_rate, check_sigma
+from .branching import ErrorSchedule, Mode, NonPositiveScaleError, _times_power
 from .special import INFINITY, DivergenceError, UnsupportedOrderError, scale_mixture_moment
-
-_LN_MAX = 709.0  # exp overflows just above this
 
 
 def _h_minus_one(order: int, a: float) -> float:
@@ -46,10 +45,14 @@ def _layer_product(order: int, rates, falling: bool = False) -> float:
     return product
 
 
+def _capped_exp(arg: float) -> float:
+    # exp(arg), or inf past the double range.
+    return math.exp(arg) if arg < LN_MAX else math.inf
+
+
 def _growth(order: int, a: float, n: int) -> float:
-    # h_order(a)^n in log space; returns inf once past the double range.
-    arg = n * math.log1p(_h_minus_one(order, a))
-    return math.exp(arg) if arg < _LN_MAX else math.inf
+    # h_order(a)^n in log space.
+    return _capped_exp(n * math.log1p(_h_minus_one(order, a)))
 
 
 def moment_constant_a(order: int, mu: float, sigma: float, a: float, n: int) -> float:
@@ -59,41 +62,61 @@ def moment_constant_a(order: int, mu: float, sigma: float, a: float, n: int) -> 
     3 (a^4+6a^2+1)^n sigma^4, 15 (a^6+15a^4+15a^2+1)^n sigma^6 and
     105 (a^8+28a^6+70a^4+28a^2+1)^n sigma^8; odd orders vanish.
     """
-    check_order(order, lowest=1)
-    check_rate(a)
-    check_sigma(sigma)
-    check_depth(n)
-    return scale_mixture_moment(order, mu, sigma, lambda m: _growth(m, a, n))
+    return schedule_moments(ErrorSchedule.constant(a, n), [order], mu, sigma, n)[0]
 
 
 def _moments(orders, mu: float, sigma: float, scale_moment) -> list[float]:
     # scale_mixture_moment of each order in turn, each E[S^m] taken once.
     scale_moment = functools.cache(scale_moment)
-    out = []
+    return [scale_mixture_moment(order, mu, sigma, scale_moment) for order in orders]
+
+
+def _bleed_moments(orders, mu: float, sigma: float, a1: float, lam: float, n) -> list[float]:
+    # The layer product over the rates a1 lam^k, k < n, generated as the
+    # schedule's own rates are; with lam <= 1 they never rise, so n may be
+    # INFINITY for lam < 1, and with lam = 1 that limit diverges.
+    if n == INFINITY and lam >= 1.0:
+        raise DivergenceError("an infinite bleed product requires lam < 1")
+
+    def scale_moment(m: int) -> float:
+        layers = itertools.count() if n == INFINITY else range(n)
+        return _layer_product(m, (_times_power(a1, lam, k) for k in layers), lam <= 1.0)
+    return _moments(orders, mu, sigma, scale_moment)
+
+
+def schedule_moments(schedule: ErrorSchedule, orders, mu: float, sigma: float, n) -> list:
+    """Raw moments E[X^k] of mu + sigma S Z, S the branch scale of schedule,
+    for each order k of orders: the closed form at depth n, or the limit at
+    n = INFINITY, else None; each E[S^m] is taken once.
+
+    Additive forms cover orders 1, 2 and 4. Constant rates diverge and
+    lists end; a geometric limit needs a < 1/2, a bleed one lambda < 1
+    (orders 2 and 4). n is a depth the schedule's rule allows (a list only
+    its own) or INFINITY; no rate tuple is built.
+    """
+    orders = list(orders)
     for order in orders:
         check_order(order, lowest=1)
-        out.append(scale_mixture_moment(order, mu, sigma, scale_moment))
-    return out
-
-
-def multiplicative_moments(orders, mu: float, sigma: float, rates) -> list[float]:
-    """Raw moments E[X^k] for each order k of orders, for an arbitrary
-    multiplicative rate sequence; each E[scale^m] is taken once.
-
-    E[scale^m] is the product over layers of the even factors h_m(a(j)),
-    which is exact for any schedule; the constant and bleed forms are the
-    special cases of this product.
-    """
     check_sigma(sigma)
-    rates = tuple(float(r) for r in rates)
-    for r in rates:
-        check_rate(r)
-    return _moments(orders, mu, sigma, lambda m: _layer_product(m, rates))
-
-
-def moment_multiplicative(order: int, mu: float, sigma: float, rates) -> float:
-    """Raw moment E[X^order]: multiplicative_moments of one order."""
-    return multiplicative_moments([order], mu, sigma, rates)[0]
+    if n != INFINITY:
+        schedule = schedule.at_depth(n)
+    kind, a, lam = schedule.kind, schedule.a, schedule.lam
+    if schedule.mode is Mode.ADDITIVE:
+        if n == INFINITY and (kind == "explicit" or a >= 0.5):
+            return [None] * len(orders)
+        return [moments_additive(k, mu, sigma, a, n) if k in (1, 2, 4) else None
+                for k in orders]
+    if n == INFINITY:
+        if kind != "bleed" or lam >= 1.0:
+            return [None] * len(orders)
+        ks = [k for k in orders if k in (2, 4)]
+        limits = dict(zip(ks, _bleed_moments(ks, mu, sigma, a, lam, INFINITY)))
+        return [limits.get(k) for k in orders]
+    if kind == "constant":
+        return _moments(orders, mu, sigma, lambda m: _growth(m, a, n))
+    if kind == "bleed":
+        return _bleed_moments(orders, mu, sigma, a, lam, n)
+    return _moments(orders, mu, sigma, lambda m: _layer_product(m, schedule.listed))
 
 
 def variance_growth_factor(a: float, n: int) -> float:
@@ -105,8 +128,7 @@ def variance_growth_factor(a: float, n: int) -> float:
     """
     check_rate(a)
     check_depth(n)
-    arg = n * math.log1p(a * a)
-    return math.exp(arg) if arg < _LN_MAX else math.inf
+    return _capped_exp(n * math.log1p(a * a))
 
 
 def kurtosis_constant_a(a: float, n: int) -> float:
@@ -114,8 +136,7 @@ def kurtosis_constant_a(a: float, n: int) -> float:
     check_rate(a)
     check_depth(n)
     ratio = (1.0 + _h_minus_one(4, a)) / (1.0 + _h_minus_one(2, a)) ** 2
-    arg = n * math.log(ratio)
-    return 3.0 * (math.exp(arg) if arg < _LN_MAX else math.inf)
+    return 3.0 * _capped_exp(n * math.log(ratio))
 
 
 @dataclass(frozen=True)
@@ -141,36 +162,16 @@ class BleedParams:
             check_depth(self.n)
 
 
-def bleed_moments(orders, mu: float, params: BleedParams) -> list[float]:
-    """Raw moments E[X^k] of mu + sigma S Z over the rates a1 lam^k, k < n,
-    for each order k of orders; each E[S^m] is taken once.
-
-    E[S^m] is the layer product of multiplicative_moments, over the rates
-    as they fall: it stops at the first factor that rounds to 1 (or once it
-    is inf), so n may be INFINITY for lam < 1; with lam = 1 that limit diverges.
-    """
-    a1, lam, n = params.a1, params.lam, params.n
-    if n == INFINITY and lam == 1.0:
-        raise DivergenceError("an infinite bleed product requires lam < 1")
-    return _moments(orders, mu, params.sigma, lambda m: _layer_product(
-        m, (a1 * lam**k for k in (itertools.count() if n == INFINITY else range(n))), True))
-
-
-def moment_bleed(order: int, mu: float, params: BleedParams) -> float:
-    """Raw moment E[X^order]: bleed_moments of one order."""
-    return bleed_moments([order], mu, params)[0]
-
-
 def m2_bleed(params: BleedParams) -> float:
     """Second moment sigma^2 prod_{i=0}^{n-1} (1 + a1^2 lam^(2i)); its limit
     at a1 = 0.2, lam = 0.9 is about 1.23151 sigma^2."""
-    return moment_bleed(2, 0.0, params)
+    return _bleed_moments([2], 0.0, params.sigma, params.a1, params.lam, params.n)[0]
 
 
 def m4_bleed(params: BleedParams) -> float:
     """Fourth moment 3 sigma^4 prod_{i=0}^{n-1} (1 + 6 a1^2 lam^(2i) + a1^4 lam^(4i));
     its limit at a1 = 0.2, lam = 0.9 is about 9.8806 sigma^4."""
-    return moment_bleed(4, 0.0, params)
+    return _bleed_moments([4], 0.0, params.sigma, params.a1, params.lam, params.n)[0]
 
 
 def _geometric_sum(r: float, n) -> float:

@@ -15,7 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._checks import check_order
+from ._checks import LN_MAX, check_order
 from .branching import _SCALE_BLOCK, GaussianBase, MixtureDistribution, group_mixture
 from .special import erfc, gaussian_abs_first_moment, log_erfc, scale_mixture_moment
 
@@ -25,7 +25,6 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _LN_SQRT_TWO_OVER_PI = 0.5 * math.log(2.0 / math.pi)
 _LN_SQRT_TWO_PI = math.log(_SQRT_TWO_PI)
-_LN_MAX = math.log(np.finfo(np.float64).max)  # math.exp raises above it
 
 _CHUNK = 4096
 # Density grid points per block: temporaries stay (256 x _CHUNK) doubles.
@@ -472,7 +471,7 @@ def convexity_ratio(mixture: MixtureDistribution, k, *, base_log_p=None) -> floa
         base_log_p = log_exceedance(base, ks)
     pairs = zip(log_exceedance(mixture, ks).tolist(), np.atleast_1d(base_log_p).tolist())
     logs = [top - bottom for top, bottom in pairs]
-    return _like(k, [math.inf if d > _LN_MAX else math.exp(d) for d in logs])
+    return _like(k, [math.inf if d > LN_MAX else math.exp(d) for d in logs])
 
 
 def _mean_scale_powers(mixture: MixtureDistribution, ms) -> np.ndarray:

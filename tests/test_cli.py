@@ -288,14 +288,22 @@ class TestMomentsCommand:
             assert explicit[order][2] is None and explicit[order][4] is None
         assert math.isclose(explicit[2][1], 1.098901098901, rel_tol=1e-12)
 
+    def test_closed_forms_reach_the_largest_double(self, capsys):
+        # (1 + 0.1^2)^71304 is 1.3528080...e308 (50-digit mpmath): finite,
+        # though its log passes 709.
+        rc, out = run_cli("moments", "--schedule", "constant:a=0.1,N=71304", "--orders", "2",
+                          capsys=capsys)
+        assert rc == 0
+        assert out == "order,closed_form,enumeration,rel_diff,limit_inf\n2,1.352808108070e+308,,,\n"
+
     @pytest.mark.parametrize("schedule, reads", [
         ("bleed:a1=0.2,lambda=0.9,N=1000", 0), ("constant:a=0.1,N=1000", 0),
         ("geometric:a=0.1,N=1000", 0), ("bleed:a1=0.2,lambda=0.9,N=12", 1),
         ("constant:a=0.1,N=12", 1), ("geometric:a=0.1,N=12", 1),
-        ("explicit:0.3,0.2,0.1", 2)])
+        ("explicit:0.3,0.2,0.1", 1)])
     def test_rates_are_read_only_to_enumerate(self, schedule, reads, monkeypatch, capsys):
-        # The closed forms of a rate formula need only its rule; the
-        # enumeration reads the rates once, and a list's closed form once more.
+        # The closed forms need only the rule, or a list's own rates; the
+        # enumeration reads the rates once.
         calls, rates = [], ErrorSchedule.rates
         monkeypatch.setattr(ErrorSchedule, "rates",
                             property(lambda s: calls.append(s) or rates.fget(s)))

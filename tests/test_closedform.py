@@ -15,18 +15,15 @@ from branchvol.branching import (
 )
 from branchvol.closedform import (
     BleedParams,
-    bleed_moments,
     kurtosis_constant_a,
     m2_bleed,
     m4_bleed,
     moment_constant_a,
-    moment_bleed,
-    moment_multiplicative,
     moments_additive,
-    multiplicative_moments,
+    schedule_moments,
     variance_growth_factor,
 )
-from branchvol.mixstats import mixture_raw_moment
+from branchvol.mixstats import mixture_raw_moment, mixture_raw_moments
 from branchvol.special import INFINITY, DivergenceError, UnsupportedOrderError
 
 
@@ -69,24 +66,95 @@ class TestMomentConstantA:
             moment_constant_a(9, 0.0, 1.0, 0.1, 2)
 
 
-class TestMomentMultiplicative:
+def _listed(sched):
+    # The same rates as an explicit list: their layer product, left to right.
+    return ErrorSchedule.explicit(sched.rates)
+
+
+def _random_schedule(rng, style, n):
+    # One of constant, falling, lambda = 1 and rising bleed, explicit and
+    # geometric rules at depth n, every rate below 1 (geometric below 1/2).
+    a = float(rng.uniform(0.0, 0.9))
+    if style == 0:
+        return ErrorSchedule.constant(a, n)
+    if style in (1, 2):
+        return ErrorSchedule.bleed(a, float(rng.uniform(0.0, 1.0)) if style == 1 else 1.0, n)
+    if style == 3:
+        lam = float(rng.uniform(1.0, 1.5))
+        return ErrorSchedule.bleed(a / lam ** max(n - 1, 0), lam, n)
+    if style == 4:
+        return ErrorSchedule.explicit(rng.uniform(0.0, 0.9, size=n))
+    return ErrorSchedule.geometric(float(rng.uniform(0.0, 0.45)), n)
+
+
+class TestScheduleMoments:
+    def test_matches_enumeration_on_every_kind(self):
+        # Additive rules have closed forms at orders 1, 2 and 4 only.
+        rng = np.random.default_rng(2206)
+        orders = list(range(1, 9))
+        for i in range(120):
+            sched = _random_schedule(rng, i % 6, int(rng.integers(0, 13)))
+            mu = (0.0, 0.05)[i // 6 % 2]
+            sigma = float(rng.uniform(0.5, 2.0))
+            closed = schedule_moments(sched, orders, mu, sigma, sched.depth)
+            enum = mixture_raw_moments(_mixture(sched, mu, sigma), orders)
+            for k, c, e in zip(orders, closed, enum):
+                if sched.kind == "geometric" and k not in (1, 2, 4):
+                    assert c is None
+                    continue
+                assert abs(c - e) <= 1e-12 * max(abs(c), abs(e)), (sched, mu, k, c, e)
+
     def test_matches_enumeration_on_arbitrary_schedules(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             n = int(rng.integers(0, 9))
-            rates = rng.uniform(0.0, 0.6, size=n)
+            sched = ErrorSchedule.explicit(rng.uniform(0.0, 0.6, size=n))
             mu = float(rng.uniform(-1.0, 1.0))
             sigma = float(rng.uniform(0.5, 2.0))
-            mix = _mixture(ErrorSchedule.explicit(rates), mu=mu, sigma=sigma)
+            mix = _mixture(sched, mu=mu, sigma=sigma)
             for order in (1, 2, 3, 4, 6, 8):
-                closed = moment_multiplicative(order, mu, sigma, rates)
+                closed = schedule_moments(sched, [order], mu, sigma, n)[0]
                 enum = mixture_raw_moment(mix, order)
                 assert math.isclose(closed, enum, rel_tol=1e-12, abs_tol=1e-13)
 
     def test_reduces_to_constant_form(self):
-        val1 = moment_multiplicative(4, 0.0, 1.0, [0.2] * 6)
+        val1 = schedule_moments(ErrorSchedule.explicit([0.2] * 6), [4], 0.0, 1.0, 6)[0]
         val2 = moment_constant_a(4, 0.0, 1.0, 0.2, 6)
         assert math.isclose(val1, val2, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.05, -1.3])
+    def test_many_orders_keep_the_bits_of_one(self, mu):
+        # Each E[S^m] is taken once for all orders, with the bits of a
+        # one-order call, at depth N and in the limit.
+        orders = [8, 1, 4, 2, 7, 3, 6, 5, 4]
+        for sched in (ErrorSchedule.bleed(0.2, 0.9, 300), ErrorSchedule.bleed(0.01, 1.001, 300),
+                      ErrorSchedule.constant(0.2, 300), ErrorSchedule.geometric(0.2, 300),
+                      _listed(ErrorSchedule.bleed(0.2, 0.9, 300))):
+            for n in (sched.depth, INFINITY):
+                assert schedule_moments(sched, orders, mu, 1.3, n) == [
+                    schedule_moments(sched, [k], mu, 1.3, n)[0] for k in orders]
+            with pytest.raises(UnsupportedOrderError):
+                schedule_moments(sched, [2, 9], mu, 1.3, sched.depth)
+
+    def test_limits_only_where_the_schedule_has_one(self):
+        orders = list(range(1, 9))
+        bleed = schedule_moments(ErrorSchedule.bleed(0.2, 0.9, 5), orders, 0.05, 1.0, INFINITY)
+        assert [k for k, v in zip(orders, bleed) if v is not None] == [2, 4]
+        geometric = schedule_moments(ErrorSchedule.geometric(0.2, 5), orders, 0.05, 1.0,
+                                     INFINITY)
+        assert [k for k, v in zip(orders, geometric) if v is not None] == [1, 2, 4]
+        for sched in (ErrorSchedule.bleed(0.2, 1.0, 5), ErrorSchedule.bleed(0.2, 1.2, 5),
+                      ErrorSchedule.constant(0.2, 5), ErrorSchedule.geometric(0.5, 5),
+                      ErrorSchedule.explicit([0.2, 0.1])):
+            assert schedule_moments(sched, orders, 0.05, 1.0, INFINITY) == [None] * 8
+
+    def test_depth_is_checked_against_the_rule(self):
+        with pytest.raises(ValueError):  # a rate past 1 at depth 20
+            schedule_moments(ErrorSchedule.bleed(0.2, 1.2, 5), [2], 0.0, 1.0, 20)
+        with pytest.raises(ValueError):  # a list keeps its own depth
+            schedule_moments(ErrorSchedule.explicit([0.2, 0.1]), [2], 0.0, 1.0, 3)
+        with pytest.raises(ValueError):
+            schedule_moments(ErrorSchedule.constant(0.2, 5), [2], 0.0, 0.0, 5)
 
 
 class TestVarianceGrowth:
@@ -110,6 +178,15 @@ class TestVarianceGrowth:
         assert variance_growth_factor(0.0001, n_double) > 2.0
         assert variance_growth_factor(0.0001, 10 * n_double) > 1000.0
         assert variance_growth_factor(0.1, 10**6) == math.inf
+
+    def test_finite_up_to_the_largest_double(self):
+        # 71304 log1p(0.01) = 709.5 lies between 709 and ln(max double) =
+        # 709.78, where the result is finite.
+        with mpmath.workdps(50):
+            want = (1 + mpmath.mpf(0.1) ** 2) ** 71304
+        got = variance_growth_factor(0.1, 71304)
+        assert math.isfinite(got) and abs(got - want) <= 1e-12 * want, (got, want)
+        assert variance_growth_factor(0.1, 71400) == math.inf
 
 
 class TestBleed:
@@ -188,41 +265,31 @@ class TestBleed:
     @pytest.mark.parametrize("a1, lam, n", [(0.2, 0.9, 10), (0.5, 0.5, 3), (0.1, 0.99, 2000),
                                             (0.3, 1.0, 7), (0.7, 0.999, 400), (0.2, 0.0, 4)])
     def test_finite_depths_are_the_layer_product(self, a1, lam, n):
-        # The same bits as the product over the schedule's rates, which the
-        # CLI's closed_form column prints.
-        rates = ErrorSchedule.bleed(a1, lam, n).rates
+        # The same bits as the product over the schedule's rates listed,
+        # and as the CLI's closed_form column.
+        sched = ErrorSchedule.bleed(a1, lam, n)
         for sigma in (1.0, 1.7):
             params = BleedParams(a1, lam, n, sigma=sigma)
-            assert m2_bleed(params) == moment_multiplicative(2, 0.0, sigma, rates)
-            assert m4_bleed(params) == moment_multiplicative(4, 0.0, sigma, rates)
+            want = schedule_moments(_listed(sched), [2, 4], 0.0, sigma, n)
+            assert [m2_bleed(params), m4_bleed(params)] == want
+            assert schedule_moments(sched, [2, 4], 0.0, sigma, n) == want
 
     def test_the_falling_stop_keeps_every_bit_of_the_full_product(self):
         # The product stops at the first factor that rounds to 1; at a
         # finite depth that is the product over every rate, bit for bit.
+        # Rising rates take every layer, as generated.
         rng = np.random.default_rng(21)
-        for _ in range(60):
+        for i in range(60):
             a1, lam = float(rng.uniform(0.0, 0.99)), float(rng.uniform(0.0, 1.0))
             mu, sigma = float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.5, 2.0))
             for n in (1, 7, 100, 3000):
-                rates = ErrorSchedule.bleed(a1, lam, n).rates
-                got = bleed_moments(range(1, 9), mu, BleedParams(a1, lam, n, sigma))
-                want = multiplicative_moments(range(1, 9), mu, sigma, rates)
-                assert list(map(float.hex, got)) == list(map(float.hex, want)), (a1, lam, n)
-
-    @pytest.mark.parametrize("mu", [0.0, 0.05, -1.3])
-    def test_many_orders_keep_the_bits_of_one(self, mu):
-        # Each E[S^m] is taken once for all orders, with the bits of a
-        # one-order call.
-        orders = [8, 1, 4, 2, 7, 3, 6, 5, 4]
-        rates = ErrorSchedule.bleed(0.2, 0.9, 300).rates
-        for params in (BleedParams(0.2, 0.9, 300, sigma=1.3),
-                       BleedParams(0.2, 0.9, INFINITY, sigma=1.3)):
-            assert bleed_moments(orders, mu, params) == [
-                moment_bleed(k, mu, params) for k in orders]
-        assert multiplicative_moments(orders, mu, 1.3, rates) == [
-            moment_multiplicative(k, mu, 1.3, rates) for k in orders]
-        with pytest.raises(UnsupportedOrderError):
-            multiplicative_moments([2, 9], mu, 1.3, rates)
+                sched = ErrorSchedule.bleed(a1, lam, n)
+                if i % 4 == 3:  # rising rates that end at a1
+                    rise = 1.0 + lam / n
+                    sched = ErrorSchedule.bleed(a1 / rise ** (n - 1), rise, n)
+                got = schedule_moments(sched, range(1, 9), mu, sigma, n)
+                want = schedule_moments(_listed(sched), range(1, 9), mu, sigma, n)
+                assert list(map(float.hex, got)) == list(map(float.hex, want)), (sched, n)
 
     def test_monotone_in_depth_and_decay(self):
         vals_n = [m2_bleed(BleedParams(0.2, 0.9, n)) for n in range(0, 20)]

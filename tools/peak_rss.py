@@ -12,9 +12,10 @@ child figure at or below it is not the child's own, and is marked so.
 
 The default cases are the README command lines, the slow commands that
 ROADMAP.md lists, the deepest `moments` and the `validate` draw count of
-the benchmark's deep-build workload, and two bleed commands at N = 10^9 that
+the benchmark's deep-build workload, two bleed commands at N = 10^9 that
 must end at once: `exceed` at the enumeration ceiling (exit 3) and `moments`
-from its closed forms.
+from its closed forms, and `moments` on a million slowly rising bleed rates,
+whose closed forms stop once their layer product is inf.
 """
 
 import os
@@ -38,6 +39,7 @@ SLOW_CASES = [
     "validate --schedule constant:a=0.1,N=8 --n-samples 2000000",
     "exceed --schedule bleed:a1=0.2,lambda=0.9,N=1000000000 --k 3",
     "moments --schedule bleed:a1=0.2,lambda=0.9,N=1000000000",
+    "moments --schedule bleed:a1=0.2,lambda=1.0000001,N=1000000",
 ]
 
 
