@@ -187,18 +187,23 @@ class GaussianBase:
 
 
 class _OnFirstRead:
-    """MixtureDistribution.scales given None: built from the expansion on
-    first read, kept and read-only (threads racing on it store equal
-    arrays). A given array is stored on the instance, read before this
-    non-data descriptor. On the class it raises: the field has no default."""
+    """A MixtureDistribution array given as None, formed by the mixture's
+    rule on first read (an enumeration's scales from its expansion, every
+    array of a grouped mixture from its classes), then kept and read-only;
+    threads racing on it store equal arrays. A given array is stored on the
+    instance, read before this non-data descriptor. On the class it raises:
+    the field has no default."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
 
     def __get__(self, mixture, owner=None):
         if mixture is None:
-            raise AttributeError("scales belongs to each mixture")
-        scales = mixture.expansion.build()
-        scales.setflags(write=False)
-        object.__setattr__(mixture, "scales", scales)
-        return scales
+            raise AttributeError(f"{self.name} belongs to each mixture")
+        array = mixture._form(self.name)
+        array.setflags(write=False)
+        object.__setattr__(mixture, self.name, array)
+        return array
 
 
 # The last _TAIL_LAYERS layers of an enumeration expand each head element
@@ -284,46 +289,90 @@ class ScaleExpansion:
 
 
 @dataclass(frozen=True)
+class BinomialClasses:
+    """The n + 1 classes of the depth-n constant-rate mixture, held as their
+    rule (a, n): class j holds the C(n, j) branches with j up-moves, of
+    scale (1+a)^j (1-a)^(n-j) and weight C(n, j) 2^-n.
+
+    Each array is formed over any run of classes lo..hi-1 (every class by
+    default) with the elementwise formulas of the whole, so a run has the
+    bits of the same slice of the whole.
+    """
+
+    a: float
+    n: int
+
+    def log_weights(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        return _binomial_log_weights(self.n, lo, self.n + 1 if hi is None else hi)
+
+    def log_scales(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        j = np.arange(lo, self.n + 1 if hi is None else hi, dtype=np.float64)
+        out = j * math.log1p(self.a)
+        out += np.multiply(self.n - j, math.log1p(-self.a), out=j)
+        return out
+
+
+@dataclass(frozen=True)
 class MixtureDistribution:
     """Mixture of Normal(mu, (sigma * scales[i])^2) components.
 
     Component i weighs ``weight * exp(log_weights[i])``. ``weight`` is an
     exact common factor: 2^-N for an enumeration (exp(-N ln 2) is not 2^-N
     in every bit), 1.0 for grouped classes. ``log_scales`` stays finite
-    where ``scales`` leaves the double range; given as None, as by every
-    enumeration, ln scale is taken where it is read and never kept. An
-    enumeration gives ``scales`` as None with its ``expansion``: the array
-    is built on first read and kept. Every array is read-only.
+    where ``scales`` leaves the double range. An enumeration gives
+    ``scales`` as None with its ``expansion``, and ``log_scales`` as None:
+    the scales are built on first read and kept, ln scale is taken where it
+    is read and never kept. A grouped mixture gives all three arrays as
+    None with its ``classes``: each is formed on first read and kept, and
+    ``n_components`` reads n + 1 without forming any. Every array is
+    read-only.
     """
 
     mu: float
     sigma: float
     scales: np.ndarray | None = _OnFirstRead()
-    log_scales: np.ndarray | None
+    log_scales: np.ndarray | None = _OnFirstRead()
     weight: float
-    log_weights: np.ndarray
+    log_weights: np.ndarray | None = _OnFirstRead()
     expansion: ScaleExpansion | None = None
+    classes: BinomialClasses | None = None
 
     def __post_init__(self) -> None:
-        if vars(self)["scales"] is None:
-            if self.expansion is None:
-                raise ValueError("scales given as None need an expansion to build them from")
-            object.__delattr__(self, "scales")  # built on first read
-        for array in (vars(self).get("scales"), self.log_scales, self.log_weights):
-            if array is not None:
+        given = vars(self)
+        formed = (("scales", "log_scales", "log_weights") if self.classes is not None
+                  else ("scales",) if self.expansion is not None else ())
+        for name in ("scales", "log_weights"):
+            if given[name] is None and name not in formed:
+                raise ValueError(f"{name} given as None need a rule to form them from: "
+                                 "an expansion (the scales) or classes (every array)")
+        for name in formed:
+            if given[name] is None:
+                object.__delattr__(self, name)  # formed on first read
+        for array in list(given.values()):
+            if isinstance(array, np.ndarray):
                 array.setflags(write=False)
+
+    def _form(self, name: str) -> np.ndarray:
+        # An array given as None, from the mixture's rule.
+        if self.classes is None:
+            return self.expansion.build()
+        if name == "scales":
+            with np.errstate(over="ignore"):
+                return np.exp(self.log_scales)
+        return getattr(self.classes, name)()
 
     def block_log_scales(self, offset: int, block: np.ndarray, mask=...) -> np.ndarray:
         """ln block[mask], block being scales[offset : offset + block.size]: a
-        slice of the given log-scales, else np.log (-inf for a 0 scale)."""
+        slice of the log-scales a mixture has (given, or formed by its
+        classes), else np.log (-inf for a 0 scale)."""
         if self.log_scales is not None:
             return self.log_scales[offset : offset + block.size][mask]
         with np.errstate(divide="ignore"):
             return np.log(block[mask])
 
     def every_log_scale(self) -> np.ndarray:
-        """Every log-scale in one array: the given one, else a new array
-        filled from block_log_scales of each block and not kept."""
+        """Every log-scale in one array: the log-scales a mixture has, else
+        a new array filled from block_log_scales of each block and not kept."""
         if self.log_scales is not None:
             return self.log_scales
         out = np.empty(self.n_components)
@@ -333,6 +382,8 @@ class MixtureDistribution:
 
     @property
     def n_components(self) -> int:
+        if self.classes is not None:
+            return self.classes.n + 1
         return int(self.log_weights.size)
 
     @cached_property
@@ -404,10 +455,9 @@ def _stirlerr(k: np.ndarray) -> np.ndarray:
     """stirlerr at the ascending integers k >= 1: the table up to 15, then
     one slice per series length."""
     out = np.empty_like(k)
-    lo = int(np.searchsorted(k, 15.0, "right"))
+    lo, *cuts = k.searchsorted([15.0] + [cut for cut, _ in _STIRLING_TERMS], "right").tolist()
     out[:lo] = _STIRLERR[k[:lo].astype(np.intp)]
-    for cut, terms in _STIRLING_TERMS:
-        hi = int(np.searchsorted(k, cut, "right"))
+    for (_, terms), hi in zip(_STIRLING_TERMS, cuts):
         if hi > lo:
             x, o = k[lo:hi], out[lo:hi]
             x2 = x * x
@@ -435,61 +485,77 @@ def _bd0_series(x: np.ndarray, m: float) -> np.ndarray:
     return s
 
 
-def _log_binomial_halves(n: int) -> np.ndarray:
-    """ln C(n, j) 2^-n for j = 0..n//2: -n ln 2 at j = 0 and, above it,
-    Loader's stirlerr(n) - stirlerr(j) - stirlerr(n-j) - bd0(j, n/2)
-    - bd0(n-j, n/2) - (ln 2 pi + ln(j (n-j)/n))/2. Where j <= 9n/22, the
-    two bd0 sum to j log1p(d) + (n-j) log1p(-d), d = (j - n/2)/(n/2): their
-    m - x terms cancel exactly, and log1p keeps digits that ln(x/m) loses
-    near the switch to the series."""
-    h, m, r = n // 2, n / 2.0, 9 * n // 22
-    half = np.empty(h + 1)
-    half[0] = -(n * _LN2)
-    w = half[1:]
-    k = np.arange(1.0, n + 1.0)  # k[i] = i + 1
-    minus = slice(n - 2, n - h - 2, -1)  # n - j for j = 1..h
-    x, y = k[:h], k[minus]
+def _log_binomial_halves(n: int, lo: int, hi: int) -> np.ndarray:
+    """ln C(n, j) 2^-n for j = lo..hi-1, 0 <= lo < hi <= n//2 + 1: -n ln 2
+    at j = 0 and, above it, Loader's stirlerr(n) - stirlerr(j) -
+    stirlerr(n-j) - bd0(j, n/2) - bd0(n-j, n/2) - (ln 2 pi + ln(j (n-j)/n))/2,
+    elementwise, so a run has the bits of the same slice of the whole.
+    Where j <= 9n/22, the two bd0 sum to j log1p(d) + (n-j) log1p(-d),
+    d = (j - n/2)/(n/2): their m - x terms cancel exactly, and log1p keeps
+    digits that ln(x/m) loses near the switch to the series."""
+    m, r = n / 2.0, 9 * n // 22
+    half = np.empty(hi - lo)
+    if lo == 0:
+        half[0] = -(n * _LN2)
+    w = half[1:] if lo == 0 else half
+    if w.size == 0:
+        return half
+    # One stirlerr pass over k: j, then n - j (ascending, since j <= n/2),
+    # then n. x and y are j and n - j in the order of j.
+    k = np.arange(2.0 * w.size + 1)
+    k[: w.size] += hi - w.size
+    k[w.size : -1] += n + 1 - hi - w.size
+    k[-1] = n
+    x, y = k[: w.size], k[-2 : w.size - 1 : -1]
     st = _stirlerr(k)
-    np.subtract(st[-1], st[:h], out=w)
-    w -= st[minus]
-    t = st[:h]  # scratch from here on
+    np.subtract(st[-1], st[: w.size], out=w)
+    w -= st[-2 : w.size - 1 : -1]
+    t = st[: w.size]  # scratch from here on
     np.multiply(x, y, out=t)
     t /= n
     np.log(t, out=t)
     t += _LN_2PI
     t *= 0.5
     w -= t
-    d = np.subtract(x[:r], m, out=t[:r])
-    d /= m
-    up = np.log1p(d)
-    up *= x[:r]
-    np.negative(d, out=d)
-    np.log1p(d, out=d)
-    d *= y[:r]
-    d += up
-    w[:r] -= d
-    b = _bd0_series(np.concatenate((x[r:], y[r:])), m)
-    w[r:] -= b[:h - r]
-    w[r:] -= b[h - r:]
+    c = min(max(r - int(x[0]) + 1, 0), x.size)  # j <= r
+    if c:
+        d = np.subtract(x[:c], m, out=t[:c])
+        d /= m
+        up = np.log1p(d)
+        up *= x[:c]
+        np.negative(d, out=d)
+        np.log1p(d, out=d)
+        d *= y[:c]
+        d += up
+        w[:c] -= d
+    if c < x.size:
+        b = _bd0_series(np.concatenate((x[c:], y[c:])), m)
+        w[c:] -= b[: x.size - c]
+        w[c:] -= b[x.size - c :]
     return half
 
 
-def _binomial_log_weights(n: int) -> np.ndarray:
-    """ln C(n, j) 2^-n for j = 0..n, from the half j <= n/2 mirrored."""
+def _binomial_log_weights(n: int, lo: int, hi: int) -> np.ndarray:
+    """ln C(n, j) 2^-n for j = lo..hi-1, from the half j <= n/2 mirrored:
+    class j takes the value of class min(j, n - j)."""
+    if hi <= lo:
+        return np.empty(0)
     h = n // 2
+    a, b = min(lo, n + 1 - hi), min(h, hi - 1, n - lo) + 1  # the half's run
     if n <= _EXACT_BINOM_LIMIT:
         # Exact binomials (they enter 1e-12 equivalence checks): math.comb's
         # integers by the recurrence C(n, i+1) = C(n, i) (n - i) / (i + 1).
         c, log_binom = 1, []
-        for i in range(h + 1):
+        for i in range(b):
             log_binom.append(math.log(c))
             c = c * (n - i) // (i + 1)
-        half = np.array(log_binom) - n * _LN2
+        half = np.array(log_binom[a:]) - n * _LN2
     else:
-        half = _log_binomial_halves(n)
-    out = np.empty(n + 1)
-    out[:h + 1] = half
-    out[n - h:] = half[::-1]
+        half = _log_binomial_halves(n, a, b)
+    out = np.empty(hi - lo)
+    mid = min(max(lo, h + 1), hi)  # classes from mid on mirror the half
+    out[: mid - lo] = half[lo - a : mid - a]
+    out[mid - lo :] = half[n + 1 - hi - a : n + 1 - mid - a][::-1]
     return out
 
 
@@ -497,18 +563,15 @@ def group_mixture(base: GaussianBase, a: float, n: int) -> MixtureDistribution:
     """The depth-n constant-rate mixture as its n + 1 binomial classes.
 
     Class j holds the C(n, j) branches with j up-moves: scale
-    (1+a)^j (1-a)^(n-j), weight C(n, j) 2^-n. The cost is O(n), so depths
-    far past the enumeration ceiling work.
+    (1+a)^j (1-a)^(n-j), weight C(n, j) 2^-n. The mixture holds the rule
+    (a, n) and forms each class array on first read, in O(n); the tails
+    read a window of classes, so depths far past the enumeration ceiling
+    work.
     """
     check_rate(a)
     check_depth(n)
-    log_weights = _binomial_log_weights(n)  # first: its scratch is gone before the scales
-    j = np.arange(n + 1, dtype=np.float64)
-    log_scales = j * math.log1p(a)
-    log_scales += np.multiply(n - j, math.log1p(-a), out=j)
-    with np.errstate(over="ignore"):
-        scales = np.exp(log_scales)
-    return MixtureDistribution(base.mu, base.sigma, scales, log_scales, 1.0, log_weights)
+    return MixtureDistribution(base.mu, base.sigma, None, None, 1.0, None,
+                               classes=BinomialClasses(a, n))
 
 
 def _parse_kv(args: str, expected: tuple[str, ...], text: str) -> dict[str, str]:

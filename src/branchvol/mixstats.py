@@ -9,6 +9,7 @@ beyond the enumeration ceiling.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -16,7 +17,15 @@ from itertools import chain
 import numpy as np
 
 from ._checks import LN_MAX, check_order
-from .branching import _SCALE_BLOCK, GaussianBase, MixtureDistribution, group_mixture
+from .branching import (
+    _SCALE_BLOCK,
+    MAX_ENUMERATION_DEPTH,
+    BinomialClasses,
+    EnumerationLimitError,
+    GaussianBase,
+    MixtureDistribution,
+    group_mixture,
+)
 from .special import erfc, gaussian_abs_first_moment, log_erfc, scale_mixture_moment
 
 _LN2 = math.log(2.0)
@@ -388,29 +397,40 @@ def _below_bound(delta: float, bound: float, log_sigma: float) -> float:
     return bound + _LN_SQRT_TWO_OVER_PI - math.asinh(z / _SQRT2)
 
 
-def _pruned_logsumexp(mixture: MixtureDistribution, ls: np.ndarray, delta: float) -> float:
-    # _logsumexp of the terms ln w_i + ln P_i, ls the log-scales, skipping
-    # those whose bound lies _GAP below the anchor (a lower bound on the
-    # term with the largest bound) when the rounded sum provably ignores them.
-    lw = mixture.log_weights
-    log_sigma = math.log(mixture.sigma)
-    n = mixture.n_components
-    terms = np.empty(n)  # the bounds, until the exact terms overwrite them
-    for s in _slices(n):
-        terms[s] = _log_tail_bounds(delta, lw[s], log_sigma + ls[s])
-    j = int(np.argmax(terms))
-    anchor = _below_bound(delta, float(terms[j]), log_sigma + float(ls[j]))
-    floor = anchor - _GAP if abs(anchor) <= _PRUNE_LIMIT else -math.inf
-    keep = terms >= floor
+def _bounds(delta: float, log_sigma: float, lw: np.ndarray, ls: np.ndarray) -> np.ndarray:
+    # _log_tail_bounds of the components of log-weights lw and log-scales
+    # ls, a chunk at a time.
+    out = np.empty(lw.size)
+    for s in _slices(lw.size):
+        out[s] = _log_tail_bounds(delta, lw[s], log_sigma + ls[s])
+    return out
+
+
+def _floor(delta: float, log_sigma: float, ls: np.ndarray, bounds: np.ndarray) -> float:
+    # _GAP below the anchor, a lower bound on the term with the largest
+    # bound (the first among ties); -inf, skipping nothing, past _PRUNE_LIMIT.
+    j = int(np.argmax(bounds))
+    anchor = _below_bound(delta, float(bounds[j]), log_sigma + float(ls[j]))
+    return anchor - _GAP if abs(anchor) <= _PRUNE_LIMIT else -math.inf
+
+
+def _pruned_logsumexp(delta: float, log_sigma: float, lw: np.ndarray, ls: np.ndarray,
+                      terms: np.ndarray, floor: float, n: int) -> float | None:
+    # _logsumexp of the n terms ln w_i + ln P_i, skipping those whose bound
+    # lies below floor when the rounded sum provably ignores them. lw, ls
+    # and terms (their bounds, overwritten by the exact terms) cover a run
+    # of the components that holds every one whose bound reaches floor; the
+    # rest count as skipped. None when the proof fails on a run short of n.
 
     def evaluate(mask: np.ndarray) -> None:
-        for s in _slices(n):
+        for s in _slices(terms.size):
             ms = mask[s]
             if ms.all():
                 terms[s] = lw[s] + _log_tails(delta, log_sigma + ls[s])
             elif ms.any():
                 terms[s][ms] = lw[s][ms] + _log_tails(delta, log_sigma + ls[s][ms])
 
+    keep = terms >= floor
     evaluate(keep)
     skipped = n - int(np.count_nonzero(keep))
     if skipped:
@@ -424,8 +444,131 @@ def _pruned_logsumexp(mixture: MixtureDistribution, ls: np.ndarray, delta: float
         pair = _fsum_pair(_exp_diffs(terms, m, keep), slack)
         if pair is not None and pair[0] == pair[1]:
             return m + math.log(pair[0])
+        if terms.size < n:
+            return None
         evaluate(~keep)
     return _logsumexp(terms)
+
+
+# The enumeration ceiling in classes: no tail reads more of them.
+_MAX_CLASSES = 2**MAX_ENUMERATION_DEPTH + 1
+
+
+def _check_class_count(count: int, n: int) -> None:
+    if count > _MAX_CLASSES:
+        raise EnumerationLimitError(
+            f"a tail of this mixture reads {count} of its {n} classes, past the "
+            f"ceiling of 2^{MAX_ENUMERATION_DEPTH} + 1"
+        )
+
+
+class _ClassRun:
+    """Log-weights and log-scales of one run of the classes, formed as the
+    tails of one call ask for runs: a run that meets the one held extends
+    it by the classes it lacks, a run apart from it replaces it. So the
+    thresholds of a call form each class at most once while their windows
+    overlap, and no class outside every window."""
+
+    def __init__(self, classes: BinomialClasses) -> None:
+        self.classes, self.lo, self.hi = classes, 0, 0
+        self.lw = self.ls = np.empty(0)
+
+    def arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        _check_class_count(hi - lo, self.classes.n + 1)
+        if hi < self.lo or self.hi < lo or max(hi, self.hi) - min(lo, self.lo) > _MAX_CLASSES:
+            self.lo = self.hi = lo
+            self.lw = self.ls = np.empty(0)
+        if lo < self.lo or self.hi < hi:
+            c, parts = self.classes, ((lo, self.lo), (self.hi, hi))  # either may be empty
+            self.lw = np.concatenate([c.log_weights(*parts[0]), self.lw, c.log_weights(*parts[1])])
+            self.ls = np.concatenate([c.log_scales(*parts[0]), self.ls, c.log_scales(*parts[1])])
+            self.lo, self.hi = min(lo, self.lo), max(hi, self.hi)
+        s = slice(lo - self.lo, hi - self.lo)
+        return self.lw[s], self.ls[s]
+
+
+def _class_window(run: _ClassRun, delta: float, log_sigma: float):
+    # (lw, ls, bounds, floor) over a run of the classes that holds every
+    # class whose bound reaches floor; None when floor is -inf. The bound
+    # of class j, ln w_j - ln 2 - E_j with the tail factor E_j = C e^(-beta j)
+    # (ln w_j when delta <= 0), is concave in j: ln C(n, j) is, and the
+    # log-scales are linear in j. The run first reaches out from the peak
+    # of an estimate of the bound (lgamma for ln C(n, j)) until the estimate
+    # has fallen further than floor lies below the largest bound; it grows
+    # until the computed bound at each end lies below floor by more than
+    # the rounding in any bound: past such an end the exact bound only
+    # falls, so no computed one reaches floor.
+    n, a = run.classes.n, run.classes.a
+    up, down = math.log1p(a), math.log1p(-a)
+    beta = 2.0 * (up - down)
+    ln_d = math.log(delta) if delta > 0.0 else -math.inf
+    ln_c = 2.0 * (ln_d - 0.5 * _LN2 - log_sigma - n * down)  # ln E_0, -inf when delta <= 0
+    fall = -math.expm1(-beta)
+    exp, lgamma, log = math.exp, math.lgamma, math.log
+
+    def estimate(j: int) -> float:
+        return -lgamma(j + 1) - lgamma(n - j + 1) - exp(min(ln_c - beta * j, 700.0))
+
+    # The peak is the first j whose rise to j + 1, ln((n - j)/(j + 1)) +
+    # E_j (1 - e^(-beta)), is not positive: the rise falls with j.
+    peak = bisect.bisect_left(range(n), True, key=lambda j: log((n - j) / (j + 1))
+                              + exp(min(ln_c - beta * j, 700.0)) * fall <= 0.0)
+    # The largest bound lies _GAP + 0.23 + asinh(sqrt(E/2)) above floor. A
+    # parabola of the estimate's curvature at the peak falls that far at
+    # width; each end starts width from the peak and doubles its distance
+    # until the estimate there lies below low.
+    e_peak = exp(min(ln_c - beta * peak, 700.0))
+    drop = _GAP + 3.0 + math.asinh(math.sqrt(e_peak / 2.0))
+    low = estimate(peak) - drop
+    curvature = 1.0 / (peak + 1) + 1.0 / (n - peak + 1) + fall * fall * e_peak
+    width = int(math.sqrt(2.0 * drop / curvature)) + 1
+    x = width
+    while peak - x > 0 and estimate(peak - x) >= low:
+        x *= 2
+    lo, x = max(0, peak - x), width
+    while peak + x < n and estimate(peak + x) >= low:
+        x *= 2
+    hi = min(n, peak + x) + 1
+    # Rounding moves a log-weight by far less than 2^-40 n, and a tail
+    # factor E by far less than rel of itself. At the largest bound and at
+    # an end that lies near floor, E is at most the run's largest ln w_j -
+    # ln 2 - floor; the margin holds twice both errors.
+    rel = 2.0**-40 * (n * (up - down) + abs(log_sigma) + (abs(ln_d) if delta > 0.0 else 0.0)
+                      + 1000.0)
+    step = max(16, (hi - lo) // 2)
+    while True:
+        lw, ls = run.arrays(lo, hi)
+        bounds = _bounds(delta, log_sigma, lw, ls)
+        floor = _floor(delta, log_sigma, ls, bounds)
+        if floor == -math.inf:
+            return None
+        edge = floor - (1.0 + 2.0**-40 * n + rel * (float(lw.max()) + _LN_HALF - floor + 30.0))
+        grow_lo = lo > 0 and bounds[0] >= edge
+        grow_hi = hi <= n and bounds[-1] >= edge
+        if not (grow_lo or grow_hi):
+            return lw, ls, bounds, floor
+        lo, hi = max(0, lo - step * grow_lo), min(n + 1, hi + step * grow_hi)
+        step *= 2
+
+
+def _every_logsumexp(delta: float, log_sigma: float, lw: np.ndarray, ls: np.ndarray) -> float:
+    # _pruned_logsumexp over every component, each bounded first.
+    terms = _bounds(delta, log_sigma, lw, ls)
+    return _pruned_logsumexp(delta, log_sigma, lw, ls, terms,
+                             _floor(delta, log_sigma, ls, terms), lw.size)
+
+
+def _class_logsumexp(mixture: MixtureDistribution, run: _ClassRun, delta: float,
+                     log_sigma: float) -> float:
+    # _pruned_logsumexp over the window of classes; when its proof fails,
+    # or nothing may be skipped, over every class.
+    window = _class_window(run, delta, log_sigma)
+    if window is not None:
+        value = _pruned_logsumexp(delta, log_sigma, *window, mixture.n_components)
+        if value is not None:
+            return value
+    _check_class_count(mixture.n_components, mixture.n_components)
+    return _every_logsumexp(delta, log_sigma, mixture.log_weights, mixture.log_scales)
 
 
 def log_exceedance(mixture: MixtureDistribution, k) -> float | np.ndarray:
@@ -434,23 +577,30 @@ def log_exceedance(mixture: MixtureDistribution, k) -> float | np.ndarray:
 
     Up to _CUT components, every threshold and component goes through one
     table pass, a block of thresholds at a time. Past it, each threshold
-    bounds every term from above, evaluates only the terms whose bound
+    bounds the terms from above, evaluates only the terms whose bound
     lies within _GAP of the anchor, and keeps that sum when adding a bound
     on all skipped terms leaves its rounded value unchanged; else it
-    evaluates every term. Every result has the bits of the full sum, and
-    an array of thresholds the bits of a loop over them.
+    evaluates every term. An enumeration bounds every term. A grouped
+    mixture bounds only a window of classes around the largest bound,
+    which holds every class the full pass would keep, and reads every
+    class only when the proof fails. Every result has the bits of the full
+    sum, and an array of thresholds the bits of a loop over them.
     """
     deltas = _deltas(mixture, k)
     n = mixture.n_components
-    ls = mixture.every_log_scale()  # formed once per call, not kept
+    log_sigma = math.log(mixture.sigma)
     if n <= _CUT:
         lw = mixture.log_weights
-        log_sigmas = math.log(mixture.sigma) + ls
+        log_sigmas = log_sigma + mixture.every_log_scale()
         sums = []
         for s in _slices(deltas.size, max(1, _LEAF // max(1, n))):
             sums += _row_logsumexp(lw + _log_tails(deltas[s, None], log_sigmas))
+    elif mixture.classes is not None:
+        run = _ClassRun(mixture.classes)
+        sums = [_class_logsumexp(mixture, run, d, log_sigma) for d in deltas.tolist()]
     else:
-        sums = [_pruned_logsumexp(mixture, ls, d) for d in deltas.tolist()]
+        lw, ls = mixture.log_weights, mixture.every_log_scale()  # formed once per call, not kept
+        sums = [_every_logsumexp(d, log_sigma, lw, ls) for d in deltas.tolist()]
     ln_w = math.log(mixture.weight)
     return _like(k, [ln_w + v for v in sums])
 

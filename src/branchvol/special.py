@@ -47,15 +47,22 @@ def _erfc_cf(z):
     return 1.0 / t
 
 
-def _finite_1d(z, name: str) -> np.ndarray:
+def _finite_1d(z, name: str) -> tuple[np.ndarray, float, float]:
+    # z as a 1-d float array with its least and greatest elements (0.0 for
+    # an empty one), taken once per call; a nan or an inf raises.
     x = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    if not np.isfinite(x).all():
+    lo, hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
+    if not (-math.inf < lo and hi < math.inf):
         bad = float(x[~np.isfinite(x)][0])
         raise ValueError(f"{name} requires a finite argument, got {bad!r}")
-    return x
+    return x, lo, hi
 
 
-def _erfc_1d(z: np.ndarray) -> np.ndarray:
+def _erfc_1d(z: np.ndarray, lo: float) -> np.ndarray:
+    # math.erfc of each element; the reflection only when some element is
+    # negative (lo, a lower bound on them, is below 0). erfc(-0.0) = erfc(0.0).
+    if lo >= 0.0:
+        return np.fromiter(map(math.erfc, z.tolist()), np.float64, z.size)
     e = np.fromiter(map(math.erfc, np.abs(z).tolist()), np.float64, z.size)
     return np.where(z < 0.0, 2.0 - e, e)
 
@@ -68,7 +75,8 @@ def erfc(z):
     float for a float and an array for an array; raises ValueError on a
     non-finite argument.
     """
-    out = _erfc_1d(_finite_1d(z, "erfc"))
+    x, lo, _ = _finite_1d(z, "erfc")
+    out = _erfc_1d(x, lo)
     return float(out[0]) if np.ndim(z) == 0 else out
 
 
@@ -80,15 +88,15 @@ def log_erfc(z):
     accuracy long after erfc itself underflows. Takes and returns a float
     or a 1-d array, as erfc does.
     """
-    x = _finite_1d(z, "log_erfc")
-    far = x >= _LOG_ERFC_SWITCH
-    if far.any():
+    x, lo, hi = _finite_1d(z, "log_erfc")
+    if hi < _LOG_ERFC_SWITCH:
+        out = np.log(_erfc_1d(x, lo))
+    else:
+        far = x >= _LOG_ERFC_SWITCH
         out = np.empty(x.shape)
-        out[~far] = np.log(_erfc_1d(x[~far]))
+        out[~far] = np.log(_erfc_1d(x[~far], lo))
         zf = x[far]
         out[far] = -zf * zf - _LN_SQRT_PI + np.log(_erfc_cf(zf))
-    else:
-        out = np.log(_erfc_1d(x))
     return float(out[0]) if np.ndim(z) == 0 else out
 
 

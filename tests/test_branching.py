@@ -417,7 +417,8 @@ class TestScaleBlocks:
 
 class TestMixtureFields:
     """An enumeration's log-scales are None, and none are kept; its scales,
-    the one field left to build, are built on first read and kept."""
+    the one field left to build, are built on first read and kept. A
+    grouped mixture forms each of its class arrays on first read."""
 
     def test_an_enumeration_has_no_log_scales(self):
         for schedule in (ErrorSchedule.bleed(0.2, 0.9, 15), ErrorSchedule.geometric(0.1, 9)):
@@ -428,10 +429,15 @@ class TestMixtureFields:
             assert np.array_equal(log_scales, np.log(mix.scales))
             assert mix.log_scales is None
 
-    def test_given_log_scales_are_kept(self):
+    def test_class_arrays_are_formed_on_first_read_and_kept(self):
         mix = group_mixture(GaussianBase(), 0.1, 10_000)
-        assert "log_scales" in vars(mix)
-        assert not mix.log_scales.flags.writeable
+        assert mix.n_components == 10_001
+        assert not {"scales", "log_scales", "log_weights"} & set(vars(mix))
+        log_scales = mix.log_scales
+        assert vars(mix)["log_scales"] is log_scales and mix.log_scales is log_scales
+        assert not log_scales.flags.writeable
+        assert not {"scales", "log_weights"} & set(vars(mix))
+        assert not mix.scales.flags.writeable and not mix.log_weights.flags.writeable
 
     def test_mixtures_stay_frozen(self):
         mix = build_mixture(GaussianBase(), ErrorSchedule.constant(0.1, 4))
@@ -552,15 +558,32 @@ class TestGroupMixture:
             assert np.array_equal(mix.scales, np.exp(log_scales))
 
     def test_peak_memory_of_a_deep_build(self):
-        # The weights' scratch is freed before the scale arrays exist: the
-        # peak is the four (n + 1)-length arrays of the scale phase.
+        # The mixture holds its rule and forms nothing. Formed in density's
+        # order, the weights' scratch is freed before the scale arrays
+        # exist: the peak is about four (n + 1)-length arrays.
         tracemalloc.start()
         try:
-            group_mixture(GaussianBase(), 0.1, 100_000)
+            mix = group_mixture(GaussianBase(), 0.1, 100_000)
+            held = tracemalloc.get_traced_memory()[0]
+            mix.log_weights, mix.scales
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.3 * 2**20
+        assert held < 2**12 and peak < 3.3 * 2**20
+
+    @pytest.mark.parametrize("n", [1, 2, 299, 300, 301, 1000, 4097, 20000, 10**6])
+    def test_runs_of_classes_have_the_bits_of_the_whole(self, n):
+        # Either half of the mirror, both, the ends, the mode and one class.
+        mix = group_mixture(GaussianBase(), 0.3, n)
+        rng = np.random.default_rng(n)
+        runs = [(0, 1), (n, n + 1), (n // 2, n // 2 + 1), (0, n // 2 + 1), (n // 2, n + 1)]
+        for _ in range(20):
+            lo = int(rng.integers(0, n + 1))
+            runs.append((lo, int(rng.integers(lo + 1, n + 2))))
+        for lo, hi in runs:
+            for name in ("log_weights", "log_scales"):
+                run = getattr(mix.classes, name)(lo, hi)
+                assert run.tobytes() == getattr(mix, name)[lo:hi].tobytes(), (name, lo, hi)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -14,8 +14,10 @@ import types
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import gammaln, log_ndtr
 
 import branchvol
 from branchvol import cli, closedform, mixstats
@@ -702,11 +704,39 @@ class TestExitCodes:
         assert captured.err == "error: out of memory: Unable to allocate 59.6 GiB\n"
 
 
+def _mp_grouped_log_tail(a: float, n: int, k: float) -> mpmath.mpf:
+    # ln P(X > k) for the depth-n constant-rate mixture on mu = 0, sigma = 1:
+    # a 50-digit mpmath sum over the classes within 80 nats of the largest
+    # term, as tools/grouped_reference.py sums them. The term is concave in
+    # the class, so doubles find its peak on a coarse grid of classes, then
+    # pick the classes around it.
+    def estimate(j):
+        log_s = j * math.log1p(a) + (n - j) * math.log1p(-a)
+        with np.errstate(over="ignore"):
+            z = k * np.exp(-log_s)
+        return gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1) + log_ndtr(-z)
+
+    coarse = np.linspace(0.0, n, 100_001).round()
+    peak = coarse[int(np.argmax(estimate(coarse)))]
+    j = np.arange(max(0.0, peak - 50_000), min(n, peak + 50_000) + 1)
+    est = estimate(j)
+    keep = j[est > est.max() - 81.0]
+    assert keep[0] > j[0] and keep[-1] < j[-1], "the classes run past the search"
+    with mpmath.workdps(50):
+        ma, mk = mpmath.mpf(a), mpmath.mpf(k)
+        up, down = mpmath.log1p(ma), mpmath.log1p(-ma)
+        logs = [mpmath.log(mpmath.binomial(n, i)) - n * mpmath.log(2)
+                + mpmath.log(mpmath.erfc(mk / (mpmath.exp(i * up + (n - i) * down)
+                                                * mpmath.sqrt(2))) / 2)
+                for i in map(int, keep.tolist())]
+        top = max(logs)
+        return top + mpmath.log(mpmath.fsum(mpmath.exp(t - top) for t in logs))
+
+
 class TestDeepSchedules:
     """A schedule is checked as its rule: no depth costs memory before the
     enumeration ceiling refuses it, and moments needs no rates past it.
-    Grouped commands (constant rates) are not run this deep: their class
-    arrays would take gigabytes."""
+    Grouped tails read a window of classes, so they run at any depth."""
 
     DEEP = 10**9
     CEILING = (f"error: depth {DEEP} exceeds the enumeration ceiling {MAX_ENUMERATION_DEPTH}; "
@@ -734,6 +764,33 @@ class TestDeepSchedules:
         rows = cli.parse_table_csv(out)[1]
         assert [r[0] for r in rows] == list(range(1, 9))
         assert all(r[1] is not None and r[2] is None for r in rows if r[0] in (1, 2, 4))
+
+    def test_grouped_tails_against_mpmath(self, capsys):
+        # exceed and loglog at N = 10^9, each within the time a command may
+        # take to refuse, against 50-digit mpmath at 1e-12.
+        for argv in (["exceed", "--k", "3,10,50"], ["loglog", "--x", "2:12:3"]):
+            started = time.perf_counter()
+            rc, out = run_cli(*argv, "--schedule", f"constant:a=0.1,N={self.DEEP}",
+                              "--format", "json", capsys=capsys)
+            assert rc == 0 and time.perf_counter() - started < 2.0, argv
+            columns, rows = cli.parse_table_json(out)
+            for row in rows:
+                cells = dict(zip(columns, row))
+                k = cells["K"] if "K" in cells else cells["x"]
+                ref = _mp_grouped_log_tail(0.1, self.DEEP, k)
+                assert abs(cells["ln_p"] - ref) <= 1e-12 * abs(ref), (argv, k)
+
+    def test_a_grouped_fallback_past_the_ceiling_exits_three(self, capsys):
+        # Every bound is -inf (z^2 overflows at every class), so nothing may
+        # be skipped and the tail would read all 10^9 + 1 classes.
+        started = time.perf_counter()
+        rc = cli.main(["exceed", "--schedule", f"constant:a=1e-9,N={self.DEEP}",
+                       "--sigma", "1e-300", "--k", "1"])
+        assert rc == 3 and time.perf_counter() - started < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: a tail of this mixture reads {self.DEEP + 1} of its {self.DEEP + 1} "
+            f"classes, past the ceiling of 2^{MAX_ENUMERATION_DEPTH} + 1\n")
 
     # Each schedule fails its own check at its own N; the --n-list depths
     # alone would pass (they did, before the schedule was checked as written).

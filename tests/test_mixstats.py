@@ -12,6 +12,7 @@ import pytest
 from scipy import integrate
 
 from branchvol.branching import (
+    EnumerationLimitError,
     ErrorSchedule,
     GaussianBase,
     MixtureDistribution,
@@ -406,8 +407,9 @@ def _wide_thresholds(mix):
 
 class TestPrunedTails:
     """Past _CUT components, log_exceedance skips terms that provably cannot
-    move the rounded sum; every result must equal the unpruned sum bit for
-    bit, and the table pass must equal the per-threshold one."""
+    move the rounded sum, and a grouped mixture bounds only a window of
+    classes; every result must equal the unpruned sum bit for bit, and the
+    table pass must equal the per-threshold one."""
 
     @pytest.mark.parametrize("size", _SIZES)
     def test_seeded_mixtures_equal_unpruned(self, size):
@@ -543,6 +545,74 @@ class TestPrunedTails:
         monkeypatch.undo()
         assert val == _unpruned_log_exceedance(mix, 3.0)
         assert math.isclose(val, -130.59773247585449, rel_tol=1e-12)  # 50-digit mpmath
+
+    def test_seeded_windows_equal_unpruned(self, monkeypatch):
+        # A grouped tail counts every class outside its window as skipped:
+        # the anchor, the kept set and the rounding proof are the full
+        # pass's. c06-style loop: n log-uniform over 257..10^6, a over 0.001..0.5,
+        # thresholds at, below and above mu out to 80 sigma and 1000 past
+        # it; a = 0.01 at n = 300 and 1000 puts the peak bound at class n.
+        requested = []
+        arrays = mixstats._ClassRun.arrays
+
+        def recording(run, lo, hi):
+            requested.append((lo, hi, run.classes.n))
+            return arrays(run, lo, hi)
+
+        monkeypatch.setattr(mixstats._ClassRun, "arrays", recording)
+        rng = np.random.default_rng(20231)
+        draws = [(GaussianBase(0.0, 1.0), 0.3, 30_000), (GaussianBase(0.1, 0.8), 0.01, 300),
+                 (GaussianBase(-0.3, 1.2), 0.01, 1000)]
+        for _ in range(14):
+            base = GaussianBase(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.5, 2.0)))
+            n = int(math.exp(rng.uniform(math.log(257), math.log(10**6))))
+            draws.append((base, float(math.exp(rng.uniform(math.log(1e-3), math.log(0.5)))), n))
+        for base, a, n in draws:
+            mix = group_mixture(base, a, n)
+            cs = sorted({-5.0, -0.5, 0.0, 0.25, 3.0, 50.0, 80.0, float(rng.uniform(0.0, 80.0)),
+                         float(rng.uniform(-3.0, 0.0))})
+            ks = [mix.mu + c * mix.sigma for c in cs] + [mix.mu + 1e3]
+            got = log_exceedance(mix, ks).tolist()
+            expected = [_unpruned_log_exceedance(mix, k) for k in ks]
+            assert [v.hex() for v in got] == [v.hex() for v in expected], (a, n)
+            assert all(x >= y for x, y in zip(got, got[1:])), (a, n, got)
+        assert any(hi == n + 1 for _, hi, n in requested)
+        assert all(hi - lo < n + 1 for lo, hi, n in requested if n >= 10_000)
+
+    @pytest.mark.parametrize("a", [0.01, 0.1, 0.3])
+    def test_log_exceedance_falls_as_k_grows(self, a):
+        # ROADMAP item 11: on a fine grid from below mu to 80 sigma above.
+        for n in (257, 5000, 10**6):
+            ks = np.linspace(-5.0, 80.0, 341)
+            got = log_exceedance(group_mixture(BASE, a, n), ks)
+            assert np.all(np.diff(got) <= 0.0), (a, n)
+
+    def test_the_tails_never_form_the_class_arrays(self, monkeypatch):
+        # A later refactor that brings back an O(n) pass per grouped tail
+        # moves no bit, so only this test sees it.
+        evaluated = []
+        log_tails = mixstats._log_tails
+
+        def counting(delta, log_sigmas):
+            evaluated.append(np.size(log_sigmas))
+            return log_tails(delta, log_sigmas)
+
+        monkeypatch.setattr(mixstats, "_log_tails", counting)
+        mix = group_mixture(BASE, 0.1, 10**6)
+        got = log_exceedance(mix, [3.0, 10.0, 50.0])
+        assert not {"scales", "log_scales", "log_weights"} & set(vars(mix))
+        assert 0 < sum(evaluated) < 10**4
+        monkeypatch.undo()
+        assert got.tolist() == [_unpruned_log_exceedance(mix, k) for k in (3.0, 10.0, 50.0)]
+
+    def test_a_fallback_past_the_ceiling_raises(self, monkeypatch):
+        # A failed proof needs every class; past 2^24 + 1 of them that is
+        # an EnumerationLimitError (exit 3 on the CLI), not an allocation.
+        monkeypatch.setattr(mixstats, "_GAP", 0.5)
+        mix = group_mixture(BASE, 0.1, 10**9)
+        with pytest.raises(EnumerationLimitError, match="past the ceiling"):
+            log_exceedance(mix, 3.0)
+        assert not {"scales", "log_scales", "log_weights"} & set(vars(mix))
 
 
 class TestConvexityRatio:

@@ -9,6 +9,8 @@ import pytest
 from scipy import integrate
 
 from branchvol.special import (
+    _LOG_ERFC_SWITCH,
+    _erfc_cf,
     erfc,
     gaussian_abs_first_moment,
     log_erfc,
@@ -132,6 +134,66 @@ class TestArrayForms:
     def test_empty_arrays(self):
         assert erfc(np.empty(0)).shape == (0,)
         assert log_erfc(np.empty(0)).shape == (0,)
+
+
+def _reference_erfc(z):
+    # erfc as the kernel took it before the reflection became conditional:
+    # math.erfc of |z| for every element, then the reflection everywhere.
+    e = np.fromiter(map(math.erfc, np.abs(z).tolist()), np.float64, z.size)
+    return np.where(z < 0.0, 2.0 - e, e)
+
+
+def _reference_log_erfc(z):
+    # log_erfc's formulas with the switch point tested per element.
+    far = z >= _LOG_ERFC_SWITCH
+    out = np.empty(z.shape)
+    out[~far] = np.log(_reference_erfc(z[~far]))
+    zf = z[far]
+    out[far] = -zf * zf - 0.5 * math.log(math.pi) + np.log(_erfc_cf(zf))
+    return out
+
+
+class TestFixedCost:
+    """The finiteness, sign and switch tests are made once per call; every
+    element keeps the bits of the per-element formulas."""
+
+    @staticmethod
+    def _seeded_arrays():
+        rng = np.random.default_rng(23)
+        switch = _LOG_ERFC_SWITCH
+        near = [np.nextafter(switch, -math.inf), switch, np.nextafter(switch, math.inf)]
+        specials = np.array([0.0, -0.0] + near)
+        for size in (1, 2, 8, 300, 4097):
+            for lo, hi in ((-6.0, 30.0), (0.0, 24.9), (24.0, 60.0), (-30.0, -1e-300)):
+                x = rng.uniform(lo, hi, size)
+                yield x
+                if size > 1:
+                    x = x.copy()
+                    picks = rng.integers(0, size, min(size, 5))
+                    x[picks] = rng.choice(specials, picks.size)
+                    yield x
+        yield specials
+        yield np.array([-0.0])
+        yield np.array(near)
+
+    def test_bits_match_the_per_element_formulas(self):
+        for x in self._seeded_arrays():
+            assert [v.hex() for v in erfc(x).tolist()] == [
+                v.hex() for v in _reference_erfc(x).tolist()], x
+            assert [v.hex() for v in log_erfc(x).tolist()] == [
+                v.hex() for v in _reference_log_erfc(x).tolist()], x
+            for z in x[:3].tolist():
+                assert erfc(z).hex() == _reference_erfc(np.array([z]))[0].hex()
+                assert log_erfc(z).hex() == _reference_log_erfc(np.array([z]))[0].hex()
+
+    def test_a_non_finite_element_anywhere_is_named(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            for where in (0, 3, 7):
+                x = np.linspace(-1.0, 30.0, 8)
+                x[where] = bad
+                for fn in (erfc, log_erfc):
+                    with pytest.raises(ValueError, match=f"finite argument, got {bad!r}"):
+                        fn(x)
 
 
 def gaussian_raw_moment(order, mu, sigma):

@@ -42,15 +42,16 @@ CASES = {name: BYTE_EXACT[name] for name in (
 INPUTS = {"N", "K", "a", "x", "ln_x"}
 
 
-def lgamma_log_weights(n: int) -> np.ndarray:
-    """The old weights: exact binomials up to n = 300, one lgamma table above."""
+def lgamma_log_weights(n: int, lo: int, hi: int) -> np.ndarray:
+    """The old weights of classes lo..hi-1: exact binomials up to n = 300,
+    one lgamma table above."""
     if n <= branching._EXACT_BINOM_LIMIT:
-        return current_log_weights(n)
+        return current_log_weights(n, lo, hi)
     lg = np.fromiter(map(math.lgamma, range(1, n + 2)), np.float64, n + 1)
     log_weights = lg[-1] - lg
     log_weights -= lg[::-1]
     log_weights -= n * branching._LN2
-    return log_weights
+    return log_weights[lo:hi]
 
 
 current_log_weights = branching._binomial_log_weights

@@ -14,8 +14,10 @@ The default cases are the README command lines, the slow commands that
 ROADMAP.md lists, the deepest `moments` and the `validate` draw count of
 the benchmark's deep-build workload, two bleed commands at N = 10^9 that
 must end at once: `exceed` at the enumeration ceiling (exit 3) and `moments`
-from its closed forms, and `moments` on a million slowly rising bleed rates,
-whose closed forms stop once their layer product is inf.
+from its closed forms, `moments` on a million slowly rising bleed rates,
+whose closed forms stop once their layer product is inf, and `exceed` and
+`loglog` on constant rates at N = 2*10^9 and 10^9, which read a window of
+their classes.
 """
 
 import os
@@ -40,6 +42,8 @@ SLOW_CASES = [
     "exceed --schedule bleed:a1=0.2,lambda=0.9,N=1000000000 --k 3",
     "moments --schedule bleed:a1=0.2,lambda=0.9,N=1000000000",
     "moments --schedule bleed:a1=0.2,lambda=1.0000001,N=1000000",
+    "exceed --schedule constant:a=0.1,N=2000000000 --k 3,10,50",
+    "loglog --schedule constant:a=0.1,N=1000000000 --x 2:12:5",
 ]
 
 
