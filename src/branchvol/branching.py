@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 
@@ -186,26 +186,6 @@ class GaussianBase:
         check_sigma(self.sigma)
 
 
-class _OnFirstRead:
-    """A MixtureDistribution array given as None, formed by the mixture's
-    rule on first read (an enumeration's scales from its expansion, every
-    array of a grouped mixture from its classes), then kept and read-only;
-    threads racing on it store equal arrays. A given array is stored on the
-    instance, read before this non-data descriptor. On the class it raises:
-    the field has no default."""
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, mixture, owner=None):
-        if mixture is None:
-            raise AttributeError(f"{self.name} belongs to each mixture")
-        array = mixture._form(self.name)
-        array.setflags(write=False)
-        object.__setattr__(mixture, self.name, array)
-        return array
-
-
 # The last _TAIL_LAYERS layers of an enumeration expand each head element
 # into _SCALE_BLOCK scales; the build expands runs of head elements into
 # blocks of about _BUILD_BLOCK scales. Both keep their scratch in cache.
@@ -296,23 +276,33 @@ class BinomialClasses:
 
     Each array is formed over any run of classes lo..hi-1 (every class by
     default) with the elementwise formulas of the whole, so a run has the
-    bits of the same slice of the whole.
+    bits of the same slice of the whole. The formulas hold j and n as
+    doubles, so no array is formed past n = 2^53, where doubles skip
+    integers: that is an EnumerationLimitError.
     """
 
     a: float
     n: int
 
+    def _check_exact(self) -> None:
+        if self.n > 2**53:
+            raise EnumerationLimitError(
+                f"depth {self.n} puts class indices past 2^53, where doubles skip integers"
+            )
+
     def log_weights(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        self._check_exact()
         return _binomial_log_weights(self.n, lo, self.n + 1 if hi is None else hi)
 
     def log_scales(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        self._check_exact()
         j = np.arange(lo, self.n + 1 if hi is None else hi, dtype=np.float64)
         out = j * math.log1p(self.a)
         out += np.multiply(self.n - j, math.log1p(-self.a), out=j)
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureDistribution:
     """Mixture of Normal(mu, (sigma * scales[i])^2) components.
 
@@ -325,15 +315,16 @@ class MixtureDistribution:
     is read and never kept. A grouped mixture gives all three arrays as
     None with its ``classes``: each is formed on first read and kept, and
     ``n_components`` reads n + 1 without forming any. Every array is
-    read-only.
+    read-only. Neither ``repr`` nor ``==`` forms an array: the repr leaves
+    the arrays out, and mixtures compare by identity.
     """
 
     mu: float
     sigma: float
-    scales: np.ndarray | None = _OnFirstRead()
-    log_scales: np.ndarray | None = _OnFirstRead()
+    scales: np.ndarray | None = field(repr=False)
+    log_scales: np.ndarray | None = field(repr=False)
     weight: float
-    log_weights: np.ndarray | None = _OnFirstRead()
+    log_weights: np.ndarray | None = field(repr=False)
     expansion: ScaleExpansion | None = None
     classes: BinomialClasses | None = None
 
@@ -352,14 +343,23 @@ class MixtureDistribution:
             if isinstance(array, np.ndarray):
                 array.setflags(write=False)
 
-    def _form(self, name: str) -> np.ndarray:
-        # An array given as None, from the mixture's rule.
+    def __getattr__(self, name: str):
+        # Only an array given as None gets here, being off the instance: it
+        # is formed by the mixture's rule (an enumeration's scales from its
+        # expansion, every array of a grouped mixture from its classes),
+        # then kept and read-only; threads racing on it store equal arrays.
+        if name not in ("scales", "log_scales", "log_weights"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         if self.classes is None:
-            return self.expansion.build()
-        if name == "scales":
+            array = self.expansion.build()
+        elif name == "scales":
             with np.errstate(over="ignore"):
-                return np.exp(self.log_scales)
-        return getattr(self.classes, name)()
+                array = np.exp(self.log_scales)
+        else:
+            array = getattr(self.classes, name)()
+        array.setflags(write=False)
+        object.__setattr__(self, name, array)
+        return array
 
     def block_log_scales(self, offset: int, block: np.ndarray, mask=...) -> np.ndarray:
         """ln block[mask], block being scales[offset : offset + block.size]: a

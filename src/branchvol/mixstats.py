@@ -462,32 +462,7 @@ def _check_class_count(count: int, n: int) -> None:
         )
 
 
-class _ClassRun:
-    """Log-weights and log-scales of one run of the classes, formed as the
-    tails of one call ask for runs: a run that meets the one held extends
-    it by the classes it lacks, a run apart from it replaces it. So the
-    thresholds of a call form each class at most once while their windows
-    overlap, and no class outside every window."""
-
-    def __init__(self, classes: BinomialClasses) -> None:
-        self.classes, self.lo, self.hi = classes, 0, 0
-        self.lw = self.ls = np.empty(0)
-
-    def arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        _check_class_count(hi - lo, self.classes.n + 1)
-        if hi < self.lo or self.hi < lo or max(hi, self.hi) - min(lo, self.lo) > _MAX_CLASSES:
-            self.lo = self.hi = lo
-            self.lw = self.ls = np.empty(0)
-        if lo < self.lo or self.hi < hi:
-            c, parts = self.classes, ((lo, self.lo), (self.hi, hi))  # either may be empty
-            self.lw = np.concatenate([c.log_weights(*parts[0]), self.lw, c.log_weights(*parts[1])])
-            self.ls = np.concatenate([c.log_scales(*parts[0]), self.ls, c.log_scales(*parts[1])])
-            self.lo, self.hi = min(lo, self.lo), max(hi, self.hi)
-        s = slice(lo - self.lo, hi - self.lo)
-        return self.lw[s], self.ls[s]
-
-
-def _class_window(run: _ClassRun, delta: float, log_sigma: float):
+def _class_window(classes: BinomialClasses, delta: float, log_sigma: float):
     # (lw, ls, bounds, floor) over a run of the classes that holds every
     # class whose bound reaches floor; None when floor is -inf. The bound
     # of class j, ln w_j - ln 2 - E_j with the tail factor E_j = C e^(-beta j)
@@ -498,7 +473,7 @@ def _class_window(run: _ClassRun, delta: float, log_sigma: float):
     # until the computed bound at each end lies below floor by more than
     # the rounding in any bound: past such an end the exact bound only
     # falls, so no computed one reaches floor.
-    n, a = run.classes.n, run.classes.a
+    n, a = classes.n, classes.a
     up, down = math.log1p(a), math.log1p(-a)
     beta = 2.0 * (up - down)
     ln_d = math.log(delta) if delta > 0.0 else -math.inf
@@ -537,7 +512,8 @@ def _class_window(run: _ClassRun, delta: float, log_sigma: float):
                       + 1000.0)
     step = max(16, (hi - lo) // 2)
     while True:
-        lw, ls = run.arrays(lo, hi)
+        _check_class_count(hi - lo, n + 1)
+        lw, ls = classes.log_weights(lo, hi), classes.log_scales(lo, hi)
         bounds = _bounds(delta, log_sigma, lw, ls)
         floor = _floor(delta, log_sigma, ls, bounds)
         if floor == -math.inf:
@@ -558,16 +534,24 @@ def _every_logsumexp(delta: float, log_sigma: float, lw: np.ndarray, ls: np.ndar
                              _floor(delta, log_sigma, ls, terms), lw.size)
 
 
-def _class_logsumexp(mixture: MixtureDistribution, run: _ClassRun, delta: float,
-                     log_sigma: float) -> float:
-    # _pruned_logsumexp over the window of classes; when its proof fails,
-    # or nothing may be skipped, over every class.
-    window = _class_window(run, delta, log_sigma)
+def _class_logsumexp(mixture: MixtureDistribution, delta: float, log_sigma: float) -> float:
+    # _pruned_logsumexp over the window of classes; when its proof fails, or
+    # nothing may be skipped, over every class. First, where class n has
+    # ln|z| past 355, so has every class, as computed: with a >= 0 and
+    # rounding monotone, class n has the largest computed log-scale. Then
+    # every bound is -inf (its tail factor overflows), and so is every term
+    # (_log_tails is -inf past 300), so the full pass's sum is -inf.
+    classes = mixture.classes
+    n = classes.n
+    log_sigma_n = log_sigma + n * math.log1p(classes.a)
+    if delta > 0.0 and (math.log(delta) - 0.5 * _LN2) - log_sigma_n > 355.0:
+        return -math.inf
+    window = _class_window(classes, delta, log_sigma)
     if window is not None:
-        value = _pruned_logsumexp(delta, log_sigma, *window, mixture.n_components)
+        value = _pruned_logsumexp(delta, log_sigma, *window, n + 1)
         if value is not None:
             return value
-    _check_class_count(mixture.n_components, mixture.n_components)
+    _check_class_count(n + 1, n + 1)
     return _every_logsumexp(delta, log_sigma, mixture.log_weights, mixture.log_scales)
 
 
@@ -583,8 +567,10 @@ def log_exceedance(mixture: MixtureDistribution, k) -> float | np.ndarray:
     evaluates every term. An enumeration bounds every term. A grouped
     mixture bounds only a window of classes around the largest bound,
     which holds every class the full pass would keep, and reads every
-    class only when the proof fails. Every result has the bits of the full
-    sum, and an array of thresholds the bits of a loop over them.
+    class only when the proof fails, or when nothing may be skipped and
+    class n, the widest, has ln|z| of at most 355. Every result has the
+    bits of the full sum, and an array of thresholds the bits of a loop
+    over them.
     """
     deltas = _deltas(mixture, k)
     n = mixture.n_components
@@ -596,8 +582,7 @@ def log_exceedance(mixture: MixtureDistribution, k) -> float | np.ndarray:
         for s in _slices(deltas.size, max(1, _LEAF // max(1, n))):
             sums += _row_logsumexp(lw + _log_tails(deltas[s, None], log_sigmas))
     elif mixture.classes is not None:
-        run = _ClassRun(mixture.classes)
-        sums = [_class_logsumexp(mixture, run, d, log_sigma) for d in deltas.tolist()]
+        sums = [_class_logsumexp(mixture, d, log_sigma) for d in deltas.tolist()]
     else:
         lw, ls = mixture.log_weights, mixture.every_log_scale()  # formed once per call, not kept
         sums = [_every_logsumexp(d, log_sigma, lw, ls) for d in deltas.tolist()]

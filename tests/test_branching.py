@@ -439,6 +439,22 @@ class TestMixtureFields:
         assert not {"scales", "log_weights"} & set(vars(mix))
         assert not mix.scales.flags.writeable and not mix.log_weights.flags.writeable
 
+    def test_given_arrays_are_kept_read_only(self):
+        n = 1000
+        ls = np.linspace(-1.0, 1.0, n)
+        given = {"scales": np.exp(ls), "log_scales": ls, "log_weights": np.zeros(n)}
+        mix = MixtureDistribution(0.0, 1.0, given["scales"], ls, 1.0, given["log_weights"])
+        for name, array in given.items():
+            assert vars(mix)[name] is array and getattr(mix, name) is array, name
+            assert not array.flags.writeable, name
+
+    def test_repr_and_equality_form_no_class_array(self):
+        mix = group_mixture(GaussianBase(), 0.1, 10**6)
+        text = repr(mix)
+        assert "classes=BinomialClasses(a=0.1, n=1000000)" in text
+        assert mix == mix and mix != group_mixture(GaussianBase(), 0.1, 10**6)
+        assert not {"scales", "log_scales", "log_weights"} & set(vars(mix))
+
     def test_mixtures_stay_frozen(self):
         mix = build_mixture(GaussianBase(), ErrorSchedule.constant(0.1, 4))
         with pytest.raises(AttributeError):

@@ -736,7 +736,8 @@ def _mp_grouped_log_tail(a: float, n: int, k: float) -> mpmath.mpf:
 class TestDeepSchedules:
     """A schedule is checked as its rule: no depth costs memory before the
     enumeration ceiling refuses it, and moments needs no rates past it.
-    Grouped tails read a window of classes, so they run at any depth."""
+    Grouped tails read a window of classes, so they run at any depth up
+    to 2^53."""
 
     DEEP = 10**9
     CEILING = (f"error: depth {DEEP} exceeds the enumeration ceiling {MAX_ENUMERATION_DEPTH}; "
@@ -781,16 +782,37 @@ class TestDeepSchedules:
                 assert abs(cells["ln_p"] - ref) <= 1e-12 * abs(ref), (argv, k)
 
     def test_a_grouped_fallback_past_the_ceiling_exits_three(self, capsys):
-        # Every bound is -inf (z^2 overflows at every class), so nothing may
-        # be skipped and the tail would read all 10^9 + 1 classes.
+        # ln|z| lies near 22.7 at every class, so the anchor, near -5e19, is
+        # past _PRUNE_LIMIT: nothing may be skipped, and the tail would read
+        # all 4 * 10^7 + 1 classes. At N = 1000 it prints -4.9999e19.
+        n = 4 * 10**7
         started = time.perf_counter()
-        rc = cli.main(["exceed", "--schedule", f"constant:a=1e-9,N={self.DEEP}",
-                       "--sigma", "1e-300", "--k", "1"])
+        rc = cli.main(["exceed", "--schedule", f"constant:a=1e-8,N={n}",
+                       "--sigma", "1e-10", "--k", "1"])
         assert rc == 3 and time.perf_counter() - started < 2.0
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == (
-            f"error: a tail of this mixture reads {self.DEEP + 1} of its {self.DEEP + 1} "
+            f"error: a tail of this mixture reads {n + 1} of its {n + 1} "
             f"classes, past the ceiling of 2^{MAX_ENUMERATION_DEPTH} + 1\n")
+
+    @pytest.mark.parametrize("argv", [["--sigma", "1e-300", "--k", "1"],
+                                      ["--mu=-1e308", "--k", "1e308"]])
+    def test_a_grouped_tail_that_is_minus_inf_everywhere_exits_zero(self, argv, capsys):
+        # Every bound is -inf, so nothing may be skipped, but every term is
+        # -inf too: no class is read.
+        rc, out = run_cli("exceed", "--schedule", f"constant:a=1e-9,N={self.DEEP}", *argv,
+                          "--format", "json", capsys=capsys)
+        assert rc == 0
+        assert cli.parse_table_json(out)[1][0][-2:] == [0.0, -math.inf]
+
+    def test_grouped_tails_past_two_to_the_53_exit_three(self, capsys):
+        # Class indices are doubles, which skip integers past 2^53.
+        n = 2**53 + 2**20
+        rc = cli.main(["exceed", "--schedule", f"constant:a=0.1,N={n}", "--k", "3"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: depth {n} puts class indices past 2^53, where doubles skip integers\n")
 
     # Each schedule fails its own check at its own N; the --n-list depths
     # alone would pass (they did, before the schedule was checked as written).

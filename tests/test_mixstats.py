@@ -12,6 +12,7 @@ import pytest
 from scipy import integrate
 
 from branchvol.branching import (
+    BinomialClasses,
     EnumerationLimitError,
     ErrorSchedule,
     GaussianBase,
@@ -553,13 +554,14 @@ class TestPrunedTails:
         # thresholds at, below and above mu out to 80 sigma and 1000 past
         # it; a = 0.01 at n = 300 and 1000 puts the peak bound at class n.
         requested = []
-        arrays = mixstats._ClassRun.arrays
+        log_weights = BinomialClasses.log_weights
 
-        def recording(run, lo, hi):
-            requested.append((lo, hi, run.classes.n))
-            return arrays(run, lo, hi)
+        def recording(classes, lo=0, hi=None):
+            if hi is not None:  # a window, not the whole the reference reads
+                requested.append((lo, hi, classes.n))
+            return log_weights(classes, lo, hi)
 
-        monkeypatch.setattr(mixstats._ClassRun, "arrays", recording)
+        monkeypatch.setattr(BinomialClasses, "log_weights", recording)
         rng = np.random.default_rng(20231)
         draws = [(GaussianBase(0.0, 1.0), 0.3, 30_000), (GaussianBase(0.1, 0.8), 0.01, 300),
                  (GaussianBase(-0.3, 1.2), 0.01, 1000)]
@@ -604,6 +606,19 @@ class TestPrunedTails:
         assert 0 < sum(evaluated) < 10**4
         monkeypatch.undo()
         assert got.tolist() == [_unpruned_log_exceedance(mix, k) for k in (3.0, 10.0, 50.0)]
+
+    @pytest.mark.parametrize("base, k", [(GaussianBase(-1e308, 1.0), 1e308),
+                                         (GaussianBase(0.0, 1e-300), 1.0)])
+    def test_tails_that_are_minus_inf_everywhere_read_no_class(self, base, k, monkeypatch):
+        # Every bound is -inf, so nothing may be skipped; yet class n, whose
+        # ln|z| is the least, lies past 355, so every term is -inf, as the
+        # full pass at n = 1000 finds.
+        assert log_exceedance(group_mixture(base, 1e-9, 1000), k) == -math.inf
+        assert _unpruned_log_exceedance(group_mixture(base, 1e-9, 1000), k) == -math.inf
+        monkeypatch.setattr(mixstats, "_class_window", None)
+        mix = group_mixture(base, 1e-9, 10**9)
+        assert log_exceedance(mix, k) == -math.inf
+        assert not {"scales", "log_scales", "log_weights"} & set(vars(mix))
 
     def test_a_fallback_past_the_ceiling_raises(self, monkeypatch):
         # A failed proof needs every class; past 2^24 + 1 of them that is
