@@ -20,12 +20,7 @@ from .branching import (
     parse_schedule_spec,
 )
 from .closedform import (
-    BleedParams,
     kurtosis_constant_a,
-    m2_bleed,
-    m4_bleed,
-    moment_constant_a,
-    moments_additive,
     schedule_moments,
     variance_growth_factor,
 )
@@ -38,7 +33,6 @@ from .mixstats import (
     log_exceedance,
     loglog_series,
     mixture_abs_first_moment,
-    mixture_raw_moment,
     mixture_raw_moments,
     tail_slope_estimate,
 )
@@ -54,7 +48,6 @@ from .montecarlo import (
 )
 from .special import (
     INFINITY,
-    DivergenceError,
     UnsupportedOrderError,
     erfc,
     gaussian_abs_first_moment,
@@ -64,8 +57,6 @@ from .special import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BleedParams",
-    "DivergenceError",
     "EnumerationLimitError",
     "ErrorSchedule",
     "GaussianBase",
@@ -95,13 +86,8 @@ __all__ = [
     "log_erfc",
     "log_exceedance",
     "loglog_series",
-    "m2_bleed",
-    "m4_bleed",
     "mixture_abs_first_moment",
-    "mixture_raw_moment",
     "mixture_raw_moments",
-    "moment_constant_a",
-    "moments_additive",
     "parse_schedule_spec",
     "sample",
     "schedule_moments",

@@ -6,9 +6,11 @@ parts h_m(a) = ((1+a)^m + (1-a)^m) / 2. Constant rates give h_m(a)^N
 (explosive in N for any a > 0); any other rate list, and geometrically
 decaying ("bleed") rates out to N = INFINITY, take the product of the
 per-layer factors, which converges for the decaying ones. Additive offset
-schedules give geometric sums that stay finite for every depth. Each form
-hands E[scale^m] to special.scale_mixture_moment; schedule_moments decides
-which form, or limit, a schedule has.
+schedules give geometric sums that stay finite for every depth.
+schedule_moments is the one entry point: it decides which form, or limit, a
+schedule has, and hands each E[scale^m] to special.scale_mixture_moment.
+variance_growth_factor and kurtosis_constant_a are separate constant-rate
+diagnostics with their own formulas.
 """
 
 from __future__ import annotations
@@ -16,11 +18,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from ._checks import LN_MAX, check_depth, check_order, check_rate, check_sigma
 from .branching import ErrorSchedule, Mode, NonPositiveScaleError, _times_power
-from .special import INFINITY, DivergenceError, UnsupportedOrderError, scale_mixture_moment
+from .special import INFINITY, scale_mixture_moment
 
 
 def _h_minus_one(order: int, a: float) -> float:
@@ -55,16 +56,6 @@ def _growth(order: int, a: float, n: int) -> float:
     return _capped_exp(n * math.log1p(_h_minus_one(order, a)))
 
 
-def moment_constant_a(order: int, mu: float, sigma: float, a: float, n: int) -> float:
-    """Raw moment E[X^order] after n recursions at a constant rate.
-
-    With mu = 0 the even orders reduce to (a^2+1)^n sigma^2,
-    3 (a^4+6a^2+1)^n sigma^4, 15 (a^6+15a^4+15a^2+1)^n sigma^6 and
-    105 (a^8+28a^6+70a^4+28a^2+1)^n sigma^8; odd orders vanish.
-    """
-    return schedule_moments(ErrorSchedule.constant(a, n), [order], mu, sigma, n)[0]
-
-
 def _moments(orders, mu: float, sigma: float, scale_moment) -> list[float]:
     # scale_mixture_moment of each order in turn, each E[S^m] taken once.
     scale_moment = functools.cache(scale_moment)
@@ -74,10 +65,7 @@ def _moments(orders, mu: float, sigma: float, scale_moment) -> list[float]:
 def _bleed_moments(orders, mu: float, sigma: float, a1: float, lam: float, n) -> list[float]:
     # The layer product over the rates a1 lam^k, k < n, generated as the
     # schedule's own rates are; with lam <= 1 they never rise, so n may be
-    # INFINITY for lam < 1, and with lam = 1 that limit diverges.
-    if n == INFINITY and lam >= 1.0:
-        raise DivergenceError("an infinite bleed product requires lam < 1")
-
+    # INFINITY when lam < 1.
     def scale_moment(m: int) -> float:
         layers = itertools.count() if n == INFINITY else range(n)
         return _layer_product(m, (_times_power(a1, lam, k) for k in layers), lam <= 1.0)
@@ -104,7 +92,7 @@ def schedule_moments(schedule: ErrorSchedule, orders, mu: float, sigma: float, n
     if schedule.mode is Mode.ADDITIVE:
         if n == INFINITY and (kind == "explicit" or a >= 0.5):
             return [None] * len(orders)
-        return [moments_additive(k, mu, sigma, a, n) if k in (1, 2, 4) else None
+        return [_moments_additive(k, mu, sigma, a, n) if k in (1, 2, 4) else None
                 for k in orders]
     if n == INFINITY:
         if kind != "bleed" or lam >= 1.0:
@@ -139,41 +127,6 @@ def kurtosis_constant_a(a: float, n: int) -> float:
     return 3.0 * _capped_exp(n * math.log(ratio))
 
 
-@dataclass(frozen=True)
-class BleedParams:
-    """Geometrically decaying rate sequence a1, lam a1, lam^2 a1, ...
-
-    ``n`` is the depth or INFINITY for the limit; lam = 1 is allowed for
-    finite depths (reducing to the constant-rate forms) but the limit
-    requires lam < 1.
-    """
-
-    a1: float
-    lam: float
-    n: int | float
-    sigma: float = 1.0
-
-    def __post_init__(self) -> None:
-        check_rate(self.a1)
-        if not (math.isfinite(self.lam) and 0.0 <= self.lam <= 1.0):
-            raise ValueError(f"lam must lie in [0, 1], got {self.lam!r}")
-        check_sigma(self.sigma)
-        if self.n != INFINITY:
-            check_depth(self.n)
-
-
-def m2_bleed(params: BleedParams) -> float:
-    """Second moment sigma^2 prod_{i=0}^{n-1} (1 + a1^2 lam^(2i)); its limit
-    at a1 = 0.2, lam = 0.9 is about 1.23151 sigma^2."""
-    return _bleed_moments([2], 0.0, params.sigma, params.a1, params.lam, params.n)[0]
-
-
-def m4_bleed(params: BleedParams) -> float:
-    """Fourth moment 3 sigma^4 prod_{i=0}^{n-1} (1 + 6 a1^2 lam^(2i) + a1^4 lam^(4i));
-    its limit at a1 = 0.2, lam = 0.9 is about 9.8806 sigma^4."""
-    return _bleed_moments([4], 0.0, params.sigma, params.a1, params.lam, params.n)[0]
-
-
 def _geometric_sum(r: float, n) -> float:
     # sum_{j=1}^{n} r^j for 0 <= r < 1; n may be INFINITY.
     if n == INFINITY:
@@ -181,23 +134,12 @@ def _geometric_sum(r: float, n) -> float:
     return r * (1.0 - r**n) / (1.0 - r)
 
 
-def moments_additive(order: int, mu: float, sigma: float, a: float, n) -> float:
-    """Raw moments {1, 2, 4} of the additive-offset mixture.
-
-    The branch scale is S = 1 + s for the signed offset s = sum_j e_j a^j,
-    with E[s^2] = sum_j a^(2j) and E[s^4] = 3 E[s^2]^2 - 2 sum_j a^(4j), so
-    E[S^2] = 1 + E[s^2] and E[S^4] = 1 + 6 E[s^2] + E[s^4]. Requires
-    sum_j a^j < 1 so every branch scale stays positive (for n = INFINITY
-    this means a < 1/2).
-    """
-    if order not in (1, 2, 4):
-        raise UnsupportedOrderError(
-            f"additive closed forms cover orders 1, 2 and 4, got {order!r}"
-        )
-    check_rate(a)
-    check_sigma(sigma)
-    if n != INFINITY:
-        check_depth(n)
+def _moments_additive(order: int, mu: float, sigma: float, a: float, n) -> float:
+    # Raw moment 1, 2 or 4 of the additive-offset mixture. The branch scale
+    # is S = 1 + s for the signed offset s = sum_j e_j a^j, with
+    # E[s^2] = sum_j a^(2j) and E[s^4] = 3 E[s^2]^2 - 2 sum_j a^(4j), so
+    # E[S^2] = 1 + E[s^2] and E[S^4] = 1 + 6 E[s^2] + E[s^4]. Every branch
+    # scale stays positive only while sum_j a^j < 1 (a < 1/2 at INFINITY).
     if _geometric_sum(a, n) >= 1.0:
         raise NonPositiveScaleError(
             f"offset sum of rate {a} over depth {n} reaches 1; branch scales hit 0"

@@ -551,8 +551,8 @@ def _class_logsumexp(mixture: MixtureDistribution, delta: float, log_sigma: floa
         value = _pruned_logsumexp(delta, log_sigma, *window, n + 1)
         if value is not None:
             return value
-    _check_class_count(n + 1, n + 1)
-    return _every_logsumexp(delta, log_sigma, mixture.log_weights, mixture.log_scales)
+    _check_class_count(n + 1, n + 1)  # formed for this call, as a window is, not kept
+    return _every_logsumexp(delta, log_sigma, classes.log_weights(), classes.log_scales())
 
 
 def log_exceedance(mixture: MixtureDistribution, k) -> float | np.ndarray:
@@ -668,11 +668,6 @@ def mixture_raw_moments(mixture: MixtureDistribution, orders) -> list[float]:
     means = dict(zip(ms, _mean_scale_powers(mixture, ms).tolist())) if ms else {}
     return [scale_mixture_moment(k, mixture.mu, mixture.sigma, means.__getitem__)
             for k in orders]
-
-
-def mixture_raw_moment(mixture: MixtureDistribution, order: int) -> float:
-    """Raw moment E[X^order]: mixture_raw_moments of one order."""
-    return mixture_raw_moments(mixture, [order])[0]
 
 
 def mixture_abs_first_moment(mixture: MixtureDistribution) -> float:

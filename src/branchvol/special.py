@@ -5,8 +5,7 @@ exact reflection for negative arguments) and its logarithm for deep-tail
 work (``ln erfc`` up to a switch point, a fixed-length continued fraction
 beyond it), each over a float or an array, the raw moments of a Gaussian
 scale mixture up to order 8 from the moments of its scale, the Gaussian
-absolute first moment, and the INFINITY depth marker with the
-DivergenceError of a limit that does not exist.
+absolute first moment, and the INFINITY depth marker of a limit.
 
 All functions are pure and safe to call concurrently.
 """
@@ -31,10 +30,6 @@ _LOG_ERFC_SWITCH = 25.0
 # Continued-fraction depth. Truncating after k terms leaves a relative error
 # of about k! / (2 z^2)^k: below 1e-24 for 10 terms at the switch point.
 _CF_TERMS = 10
-
-
-class DivergenceError(ValueError):
-    """Infinite product cannot converge for the given ratio."""
 
 
 def _erfc_cf(z):

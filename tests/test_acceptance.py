@@ -15,20 +15,13 @@ import pytest
 
 from branchvol import cli
 from branchvol.branching import ErrorSchedule, GaussianBase, build_mixture, group_mixture
-from branchvol.closedform import (
-    BleedParams,
-    m2_bleed,
-    m4_bleed,
-    moment_constant_a,
-    moments_additive,
-    variance_growth_factor,
-)
+from branchvol.closedform import schedule_moments, variance_growth_factor
 from branchvol.mixstats import (
     convexity_ratio,
     exceedance,
     loglog_series,
     mixture_abs_first_moment,
-    mixture_raw_moment,
+    mixture_raw_moments,
     tail_slope_estimate,
 )
 from branchvol.montecarlo import SampleSpec, estimate, sample
@@ -130,7 +123,7 @@ def test_c02_two_state_tail_bias_near_seven():
 
 
 def test_c03_bleed_limits():
-    m4 = m4_bleed(BleedParams(0.2, 0.9, INFINITY))
+    m2, m4 = schedule_moments(ErrorSchedule.bleed(0.2, 0.9, 10), [2, 4], 0.0, 1.0, INFINITY)
     assert abs(m4 - 9.88) / 9.88 < 0.005
     # Independent product oracle for the second-moment limit.
     product = 1.0
@@ -141,7 +134,6 @@ def test_c03_bleed_limits():
             break
         product *= 1.0 + u
         i += 1
-    m2 = m2_bleed(BleedParams(0.2, 0.9, INFINITY))
     assert math.isclose(m2, product, rel_tol=1e-10)
     assert math.isclose(m2, 1.2315142313388336, rel_tol=1e-9)
     print(
@@ -154,11 +146,12 @@ def test_c04_closed_form_equals_enumeration_for_moments():
     start = time.perf_counter()
     for n in range(13):
         for a in (0.01, 0.1, 0.3):
-            mix = build_mixture(BASE, ErrorSchedule.constant(a, n))
-            for order in (2, 4, 6, 8):
-                closed = moment_constant_a(order, 0.0, 1.0, a, n)
-                enum = mixture_raw_moment(mix, order)
-                assert abs(closed - enum) / abs(closed) <= 1e-12, (n, a, order)
+            sched = ErrorSchedule.constant(a, n)
+            orders = (2, 4, 6, 8)
+            closed = schedule_moments(sched, orders, 0.0, 1.0, n)
+            enum = mixture_raw_moments(build_mixture(BASE, sched), orders)
+            for order, c, e in zip(orders, closed, enum):
+                assert abs(c - e) / abs(c) <= 1e-12, (n, a, order)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     print(
@@ -247,7 +240,7 @@ def test_c09_monte_carlo_concordance(tmp_path):
     # Calibration: the 4-SE interval for the second moment must cover the
     # closed form in at least 195 of 200 seeded runs.
     mix = build_mixture(BASE, ErrorSchedule.constant(0.1, 8))
-    ref = moment_constant_a(2, 0.0, 1.0, 0.1, 8)
+    (ref,) = schedule_moments(ErrorSchedule.constant(0.1, 8), [2], 0.0, 1.0, 8)
     covered = 0
     for seed in range(200):
         report = estimate(
@@ -263,7 +256,7 @@ def test_c09_monte_carlo_concordance(tmp_path):
 
 
 def test_c10_additive_limit_second_moment():
-    limit = moments_additive(2, 0.0, 1.0, 0.1, INFINITY)
+    (limit,) = schedule_moments(ErrorSchedule.geometric(0.1, 20), [2], 0.0, 1.0, INFINITY)
     analytic = 1.0 + 0.01 / (1.0 - 0.01)
     assert math.isclose(limit, analytic, rel_tol=1e-13)
     assert math.isclose(limit, 1.0101010101010102, rel_tol=1e-13)

@@ -28,7 +28,7 @@ from branchvol.branching import (
     ScaleExpansion,
     group_mixture,
 )
-from branchvol.closedform import BleedParams, m4_bleed, moments_additive
+from branchvol.closedform import schedule_moments
 from branchvol.mixstats import convexity_ratio, exceedance
 
 
@@ -225,7 +225,8 @@ class TestMomentsCommand:
         assert rc == 0
         _, rows = cli.parse_table_csv(out)
         limits = {int(r[0]): r[4] for r in rows}
-        assert math.isclose(limits[4], m4_bleed(BleedParams(0.2, 0.9, cli.INFINITY)), rel_tol=1e-12)
+        (m4,) = schedule_moments(ErrorSchedule.bleed(0.2, 0.9, 6), [4], 0.0, 1.0, cli.INFINITY)
+        assert math.isclose(limits[4], m4, rel_tol=1e-12)
         assert math.isclose(limits[4], 9.88, rel_tol=5e-3)
 
     def test_additive_schedule_partial_closed_forms(self, capsys):
@@ -255,12 +256,13 @@ class TestMomentsCommand:
     def test_additive_explicit_list_matches_the_geometric_schedule(self, capsys):
         explicit = self._rows(capsys, self._powers(0.2, 5))
         geometric = self._rows(capsys, "geometric:a=0.2,N=5")
-        for order in (1, 2, 4):
+        wants = schedule_moments(ErrorSchedule.geometric(0.2, 5), (1, 2, 4), 0.0, 1.0,
+                                 cli.INFINITY)
+        for order, want in zip((1, 2, 4), wants):
             closed, enum, _, limit = explicit[order][1:]
             assert math.isclose(closed, enum, rel_tol=1e-12, abs_tol=1e-300)
             assert geometric[order][1:3] == [closed, enum]
             assert limit is None  # an explicit list ends
-            want = moments_additive(order, 0.0, 1.0, 0.2, cli.INFINITY)
             assert math.isclose(geometric[order][4], want, rel_tol=1e-12, abs_tol=1e-300)
 
     @pytest.mark.parametrize("schedule", ["constant:a=0.1,N={};mode=additive",

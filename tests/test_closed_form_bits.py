@@ -2,10 +2,11 @@
 
 tests/golden/closed_form_bits.json stores float.hex of every moment value
 that the tests, acceptance criteria c03, c04, c09 and c10 and the README
-library quick start read, and this file requires the same bits. Its
-"schedule_moments" section holds the closed forms and limits, its
-"mixture_raw_moments" section the sums over enumerated and grouped
-mixtures, each under the name of the function that gave them. A row is mu,
+library quick start read, and this file requires the same bits from the
+two moment entry points. Its "schedule_moments" section holds the closed
+forms and limits, its "mixture_raw_moments" section the sums over
+enumerated and grouped mixtures, each under the name of the per-regime
+function that gave them before those two replaced it. A row is mu,
 sigma, the schedule (kind, depth, a, lam, listed rates and mode; a depth of
 "inf" is the limit, and kind "grouped" the binomial classes of a constant
 rate) and its (order, bits) pairs.
@@ -15,14 +16,8 @@ import json
 from pathlib import Path
 
 from branchvol.branching import ErrorSchedule, GaussianBase, Mode, build_mixture, group_mixture
-from branchvol.closedform import (
-    BleedParams,
-    m2_bleed,
-    m4_bleed,
-    moment_constant_a,
-    moments_additive,
-)
-from branchvol.mixstats import mixture_raw_moment
+from branchvol.closedform import schedule_moments
+from branchvol.mixstats import mixture_raw_moments
 from branchvol.special import INFINITY
 
 GOLDEN = json.loads((Path(__file__).resolve().parent / "golden" / "closed_form_bits.json")
@@ -30,34 +25,28 @@ GOLDEN = json.loads((Path(__file__).resolve().parent / "golden" / "closed_form_b
 
 
 def _rows(section):
-    # (name, mu, sigma, (kind, depth, a, lam, listed, mode), orders, bits) of each row.
-    for name, rows in GOLDEN[section].items():
+    # (mu, sigma, (kind, depth, a, lam, listed, mode), orders, bits) of each row.
+    for rows in GOLDEN[section].values():
         for mu, sigma, *rule, pairs in rows:
-            yield name, mu, sigma, rule, [k for k, _ in pairs], [bits for _, bits in pairs]
+            yield mu, sigma, rule, [k for k, _ in pairs], [bits for _, bits in pairs]
 
 
-def _closed_form(name, order, mu, sigma, a, lam, n):
-    if name == "moment_constant_a":
-        return moment_constant_a(order, mu, sigma, a, n)
-    if name == "moments_additive":
-        return moments_additive(order, mu, sigma, a, n)
-    return {"m2_bleed": m2_bleed, "m4_bleed": m4_bleed}[name](BleedParams(a, lam, n, sigma))
+def _schedule(kind, depth, a, lam, listed, mode):
+    return ErrorSchedule(kind, 0 if depth == "inf" else depth, a, lam, tuple(listed), Mode(mode))
 
 
 def test_closed_form_bits():
-    for name, mu, sigma, (_, depth, a, lam, _, _), orders, bits in _rows("schedule_moments"):
-        n = INFINITY if depth == "inf" else depth
-        got = [_closed_form(name, k, mu, sigma, a, lam, n) for k in orders]
-        assert [v.hex() for v in got] == bits, (name, mu, sigma, depth, a, lam)
+    for mu, sigma, rule, orders, bits in _rows("schedule_moments"):
+        n = INFINITY if rule[1] == "inf" else rule[1]
+        got = schedule_moments(_schedule(*rule), orders, mu, sigma, n)
+        assert [v.hex() for v in got] == bits, (mu, sigma, rule)
 
 
 def test_mixture_moment_bits():
-    for _, mu, sigma, rule, orders, bits in _rows("mixture_raw_moments"):
-        kind, depth, a, lam, listed, mode = rule
+    for mu, sigma, rule, orders, bits in _rows("mixture_raw_moments"):
+        kind, depth, a = rule[:3]
         base = GaussianBase(mu, sigma)
-        if kind == "grouped":
-            mix = group_mixture(base, a, depth)
-        else:
-            mix = build_mixture(base, ErrorSchedule(kind, depth, a, lam, tuple(listed), Mode(mode)))
-        got = [mixture_raw_moment(mix, k) for k in orders]
+        mix = (group_mixture(base, a, depth) if kind == "grouped"
+               else build_mixture(base, _schedule(*rule)))
+        got = mixture_raw_moments(mix, orders)
         assert [v.hex() for v in got] == bits, (mu, sigma, rule)

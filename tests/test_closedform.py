@@ -13,57 +13,62 @@ from branchvol.branching import (
     NonPositiveScaleError,
     build_mixture,
 )
-from branchvol.closedform import (
-    BleedParams,
-    kurtosis_constant_a,
-    m2_bleed,
-    m4_bleed,
-    moment_constant_a,
-    moments_additive,
-    schedule_moments,
-    variance_growth_factor,
-)
-from branchvol.mixstats import mixture_raw_moment, mixture_raw_moments
-from branchvol.special import INFINITY, DivergenceError, UnsupportedOrderError
+from branchvol.closedform import kurtosis_constant_a, schedule_moments, variance_growth_factor
+from branchvol.mixstats import mixture_raw_moments
+from branchvol.special import INFINITY, UnsupportedOrderError
 
 
 def _mixture(sched, mu=0.0, sigma=1.0):
     return build_mixture(GaussianBase(mu, sigma), sched)
 
 
+def _bleed(a1, lam, n, orders=(2, 4), sigma=1.0):
+    # The centered bleed moments of orders at depth n, or the limits at
+    # n = INFINITY (the schedule's own depth is then not read).
+    return schedule_moments(ErrorSchedule.bleed(a1, lam, 0 if n == INFINITY else n), orders,
+                            0.0, sigma, n)
+
+
+def _additive(order, mu, sigma, a, n):
+    # The geometric schedule's moment of one order at depth n, or its limit.
+    return schedule_moments(ErrorSchedule.geometric(a, 0 if n == INFINITY else n), [order],
+                            mu, sigma, n)[0]
+
+
 class TestMomentConstantA:
     def test_second_moment_value(self):
-        assert math.isclose(
-            moment_constant_a(2, 0.0, 1.0, 0.1, 10), 1.1046221254112045, rel_tol=1e-13
-        )
+        val = schedule_moments(ErrorSchedule.constant(0.1, 10), [2], 0.0, 1.0, 10)[0]
+        assert math.isclose(val, 1.1046221254112045, rel_tol=1e-13)
 
     def test_zero_rate_is_gaussian(self):
-        assert math.isclose(moment_constant_a(4, 0.0, 1.0, 0.0, 7), 3.0, rel_tol=1e-15)
-        assert math.isclose(moment_constant_a(2, 0.5, 2.0, 0.0, 3), 4.25, rel_tol=1e-15)
+        (m4,) = schedule_moments(ErrorSchedule.constant(0.0, 7), [4], 0.0, 1.0, 7)
+        (m2,) = schedule_moments(ErrorSchedule.constant(0.0, 3), [2], 0.5, 2.0, 3)
+        assert math.isclose(m4, 3.0, rel_tol=1e-15)
+        assert math.isclose(m2, 4.25, rel_tol=1e-15)
 
     def test_centered_even_orders_match_enumeration(self):
         for n in (1, 4, 8, 12):
             for a in (0.01, 0.1, 0.3):
-                mix = _mixture(ErrorSchedule.constant(a, n))
-                for order in (2, 4, 6, 8):
-                    closed = moment_constant_a(order, 0.0, 1.0, a, n)
-                    enum = mixture_raw_moment(mix, order)
-                    assert math.isclose(closed, enum, rel_tol=1e-12), (n, a, order)
+                sched = ErrorSchedule.constant(a, n)
+                orders = (2, 4, 6, 8)
+                closed = schedule_moments(sched, orders, 0.0, 1.0, n)
+                enum = mixture_raw_moments(_mixture(sched), orders)
+                for order, c, e in zip(orders, closed, enum):
+                    assert math.isclose(c, e, rel_tol=1e-12), (n, a, order)
 
     def test_general_location_matches_enumeration(self):
         # Covers the odd orders and the mixed mu-sigma terms, order 8 included.
         for a in (0.1, 0.3):
-            mix = _mixture(ErrorSchedule.constant(a, 6), mu=0.7, sigma=1.3)
-            for order in range(1, 9):
-                closed = moment_constant_a(order, 0.7, 1.3, a, 6)
-                enum = mixture_raw_moment(mix, order)
-                assert math.isclose(closed, enum, rel_tol=1e-12), (a, order)
+            sched = ErrorSchedule.constant(a, 6)
+            closed = schedule_moments(sched, range(1, 9), 0.7, 1.3, 6)
+            enum = mixture_raw_moments(_mixture(sched, mu=0.7, sigma=1.3), range(1, 9))
+            for order, c, e in zip(range(1, 9), closed, enum):
+                assert math.isclose(c, e, rel_tol=1e-12), (a, order)
 
     def test_order_guard(self):
-        with pytest.raises(UnsupportedOrderError):
-            moment_constant_a(0, 0.0, 1.0, 0.1, 2)
-        with pytest.raises(UnsupportedOrderError):
-            moment_constant_a(9, 0.0, 1.0, 0.1, 2)
+        for order in (0, 9):
+            with pytest.raises(UnsupportedOrderError):
+                schedule_moments(ErrorSchedule.constant(0.1, 2), [order], 0.0, 1.0, 2)
 
 
 def _listed(sched):
@@ -114,12 +119,12 @@ class TestScheduleMoments:
             mix = _mixture(sched, mu=mu, sigma=sigma)
             for order in (1, 2, 3, 4, 6, 8):
                 closed = schedule_moments(sched, [order], mu, sigma, n)[0]
-                enum = mixture_raw_moment(mix, order)
+                enum = mixture_raw_moments(mix, [order])[0]
                 assert math.isclose(closed, enum, rel_tol=1e-12, abs_tol=1e-13)
 
     def test_reduces_to_constant_form(self):
         val1 = schedule_moments(ErrorSchedule.explicit([0.2] * 6), [4], 0.0, 1.0, 6)[0]
-        val2 = moment_constant_a(4, 0.0, 1.0, 0.2, 6)
+        val2 = schedule_moments(ErrorSchedule.constant(0.2, 6), [4], 0.0, 1.0, 6)[0]
         assert math.isclose(val1, val2, rel_tol=1e-13)
 
     @pytest.mark.parametrize("mu", [0.0, 0.05, -1.3])
@@ -193,40 +198,23 @@ class TestBleed:
     def test_depth_two_formula(self):
         a1, lam = 0.3, 0.7
         expected = (a1**2 + 1) * (a1**2 * lam**2 + 1)
-        assert math.isclose(
-            m2_bleed(BleedParams(a1, lam, 2)), expected, rel_tol=1e-14
-        )
+        assert math.isclose(_bleed(a1, lam, 2, [2])[0], expected, rel_tol=1e-14)
 
     def test_zero_rate(self):
-        assert m2_bleed(BleedParams(0.0, 0.9, INFINITY, sigma=3.0)) == 9.0
-        assert m4_bleed(BleedParams(0.0, 0.9, 5, sigma=1.0)) == 3.0
+        assert _bleed(0.0, 0.9, INFINITY, [2], sigma=3.0) == [9.0]
+        assert _bleed(0.0, 0.9, 5, [4]) == [3.0]
 
     def test_lambda_one_collapses_to_constant_rate(self):
         for n in (1, 5, 12):
-            assert math.isclose(
-                m2_bleed(BleedParams(0.2, 1.0, n)),
-                moment_constant_a(2, 0.0, 1.0, 0.2, n),
-                rel_tol=1e-13,
-            )
-            assert math.isclose(
-                m4_bleed(BleedParams(0.2, 1.0, n)),
-                moment_constant_a(4, 0.0, 1.0, 0.2, n),
-                rel_tol=1e-13,
-            )
+            constant = schedule_moments(ErrorSchedule.constant(0.2, n), [2, 4], 0.0, 1.0, n)
+            for got, want in zip(_bleed(0.2, 1.0, n), constant):
+                assert math.isclose(got, want, rel_tol=1e-13), n
 
     def test_matches_enumeration(self):
         for n in (1, 3, 8):
-            mix = _mixture(ErrorSchedule.bleed(0.2, 0.9, n))
-            assert math.isclose(
-                m2_bleed(BleedParams(0.2, 0.9, n)),
-                mixture_raw_moment(mix, 2),
-                rel_tol=1e-12,
-            )
-            assert math.isclose(
-                m4_bleed(BleedParams(0.2, 0.9, n)),
-                mixture_raw_moment(mix, 4),
-                rel_tol=1e-12,
-            )
+            enum = mixture_raw_moments(_mixture(ErrorSchedule.bleed(0.2, 0.9, n)), [2, 4])
+            for got, want in zip(_bleed(0.2, 0.9, n), enum):
+                assert math.isclose(got, want, rel_tol=1e-12), n
 
     def test_limits_against_direct_products(self):
         # Independent oracle: run the factor products directly to convergence.
@@ -240,12 +228,9 @@ class TestBleed:
             m2_expected *= 1.0 + u
             m4_expected *= 1.0 + 6.0 * u + u * u
             i += 1
-        assert math.isclose(
-            m2_bleed(BleedParams(0.2, 0.9, INFINITY)), m2_expected, rel_tol=1e-10
-        )
-        assert math.isclose(
-            m4_bleed(BleedParams(0.2, 0.9, INFINITY)), m4_expected, rel_tol=1e-10
-        )
+        m2, m4 = _bleed(0.2, 0.9, INFINITY)
+        assert math.isclose(m2, m2_expected, rel_tol=1e-10)
+        assert math.isclose(m4, m4_expected, rel_tol=1e-10)
         assert math.isclose(m2_expected, 1.2315142313388336, rel_tol=1e-9)
         assert math.isclose(m4_expected, 9.8806226088161086, rel_tol=1e-9)
 
@@ -254,12 +239,11 @@ class TestBleed:
         # 50-digit products over the rates the doubles a1 and lam give,
         # run until a factor is within 1e-45 of 1.
         with mpmath.workdps(50):
-            for order, moment in ((2, m2_bleed), (4, m4_bleed)):
+            for order, got in zip((2, 4), _bleed(a1, lam, INFINITY)):
                 want, a = mpmath.mpf(order - 1), mpmath.mpf(a1)
                 while a**2 > 1e-46:
                     want *= ((1 + a) ** order + (1 - a) ** order) / 2
                     a *= lam
-                got = moment(BleedParams(a1, lam, INFINITY))
                 assert abs(got - want) <= 1e-14 * want, (order, got, want)
 
     @pytest.mark.parametrize("a1, lam, n", [(0.2, 0.9, 10), (0.5, 0.5, 3), (0.1, 0.99, 2000),
@@ -269,9 +253,7 @@ class TestBleed:
         # and as the CLI's closed_form column.
         sched = ErrorSchedule.bleed(a1, lam, n)
         for sigma in (1.0, 1.7):
-            params = BleedParams(a1, lam, n, sigma=sigma)
             want = schedule_moments(_listed(sched), [2, 4], 0.0, sigma, n)
-            assert [m2_bleed(params), m4_bleed(params)] == want
             assert schedule_moments(sched, [2, 4], 0.0, sigma, n) == want
 
     def test_the_falling_stop_keeps_every_bit_of_the_full_product(self):
@@ -292,31 +274,33 @@ class TestBleed:
                 assert list(map(float.hex, got)) == list(map(float.hex, want)), (sched, n)
 
     def test_monotone_in_depth_and_decay(self):
-        vals_n = [m2_bleed(BleedParams(0.2, 0.9, n)) for n in range(0, 20)]
+        vals_n = [_bleed(0.2, 0.9, n, [2])[0] for n in range(0, 20)]
         assert all(a <= b for a, b in zip(vals_n, vals_n[1:]))
-        vals_lam = [m4_bleed(BleedParams(0.2, lam, 10)) for lam in (0.1, 0.5, 0.9, 1.0)]
+        vals_lam = [_bleed(0.2, lam, 10, [4])[0] for lam in (0.1, 0.5, 0.9, 1.0)]
         assert all(a <= b for a, b in zip(vals_lam, vals_lam[1:]))
 
     def test_containment_vs_explosion(self):
         # Constant rate explodes; bleed stays finite in the limit.
         assert variance_growth_factor(0.2, 10**6) == math.inf
-        assert m2_bleed(BleedParams(0.2, 0.9, INFINITY)) < 1.3
+        assert _bleed(0.2, 0.9, INFINITY, [2])[0] < 1.3
 
-    def test_divergence_guard(self):
-        with pytest.raises(DivergenceError):
-            m2_bleed(BleedParams(0.2, 1.0, INFINITY))
-        with pytest.raises(DivergenceError):
-            m4_bleed(BleedParams(0.2, 1.0, INFINITY))
+    def test_no_limit_at_lambda_one(self):
+        assert _bleed(0.2, 1.0, INFINITY) == [None, None]
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            BleedParams(1.0, 0.9, 3)
+            _bleed(1.0, 0.9, 3)
         with pytest.raises(ValueError):
-            BleedParams(0.2, 1.5, 3)
+            _bleed(0.2, 0.9, -1)
         with pytest.raises(ValueError):
-            BleedParams(0.2, 0.9, -1)
-        with pytest.raises(ValueError):
-            BleedParams(0.2, 0.9, 3, sigma=0.0)
+            _bleed(0.2, 0.9, 3, sigma=0.0)
+
+    def test_a_rising_bleed_has_finite_depths(self):
+        # Rates 0.2, 0.3 and 0.45: the product over them, as listed.
+        got = _bleed(0.2, 1.5, 3)
+        assert got == schedule_moments(_listed(ErrorSchedule.bleed(0.2, 1.5, 3)), [2, 4],
+                                       0.0, 1.0, 3)
+        assert math.isclose(got[0], 1.04 * 1.09 * 1.2025, rel_tol=1e-14)
 
 
 class TestKurtosis:
@@ -334,20 +318,19 @@ class TestKurtosis:
 
     def test_matches_moment_ratio(self):
         a, n = 0.2, 7
-        m2 = moment_constant_a(2, 0.0, 1.0, a, n)
-        m4 = moment_constant_a(4, 0.0, 1.0, a, n)
+        m2, m4 = schedule_moments(ErrorSchedule.constant(a, n), [2, 4], 0.0, 1.0, n)
         assert math.isclose(kurtosis_constant_a(a, n), m4 / m2**2, rel_tol=1e-12)
 
 
 class TestAdditive:
     def test_zero_rate_is_gaussian(self):
         mu, sigma = 0.4, 1.5
-        assert moments_additive(1, mu, sigma, 0.0, 5) == mu
+        assert _additive(1, mu, sigma, 0.0, 5) == mu
         assert math.isclose(
-            moments_additive(2, mu, sigma, 0.0, 5), mu**2 + sigma**2, rel_tol=1e-15
+            _additive(2, mu, sigma, 0.0, 5), mu**2 + sigma**2, rel_tol=1e-15
         )
         assert math.isclose(
-            moments_additive(4, mu, sigma, 0.0, 5),
+            _additive(4, mu, sigma, 0.0, 5),
             mu**4 + 6 * mu**2 * sigma**2 + 3 * sigma**4,
             rel_tol=1e-15,
         )
@@ -355,10 +338,10 @@ class TestAdditive:
     def test_first_moment_always_mu(self):
         for a in (0.0, 0.1, 0.3):
             for n in (0, 2, 10, INFINITY):
-                assert moments_additive(1, 0.7, 1.0, a, n) == 0.7
+                assert _additive(1, 0.7, 1.0, a, n) == 0.7
 
     def test_limit_second_moment(self):
-        val = moments_additive(2, 0.0, 1.0, 0.1, INFINITY)
+        val = _additive(2, 0.0, 1.0, 0.1, INFINITY)
         assert math.isclose(val, 1.0 + 0.01 / 0.99, rel_tol=1e-14)
         assert math.isclose(val, 1.0101010101010102, rel_tol=1e-14)
 
@@ -366,24 +349,25 @@ class TestAdditive:
         for a in (0.1, 0.3):
             for n in (1, 4, 9, 12):
                 for mu in (0.0, 0.7):
-                    mix = _mixture(ErrorSchedule.geometric(a, n), mu=mu, sigma=1.2)
-                    for order in (1, 2, 4):
-                        closed = moments_additive(order, mu, 1.2, a, n)
-                        enum = mixture_raw_moment(mix, order)
-                        assert math.isclose(closed, enum, rel_tol=1e-12), (a, n, mu, order)
+                    sched = ErrorSchedule.geometric(a, n)
+                    closed = schedule_moments(sched, (1, 2, 4), mu, 1.2, n)
+                    enum = mixture_raw_moments(_mixture(sched, mu=mu, sigma=1.2), (1, 2, 4))
+                    for order, c, e in zip((1, 2, 4), closed, enum):
+                        assert math.isclose(c, e, rel_tol=1e-12), (a, n, mu, order)
 
     def test_limit_approached_by_finite_depths(self):
-        limit = moments_additive(4, 0.0, 1.0, 0.2, INFINITY)
-        vals = [moments_additive(4, 0.0, 1.0, 0.2, n) for n in (1, 2, 5, 10, 20)]
+        limit = _additive(4, 0.0, 1.0, 0.2, INFINITY)
+        vals = [_additive(4, 0.0, 1.0, 0.2, n) for n in (1, 2, 5, 10, 20)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
         assert math.isclose(vals[-1], limit, rel_tol=1e-10)
 
     def test_positivity_guard(self):
         with pytest.raises(NonPositiveScaleError):
-            moments_additive(2, 0.0, 1.0, 0.6, 3)
-        with pytest.raises(NonPositiveScaleError):
-            moments_additive(4, 0.0, 1.0, 0.5, INFINITY)
+            _additive(2, 0.0, 1.0, 0.6, 3)
+        assert _additive(4, 0.0, 1.0, 0.5, INFINITY) is None  # no limit at a >= 1/2
 
-    def test_order_guard(self):
-        with pytest.raises(UnsupportedOrderError):
-            moments_additive(3, 0.0, 1.0, 0.1, 4)
+    def test_no_closed_form_at_orders_3_and_5_to_8(self):
+        orders = range(1, 9)
+        for n in (4, INFINITY):
+            got = schedule_moments(ErrorSchedule.geometric(0.1, 4), orders, 0.0, 1.0, n)
+            assert [k for k, v in zip(orders, got) if v is None] == [3, 5, 6, 7, 8], n

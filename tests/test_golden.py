@@ -10,6 +10,7 @@ To regenerate after an intended output change:
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,9 @@ from pathlib import Path
 import pytest
 
 from branchvol import cli
-from branchvol.branching import parse_schedule_spec
+from branchvol.branching import ErrorSchedule, parse_schedule_spec
+from branchvol.closedform import schedule_moments
+from branchvol.special import INFINITY
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -156,6 +159,17 @@ def _readme_lines() -> list[str]:
 def test_readme_examples_are_the_golden_cases():
     examples = [line.split()[1:] for line in _readme_lines() if line.startswith("branchvol ")]
     assert examples == [argv for name, argv in BYTE_EXACT.items() if name.startswith("readme_")]
+
+
+def test_readme_library_quick_start_runs():
+    lines = _readme_lines()
+    start = lines.index("```python", lines.index("## Library quick start")) + 1
+    namespace = {}
+    exec("\n".join(lines[start:lines.index("```", start)]), namespace)
+    # The bleed-limit line gives criterion 3's M4 limit.
+    assert math.isclose(namespace["m4"], 9.8806226088161086, rel_tol=1e-9)
+    assert namespace["m4"] == schedule_moments(ErrorSchedule.bleed(0.2, 0.9, 10), [4], 0.0, 1.0,
+                                               INFINITY)[0]
 
 
 def test_readme_schedule_grammar_parses():

@@ -21,7 +21,7 @@ from branchvol.branching import (
     group_mixture,
 )
 from branchvol import mixstats
-from branchvol.closedform import moment_constant_a
+from branchvol.closedform import schedule_moments
 from branchvol.mixstats import (
     LogLogSeries,
     convexity_ratio,
@@ -31,7 +31,6 @@ from branchvol.mixstats import (
     log_exceedance,
     loglog_series,
     mixture_abs_first_moment,
-    mixture_raw_moment,
     mixture_raw_moments,
     tail_slope_estimate,
 )
@@ -589,6 +588,28 @@ class TestPrunedTails:
             got = log_exceedance(group_mixture(BASE, a, n), ks)
             assert np.all(np.diff(got) <= 0.0), (a, n)
 
+    def test_enumerated_log_exceedance_falls_as_k_grows(self):
+        # ROADMAP item 11 for enumerations, on both sides of _CUT: bleed
+        # (lambda up to 1.2), explicit and geometric schedules at N = 1..14,
+        # about 40 thresholds from mu - 5 to 80, with mu and its neighbours.
+        rng = np.random.default_rng(1122)
+        for i in range(300):
+            n = int(rng.integers(1, 15))
+            if i % 3 == 0:
+                lam = float(rng.uniform(0.0, 1.2))
+                a1 = float(rng.uniform(0.0, 0.9)) / max(lam, 1.0) ** (n - 1)  # every rate < 0.9
+                sched = ErrorSchedule.bleed(a1, lam, n)
+            elif i % 3 == 1:
+                sched = ErrorSchedule.explicit(rng.uniform(0.0, 0.9, n))
+            else:
+                sched = ErrorSchedule.geometric(float(rng.uniform(0.0, 0.45)), n)
+            mu = float(rng.uniform(-1.0, 1.0))
+            mix = build_mixture(GaussianBase(mu, float(rng.uniform(0.5, 2.0))), sched)
+            ks = np.sort(np.concatenate([rng.uniform(mu - 5.0, 80.0, 40),
+                                         np.nextafter(mu, [-math.inf, math.inf]), [mu]]))
+            got = log_exceedance(mix, ks)
+            assert np.all(np.diff(got) <= 0.0), (sched, mu)
+
     def test_the_tails_never_form_the_class_arrays(self, monkeypatch):
         # A later refactor that brings back an O(n) pass per grouped tail
         # moves no bit, so only this test sees it.
@@ -606,6 +627,27 @@ class TestPrunedTails:
         assert 0 < sum(evaluated) < 10**4
         monkeypatch.undo()
         assert got.tolist() == [_unpruned_log_exceedance(mix, k) for k in (3.0, 10.0, 50.0)]
+
+    def test_a_fallback_keeps_no_class_array(self, monkeypatch):
+        # A failed proof reads every class for that call only, as a window
+        # does: kept, two class arrays would hold 2 (n + 1) doubles for the
+        # mixture's life.
+        monkeypatch.setattr(mixstats, "_GAP", 0.5)
+        read = []
+        every_logsumexp = mixstats._every_logsumexp
+
+        def recording(delta, log_sigma, lw, ls):
+            read.append(lw.size)
+            return every_logsumexp(delta, log_sigma, lw, ls)
+
+        monkeypatch.setattr(mixstats, "_every_logsumexp", recording)
+        mix = group_mixture(BASE, 0.1, 100_000)
+        got = log_exceedance(mix, [3.0, 10.0]).tolist()
+        assert 100_001 in read
+        assert not {"scales", "log_scales", "log_weights"} & set(vars(mix))
+        monkeypatch.undo()
+        expected = [_unpruned_log_exceedance(mix, k) for k in (3.0, 10.0)]
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
 
     @pytest.mark.parametrize("base, k", [(GaussianBase(-1e308, 1.0), 1e308),
                                          (GaussianBase(0.0, 1e-300), 1.0)])
@@ -673,17 +715,13 @@ class TestConvexityRatio:
 class TestMoments:
     def test_first_moment_is_mu(self):
         mix = build_mixture(GaussianBase(1.3, 0.7), ErrorSchedule.bleed(0.3, 0.8, 6))
-        assert math.isclose(mixture_raw_moment(mix, 1), 1.3, rel_tol=1e-14)
+        assert math.isclose(mixture_raw_moments(mix, [1])[0], 1.3, rel_tol=1e-14)
 
     def test_constant_rate_closed_forms(self):
         a, n = 0.1, 8
-        mix = build_mixture(BASE, ErrorSchedule.constant(a, n))
-        assert math.isclose(
-            mixture_raw_moment(mix, 2), (1 + a**2) ** n, rel_tol=1e-13
-        )
-        assert math.isclose(
-            mixture_raw_moment(mix, 4), 3 * (a**4 + 6 * a**2 + 1) ** n, rel_tol=1e-13
-        )
+        m2, m4 = mixture_raw_moments(build_mixture(BASE, ErrorSchedule.constant(a, n)), [2, 4])
+        assert math.isclose(m2, (1 + a**2) ** n, rel_tol=1e-13)
+        assert math.isclose(m4, 3 * (a**4 + 6 * a**2 + 1) ** n, rel_tol=1e-13)
 
     def test_against_quadrature(self):
         mix = build_mixture(GaussianBase(0.5, 1.2), ErrorSchedule.constant(0.2, 6))
@@ -695,27 +733,23 @@ class TestMoments:
                 mix.mu + span,
                 limit=400,
             )
-            assert math.isclose(mixture_raw_moment(mix, order), val, rel_tol=1e-7)
+            assert math.isclose(mixture_raw_moments(mix, [order])[0], val, rel_tol=1e-7)
 
     def test_deep_grouped_moments_match_closed_forms(self):
         # Past n = 5000 some classes pair an underflowing weight with an
         # overflowing scale power; the moments stay finite where the closed
         # forms are, and are inf (not nan) where those overflow.
-        mix = group_mixture(BASE, 0.1, 10_000)
-        for order in (2, 4):
-            assert math.isclose(
-                mixture_raw_moment(mix, order),
-                moment_constant_a(order, 0.0, 1.0, 0.1, 10_000),
-                rel_tol=1e-13,
-            )
-        for order in (6, 8):
-            assert mixture_raw_moment(mix, order) == math.inf
-            assert moment_constant_a(order, 0.0, 1.0, 0.1, 10_000) == math.inf
+        orders = (2, 4, 6, 8)
+        grouped = mixture_raw_moments(group_mixture(BASE, 0.1, 10_000), orders)
+        closed = schedule_moments(ErrorSchedule.constant(0.1, 10_000), orders, 0.0, 1.0, 10_000)
+        for order, g, c in zip(orders[:2], grouped, closed):
+            assert math.isclose(g, c, rel_tol=1e-13), order
+        assert grouped[2:] == closed[2:] == [math.inf, math.inf]
 
     def test_order_guard(self):
         mix = build_mixture(BASE, ErrorSchedule.constant(0.1, 2))
         with pytest.raises(UnsupportedOrderError):
-            mixture_raw_moment(mix, 9)
+            mixture_raw_moments(mix, [9])
 
 
 def _order_data(n):
@@ -1064,9 +1098,10 @@ class TestGroupedEqualsEnumerated:
                                     rel_tol=1e-12), ctx
                 assert math.isclose(log_exceedance(grouped, k),
                                     log_exceedance(enumerated, k), rel_tol=1e-12), ctx
-            for order in range(9):
-                assert math.isclose(mixture_raw_moment(grouped, order),
-                                    mixture_raw_moment(enumerated, order), rel_tol=1e-12), ctx
+            pairs = zip(mixture_raw_moments(grouped, range(9)),
+                        mixture_raw_moments(enumerated, range(9)))
+            for g, e in pairs:
+                assert math.isclose(g, e, rel_tol=1e-12), ctx
             centered = GaussianBase(0.0, sigma)
             assert math.isclose(
                 mixture_abs_first_moment(group_mixture(centered, a, n)),

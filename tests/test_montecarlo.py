@@ -10,7 +10,7 @@ import pytest
 
 from branchvol import mixstats, montecarlo
 from branchvol.branching import ErrorSchedule, GaussianBase, build_mixture, group_mixture
-from branchvol.closedform import BleedParams, m4_bleed, moment_constant_a
+from branchvol.closedform import schedule_moments
 from branchvol.mixstats import exceedance
 from branchvol.montecarlo import (
     MCSummary,
@@ -207,7 +207,7 @@ class TestEstimates:
             sample(mix, SampleSpec(n_samples=1_000_000, seed=42, moment_orders=(2,)))
         )
         (t,) = report.targets
-        ref = moment_constant_a(2, 0.0, 1.0, 0.1, 10)
+        (ref,) = schedule_moments(ErrorSchedule.constant(0.1, 10), [2], 0.0, 1.0, 10)
         assert abs(t.estimate - ref) < 4.0 * t.se
 
     def test_exceedance_against_binomial_form(self):
@@ -229,7 +229,8 @@ class TestEstimates:
             sample(mix, SampleSpec(n_samples=1_000_000, seed=3, moment_orders=(4,)))
         )
         (t,) = report.targets
-        assert abs(t.estimate - m4_bleed(BleedParams(0.2, 0.9, 12))) < 4.0 * t.se
+        (ref,) = schedule_moments(ErrorSchedule.bleed(0.2, 0.9, 12), [4], 0.0, 1.0, 12)
+        assert abs(t.estimate - ref) < 4.0 * t.se
 
     def test_unreliable_targets_flagged(self):
         mix = _mix(0.1, 4)
