@@ -3,12 +3,16 @@
 Sampling picks a branch index uniformly (equivalent to N independent fair
 sign flips) and then draws from the branch's Gaussian. Summaries hold
 sufficient statistics only; the generator is numpy's PCG64, which produces
-identical streams for a given seed on every platform.
+identical streams for a given seed on every platform. sample draws the
+normals on a worker thread of its own while the calling thread sums the
+draws before them; the stream, and so every bit, is that of one thread
+drawing alone, and concurrent calls are safe.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +22,8 @@ from .branching import MixtureDistribution
 from .mixstats import _LEAF, _pairwise_sum
 
 _BLOCK = 1 << 20
+# Leaf buffers of normals: the leaf being summed and the two drawn ahead.
+_RING = 3
 
 
 @dataclass(frozen=True)
@@ -53,6 +59,22 @@ class MCSummary:
     exceed_counts: dict[float, int]
 
 
+def _draw_normals(rng: np.random.Generator, todo, done) -> None:
+    # The worker thread: fills each buffer it is handed on the queue todo
+    # with the stream's next normals, in the order handed, until it is
+    # handed None, and puts None (or the exception that stopped it) on the
+    # queue done for each. The caller forms every buffer, so the worker
+    # allocates no array: the glibc arena the thread gets for its start-up
+    # stays one 132 KiB heap with 2.3 KB in use.
+    while (z := todo.get()) is not None:
+        try:
+            rng.standard_normal(out=z)
+        except Exception as exc:  # the caller raises it, unchanged
+            done.put(exc)
+            return
+        done.put(None)
+
+
 def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
     """Draw spec.n_samples values; identical inputs give identical summaries.
 
@@ -60,26 +82,59 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
     stream, and therefore every statistic, is reproducible bit for bit.
     Each block draws its component indices, then its normals a cache-sized
     leaf at a time, and is summed over those leaves in np.sum's own order.
+    A worker thread that lives for the call draws the normals up to
+    _RING - 1 leaves ahead while this thread gathers, scales and sums the
+    leaf before (numpy releases the GIL in both). One thread draws at a
+    time, in the order of a single-threaded run, so the stream and every
+    bit are unchanged. The worker ends before the call returns or raises,
+    and its exceptions are raised here unchanged; each call owns its
+    generator, buffers and worker, so concurrent calls are safe.
     Components are drawn uniformly, so every weight must be equal. Power
     sums run up to x^(2 max order), the highest power estimate reads.
     """
-    if not mixture.zero_log_weights and np.any(mixture.log_weights != mixture.log_weights[0]):
+    # Two or more binomial classes weigh C(n, j) 2^-n, unequal: refused
+    # before any class array is formed.
+    if (mixture.classes.n >= 2 if mixture.classes is not None else
+            not mixture.zero_log_weights
+            and np.any(mixture.log_weights != mixture.log_weights[0])):
         raise ValueError("sample needs equal component weights; got a weighted mixture")
+    # Imported on the first call: imported with the module, it slowed the
+    # calls that never sample by about 2% (the benchmark's binomial tails).
+    import queue
+
     rng = np.random.default_rng(spec.seed)
     n_pow = 2 * max(spec.moment_orders, default=0) + 1
     power_sums = np.zeros(n_pow)
     exceed = {k: 0 for k in spec.thresholds}
-    x = np.empty(min(_LEAF, spec.n_samples))
-    z, powers = np.empty(x.size), np.empty(x.size)
+    size = min(_LEAF, spec.n_samples)
+    x, powers, ring = np.empty(size), np.empty(size), np.empty((_RING, size))
+    todo, done = queue.SimpleQueue(), queue.SimpleQueue()
+    leaves: list[tuple[int, int]] = []  # the block's leaves, in the order summed
+    t = 0  # the leaf being summed
+
+    def draw(u: int) -> None:
+        # Hands the worker leaf u's buffer, when the block has a leaf u.
+        if u < len(leaves):
+            i, j = leaves[u]
+            todo.put(ring[u % _RING, : j - i])
 
     def leaf(i: int, j: int) -> np.ndarray:
         # Sums of x^0..x^(n_pow - 1), then the exceedance counts, over draws
-        # i..j of the block: every power stays in cache. The leaf draws its
-        # own normals. That the stream is the one of a single block-long
-        # standard_normal call rests on _pairwise_sum visiting the leaves
-        # once each, in ascending order.
-        xl, xp, zl = x[: j - i], powers[: j - i], z[: j - i]
-        rng.standard_normal(out=zl)
+        # i..j of the block: every power stays in cache. That the stream is
+        # the one of a single block-long standard_normal call rests on the
+        # worker drawing, and _pairwise_sum visiting, the same leaves once
+        # each, in ascending order.
+        nonlocal t
+        error = done.get()  # leaf t's normals are in
+        if error is not None:
+            try:
+                raise error
+            finally:  # else this frame and the traceback would hold each other
+                del error
+        zl = ring[t % _RING, : j - i]
+        draw(t + _RING - 1)  # into the buffer of leaf t - 1, summed
+        t += 1
+        xl, xp = x[: j - i], powers[: j - i]
         # mu + sigma * scale * z in place; this order fixes every bit of the sums.
         np.take(mixture.scales, idx[i:j], out=xl)
         xl *= mixture.sigma
@@ -91,23 +146,36 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
         for k in range(1, n_pow):
             xp *= xl
             sums[k] = xp.sum()
-        for t, k in enumerate(exceed, start=n_pow):
-            sums[t] = np.count_nonzero(xl > k)
+        for s, k in enumerate(exceed, start=n_pow):
+            sums[s] = np.count_nonzero(xl > k)
         return sums
 
-    remaining = spec.n_samples
-    while remaining:
-        m = min(_BLOCK, remaining)
-        # int32 indices: numpy bounds int32 and int64 alike from 32-bit
-        # draws below 2^32, so the values and the stream are those of int64.
-        # The last block's indices go first, so one block is held at a time.
-        idx = None
-        idx = rng.integers(0, mixture.n_components, size=m, dtype=np.int32)
-        sums = _pairwise_sum(leaf, 0, m)
-        power_sums += sums[:n_pow]
-        for t, k in enumerate(exceed, start=n_pow):
-            exceed[k] += int(sums[t])
-        remaining -= m
+    worker = threading.Thread(target=_draw_normals, args=(rng, todo, done),
+                              name="branchvol-normals", daemon=True)
+    worker.start()
+    try:
+        remaining = spec.n_samples
+        while remaining:
+            m = min(_BLOCK, remaining)
+            # int32 indices: numpy bounds int32 and int64 alike from 32-bit
+            # draws below 2^32, so the values and the stream are those of
+            # int64. The worker is idle here: every normal of the last block
+            # is in. The last block's indices go first, so one block is
+            # held at a time.
+            idx = None
+            idx = rng.integers(0, mixture.n_components, size=m, dtype=np.int32)
+            leaves[:] = _pairwise_sum(lambda i, j: [(i, j)], 0, m)
+            t = 0
+            for u in range(_RING - 1):
+                draw(u)
+            sums = _pairwise_sum(leaf, 0, m)
+            power_sums += sums[:n_pow]
+            for s, k in enumerate(exceed, start=n_pow):
+                exceed[k] += int(sums[s])
+            remaining -= m
+    finally:
+        todo.put(None)
+        worker.join()
     return MCSummary(
         n=spec.n_samples,
         moment_orders=spec.moment_orders,

@@ -3,12 +3,19 @@ agreement with the exact values at 4 standard errors."""
 
 import gc
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from branchvol import mixstats, montecarlo
+from branchvol import cli, mixstats, montecarlo
 from branchvol.branching import ErrorSchedule, GaussianBase, build_mixture, group_mixture
 from branchvol.closedform import schedule_moments
 from branchvol.mixstats import exceedance
@@ -24,6 +31,14 @@ from branchvol.montecarlo import (
 BASE = GaussianBase(0.0, 1.0)
 
 
+@pytest.fixture(autouse=True)
+def no_thread_outlives_a_test():
+    # sample's worker thread ends before the call returns or raises.
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
+
+
 def _mix(a, n):
     return build_mixture(BASE, ErrorSchedule.constant(a, n))
 
@@ -36,7 +51,7 @@ class TestDeterminism:
         s2 = sample(mix, spec)
         assert np.array_equal(s1.power_sums, s2.power_sums)
         # Both follow the seed's stream: branch indices, then normals.
-        assert np.array_equal(s1.power_sums, _replay_power_sums(mix, 50_000, 123)[:9])
+        assert np.array_equal(s1.power_sums, _replay(mix, 50_000, 123)[0][:9])
         assert s1.exceed_counts == s2.exceed_counts
         r1, r2 = estimate(s1), estimate(s2)
         assert r1 == r2
@@ -48,11 +63,13 @@ class TestDeterminism:
         assert not np.array_equal(s1.power_sums, s2.power_sums)
 
 
-def _replay_power_sums(mixture, n_samples, seed, block=1 << 20):
-    # The original sampler, written out: x = mu + sigma * scale * z, then
-    # xp = xp * x up to x^16, one block of draws at a time.
+def _replay(mixture, n_samples, seed, thresholds=(), block=1 << 20):
+    # The original sampler, written out and run on this thread alone:
+    # x = mu + sigma * scale * z, then xp = xp * x up to x^16 and the
+    # exceedance counts, one block of draws at a time.
     rng = np.random.default_rng(seed)
     sums = np.zeros(17)
+    exceed = dict.fromkeys(thresholds, 0)
     remaining = n_samples
     while remaining:
         m = min(block, remaining)
@@ -63,8 +80,30 @@ def _replay_power_sums(mixture, n_samples, seed, block=1 << 20):
         for k in range(1, 17):
             xp = xp * x
             sums[k] += float(xp.sum())
+        for k in thresholds:
+            exceed[k] += int(np.count_nonzero(x > k))
         remaining -= m
-    return sums
+    return sums, exceed
+
+
+class _LoggedGenerator:
+    """numpy's generator for a seed, logging each draw as (kind, size); the
+    standard_normal call numbered fail_at (from 1) raises error instead."""
+
+    def __init__(self, seed, fail_at=None, error=None):
+        self.rng, self.log = np.random.default_rng(seed), []
+        self.fail_at, self.error = fail_at, error
+
+    def integers(self, *args, **kwargs):
+        out = self.rng.integers(*args, **kwargs)
+        self.log.append(("integers", out.size))
+        return out
+
+    def standard_normal(self, *, out):
+        self.log.append(("normals", out.size))
+        if sum(kind == "normals" for kind, _ in self.log) == self.fail_at:
+            raise self.error
+        return self.rng.standard_normal(out=out)
 
 
 class TestStream:
@@ -79,8 +118,32 @@ class TestStream:
         summary = sample(self.MIX, SampleSpec(n_samples=self.N, seed=17, moment_orders=orders))
         top = 2 * max(orders, default=0)
         assert summary.power_sums.shape == (top + 1,)
-        replay = _replay_power_sums(self.MIX, self.N, 17)
+        replay = _replay(self.MIX, self.N, 17)[0]
         assert np.array_equal(summary.power_sums, replay[: top + 1])
+
+    # One draw; a leaf less, one and one more than a leaf; a block and one
+    # more; and the two blocks of the benchmark's validate calls.
+    @pytest.mark.parametrize("n", [1, 2**14 - 1, 2**14, 2**14 + 1, 2**20, 2**20 + 1, 2_000_000])
+    def test_sums_and_counts_match_the_replay(self, n):
+        thresholds = (0.5, 2.0, 30.0)
+        replay, counts = _replay(self.MIX, n, 29, thresholds)
+        for orders in [(1, 2, 3, 4), (8,), ()]:
+            summary = sample(self.MIX, SampleSpec(n, 29, orders, thresholds))
+            top = 2 * max(orders, default=0)
+            assert np.array_equal(summary.power_sums, replay[: top + 1])
+            assert summary.exceed_counts == counts
+
+    # The benchmark's three validate calls: constant rate, 2e6 draws, orders
+    # 1-4 and thresholds at 1, 2 and 3 sigma.
+    @pytest.mark.parametrize("depth, rate, seed", [(6, 0.2, 1), (8, 0.1, 2), (10, 0.15, 3)])
+    def test_benchmark_validate_runs_match_the_replay(self, depth, rate, seed):
+        base = GaussianBase(0.0, 1.3)
+        mix = build_mixture(base, ErrorSchedule.constant(rate, depth))
+        thresholds = tuple(base.mu + base.sigma * m for m in (1.0, 2.0, 3.0))
+        summary = sample(mix, SampleSpec(2_000_000, seed, (1, 2, 3, 4), thresholds))
+        replay, counts = _replay(mix, 2_000_000, seed, thresholds)
+        assert np.array_equal(summary.power_sums, replay[:9])
+        assert summary.exceed_counts == counts
 
 
 class TestLeaves:
@@ -94,14 +157,7 @@ class TestLeaves:
     def test_counts_match_the_replay(self):
         thresholds = (0.5, 2.0)
         summary = sample(self.MIX, SampleSpec(n_samples=self.N, seed=17, thresholds=thresholds))
-        rng = np.random.default_rng(17)
-        exceed = dict.fromkeys(thresholds, 0)
-        for m in (1 << 20, 5):
-            idx = rng.integers(0, self.MIX.n_components, size=m)
-            x = self.MIX.mu + self.MIX.sigma * self.MIX.scales[idx] * rng.standard_normal(m)
-            for k in thresholds:
-                exceed[k] += int(np.count_nonzero(x > k))
-        assert summary.exceed_counts == exceed
+        assert summary.exceed_counts == _replay(self.MIX, self.N, 17, thresholds)[1]
 
     def test_peak_memory_is_the_block_draws(self):
         # The int32 indices of one 2^20 block take 4 MiB and each leaf
@@ -129,25 +185,34 @@ class TestLeaves:
         assert peak < 6 * 2**20
 
     def test_leaves_tile_each_block_once_in_ascending_order(self, monkeypatch):
-        # Each leaf draws its normals, so the stream is that of one
-        # block-long draw only if the leaves run in this order.
-        blocks = []
+        # The worker draws the normals of the leaves one pass lists, in that
+        # order, and the next pass sums the leaves: the stream is that of one
+        # block-long draw only if both are the block's leaves once each, in
+        # ascending order, right after the block's indices.
+        passes = []
 
         def recording(leaf, lo, hi):
-            blocks.append([])
+            passes.append([])
 
             def logged(i, j):
-                blocks[-1].append((i, j))
+                passes[-1].append((i, j))
                 return leaf(i, j)
             return mixstats._pairwise_sum(logged, lo, hi)
 
+        rng = _LoggedGenerator(17)
         monkeypatch.setattr(montecarlo, "_pairwise_sum", recording)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
         sample(self.MIX, SampleSpec(n_samples=self.N, seed=17))
-        assert len(blocks) == 2
-        for leaves, m in zip(blocks, (1 << 20, 5)):
+        assert len(passes) == 4
+        drawn = iter(rng.log)
+        for listed, leaves, m in zip(passes[::2], passes[1::2], (1 << 20, 5)):
+            assert leaves == listed
             assert leaves[0][0] == 0 and leaves[-1][1] == m
             assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
             assert all(0 < j - i <= mixstats._LEAF for i, j in leaves)
+            assert next(drawn) == ("integers", m)
+            assert [next(drawn) for _ in leaves] == [("normals", j - i) for i, j in leaves]
+        assert next(drawn, None) is None
 
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 1000, 2**20, 2**24])
     def test_int32_indices_take_the_int64_stream(self, n):
@@ -171,6 +236,123 @@ class TestLeaves:
                 assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class _Failed(Exception):
+    pass
+
+
+class _FailingGather:
+    """A mixture whose third read of scales, the third leaf's gather, raises."""
+
+    def __init__(self, mixture):
+        self._mixture, self._reads = mixture, 0
+
+    def __getattr__(self, name):
+        return getattr(self._mixture, name)
+
+    @property
+    def scales(self):
+        self._reads += 1
+        if self._reads == 3:
+            raise _Failed("third leaf")
+        return self._mixture.scales
+
+
+class TestWorker:
+    """The normals are drawn on a worker thread that ends with the call, on
+    every path, and whose exceptions reach the caller unchanged."""
+
+    MIX = TestStream.MIX
+
+    def test_a_failing_leaf_stops_the_worker(self):
+        mix = _FailingGather(self.MIX)
+        with pytest.raises(_Failed, match="third leaf"):
+            sample(mix, SampleSpec(n_samples=10 * mixstats._LEAF, seed=5))
+        assert mix._reads == 3
+
+    @pytest.mark.parametrize("fail_at", [1, 3, 65])
+    def test_a_worker_error_reaches_the_caller_unchanged(self, monkeypatch, fail_at):
+        # The 65th leaf is the first of the second block.
+        error = MemoryError("Unable to allocate the normals")
+        rng = _LoggedGenerator(5, fail_at, error)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
+        with pytest.raises(MemoryError) as raised:
+            sample(self.MIX, SampleSpec(n_samples=2_000_000, seed=5))
+        assert raised.value is error
+        # The worker stopped at the failing draw and drew nothing after it.
+        assert rng.log[-1][0] == "normals"
+        assert sum(kind == "normals" for kind, _ in rng.log) == fail_at
+
+    def test_a_worker_error_leaves_no_reference_cycle(self, monkeypatch):
+        # A cycle through the raising frame would keep the block's indices
+        # until a collection. The generator raises a new MemoryError each
+        # time, so that it holds no traceback itself.
+        rng = _LoggedGenerator(5, 3, MemoryError)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                sample(self.MIX, SampleSpec(n_samples=2_000_000, seed=5))
+            except MemoryError:
+                pass
+            else:
+                pytest.fail("the worker's MemoryError was not raised")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_the_cli_maps_a_worker_memory_error_to_exit_3(self, monkeypatch, capsys):
+        rng = _LoggedGenerator(42, 2, MemoryError("Unable to allocate the normals"))
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
+        rc = cli.main(["validate", "--schedule", "constant:a=0.1,N=8",
+                       "--n-samples", "100000", "--seed", "42"])
+        assert rc == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate the normals\n"
+
+    def test_ctrl_c_ends_a_long_validate(self):
+        src = str(Path(montecarlo.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["validate", "--schedule", "constant:a=0.1,N=8", "--n-samples", "10000000000"]
+        proc = subprocess.Popen([sys.executable, "-m", "branchvol", *argv], env=env,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            time.sleep(1.0)
+            assert proc.poll() is None  # still sampling
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=10)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == -signal.SIGINT
+        assert b"KeyboardInterrupt" in err
+
+    def test_concurrent_calls_each_keep_their_stream(self):
+        # More sampling threads than cores, each with its own worker, under a
+        # short switch interval: every summary is its serial replay.
+        seeds, n, thresholds = (11, 12, 13, 14), (1 << 20) + 5, (0.5, 2.0)
+        summaries = {}
+
+        def run(seed):
+            summaries[seed] = sample(self.MIX, SampleSpec(n, seed, thresholds=thresholds))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for seed in seeds:
+            replay, counts = _replay(self.MIX, n, seed, thresholds)
+            assert np.array_equal(summaries[seed].power_sums, replay[:9])
+            assert summaries[seed].exceed_counts == counts
 
 
 class TestEstimates:
@@ -252,7 +434,7 @@ class TestBranchUniformity:
             mix = _mix(0.1, n)
             summary = sample(mix, SampleSpec(n_samples=1_000_000, seed=31))
             # The sampler draws the seed's branch indices first; replay them.
-            assert np.array_equal(summary.power_sums, _replay_power_sums(mix, summary.n, 31)[:9])
+            assert np.array_equal(summary.power_sums, _replay(mix, summary.n, 31)[0][:9])
             idx = np.random.default_rng(31).integers(0, mix.n_components, size=summary.n)
             counts = np.bincount(idx, minlength=mix.n_components)
             p = 2.0**-n
@@ -265,6 +447,15 @@ class TestWeightedMixtures:
     def test_unequal_weights_are_refused(self):
         with pytest.raises(ValueError, match="equal"):
             sample(group_mixture(BASE, 0.1, 5), SampleSpec(n_samples=100, seed=0))
+
+    def test_many_classes_are_refused_before_any_is_formed(self):
+        # 10^9 + 1 classes would take 8 GB a class array.
+        mix = group_mixture(BASE, 0.1, 10**9)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="equal"):
+            sample(mix, SampleSpec(n_samples=100, seed=0))
+        assert time.perf_counter() - start < 1.0
+        assert "log_weights" not in vars(mix)
 
     def test_equal_weight_classes_are_sampled(self):
         # Depth 1 has two classes of weight 1/2 each.
