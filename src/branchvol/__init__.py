@@ -19,11 +19,7 @@ from .branching import (
     group_mixture,
     parse_schedule_spec,
 )
-from .closedform import (
-    kurtosis_constant_a,
-    schedule_moments,
-    variance_growth_factor,
-)
+from .closedform import schedule_moments, variance_growth_factor
 from .mixstats import (
     LogLogSeries,
     convexity_ratio,
@@ -81,7 +77,6 @@ __all__ = [
     "exceedance",
     "gaussian_abs_first_moment",
     "group_mixture",
-    "kurtosis_constant_a",
     "local_slopes",
     "log_erfc",
     "log_exceedance",

@@ -13,7 +13,6 @@ import bisect
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -302,6 +301,9 @@ class BinomialClasses:
         return out
 
 
+_ARRAYS = ("scales", "log_scales", "log_weights")
+
+
 @dataclass(frozen=True, eq=False)
 class MixtureDistribution:
     """Mixture of Normal(mu, (sigma * scales[i])^2) components.
@@ -309,14 +311,15 @@ class MixtureDistribution:
     Component i weighs ``weight * exp(log_weights[i])``. ``weight`` is an
     exact common factor: 2^-N for an enumeration (exp(-N ln 2) is not 2^-N
     in every bit), 1.0 for grouped classes. ``log_scales`` stays finite
-    where ``scales`` leaves the double range. An enumeration gives
-    ``scales`` as None with its ``expansion``, and ``log_scales`` as None:
-    the scales are built on first read and kept, ln scale is taken where it
-    is read and never kept. A grouped mixture gives all three arrays as
-    None with its ``classes``: each is formed on first read and kept, and
-    ``n_components`` reads n + 1 without forming any. Every array is
-    read-only. Neither ``repr`` nor ``==`` forms an array: the repr leaves
-    the arrays out, and mixtures compare by identity.
+    where ``scales`` leaves the double range. A mixture is a read-only view
+    of one rule and keeps nothing. Arrays given are read-only. An
+    enumeration gives ``scales`` as None with its ``expansion``, and
+    ``log_scales`` as None (ln scale is taken where read); a grouped
+    mixture gives all three as None with its ``classes``, and
+    ``n_components`` forms none. Evaluators read the components through
+    ``runs`` and ``part``; an array given as None is formed anew at each
+    read of its attribute. Neither ``repr`` nor ``==`` forms an array: the
+    repr leaves the arrays out, and mixtures compare by identity.
     """
 
     mu: float
@@ -330,80 +333,60 @@ class MixtureDistribution:
 
     def __post_init__(self) -> None:
         given = vars(self)
-        formed = (("scales", "log_scales", "log_weights") if self.classes is not None
-                  else ("scales",) if self.expansion is not None else ())
-        for name in ("scales", "log_weights"):
-            if given[name] is None and name not in formed:
-                raise ValueError(f"{name} given as None need a rule to form them from: "
-                                 "an expansion (the scales) or classes (every array)")
-        for name in formed:
-            if given[name] is None:
-                object.__delattr__(self, name)  # formed on first read
-        for array in list(given.values()):
-            if isinstance(array, np.ndarray):
-                array.setflags(write=False)
+        for name in _ARRAYS:
+            rule = self.classes is not None or self.expansion is not None and name == "scales"
+            if isinstance(given[name], np.ndarray):
+                given[name].setflags(write=False)
+            elif given[name] is None and rule:
+                object.__delattr__(self, name)  # formed by the rule where read
+        if given.get("scales", 0) is None or given.get("log_weights", 0) is None:
+            raise ValueError("scales or log_weights given as None need a rule to form them "
+                             "from: an expansion (the scales) or classes (every array)")
 
     def __getattr__(self, name: str):
-        # Only an array given as None gets here, being off the instance: it
-        # is formed by the mixture's rule (an enumeration's scales from its
-        # expansion, every array of a grouped mixture from its classes),
-        # then kept and read-only; threads racing on it store equal arrays.
-        if name not in ("scales", "log_scales", "log_weights"):
+        # Only an array given as None gets here, being off the instance.
+        if name not in _ARRAYS:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self.part(name)
+
+    def part(self, name: str, lo: int = 0, hi: int | None = None) -> np.ndarray | None:
+        """Components lo to hi - 1 (all by default) of the array name: a
+        slice of the array given, else formed anew by the rule. Classes
+        form just the run, with the bits of the same slice of the whole; an
+        expansion builds every scale to slice them (evaluators read them
+        whole, or streamed by ``runs``) and has no log-scales (None)."""
+        array = vars(self).get(name)
+        if array is not None:
+            return array[lo:hi]
         if self.classes is None:
-            array = self.expansion.build()
-        elif name == "scales":
-            with np.errstate(over="ignore"):
-                array = np.exp(self.log_scales)
-        else:
-            array = getattr(self.classes, name)()
-        array.setflags(write=False)
-        object.__setattr__(self, name, array)
-        return array
+            return self.expansion.build()[lo:hi] if name == "scales" else None
+        if name != "scales":
+            return getattr(self.classes, name)(lo, hi)
+        with np.errstate(over="ignore"):
+            return np.exp(self.classes.log_scales(lo, hi))
 
-    def block_log_scales(self, offset: int, block: np.ndarray, mask=...) -> np.ndarray:
-        """ln block[mask], block being scales[offset : offset + block.size]: a
-        slice of the log-scales a mixture has (given, or formed by its
-        classes), else np.log (-inf for a 0 scale)."""
-        if self.log_scales is not None:
-            return self.log_scales[offset : offset + block.size][mask]
-        with np.errstate(divide="ignore"):
-            return np.log(block[mask])
-
-    def every_log_scale(self) -> np.ndarray:
-        """Every log-scale in one array: the log-scales a mixture has, else
-        a new array filled from block_log_scales of each block and not kept."""
-        if self.log_scales is not None:
-            return self.log_scales
-        out = np.empty(self.n_components)
-        for i, block in zip(range(0, out.size, _SCALE_BLOCK), self.scale_blocks()):
-            out[i : i + block.size] = self.block_log_scales(i, block)
-        return out
+    def runs(self, bounds=None):
+        """(lo, scales, log_scales, log_weights) over each run [lo, hi) of
+        bounds, ascending from 0 (by default runs of 2^14, the last may be
+        shorter): each array's part, but an enumeration streams its
+        expansion's blocks, which must be the runs. Those are read-only
+        views of one reused scratch, each valid until the next is drawn."""
+        n = self.n_components
+        blocks = None if "scales" in vars(self) or self.classes else self.expansion.blocks()
+        for lo, hi in bounds or ((i, min(i + _SCALE_BLOCK, n)) for i in range(0, n, _SCALE_BLOCK)):
+            scales = self.part("scales", lo, hi) if blocks is None else next(blocks)
+            yield lo, scales, self.part("log_scales", lo, hi), self.part("log_weights", lo, hi)
 
     @property
     def n_components(self) -> int:
-        if self.classes is not None:
-            return self.classes.n + 1
-        return int(self.log_weights.size)
+        return self.classes.n + 1 if self.classes is not None else int(self.log_weights.size)
 
-    @cached_property
+    @property
     def zero_log_weights(self) -> bool:
-        """True when every log-weight is exactly 0 (every enumeration): each
-        component weighs ``weight``, and exp(log_weights) can be skipped."""
-        return not self.log_weights.any()
-
-    def scale_blocks(self):
-        """The scales in order, in blocks of 2^14 (the last may be shorter).
-
-        Slices of the scales once they are built or given. Until then each
-        call expands an enumeration anew, each block into one reused
-        scratch, valid only until the next is drawn: the 2^N array is not
-        built. A caller that reads one many times reads ``scales`` first.
-        """
-        if self.expansion is not None and "scales" not in vars(self):
-            return self.expansion.blocks()
-        scales = self.scales
-        return (scales[i : i + _SCALE_BLOCK] for i in range(0, scales.size, _SCALE_BLOCK))
+        """True when every log-weight is exactly 0 (every enumeration, and
+        depth-0 classes): exp(log_weights) can be skipped."""
+        lw = vars(self).get("log_weights")
+        return self.classes.n == 0 if lw is None else not lw.any()
 
 
 def build_mixture(base: GaussianBase, schedule: ErrorSchedule) -> MixtureDistribution:
@@ -415,7 +398,7 @@ def build_mixture(base: GaussianBase, schedule: ErrorSchedule) -> MixtureDistrib
     ADDITIVE: scale = 1 + sum_j s_j a^j; raises NonPositiveScaleError if
     any branch's offset sum reaches -1. Depth 0 yields the base Gaussian.
     The first N - 14 layers are built here; the scales are expanded from
-    them when first read.
+    them where read.
     """
     n = schedule.depth
     if n > MAX_ENUMERATION_DEPTH:
@@ -564,7 +547,7 @@ def group_mixture(base: GaussianBase, a: float, n: int) -> MixtureDistribution:
 
     Class j holds the C(n, j) branches with j up-moves: scale
     (1+a)^j (1-a)^(n-j), weight C(n, j) 2^-n. The mixture holds the rule
-    (a, n) and forms each class array on first read, in O(n); the tails
+    (a, n) and forms the classes of each run read, in O(run); the tails
     read a window of classes, so depths far past the enumeration ceiling
     work.
     """

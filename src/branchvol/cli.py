@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -283,7 +284,7 @@ def cmd_validate(args) -> int:
     for k in orders:  # as moments checks them, before anything is built
         check_order(k, lowest=1)
     mixture = build_mixture(base, schedule)
-    mixture.scales  # built once: sampling gathers from it, the references read its blocks
+    mixture = replace(mixture, scales=mixture.part("scales"))  # built once; each reader slices them
     references: dict[tuple[str, float], float] = {}
     for order, moment in zip(orders, mixstats.mixture_raw_moments(mixture, orders)):
         references[("moment", float(order))] = moment

@@ -9,8 +9,8 @@ per-layer factors, which converges for the decaying ones. Additive offset
 schedules give geometric sums that stay finite for every depth.
 schedule_moments is the one entry point: it decides which form, or limit, a
 schedule has, and hands each E[scale^m] to special.scale_mixture_moment.
-variance_growth_factor and kurtosis_constant_a are separate constant-rate
-diagnostics with their own formulas.
+variance_growth_factor is a separate constant-rate diagnostic with its own
+formula.
 """
 
 from __future__ import annotations
@@ -117,14 +117,6 @@ def variance_growth_factor(a: float, n: int) -> float:
     check_rate(a)
     check_depth(n)
     return _capped_exp(n * math.log1p(a * a))
-
-
-def kurtosis_constant_a(a: float, n: int) -> float:
-    """Mixture kurtosis 3 ((a^4+6a^2+1)/(a^2+1)^2)^n; equals 3 iff a = 0."""
-    check_rate(a)
-    check_depth(n)
-    ratio = (1.0 + _h_minus_one(4, a)) / (1.0 + _h_minus_one(2, a)) ** 2
-    return 3.0 * _capped_exp(n * math.log(ratio))
 
 
 def _geometric_sum(r: float, n) -> float:

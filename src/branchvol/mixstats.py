@@ -61,8 +61,8 @@ _EXP_ZERO = -746.0
 
 
 # Largest piece _pairwise_sum hands to its leaf: 2^14 doubles stay in cache.
-# It is the block of MixtureDistribution.scale_blocks, so the leaves of 2^N
-# scales are exactly their blocks.
+# It is the block of MixtureDistribution.runs, so the leaves of 2^N scales
+# are exactly an enumeration's blocks.
 _LEAF = _SCALE_BLOCK
 
 
@@ -236,9 +236,8 @@ def density(mixture: MixtureDistribution, x) -> float | np.ndarray:
     # Two tables of (grid block x chunk) doubles, reused: a new process
     # maps and faults in fresh multi-megabyte temporaries on every chunk.
     tables = np.empty((2, min(out.size, _GRID_BLOCK) * min(mixture.n_components, _CHUNK)))
-    starts = range(0, mixture.n_components, _SCALE_BLOCK)
-    chunks = ((i + s.start, block[s]) for i, block in zip(starts, mixture.scale_blocks())
-              for s in _slices(block.size))
+    chunks = ((scales[s], None if ls is None else ls[s], lw[s])
+              for _, scales, ls, lw in mixture.runs() for s in _slices(scales.size))
     # Each chunk goes over the grid a block at a time, its linear terms
     # and then its far ones; every point keeps its own sum, adding them in
     # order whatever the block size. Overflow here means z * z past the
@@ -246,13 +245,12 @@ def density(mixture: MixtureDistribution, x) -> float | np.ndarray:
     with np.errstate(over="ignore", divide="ignore"):
         dx = x_arr.reshape(-1, 1) - mixture.mu
         log_dx = np.log(np.abs(dx))
-        for i, chunk in chunks:
-            lw = mixture.log_weights[i : i + chunk.size]
+        for chunk, ls, lw in chunks:
             sigmas = mixture.sigma * chunk
             far_ls = np.empty(0)
             if not ((not weighted or lw.min() >= -_DENSITY_LINEAR_LIMIT)
                     and _SIGMA_MIN <= sigmas.min() and sigmas.max() <= _SIGMA_MAX):
-                log_sigmas = math.log(mixture.sigma) + mixture.block_log_scales(i, chunk)
+                log_sigmas = math.log(mixture.sigma) + _logs(chunk, ls)
                 linear = np.abs(log_sigmas) <= _DENSITY_LINEAR_LIMIT
                 linear &= lw >= -_DENSITY_LINEAR_LIMIT
                 far_ls = np.maximum(log_sigmas[~linear], _LOG_SIGMA_FLOOR)
@@ -310,6 +308,8 @@ def _log_tails(delta, log_sigmas: np.ndarray) -> np.ndarray:
     # safe for scale factors far outside the double range. delta is a float,
     # or a (t, 1) column that makes a (t, n) table; math.log takes each
     # ln|delta|. At delta = 0 the tail is 1/2, for a sigma of 0 (nan ln|z|) too.
+    # log_erfc is exact while z^2 stays in the double range, ln|z| <= LN_MAX / 2;
+    # past it ln P is below -max double, so -inf (or 0 for delta < 0).
     d = np.asarray(delta, dtype=np.float64)
     ds = d.ravel().tolist()
     ln_d = np.reshape([math.log(abs(x)) if x else -math.inf for x in ds], d.shape)
@@ -317,23 +317,40 @@ def _log_tails(delta, log_sigmas: np.ndarray) -> np.ndarray:
         log_abs_z = (ln_d - 0.5 * _LN2) - log_sigmas
     out = np.empty(log_abs_z.shape)
     out[...] = np.reshape([(-math.inf if x > 0 else 0.0) if x else _LN_HALF for x in ds], d.shape)
-    near = log_abs_z <= 300.0
+    near = log_abs_z <= 0.5 * LN_MAX
     sign = np.broadcast_to(d, out.shape)[near] if d.ndim else d
     out[near] = _LN_HALF + log_erfc(np.copysign(np.exp(log_abs_z[near]), sign))
     return out
 
 
-def _tails(delta: float, mixture: MixtureDistribution, i: int, scales: np.ndarray) -> np.ndarray:
-    # P(Normal(0, (sigma scale_j)^2) > delta) over the scales from component
-    # i; the log form covers sigmas that underflowed to 0 or make delta/sigma inf.
+def _logs(scales: np.ndarray, log_scales: np.ndarray | None, mask=...) -> np.ndarray:
+    # ln scales[mask] of a run: its log-scales if any, else np.log (-inf for a 0).
+    if log_scales is not None:
+        return log_scales[mask]
+    with np.errstate(divide="ignore"):
+        return np.log(scales[mask])
+
+
+def _every_log_scale(mixture: MixtureDistribution) -> np.ndarray:
+    # Every log-scale in one array formed for the call: the mixture's, or its runs'.
+    out = mixture.part("log_scales")
+    if out is None:
+        out = np.empty(mixture.n_components)
+        for i, scales, _, _ in mixture.runs():
+            out[i : i + scales.size] = _logs(scales, None)
+    return out
+
+
+def _tails(delta: float, sigma: float, scales: np.ndarray, log_scales) -> np.ndarray:
+    # P(Normal(0, (sigma scale_j)^2) > delta) over the scales of a run; the
+    # log form covers sigmas that underflowed to 0 or make delta/sigma inf.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        z = delta / (_SQRT2 * (mixture.sigma * scales))
+        z = delta / (_SQRT2 * (sigma * scales))
     ok = np.isfinite(z)
     out = np.empty(z.shape)
     out[ok] = 0.5 * erfc(z[ok])
     bad = ~ok
-    ls = mixture.block_log_scales(i, scales, bad)
-    out[bad] = np.exp(_log_tails(delta, math.log(mixture.sigma) + ls))
+    out[bad] = np.exp(_log_tails(delta, math.log(sigma) + _logs(scales, log_scales, bad)))
     return out
 
 
@@ -344,11 +361,9 @@ def exceedance(mixture: MixtureDistribution, k: float) -> float:
     tails, where log_exceedance stays usable.
     """
     (delta,) = _deltas(mixture, k).tolist()
-    lw = mixture.log_weights
-    starts = range(0, mixture.n_components, _SCALE_BLOCK)
     with np.errstate(over="ignore"):  # a sigma past the double range has tail 1/2
-        total = _fsum(np.exp(lw[i : i + b.size]) * _tails(delta, mixture, i, b)
-                      for i, b in zip(starts, mixture.scale_blocks()))
+        total = _fsum(np.exp(lw) * _tails(delta, mixture.sigma, scales, ls)
+                      for _, scales, ls, lw in mixture.runs())
     return min(1.0, mixture.weight * total)
 
 
@@ -540,7 +555,7 @@ def _class_logsumexp(mixture: MixtureDistribution, delta: float, log_sigma: floa
     # ln|z| past 355, so has every class, as computed: with a >= 0 and
     # rounding monotone, class n has the largest computed log-scale. Then
     # every bound is -inf (its tail factor overflows), and so is every term
-    # (_log_tails is -inf past 300), so the full pass's sum is -inf.
+    # (_log_tails is -inf past LN_MAX / 2), so the full pass's sum is -inf.
     classes = mixture.classes
     n = classes.n
     log_sigma_n = log_sigma + n * math.log1p(classes.a)
@@ -575,16 +590,15 @@ def log_exceedance(mixture: MixtureDistribution, k) -> float | np.ndarray:
     deltas = _deltas(mixture, k)
     n = mixture.n_components
     log_sigma = math.log(mixture.sigma)
+    if n <= _CUT or mixture.classes is None:  # formed once per call, not kept
+        lw, ls = mixture.part("log_weights"), _every_log_scale(mixture)
     if n <= _CUT:
-        lw = mixture.log_weights
-        log_sigmas = log_sigma + mixture.every_log_scale()
         sums = []
         for s in _slices(deltas.size, max(1, _LEAF // max(1, n))):
-            sums += _row_logsumexp(lw + _log_tails(deltas[s, None], log_sigmas))
+            sums += _row_logsumexp(lw + _log_tails(deltas[s, None], log_sigma + ls))
     elif mixture.classes is not None:
         sums = [_class_logsumexp(mixture, d, log_sigma) for d in deltas.tolist()]
     else:
-        lw, ls = mixture.log_weights, mixture.every_log_scale()  # formed once per call, not kept
         sums = [_every_logsumexp(d, log_sigma, lw, ls) for d in deltas.tolist()]
     ln_w = math.log(mixture.weight)
     return _like(k, [ln_w + v for v in sums])
@@ -596,7 +610,9 @@ def convexity_ratio(mixture: MixtureDistribution, k, *, base_log_p=None) -> floa
 
     Evaluated as a difference of log tail probabilities, so ratios of order
     10^18 on probabilities of order 10^-24 keep full relative accuracy. A
-    ratio past the double range is inf. base_log_p, when given, is the
+    ratio past the double range is inf. Where ln P of both lies below -max
+    double (ln|z| past LN_MAX / 2 at every scale), both logs are -inf and
+    the ratio is nan. base_log_p, when given, is the
     log_exceedance at k of the depth-0 mixture of the same mu and sigma,
     group_mixture(base, 0.0, 0), so a table of many mixtures takes it once.
     """
@@ -611,29 +627,29 @@ def convexity_ratio(mixture: MixtureDistribution, k, *, base_log_p=None) -> floa
 
 def _mean_scale_powers(mixture: MixtureDistribution, ms) -> np.ndarray:
     # E[scale^m] over the mixture weights for each m of ms (ascending), in
-    # one pass over the leaves, each sum in np.sum's order. 2^N scales, as
-    # every enumeration has, split into leaves that are exactly the blocks
-    # of scale_blocks, which streams an enumeration that is not built;
-    # other counts slice the scales. Each leaf takes x^m as the product
-    # chain 1 * x * x * ... left to right, the rule of montecarlo.sample:
-    # IEEE products round alike on every CPU, where np.power's bits follow
-    # numpy's SIMD dispatch. In deep grouped mixtures a tiny weight can
-    # meet a power that overflows; a leaf whose sum is not finite takes such
-    # terms in log space and sums again. Terms are never negative, so a
-    # finite leaf sum means every term of the leaf was finite.
-    n, lw = mixture.n_components, mixture.log_weights
+    # one pass over the leaves, each sum in np.sum's order. Each leaf is
+    # the mixture's run over it: 2^N scales, as every enumeration has,
+    # split into leaves that are exactly its streamed blocks. Each leaf
+    # takes x^m as the product chain 1 * x * x * ... left to right, the
+    # rule of montecarlo.sample: IEEE products round alike on every CPU,
+    # where np.power's bits follow numpy's SIMD dispatch. In deep grouped
+    # mixtures a tiny weight can meet a power that overflows; a leaf whose
+    # sum is not finite takes such terms in log space and sums again.
+    # Terms are never negative, so a finite leaf sum means every term of
+    # the leaf was finite.
+    n = mixture.n_components
     weighted = not mixture.zero_log_weights
-    blocks = None if n & (n - 1) else mixture.scale_blocks()
+    runs = mixture.runs(_pairwise_sum(lambda i, j: [(i, j)], 0, n))
     powers = np.empty(min(_LEAF, n))
     terms = np.empty(powers.size if weighted else 0)
     weights = np.empty(terms.size)
 
     def leaf(i: int, j: int) -> np.ndarray:
-        x = mixture.scales[i:j] if blocks is None else next(blocks)
+        _, x, ls, lw = next(runs)
         p = powers[: j - i]
         p.fill(1.0)
         if weighted:
-            w = np.exp(lw[i:j], out=weights[: j - i])
+            w = np.exp(lw, out=weights[: j - i])
         sums = np.empty(len(ms))
         done = 0
         for r, m in enumerate(ms):
@@ -645,7 +661,7 @@ def _mean_scale_powers(mixture: MixtureDistribution, ms) -> np.ndarray:
             if not math.isfinite(sums[r]):
                 bad = ~np.isfinite(t)
                 t = t.copy()  # p carries the chain on to the next power
-                t[bad] = np.exp(lw[i:j][bad] + m * mixture.block_log_scales(i, x, bad))
+                t[bad] = np.exp(lw[bad] + m * _logs(x, ls, bad))
                 sums[r] = np.sum(t)
         return sums
 

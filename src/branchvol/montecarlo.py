@@ -96,8 +96,9 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
     # before any class array is formed.
     if (mixture.classes.n >= 2 if mixture.classes is not None else
             not mixture.zero_log_weights
-            and np.any(mixture.log_weights != mixture.log_weights[0])):
+            and np.any((lw := mixture.part("log_weights")) != lw[0])):
         raise ValueError("sample needs equal component weights; got a weighted mixture")
+    scales = mixture.part("scales")  # the array every leaf gathers from, formed once
     # Imported on the first call: imported with the module, it slowed the
     # calls that never sample by about 2% (the benchmark's binomial tails).
     import queue
@@ -136,7 +137,7 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
         t += 1
         xl, xp = x[: j - i], powers[: j - i]
         # mu + sigma * scale * z in place; this order fixes every bit of the sums.
-        np.take(mixture.scales, idx[i:j], out=xl)
+        np.take(scales, idx[i:j], out=xl)
         xl *= mixture.sigma
         xl *= zl
         xl += mixture.mu

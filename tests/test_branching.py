@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from itertools import islice, product
 
 import mpmath
@@ -25,6 +26,7 @@ from branchvol.branching import (
     group_mixture,
     parse_schedule_spec,
 )
+from branchvol.mixstats import _every_log_scale
 
 # Canonical depth-3 sign matrix: binary counting, +1 first, last column fastest.
 T3 = np.array(
@@ -322,22 +324,29 @@ class TestBlockedBuild:
         assert str(err.value) == f"branch {i} with signs {signs} has scale {ref[i]:.6g} <= 0"
 
 
+def _blocks(mix):
+    # The scales of each run the mixture's reader yields, in order.
+    return (scales for _, scales, _, _ in mix.runs())
+
+
 class TestScaleBlocks:
-    """An enumeration keeps the head and the last moves: its scales are
-    built on first read, and scale_blocks streams them until then, with
-    the bits of the layer-by-layer build."""
+    """An enumeration keeps the head and the last moves: its runs stream
+    the scales, with the bits of the layer-by-layer build, and its
+    ``scales`` attribute builds them anew at each read. A mixture given
+    the built scales reads slices of them."""
 
     @pytest.mark.parametrize("n", TestBlockedBuild.DEPTHS)
     @_MAKES
     def test_blocks_equal_the_layerwise_build(self, make, n):
         schedule = make(n)
         mix = build_mixture(GaussianBase(), schedule)
-        streamed = [b.copy() for b in mix.scale_blocks()]
+        streamed = [b.copy() for b in _blocks(mix)]
         assert "scales" not in vars(mix)
         assert {b.size for b in streamed} == {min(2**n, 2**14)}
         assert np.array_equal(np.concatenate(streamed), _layerwise(schedule))
-        scales = mix.scales  # built on first read; the blocks are slices from now on
-        sliced = list(mix.scale_blocks())
+        scales = mix.scales  # built for this read, not kept
+        assert "scales" not in vars(mix) and mix.scales is not scales
+        sliced = list(_blocks(replace(mix, scales=scales)))
         assert np.array_equal(scales, _layerwise(schedule))
         assert all(np.array_equal(a, b) for a, b in zip(streamed, sliced, strict=True))
         assert all(np.shares_memory(b, scales) for b in sliced)
@@ -352,8 +361,7 @@ class TestScaleBlocks:
         assert (first, last) == (mix.scales.max(), mix.scales.min())
 
     def test_every_read_streams_and_builds_nothing(self, monkeypatch):
-        # Until the scales are read, each call expands them anew and keeps
-        # nothing: a caller that reads a mixture many times reads scales first.
+        # Each read expands the scales anew and keeps nothing.
         expanded, built = [], []
         fill, build = ScaleExpansion._fill, ScaleExpansion.build
 
@@ -370,14 +378,14 @@ class TestScaleBlocks:
         schedule = ErrorSchedule.bleed(0.2, 0.9, 17)
         mix = build_mixture(GaussianBase(), schedule)
         head = mix.expansion.head.size
-        reads = [[b.copy() for b in mix.scale_blocks()] for _ in range(5)]
+        reads = [[b.copy() for b in _blocks(mix)] for _ in range(5)]
         assert "scales" not in vars(mix) and not built
         assert sum(expanded) == 5 * head
         for blocks in reads:
             assert np.array_equal(np.concatenate(blocks), _layerwise(schedule))
 
     def test_streamed_blocks_are_read_only_views_of_one_scratch(self):
-        blocks = build_mixture(GaussianBase(), ErrorSchedule.bleed(0.2, 0.9, 16)).scale_blocks()
+        blocks = _blocks(build_mixture(GaussianBase(), ErrorSchedule.bleed(0.2, 0.9, 16)))
         first, second = next(blocks), next(blocks)
         assert np.shares_memory(first, second)
         with pytest.raises(ValueError, match="read-only"):
@@ -416,28 +424,36 @@ class TestScaleBlocks:
 
 
 class TestMixtureFields:
-    """An enumeration's log-scales are None, and none are kept; its scales,
-    the one field left to build, are built on first read and kept. A
-    grouped mixture forms each of its class arrays on first read."""
+    """A mixture keeps nothing: an array given as None is formed by the
+    rule at each read of its attribute (an enumeration's scales; every
+    class array of a grouped mixture), and an enumeration's log-scales are
+    None. Arrays given are kept, read-only."""
 
     def test_an_enumeration_has_no_log_scales(self):
         for schedule in (ErrorSchedule.bleed(0.2, 0.9, 15), ErrorSchedule.geometric(0.1, 9)):
             mix = build_mixture(GaussianBase(), schedule)
-            assert mix.log_scales is None
-            log_scales = mix.every_log_scale()
+            assert mix.log_scales is None and mix.part("log_scales") is None
+            log_scales = _every_log_scale(mix)
             assert "scales" not in vars(mix) and mix.log_scales is None
             assert np.array_equal(log_scales, np.log(mix.scales))
             assert mix.log_scales is None
 
-    def test_class_arrays_are_formed_on_first_read_and_kept(self):
-        mix = group_mixture(GaussianBase(), 0.1, 10_000)
-        assert mix.n_components == 10_001
-        assert not {"scales", "log_scales", "log_weights"} & set(vars(mix))
-        log_scales = mix.log_scales
-        assert vars(mix)["log_scales"] is log_scales and mix.log_scales is log_scales
-        assert not log_scales.flags.writeable
-        assert not {"scales", "log_weights"} & set(vars(mix))
-        assert not mix.scales.flags.writeable and not mix.log_weights.flags.writeable
+    @pytest.mark.parametrize("make", [lambda: group_mixture(GaussianBase(), 0.1, 10_000),
+                                      lambda: build_mixture(GaussianBase(),
+                                                            ErrorSchedule.bleed(0.2, 0.9, 15))],
+                             ids=["grouped", "enumerated"])
+    def test_arrays_are_formed_at_each_read_and_never_kept(self, make):
+        mix = make()
+        formed = [name for name in ("scales", "log_scales", "log_weights")
+                  if name not in vars(mix)]
+        assert formed
+        for name in formed:
+            array = getattr(mix, name)
+            expected = array.copy()
+            array[:] = 0.0  # the caller's own array: the mixture holds no reference to it
+            again = getattr(mix, name)
+            assert again is not array and np.array_equal(again, expected), name
+            assert name not in vars(mix), name
 
     def test_given_arrays_are_kept_read_only(self):
         n = 1000
@@ -462,9 +478,9 @@ class TestMixtureFields:
         with pytest.raises(AttributeError, match="no attribute 'log_scale'"):
             mix.log_scale
 
-    def test_threads_reading_one_mixture_agree(self):
-        # Threads that race on the first read of the scales each get the
-        # built array, read-only.
+    def test_threads_reading_one_mixture_share_nothing(self):
+        # Threads that read one mixture at once each get a whole array of
+        # their own, and the mixture is left as it was built.
         schedule = ErrorSchedule.bleed(0.2, 0.9, 12)
         expected = _layerwise(schedule)
         switch = sys.getswitchinterval()
@@ -472,6 +488,7 @@ class TestMixtureFields:
         try:
             for _ in range(20):
                 mix = build_mixture(GaussianBase(), schedule)
+                before = dict(vars(mix))
                 seen = []
                 threads = [threading.Thread(target=lambda: seen.append(mix.scales))
                            for _ in range(8)]
@@ -482,8 +499,8 @@ class TestMixtureFields:
                 assert not any(t.is_alive() for t in threads)
                 assert len(seen) == 8
                 assert all(np.array_equal(s, expected) for s in seen)
-                assert not any(s.flags.writeable for s in seen)
-                assert any(s is mix.scales for s in seen)
+                assert len({id(s) for s in seen}) == 8
+                assert vars(mix) == before
         finally:
             sys.setswitchinterval(switch)
 
@@ -617,7 +634,7 @@ class TestEnumerationCeiling:
         tracemalloc.start()
         try:
             mix = build_mixture(GaussianBase(), ErrorSchedule.bleed(0.2, 0.9, MAX_ENUMERATION_DEPTH))
-            mix.scales  # built on first read
+            mix.scales  # built for this read
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -21,6 +21,7 @@ from scipy.special import gammaln, log_ndtr
 
 import branchvol
 from branchvol import cli, closedform, mixstats
+from branchvol._checks import LN_MAX
 from branchvol.branching import (
     MAX_ENUMERATION_DEPTH,
     ErrorSchedule,
@@ -832,6 +833,78 @@ class TestDeepSchedules:
                 assert cli.main(argv + ["--n-list", "1,2"]) == 3, argv
                 captured = capsys.readouterr()
                 assert captured.out == "" and captured.err == err, argv
+
+
+def _mp_class_log_tail(a: float, n: int, k: float) -> mpmath.mpf:
+    # ln P(X > k) for the depth-n constant-rate mixture on mu = 0, sigma = 1,
+    # summed over all n + 1 classes at 50 digits, for k >= 1e100: there
+    # ln erfc(z) = -z^2 - ln(z sqrt(pi)) + ln(1 - 1/(2 z^2) + ...), whose
+    # last term is below 1e-199.
+    assert k >= 1e100
+    with mpmath.workdps(50):
+        ma, mk = mpmath.mpf(a), mpmath.mpf(k)
+        terms = []
+        for j in range(n + 1):
+            z = mk / (mpmath.sqrt(2) * (1 + ma) ** j * (1 - ma) ** (n - j))
+            terms.append(mpmath.log(mpmath.binomial(n, j)) - z * z
+                         - mpmath.log(z * mpmath.sqrt(mpmath.pi)))
+        m = max(terms)
+        return m + mpmath.log(mpmath.fsum(mpmath.exp(t - m) for t in terms) / 2 ** (n + 1))
+
+
+class TestFarTails:
+    """ln P is finite wherever it is a finite double: log_erfc is exact
+    until z^2 leaves the double range, at ln|z| = LN_MAX / 2, so the tails
+    take it out to there. Past it ln P lies below -max double."""
+
+    def test_exceed_prints_a_finite_log_tail(self, capsys):
+        rc, out = run_cli("exceed", "--schedule", "constant:a=0.1,N=5", "--k", "1e150",
+                          "--format", "json", capsys=capsys)
+        assert rc == 0
+        columns, rows = cli.parse_table_json(out)
+        cells = dict(zip(columns, rows[0]))
+        ref = _mp_class_log_tail(0.1, 5, 1e150)
+        assert cells["p_exceed"] == 0.0 and math.isfinite(cells["ln_p"])
+        assert abs(cells["ln_p"] - ref) <= 2e-13 * abs(ref)
+
+    @pytest.mark.parametrize("flags, rates", [([], [0.01, 0.1]), (["--a", "0"], [0.0])])
+    def test_ratio_table_past_the_double_range(self, flags, rates, capsys):
+        # ln P(N = 5) - ln P(N = 0) is about 1.9e299 at a = 0.1, an inf
+        # ratio; at a = 0 the two tails are one, a ratio of 1.
+        rc, out = run_cli("ratio-table", "--n-list", "5", "--k-list", "1e150", *flags,
+                          "--format", "json", capsys=capsys)
+        assert rc == 0
+        rows = cli.parse_table_json(out)[1]
+        base = _mp_class_log_tail(0.0, 0, 1e150)
+        for a, row in zip(rates, rows, strict=True):
+            log_ratio = _mp_class_log_tail(a, 5, 1e150) - base
+            assert row == [a, 5, math.inf if log_ratio > LN_MAX else 1.0], a
+            assert (log_ratio > LN_MAX) == (a > 0.0)
+
+    def test_loglog_against_mpmath(self, capsys):
+        rc, out = run_cli("loglog", "--schedule", "constant:a=0.1,N=5", "--x", "1e140:1e150:5",
+                          "--format", "json", capsys=capsys)
+        assert rc == 0
+        columns, rows = cli.parse_table_json(out)
+        assert len(rows) == 5
+        for row in rows:
+            cells = dict(zip(columns, row))
+            ref = _mp_class_log_tail(0.1, 5, cells["x"])
+            assert abs(cells["ln_p"] - ref) <= 2e-13 * abs(ref), cells["x"]
+
+    def test_past_minus_max_double_the_log_tail_is_minus_inf(self, capsys):
+        # From x = 1e155 on, ln P is about -1.9e309: -inf as a double, which
+        # the slope window refuses (exit 3). The points before it are finite.
+        series = mixstats.loglog_series(group_mixture(GaussianBase(), 0.1, 5), 1e140, 1e170, 5)
+        for x, log_p in zip(series.x.tolist(), series.log_p.tolist()):
+            ref = _mp_class_log_tail(0.1, 5, x)
+            if ref < -sys.float_info.max:
+                assert log_p == -math.inf, x
+            else:
+                assert abs(log_p - ref) <= 2e-13 * abs(ref), x
+        assert np.isfinite(series.log_p).tolist() == [True, True, False, False, False]
+        assert cli.main(["loglog", "--schedule", "constant:a=0.1,N=5", "--x", "1e140:1e170:5"]) == 3
+        assert capsys.readouterr().err == "error: slope window contains non-finite ln P values\n"
 
 
 class TestFlagSurface:

@@ -13,7 +13,7 @@ from branchvol.branching import (
     NonPositiveScaleError,
     build_mixture,
 )
-from branchvol.closedform import kurtosis_constant_a, schedule_moments, variance_growth_factor
+from branchvol.closedform import schedule_moments, variance_growth_factor
 from branchvol.mixstats import mixture_raw_moments
 from branchvol.special import INFINITY, UnsupportedOrderError
 
@@ -304,22 +304,30 @@ class TestBleed:
 
 
 class TestKurtosis:
+    """The constant-rate kurtosis M4 / M2^2 from schedule_moments: 3 at
+    a = 0, growing in N, and 3 ((a^4 + 6a^2 + 1)/(a^2 + 1)^2)^N."""
+
+    @staticmethod
+    def _kurtosis(a, n):
+        m2, m4 = schedule_moments(ErrorSchedule.constant(a, n), [2, 4], 0.0, 1.0, n)
+        return m4 / m2**2
+
     def test_gaussian_for_zero_rate(self):
-        assert kurtosis_constant_a(0.0, 12) == 3.0
+        assert self._kurtosis(0.0, 12) == 3.0
 
     def test_excess_grows(self):
         rng = np.random.default_rng(17)
         for _ in range(30):
             a = float(rng.uniform(0.01, 0.5))
             n = int(rng.integers(1, 30))
-            k = kurtosis_constant_a(a, n)
+            k = self._kurtosis(a, n)
             assert k > 3.0
-            assert k < kurtosis_constant_a(a, n + 1)
+            assert k < self._kurtosis(a, n + 1)
 
-    def test_matches_moment_ratio(self):
+    def test_matches_the_closed_ratio(self):
         a, n = 0.2, 7
-        m2, m4 = schedule_moments(ErrorSchedule.constant(a, n), [2, 4], 0.0, 1.0, n)
-        assert math.isclose(kurtosis_constant_a(a, n), m4 / m2**2, rel_tol=1e-12)
+        ratio = (a**4 + 6 * a**2 + 1) / (a**2 + 1) ** 2
+        assert math.isclose(self._kurtosis(a, n), 3.0 * ratio**n, rel_tol=1e-12)
 
 
 class TestAdditive:

@@ -4,6 +4,7 @@ import gc
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -21,6 +22,7 @@ from branchvol.branching import (
     group_mixture,
 )
 from branchvol import mixstats
+from branchvol._checks import LN_MAX
 from branchvol.closedform import schedule_moments
 from branchvol.mixstats import (
     LogLogSeries,
@@ -34,7 +36,8 @@ from branchvol.mixstats import (
     mixture_raw_moments,
     tail_slope_estimate,
 )
-from branchvol.special import UnsupportedOrderError, log_erfc
+from branchvol.montecarlo import SampleSpec, sample
+from branchvol.special import UnsupportedOrderError, log_erfc, scale_mixture_moment
 
 mpmath.mp.dps = 50
 
@@ -276,7 +279,7 @@ def _reference_log_tail(delta, log_sigma):
     if delta == 0.0:
         return math.log(0.5)
     log_abs_z = math.log(abs(delta)) - 0.5 * math.log(2.0) - log_sigma
-    if log_abs_z > 300.0:
+    if log_abs_z > 0.5 * LN_MAX:
         return -math.inf if delta > 0.0 else 0.0
     return math.log(0.5) + log_erfc(math.copysign(math.exp(log_abs_z), delta))
 
@@ -327,7 +330,7 @@ class TestTailKernel:
                                     rel_tol=1e-14), (mix.n_components, k)
 
     def test_centre_and_far_branches_on_both_sides(self):
-        # One component with sigma = e^-400: ln|z| > 300 at mu +- 1, so its
+        # One component with sigma = e^-400: ln|z| > 355 at mu +- 1, so its
         # tail is 0 above the mean and 1 below it. At mu every tail is 1/2.
         mix = _two_component(-400.0)
         sqrt2 = mpmath.sqrt(2)
@@ -361,9 +364,9 @@ class TestTailKernel:
 def _unpruned_log_exceedance(mix, k):
     # Every component through _log_tails, a chunk at a time, and the plain
     # log-sum-exp over all of them: log_exceedance without any pruning.
-    log_sigma, log_scales = math.log(mix.sigma), _log_scales(mix)
+    log_sigma, log_scales, log_weights = math.log(mix.sigma), _log_scales(mix), mix.log_weights
     terms = np.concatenate([
-        mix.log_weights[s] + mixstats._log_tails(k - mix.mu, log_sigma + log_scales[s])
+        log_weights[s] + mixstats._log_tails(k - mix.mu, log_sigma + log_scales[s])
         for s in mixstats._slices(mix.n_components)])
     m = float(terms.max())
     if m == -math.inf:
@@ -508,7 +511,7 @@ class TestPrunedTails:
             assert log_exceedance(mix, k) == _unpruned_log_exceedance(mix, k), k
 
     def test_every_tail_minus_inf(self):
-        # sigma = e^-800 for every component: ln|z| > 300 at mu + 1.
+        # sigma = e^-800 for every component: ln|z| > 355 at mu + 1.
         log_scales = np.full(5000, -800.0)
         mix = MixtureDistribution(0.0, 1.0, np.exp(log_scales), log_scales, 1 / 5000,
                                   np.zeros(5000))
@@ -941,10 +944,51 @@ class TestDeepEnumerationMemory:
         assert peak < 20 * 2**20
 
 
+class TestGroupedRuns:
+    """Every evaluator reads a mixture through its runs: none keeps an
+    array on the mixture, and a grouped one forms its classes a run at a
+    time, so its memory does not grow with n."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_mixture(GaussianBase(0.05, 1.3), ErrorSchedule.bleed(0.2, 0.9, 16)),
+        lambda: group_mixture(GaussianBase(0.05, 1.3), 0.1, 10**6),
+    ], ids=["enumerated16", "grouped1e6"])
+    def test_no_evaluator_keeps_an_array(self, make):
+        mix = make()
+        formed = {"scales", "log_scales", "log_weights"} - set(vars(mix))
+        density(mix, np.linspace(-4.0, 4.0, 9))
+        exceedance(mix, 3.0)
+        log_exceedance(mix, [3.0, 10.0])
+        mixture_raw_moments(mix, range(1, 9))
+        if mix.classes is None:
+            sample(mix, SampleSpec(n_samples=1000, seed=1))
+        else:
+            with pytest.raises(ValueError, match="equal"):
+                sample(mix, SampleSpec(n_samples=1000, seed=1))
+        assert formed and not formed & set(vars(mix))
+
+    # Measured at n = 10^6: 3.3, 3.0 and 2.9 MiB, the same at n = 10^7 (a
+    # run's classes and its scratch). The three whole class arrays and
+    # their scratch peak at 31 MiB.
+    @pytest.mark.parametrize("evaluate", [
+        lambda mix: density(mix, np.linspace(-4.0, 4.0, 9)),
+        lambda mix: exceedance(mix, 3.0),
+        lambda mix: mixture_raw_moments(mix, range(1, 9)),
+    ], ids=["density", "exceedance", "moments"])
+    def test_peak_memory_is_a_run(self, evaluate):
+        tracemalloc.start()
+        try:
+            evaluate(group_mixture(BASE, 0.1, 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
 class TestStreamedEqualsMaterialized:
-    """Moments, densities and both tails stream an enumeration that is not
-    built; each has the bits it has once the scales are built and read as
-    slices. mu = 0.05 makes the moments read every even power."""
+    """Moments, densities and both tails stream an enumeration's scales;
+    each has the bits it has on the same mixture given its built scales,
+    read as slices. mu = 0.05 makes the moments read every even power."""
 
     @staticmethod
     def _bits(mix, points, ks, log_ks):
@@ -971,8 +1015,7 @@ class TestStreamedEqualsMaterialized:
         mix = build_mixture(GaussianBase(0.05, 1.3), make(n))
         streamed = self._bits(mix, *args)
         assert "scales" not in vars(mix) and mix.log_scales is None
-        mix.scales  # built: every evaluator now reads slices
-        assert self._bits(mix, *args) == streamed
+        assert self._bits(replace(mix, scales=mix.scales), *args) == streamed
 
     def test_far_densities_take_the_same_logs(self):
         # Below e^-700 a sigma's term takes ln scale: np.log of the streamed
@@ -1026,6 +1069,20 @@ class TestScalePowerLeaves:
         for m, got in zip(range(1, 9), means):
             ref = mpmath.fsum(x**m for x in scales) / len(scales)
             assert abs(float((got - ref) / ref)) <= 4 * 2.0**-53, m
+
+    @pytest.mark.parametrize("n", [2**15 - 1, 2**17 - 1])
+    def test_grouped_leaves_are_runs_of_classes(self, n):
+        # n + 1 = 2^k classes split into leaves of exactly 2^14, each
+        # formed as its own run: the moments have the bits of the
+        # one-array sums. At a = 0.01 the widest classes' powers overflow
+        # and take the log-space pass, yet every moment is finite.
+        mix = group_mixture(GaussianBase(0.05, 1.3), 0.01, n)
+        powers = {m: _full_length_scale_power(mix, m) for m in range(2, 9, 2)}
+        expected = [scale_mixture_moment(k, mix.mu, mix.sigma, powers.__getitem__)
+                    for k in range(1, 9)]
+        got = mixture_raw_moments(mix, range(1, 9))
+        assert all(map(math.isfinite, got))
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
 
     def test_peak_memory_is_a_leaf(self):
         # One full-length power array of 2^20 doubles took 8 MB.

@@ -16,7 +16,13 @@ import numpy as np
 import pytest
 
 from branchvol import cli, mixstats, montecarlo
-from branchvol.branching import ErrorSchedule, GaussianBase, build_mixture, group_mixture
+from branchvol.branching import (
+    ErrorSchedule,
+    GaussianBase,
+    MixtureDistribution,
+    build_mixture,
+    group_mixture,
+)
 from branchvol.closedform import schedule_moments
 from branchvol.mixstats import exceedance
 from branchvol.montecarlo import (
@@ -243,20 +249,16 @@ class _Failed(Exception):
 
 
 class _FailingGather:
-    """A mixture whose third read of scales, the third leaf's gather, raises."""
+    """np.take whose third call, the third leaf's gather, raises."""
 
-    def __init__(self, mixture):
-        self._mixture, self._reads = mixture, 0
+    def __init__(self, take):
+        self._take, self.calls = take, 0
 
-    def __getattr__(self, name):
-        return getattr(self._mixture, name)
-
-    @property
-    def scales(self):
-        self._reads += 1
-        if self._reads == 3:
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == 3:
             raise _Failed("third leaf")
-        return self._mixture.scales
+        return self._take(*args, **kwargs)
 
 
 class TestWorker:
@@ -265,11 +267,25 @@ class TestWorker:
 
     MIX = TestStream.MIX
 
-    def test_a_failing_leaf_stops_the_worker(self):
-        mix = _FailingGather(self.MIX)
+    def test_a_failing_leaf_stops_the_worker(self, monkeypatch):
+        take = _FailingGather(np.take)
+        monkeypatch.setattr(np, "take", take)
         with pytest.raises(_Failed, match="third leaf"):
-            sample(mix, SampleSpec(n_samples=10 * mixstats._LEAF, seed=5))
-        assert mix._reads == 3
+            sample(self.MIX, SampleSpec(n_samples=10 * mixstats._LEAF, seed=5))
+        assert take.calls == 3
+
+    def test_the_gather_array_is_formed_once_per_call(self, monkeypatch):
+        # Ten leaves gather from one array of scales, formed for the call.
+        parts, part = [], MixtureDistribution.part
+
+        def recording(mixture, name, *args):
+            parts.append(name)
+            return part(mixture, name, *args)
+
+        monkeypatch.setattr(MixtureDistribution, "part", recording)
+        mix = build_mixture(BASE, ErrorSchedule.bleed(0.2, 0.9, 12))
+        sample(mix, SampleSpec(n_samples=10 * mixstats._LEAF, seed=5))
+        assert parts == ["scales"] and "scales" not in vars(mix)
 
     @pytest.mark.parametrize("fail_at", [1, 3, 65])
     def test_a_worker_error_reaches_the_caller_unchanged(self, monkeypatch, fail_at):
