@@ -370,12 +370,22 @@ class MixtureDistribution:
         bounds, ascending from 0 (by default runs of 2^14, the last may be
         shorter): each array's part, but an enumeration streams its
         expansion's blocks, which must be the runs. Those are read-only
-        views of one reused scratch, each valid until the next is drawn."""
+        views of one reused scratch, each valid until the next is drawn.
+        Classes form a run's log-scales once and take its scales as their
+        exp, as ``part`` does."""
         n = self.n_components
         blocks = None if "scales" in vars(self) or self.classes else self.expansion.blocks()
+        by_rule = self.classes is not None and not {"scales", "log_scales"} & vars(self).keys()
         for lo, hi in bounds or ((i, min(i + _SCALE_BLOCK, n)) for i in range(0, n, _SCALE_BLOCK)):
-            scales = self.part("scales", lo, hi) if blocks is None else next(blocks)
-            yield lo, scales, self.part("log_scales", lo, hi), self.part("log_weights", lo, hi)
+            log_scales = self.part("log_scales", lo, hi)
+            if blocks is not None:
+                scales = next(blocks)
+            elif by_rule:
+                with np.errstate(over="ignore"):
+                    scales = np.exp(log_scales)
+            else:
+                scales = self.part("scales", lo, hi)
+            yield lo, scales, log_scales, self.part("log_weights", lo, hi)
 
     @property
     def n_components(self) -> int:
@@ -384,9 +394,12 @@ class MixtureDistribution:
     @property
     def zero_log_weights(self) -> bool:
         """True when every log-weight is exactly 0 (every enumeration, and
-        depth-0 classes): exp(log_weights) can be skipped."""
+        depth-0 classes): exp(log_weights) can be skipped. A zero-stride
+        view, an enumeration's equal weights, is read from one element."""
         lw = vars(self).get("log_weights")
-        return self.classes.n == 0 if lw is None else not lw.any()
+        if lw is None:
+            return self.classes.n == 0
+        return not (lw[:1] if lw.strides == (0,) else lw).any()
 
 
 def build_mixture(base: GaussianBase, schedule: ErrorSchedule) -> MixtureDistribution:

@@ -64,9 +64,6 @@ def _format_value(v) -> str:
     return s
 
 
-_NON_FINITE = ("inf", "-inf", "nan")
-
-
 def _json_cell(v):
     # RFC 8259 JSON has no inf or nan: such a cell carries its CSV token.
     if isinstance(v, float) and not math.isfinite(v):
@@ -92,38 +89,6 @@ def _emit(args, command: str, columns: list[str], rows: list[list]) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def parse_table_csv(text: str) -> tuple[list[str], list[list]]:
-    """Read back a CSV table emitted by this tool."""
-    lines = [ln for ln in text.split("\n") if ln != ""]
-    columns = lines[0].split(",")
-    rows = [[_parse_cell(c) for c in ln.split(",")] for ln in lines[1:]]
-    return columns, rows
-
-
-def _parse_cell(cell: str):
-    if cell == "":
-        return None
-    if cell == "true":
-        return True
-    if cell == "false":
-        return False
-    try:
-        return float(cell)
-    except ValueError:
-        return cell
-
-
-def parse_table_json(text: str) -> tuple[list[str], list[list]]:
-    """Read back a JSON table emitted by this tool; the cells "inf", "-inf"
-    and "nan" read as floats."""
-    payload = json.loads(text)
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {payload.get('schema_version')!r}")
-    rows = [[float(c) if isinstance(c, str) and c in _NON_FINITE else c for c in row]
-            for row in payload["rows"]]
-    return payload["columns"], rows
 
 
 def _parse_list(text: str, flag: str, kind=float) -> list:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -123,7 +123,7 @@ def _batches(arrays):
             yield from (x[s] for s in _slices(full, _BATCH))
             pending, size = [x[full:]], size - full
     if size:
-        yield np.concatenate(pending)
+        yield np.concatenate(pending) if len(pending) > 1 else pending[0]
 
 
 def _add_buckets(acc: np.ndarray, x: np.ndarray) -> None:
@@ -306,18 +306,27 @@ def _like(k, values: list[float]) -> float | np.ndarray:
 def _log_tails(delta, log_sigmas: np.ndarray) -> np.ndarray:
     # ln P(Normal(0, sigma_j^2) > delta) with each sigma passed as its log;
     # safe for scale factors far outside the double range. delta is a float,
-    # or a (t, 1) column that makes a (t, n) table; math.log takes each
-    # ln|delta|. At delta = 0 the tail is 1/2, for a sigma of 0 (nan ln|z|) too.
-    # log_erfc is exact while z^2 stays in the double range, ln|z| <= LN_MAX / 2;
-    # past it ln P is below -max double, so -inf (or 0 for delta < 0).
+    # a (t, 1) column that makes a (t, n) table, or one delta per log-sigma;
+    # math.log takes each ln|delta| once per run of equal deltas. At delta =
+    # 0 the tail is 1/2, for a sigma of 0 (nan ln|z|) too. log_erfc is exact
+    # while z^2 stays in the double range, ln|z| <= LN_MAX / 2; past it ln P
+    # is below -max double, so -inf (or 0 for delta < 0).
     d = np.asarray(delta, dtype=np.float64)
-    ds = d.ravel().tolist()
-    ln_d = np.reshape([math.log(abs(x)) if x else -math.inf for x in ds], d.shape)
+    ds, counts = d.ravel(), 1
+    if d.shape == log_sigmas.shape and d.size > 1:
+        heads = np.flatnonzero(ds[1:] != ds[:-1]) + 1
+        ds, counts = ds[np.r_[0, heads]], np.diff(heads, prepend=0, append=d.size)
+    ds = ds.tolist()
+    ln_d = np.repeat([math.log(abs(x)) if x else -math.inf for x in ds], counts).reshape(d.shape)
     with np.errstate(invalid="ignore"):
         log_abs_z = (ln_d - 0.5 * _LN2) - log_sigmas
-    out = np.empty(log_abs_z.shape)
-    out[...] = np.reshape([(-math.inf if x > 0 else 0.0) if x else _LN_HALF for x in ds], d.shape)
     near = log_abs_z <= 0.5 * LN_MAX
+    if near.all():  # the usual case: no element to fill or to gather
+        z = np.copysign(np.exp(log_abs_z), d)
+        return _LN_HALF + log_erfc(z.ravel()).reshape(z.shape)
+    out = np.empty(log_abs_z.shape)
+    out[...] = np.repeat([(-math.inf if x > 0 else 0.0) if x else _LN_HALF for x in ds],
+                         counts).reshape(d.shape)
     sign = np.broadcast_to(d, out.shape)[near] if d.ndim else d
     out[near] = _LN_HALF + log_erfc(np.copysign(np.exp(log_abs_z[near]), sign))
     return out
@@ -367,11 +376,11 @@ def exceedance(mixture: MixtureDistribution, k: float) -> float:
     return min(1.0, mixture.weight * total)
 
 
-def _exp_diffs(terms: np.ndarray, m: float, keep: np.ndarray | None = None):
-    # exp(t - m) over the terms (those where keep), a chunk at a time.
-    # Differences below _EXP_ZERO exponentiate to 0.0, which adds nothing.
+def _exp_diffs(terms: np.ndarray, m: float):
+    # exp(t - m) over the terms, a chunk at a time. Differences below
+    # _EXP_ZERO exponentiate to 0.0, which adds nothing.
     for s in _slices(terms.size):
-        d = (terms[s] if keep is None else terms[s][keep[s]]) - m
+        d = terms[s] - m
         yield np.exp(d[d >= _EXP_ZERO])
 
 
@@ -429,40 +438,90 @@ def _floor(delta: float, log_sigma: float, ls: np.ndarray, bounds: np.ndarray) -
     return anchor - _GAP if abs(anchor) <= _PRUNE_LIMIT else -math.inf
 
 
-def _pruned_logsumexp(delta: float, log_sigma: float, lw: np.ndarray, ls: np.ndarray,
-                      terms: np.ndarray, floor: float, n: int) -> float | None:
-    # _logsumexp of the n terms ln w_i + ln P_i, skipping those whose bound
-    # lies below floor when the rounded sum provably ignores them. lw, ls
-    # and terms (their bounds, overwritten by the exact terms) cover a run
-    # of the components that holds every one whose bound reaches floor; the
-    # rest count as skipped. None when the proof fails on a run short of n.
-
-    def evaluate(mask: np.ndarray) -> None:
-        for s in _slices(terms.size):
+def _evaluate(log_sigma: float, pieces) -> list[int]:
+    # For each (delta, lw, ls, mask, out), the exact terms lw + _log_tails
+    # of the components where mask, in order, written to the front of out
+    # (out may hold the bounds the mask was taken from: nothing reads it);
+    # returns how many each piece wrote. The terms of every piece go
+    # through _log_tails together, about _CHUNK a call; each term is
+    # elementwise, so it has the same bits in any batch.
+    batch, size, counts = [], 0, []
+    for delta, lw, ls, mask, out in pieces:
+        at = 0
+        for s in _slices(mask.size):
             ms = mask[s]
-            if ms.all():
-                terms[s] = lw[s] + _log_tails(delta, log_sigma + ls[s])
-            elif ms.any():
-                terms[s][ms] = lw[s][ms] + _log_tails(delta, log_sigma + ls[s][ms])
+            count = int(np.count_nonzero(ms))
+            if count == ms.size:
+                batch.append((delta, lw[s], ls[s], out[at : at + count]))
+            elif count:
+                batch.append((delta, lw[s][ms], ls[s][ms], out[at : at + count]))
+            else:
+                continue
+            at += count
+            size += count
+            if size >= _CHUNK:
+                _evaluate_batch(log_sigma, batch)
+                batch, size = [], 0
+        counts.append(at)
+    if batch:
+        _evaluate_batch(log_sigma, batch)
+    return counts
 
-    keep = terms >= floor
-    evaluate(keep)
-    skipped = n - int(np.count_nonzero(keep))
-    if skipped:
+
+def _evaluate_batch(log_sigma: float, batch) -> None:
+    # One _log_tails call over the (delta, lw, ls, out) of batch.
+    if len(batch) == 1:
+        (deltas, _, ls, _), = batch
+    else:
+        deltas = np.repeat([d for d, _, _, out in batch], [out.size for _, _, _, out in batch])
+        ls = np.concatenate([ls for _, _, ls, _ in batch])
+    tails = _log_tails(deltas, log_sigma + ls)
+    i = 0
+    for _, lw, _, out in batch:
+        np.add(lw, tails[i : i + out.size], out=out)
+        i += out.size
+
+
+def _pruned_logsumexp(log_sigma: float, cases, n: int) -> list[float | None]:
+    # For each case (delta, lw, ls, terms, floor, keep), _logsumexp of the
+    # n terms ln w_i + ln P_i, skipping those whose bound lies below floor
+    # when the rounded sum provably ignores them. lw, ls and terms (their
+    # bounds, overwritten) cover a run of the components that holds every
+    # one whose bound reaches floor, and keep is terms >= floor; the rest
+    # count as skipped. The kept terms of every case are evaluated
+    # together and their exp(t - m) taken in one pass: in place for one
+    # case, of any size; several cases hold at most about _BATCH kept
+    # terms. None for a case whose proof fails on a run short of n.
+    counts = _evaluate(log_sigma, [(d, lw, ls, keep, t) for d, lw, ls, t, _, keep in cases])
+    kept = [terms[:k] for (_, _, _, terms, _, _), k in zip(cases, counts)]
+    exps = kept[0] if len(kept) == 1 else np.concatenate(kept)
+    starts = list(accumulate(counts[:-1], initial=0))
+    # Every case keeps its anchor, or every term, so no run is empty. Only
+    # a case that keeps every term can have m = -inf: it returns m.
+    maxima = np.maximum.reduceat(exps, starts).tolist()
+    for i, k, m in zip(starts, counts, maxima):
+        if m > -math.inf:
+            exps[i : i + k] -= m
+    np.exp(exps, out=exps)  # below -745.13, 0.0: it adds nothing
+    out = []
+    for (delta, lw, ls, terms, floor, keep), i, k, m in zip(cases, starts, counts, maxima):
+        if k == n:
+            out.append(m + math.log(_fsum((exps[i : i + k],))) if m > -math.inf else m)
+            continue
         # A skipped term lies below its bound, and so below floor up to
         # rounding far under 1 nat: the skipped exp(t - m) add up to less
         # than slack. Rounding is monotone, so when adding slack leaves the
         # rounded sum of the kept terms unchanged, adding the skipped terms
         # would too. The largest term is kept: it is at least the anchor.
-        m = float(np.max(terms, where=keep, initial=-math.inf))
-        slack = skipped * math.exp(floor - m + 1.0)
-        pair = _fsum_pair(_exp_diffs(terms, m, keep), slack)
+        pair = _fsum_pair((exps[i : i + k],), (n - k) * math.exp(floor - m + 1.0))
         if pair is not None and pair[0] == pair[1]:
-            return m + math.log(pair[0])
-        if terms.size < n:
-            return None
-        evaluate(~keep)
-    return _logsumexp(terms)
+            out.append(m + math.log(pair[0]))
+        elif terms.size < n:
+            out.append(None)
+        else:  # every term, the kept ones again: their exps may be in place
+            _evaluate(log_sigma, [(delta, lw, ls, np.ones(n, dtype=bool), terms)])
+            out.append(_logsumexp(terms))
+    return out
 
 
 # The enumeration ceiling in classes: no tail reads more of them.
@@ -478,16 +537,14 @@ def _check_class_count(count: int, n: int) -> None:
 
 
 def _class_window(classes: BinomialClasses, delta: float, log_sigma: float):
-    # (lw, ls, bounds, floor) over a run of the classes that holds every
-    # class whose bound reaches floor; None when floor is -inf. The bound
-    # of class j, ln w_j - ln 2 - E_j with the tail factor E_j = C e^(-beta j)
-    # (ln w_j when delta <= 0), is concave in j: ln C(n, j) is, and the
-    # log-scales are linear in j. The run first reaches out from the peak
-    # of an estimate of the bound (lgamma for ln C(n, j)) until the estimate
-    # has fallen further than floor lies below the largest bound; it grows
-    # until the computed bound at each end lies below floor by more than
-    # the rounding in any bound: past such an end the exact bound only
-    # falls, so no computed one reaches floor.
+    # An estimate, forming no array, of a run of the classes that holds
+    # every class whose bound reaches floor: (lo, hi, step, rel) for
+    # _ClassRun.case. The bound of class j, ln w_j - ln 2 - E_j with the
+    # tail factor E_j = C e^(-beta j) (ln w_j when delta <= 0), is concave
+    # in j: ln C(n, j) is, and the log-scales are linear in j. The run
+    # reaches out from the peak of an estimate of the bound (lgamma for
+    # ln C(n, j)) until the estimate has fallen further than floor lies
+    # below the largest bound.
     n, a = classes.n, classes.a
     up, down = math.log1p(a), math.log1p(-a)
     beta = 2.0 * (up - down)
@@ -525,49 +582,116 @@ def _class_window(classes: BinomialClasses, delta: float, log_sigma: float):
     # ln 2 - floor; the margin holds twice both errors.
     rel = 2.0**-40 * (n * (up - down) + abs(log_sigma) + (abs(ln_d) if delta > 0.0 else 0.0)
                       + 1000.0)
-    step = max(16, (hi - lo) // 2)
-    while True:
-        _check_class_count(hi - lo, n + 1)
-        lw, ls = classes.log_weights(lo, hi), classes.log_scales(lo, hi)
-        bounds = _bounds(delta, log_sigma, lw, ls)
-        floor = _floor(delta, log_sigma, ls, bounds)
-        if floor == -math.inf:
-            return None
-        edge = floor - (1.0 + 2.0**-40 * n + rel * (float(lw.max()) + _LN_HALF - floor + 30.0))
-        grow_lo = lo > 0 and bounds[0] >= edge
-        grow_hi = hi <= n and bounds[-1] >= edge
-        if not (grow_lo or grow_hi):
-            return lw, ls, bounds, floor
-        lo, hi = max(0, lo - step * grow_lo), min(n + 1, hi + step * grow_hi)
-        step *= 2
+    return lo, hi, max(16, (hi - lo) // 2), rel
+
+
+class _ClassRun:
+    """The log-weights and log-scales of classes lo..hi-1, formed once in
+    one call and read by every window inside them. Each formed class has
+    the bits of the same class of the whole, so no window's bits depend
+    on the run."""
+
+    def __init__(self, classes: BinomialClasses, lo: int, hi: int):
+        self.classes = classes
+        self._form(lo, hi)
+
+    def _form(self, lo: int, hi: int) -> None:
+        _check_class_count(hi - lo, self.classes.n + 1)
+        self.lo = lo
+        self.lw, self.ls = self.classes.log_weights(lo, hi), self.classes.log_scales(lo, hi)
+
+    def case(self, delta: float, log_sigma: float, lo: int, hi: int, step: int, rel: float):
+        # The _pruned_logsumexp case of an estimated window, grown until the
+        # computed bound at each end lies below floor by more than the
+        # rounding in any bound: past such an end the exact bound only
+        # falls, so no computed one reaches floor. A window past the run
+        # grows it to their union, or, where the union passes the ceiling,
+        # moves it to the window. None when floor is -inf.
+        n = self.classes.n
+        while True:
+            _check_class_count(hi - lo, n + 1)
+            if lo < self.lo or self.lo + self.lw.size < hi:
+                ulo, uhi = min(lo, self.lo), max(hi, self.lo + self.lw.size)
+                self._form(*((ulo, uhi) if uhi - ulo <= _MAX_CLASSES else (lo, hi)))
+            lw, ls = self.lw[lo - self.lo : hi - self.lo], self.ls[lo - self.lo : hi - self.lo]
+            bounds = _bounds(delta, log_sigma, lw, ls)
+            floor = _floor(delta, log_sigma, ls, bounds)
+            if floor == -math.inf:
+                return None
+            edge = floor - (1.0 + 2.0**-40 * n + rel * (float(lw.max()) + _LN_HALF - floor + 30.0))
+            grow_lo = lo > 0 and bounds[0] >= edge
+            grow_hi = hi <= n and bounds[-1] >= edge
+            if not (grow_lo or grow_hi):
+                return delta, lw, ls, bounds, floor, bounds >= floor
+            lo, hi = max(0, lo - step * grow_lo), min(n + 1, hi + step * grow_hi)
+            step *= 2
 
 
 def _every_logsumexp(delta: float, log_sigma: float, lw: np.ndarray, ls: np.ndarray) -> float:
     # _pruned_logsumexp over every component, each bounded first.
     terms = _bounds(delta, log_sigma, lw, ls)
-    return _pruned_logsumexp(delta, log_sigma, lw, ls, terms,
-                             _floor(delta, log_sigma, ls, terms), lw.size)
+    floor = _floor(delta, log_sigma, ls, terms)
+    return _pruned_logsumexp(log_sigma, [(delta, lw, ls, terms, floor, terms >= floor)],
+                             lw.size)[0]
 
 
-def _class_logsumexp(mixture: MixtureDistribution, delta: float, log_sigma: float) -> float:
-    # _pruned_logsumexp over the window of classes; when its proof fails, or
-    # nothing may be skipped, over every class. First, where class n has
-    # ln|z| past 355, so has every class, as computed: with a >= 0 and
-    # rounding monotone, class n has the largest computed log-scale. Then
-    # every bound is -inf (its tail factor overflows), and so is every term
-    # (_log_tails is -inf past LN_MAX / 2), so the full pass's sum is -inf.
-    classes = mixture.classes
+def _class_logsumexps(classes: BinomialClasses, deltas: list[float], log_sigma: float):
+    # _pruned_logsumexp of each delta over its window of classes; when its
+    # proof fails, or nothing may be skipped, over every class. First,
+    # where class n has ln|z| past 355, so has every class, as computed:
+    # with a >= 0 and rounding monotone, class n has the largest computed
+    # log-scale. Then every bound is -inf (its tail factor overflows), and
+    # so is every term (_log_tails is -inf past LN_MAX / 2), so the full
+    # pass's sum is -inf. Estimated windows that overlap share one run of
+    # classes, formed once, while their union stays within the ceiling;
+    # each threshold still takes its own window of that run. The windows'
+    # kept terms go to _pruned_logsumexp about _BATCH at a time.
     n = classes.n
     log_sigma_n = log_sigma + n * math.log1p(classes.a)
-    if delta > 0.0 and (math.log(delta) - 0.5 * _LN2) - log_sigma_n > 355.0:
-        return -math.inf
-    window = _class_window(classes, delta, log_sigma)
-    if window is not None:
-        value = _pruned_logsumexp(delta, log_sigma, *window, n + 1)
-        if value is not None:
-            return value
-    _check_class_count(n + 1, n + 1)  # formed for this call, as a window is, not kept
-    return _every_logsumexp(delta, log_sigma, classes.log_weights(), classes.log_scales())
+    sums = [-math.inf] * len(deltas)
+    windows = sorted((*_class_window(classes, d, log_sigma), i) for i, d in enumerate(deltas)
+                     if d <= 0.0 or (math.log(d) - 0.5 * _LN2) - log_sigma_n <= 355.0)
+    groups = []  # [lo, hi, windows] of each shared run
+    for w in windows:
+        last = groups[-1] if groups else None
+        if last and w[0] < last[1] and max(w[1], last[1]) - last[0] <= _MAX_CLASSES:
+            last[1] = max(last[1], w[1])
+            last[2].append(w)
+        else:
+            groups.append([w[0], w[1], [w]])
+    failed, batch, kept = [], [], 0
+
+    def flush():
+        if not batch:
+            return
+        values = _pruned_logsumexp(log_sigma, [case for _, case in batch], n + 1)
+        for (i, _), value in zip(batch, values):
+            if value is None:
+                failed.append(i)
+            else:
+                sums[i] = value
+        batch.clear()
+
+    for run_lo, run_hi, members in groups:
+        run = _ClassRun(classes, run_lo, run_hi)
+        for *window, i in members:
+            case = run.case(deltas[i], log_sigma, *window)
+            if case is None:
+                failed.append(i)
+                continue
+            count = int(np.count_nonzero(case[-1]))
+            if kept + count > _BATCH:
+                flush()
+                kept = 0
+            batch.append((i, case))
+            kept += count
+    flush()
+    if failed:
+        _check_class_count(n + 1, n + 1)  # formed for this call, as a run is, not kept
+        lw, ls = classes.log_weights(), classes.log_scales()
+        for i in failed:
+            sums[i] = _every_logsumexp(deltas[i], log_sigma, lw, ls)
+    return sums
 
 
 def log_exceedance(mixture: MixtureDistribution, k) -> float | np.ndarray:
@@ -597,7 +721,7 @@ def log_exceedance(mixture: MixtureDistribution, k) -> float | np.ndarray:
         for s in _slices(deltas.size, max(1, _LEAF // max(1, n))):
             sums += _row_logsumexp(lw + _log_tails(deltas[s, None], log_sigma + ls))
     elif mixture.classes is not None:
-        sums = [_class_logsumexp(mixture, d, log_sigma) for d in deltas.tolist()]
+        sums = _class_logsumexps(mixture.classes, deltas.tolist(), log_sigma)
     else:
         sums = [_every_logsumexp(d, log_sigma, lw, ls) for d in deltas.tolist()]
     ln_w = math.log(mixture.weight)

@@ -26,6 +26,7 @@ from branchvol.mixstats import (
 )
 from branchvol.montecarlo import SampleSpec, estimate, sample
 from branchvol.special import INFINITY
+from cli_tables import parse_table_json
 
 BASE = GaussianBase(0.0, 1.0)
 
@@ -234,7 +235,7 @@ def test_c09_monte_carlo_concordance(tmp_path):
         ]
     )
     assert rc == 0
-    _, rows = cli.parse_table_json(out.read_text())
+    _, rows = parse_table_json(out.read_text())
     assert all(r[7] for r in rows)
 
     # Calibration: the 4-SE interval for the second moment must cover the

@@ -4,6 +4,7 @@ mixtures, and the schedule grammar."""
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from itertools import islice, product
@@ -14,6 +15,7 @@ import pytest
 
 from branchvol.branching import (
     MAX_ENUMERATION_DEPTH,
+    BinomialClasses,
     EnumerationLimitError,
     ErrorSchedule,
     GaussianBase,
@@ -463,6 +465,35 @@ class TestMixtureFields:
         for name, array in given.items():
             assert vars(mix)[name] is array and getattr(mix, name) is array, name
             assert not array.flags.writeable, name
+
+    def test_a_grouped_run_forms_its_log_scales_once(self, monkeypatch):
+        # Three runs of 2^15 + 1 classes (the last of one class): three
+        # formations, each run's scales the exp of its log-scales.
+        calls = []
+        log_scales = BinomialClasses.log_scales
+
+        def counting(classes, lo=0, hi=None):
+            calls.append((lo, hi))
+            return log_scales(classes, lo, hi)
+
+        monkeypatch.setattr(BinomialClasses, "log_scales", counting)
+        mix = group_mixture(GaussianBase(), 0.1, 2**15)
+        runs = list(mix.runs())
+        assert calls == [(0, 2**14), (2**14, 2**15), (2**15, 2**15 + 1)]
+        monkeypatch.undo()
+        for lo, scales, ls, _ in runs:
+            assert scales.tobytes() == mix.part("scales", lo, lo + scales.size).tobytes()
+            assert ls.tobytes() == mix.classes.log_scales(lo, lo + scales.size).tobytes()
+
+    def test_zero_stride_log_weights_are_read_from_one_element(self):
+        # 2^40 equal log-weights as one broadcast element: a scan of every
+        # element would run for minutes.
+        for value, zero in ((0.0, True), (-1.0, False)):
+            lw = np.broadcast_to(value, (2**40,))
+            mix = MixtureDistribution(0.0, 1.0, np.ones(1), None, 1.0, lw)
+            started = time.perf_counter()
+            assert mix.zero_log_weights is zero
+            assert time.perf_counter() - started < 0.1
 
     def test_repr_and_equality_form_no_class_array(self):
         mix = group_mixture(GaussianBase(), 0.1, 10**6)

@@ -31,6 +31,7 @@ from branchvol.branching import (
 )
 from branchvol.closedform import schedule_moments
 from branchvol.mixstats import convexity_ratio, exceedance
+from cli_tables import parse_table_csv, parse_table_json
 
 
 def run_cli(*argv, capsys=None):
@@ -70,7 +71,7 @@ class TestDensityCommand:
             ]
         )
         assert rc == 0
-        columns, rows = cli.parse_table_csv(out.read_text())
+        columns, rows = parse_table_csv(out.read_text())
         assert columns == ["x", "f_N5"]
         assert len(rows) == 161
         mid = rows[80]
@@ -86,7 +87,7 @@ class TestDensityCommand:
             capsys=capsys,
         )
         assert rc == 0
-        _, rows = cli.parse_table_csv(out)
+        _, rows = parse_table_csv(out)
         assert len(rows) == 161
 
     def test_depth_zero_peak_value(self, capsys):
@@ -95,7 +96,7 @@ class TestDensityCommand:
             capsys=capsys,
         )
         assert rc == 0
-        _, rows = cli.parse_table_csv(out)
+        _, rows = parse_table_csv(out)
         assert math.isclose(rows[0][1], 0.39894228040143268, rel_tol=1e-12)
 
     def test_overlay_peaks_increase_with_depth(self, capsys):
@@ -107,7 +108,7 @@ class TestDensityCommand:
             capsys=capsys,
         )
         assert rc == 0
-        columns, rows = cli.parse_table_csv(out)
+        columns, rows = parse_table_csv(out)
         assert columns == ["x", "f_N0", "f_N5", "f_N10", "f_N25"]
         peak = next(r for r in rows if r[0] == 0.0)
         assert peak[1] < peak[2] < peak[3] < peak[4]
@@ -129,7 +130,7 @@ class TestExceedCommand:
             capsys=capsys,
         )
         assert rc == 0
-        _, rows = cli.parse_table_csv(out)
+        _, rows = parse_table_csv(out)
         base = GaussianBase(0.0, 1.0)
         for row, k in zip(rows, (3.0, 5.0)):
             assert row[0] == 8 and row[1] == k
@@ -146,7 +147,7 @@ def test_scales_that_round_to_zero_agree_with_the_grouped_form(capsys):
         for schedule in (f"explicit:{rates}", "constant:a=0.9999999999999999,N=24"):
             rc, out = run_cli(*argv, "--schedule", schedule, capsys=capsys)
             assert rc == 0
-            tables.append(cli.parse_table_csv(out)[1])
+            tables.append(parse_table_csv(out)[1])
         enumerated, grouped = tables
         for row, other in zip(enumerated, grouped, strict=True):
             assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(row, other))
@@ -157,7 +158,7 @@ class TestRatioTableCommand:
     def test_default_reproduces_both_tables(self, capsys):
         rc, out = run_cli("ratio-table", capsys=capsys)
         assert rc == 0
-        columns, rows = cli.parse_table_csv(out)
+        columns, rows = parse_table_csv(out)
         assert columns == ["a", "N", "K3", "K5", "K10"]
         assert len(rows) == 10
         cells = {(r[0], r[1]): r for r in rows}
@@ -172,7 +173,7 @@ class TestRatioTableCommand:
     def test_depth_zero_rows_are_one(self, capsys):
         rc, out = run_cli("ratio-table", "--a", "0.07", "--n-list", "0", capsys=capsys)
         assert rc == 0
-        _, rows = cli.parse_table_csv(out)
+        _, rows = parse_table_csv(out)
         assert rows[0][2:] == [1.0, 1.0, 1.0]
 
     def test_a_ratio_past_the_double_range_prints_inf(self, capsys):
@@ -182,7 +183,7 @@ class TestRatioTableCommand:
                           capsys=capsys)
         assert rc == 0
         assert out.splitlines()[1].split(",")[3:] == ["inf", "inf"]
-        _, rows = cli.parse_table_csv(out)
+        _, rows = parse_table_csv(out)
         assert math.isclose(rows[0][2], math.exp(432.9487283615693), rel_tol=1e-12)
 
 
@@ -191,7 +192,7 @@ class TestRatioTableCommand:
         # one per (a, N) row (ten of the default table's twenty calls).
         calls = count_calls(monkeypatch, mixstats, "log_exceedance")
         rc, out = run_cli("ratio-table", capsys=capsys)
-        assert rc == 0 and len(cli.parse_table_csv(out)[1]) == 10
+        assert rc == 0 and len(parse_table_csv(out)[1]) == 10
         base_calls = [args for args in calls if args[0].n_components == 1]
         assert len(calls) == 11 and len(base_calls) == 1
         assert base_calls[0][1] == [3.0, 5.0, 10.0]
@@ -213,7 +214,7 @@ class TestMomentsCommand:
             capsys=capsys,
         )
         assert rc == 0
-        columns, rows = cli.parse_table_csv(out)
+        columns, rows = parse_table_csv(out)
         assert columns == ["order", "closed_form", "enumeration", "rel_diff", "limit_inf"]
         for row in rows:
             assert row[3] < 1e-12
@@ -224,7 +225,7 @@ class TestMomentsCommand:
             capsys=capsys,
         )
         assert rc == 0
-        _, rows = cli.parse_table_csv(out)
+        _, rows = parse_table_csv(out)
         limits = {int(r[0]): r[4] for r in rows}
         (m4,) = schedule_moments(ErrorSchedule.bleed(0.2, 0.9, 6), [4], 0.0, 1.0, cli.INFINITY)
         assert math.isclose(limits[4], m4, rel_tol=1e-12)
@@ -236,7 +237,7 @@ class TestMomentsCommand:
             capsys=capsys,
         )
         assert rc == 0
-        _, rows = cli.parse_table_csv(out)
+        _, rows = parse_table_csv(out)
         by_order = {int(r[0]): r for r in rows}
         assert by_order[3][1] is None  # no additive closed form at order 3
         assert by_order[3][2] is not None  # enumeration still reported
@@ -247,7 +248,7 @@ class TestMomentsCommand:
         rc, out = run_cli("moments", "--schedule", schedule, "--orders", orders, *flags,
                           capsys=capsys)
         assert rc == 0
-        return {int(r[0]): r for r in cli.parse_table_csv(out)[1]}
+        return {int(r[0]): r for r in parse_table_csv(out)[1]}
 
     @staticmethod
     def _powers(a, n):
@@ -338,7 +339,7 @@ class TestMomentsCommand:
         builds = count_calls(monkeypatch, ScaleExpansion, "build")
         rc, out = run_cli("moments", "--schedule", "bleed:a1=0.2,lambda=0.9,N=15",
                           f"--mu={mu}", capsys=capsys)
-        assert rc == 0 and len(cli.parse_table_csv(out)[1]) == 8
+        assert rc == 0 and len(parse_table_csv(out)[1]) == 8
         assert len(passes) == 1 and len(builds) == 0
         assert passes[0][1] == [2, 4, 6, 8]
 
@@ -381,7 +382,7 @@ class TestMomentsCommand:
             rc, out = run_cli("moments", "--schedule", f"bleed:a1=0.2,lambda=0.9,N={n}",
                               "--mu", "1", capsys=capsys)
             assert rc == 0
-            return cli.parse_table_csv(out)[1]
+            return parse_table_csv(out)[1]
 
         limits = [(r[0], r[4]) for r in rows(10) if r[4] is not None]
         deep = {r[0]: r[1] for r in rows(400)}
@@ -411,7 +412,7 @@ class TestLogLogCommand:
             capsys=capsys,
         )
         assert rc == 0
-        columns, rows = cli.parse_table_csv(out)
+        columns, rows = parse_table_csv(out)
         assert columns == ["N", "x", "ln_x", "ln_p", "local_slope"]
         n0 = [r for r in rows if r[0] == 0]
         n50 = [r for r in rows if r[0] == 50]
@@ -435,7 +436,7 @@ class TestValidateCommand:
             "--out", str(tmp_path / "v.json"),
         ]
         assert cli.main(args) == 0
-        columns, rows = cli.parse_table_json((tmp_path / "v.json").read_text())
+        columns, rows = parse_table_json((tmp_path / "v.json").read_text())
         assert columns == ["kind", "key", "estimate", "se", "reference", "z", "reliable", "passed"]
         assert all(r[7] for r in rows)
         assert cli.main(args + ["--self-test"]) == 1
@@ -531,7 +532,7 @@ class TestOutputContract:
         ):
             p = tmp_path / "t.json"
             assert cli.main(cmd + ["--format", "json", "--out", str(p)]) in (0, 1)
-            columns, rows = cli.parse_table_json(p.read_text())
+            columns, rows = parse_table_json(p.read_text())
             assert columns and rows
             payload = json.loads(p.read_text())
             assert payload["schema_version"] == 1
@@ -545,14 +546,14 @@ class TestOutputContract:
         rc, text = run_cli(*argv, "--format", "json", capsys=capsys)
         assert rc == 0
         assert json.loads(text, parse_constant=refuse)["rows"] == [[0.1, 25, "inf", "inf"]]
-        assert cli.parse_table_json(text) == (["a", "N", "K40", "K80"],
+        assert parse_table_json(text) == (["a", "N", "K40", "K80"],
                                               [[0.1, 25, math.inf, math.inf]])
         args = argparse.Namespace(format="json", out=None)
         cli._emit(args, "t", ["a", "b", "c", "d"], [[-math.inf, math.nan, 1.5, "nan-free"]])
         text = capsys.readouterr().out
         assert json.loads(text, parse_constant=refuse)["rows"] == [["-inf", "nan", 1.5,
                                                                     "nan-free"]]
-        (row,) = cli.parse_table_json(text)[1]
+        (row,) = parse_table_json(text)[1]
         assert row[0] == -math.inf and math.isnan(row[1]) and row[2:] == [1.5, "nan-free"]
 
     def test_shared_parser_leaks_nothing_between_calls(self, capsys):
@@ -765,7 +766,7 @@ class TestDeepSchedules:
         started = time.perf_counter()
         rc, out = run_cli("moments", "--schedule", schedule, capsys=capsys)
         assert rc == 0 and time.perf_counter() - started < 2.0
-        rows = cli.parse_table_csv(out)[1]
+        rows = parse_table_csv(out)[1]
         assert [r[0] for r in rows] == list(range(1, 9))
         assert all(r[1] is not None and r[2] is None for r in rows if r[0] in (1, 2, 4))
 
@@ -777,7 +778,7 @@ class TestDeepSchedules:
             rc, out = run_cli(*argv, "--schedule", f"constant:a=0.1,N={self.DEEP}",
                               "--format", "json", capsys=capsys)
             assert rc == 0 and time.perf_counter() - started < 2.0, argv
-            columns, rows = cli.parse_table_json(out)
+            columns, rows = parse_table_json(out)
             for row in rows:
                 cells = dict(zip(columns, row))
                 k = cells["K"] if "K" in cells else cells["x"]
@@ -806,7 +807,7 @@ class TestDeepSchedules:
         rc, out = run_cli("exceed", "--schedule", f"constant:a=1e-9,N={self.DEEP}", *argv,
                           "--format", "json", capsys=capsys)
         assert rc == 0
-        assert cli.parse_table_json(out)[1][0][-2:] == [0.0, -math.inf]
+        assert parse_table_json(out)[1][0][-2:] == [0.0, -math.inf]
 
     def test_grouped_tails_past_two_to_the_53_exit_three(self, capsys):
         # Class indices are doubles, which skip integers past 2^53.
@@ -861,7 +862,7 @@ class TestFarTails:
         rc, out = run_cli("exceed", "--schedule", "constant:a=0.1,N=5", "--k", "1e150",
                           "--format", "json", capsys=capsys)
         assert rc == 0
-        columns, rows = cli.parse_table_json(out)
+        columns, rows = parse_table_json(out)
         cells = dict(zip(columns, rows[0]))
         ref = _mp_class_log_tail(0.1, 5, 1e150)
         assert cells["p_exceed"] == 0.0 and math.isfinite(cells["ln_p"])
@@ -874,7 +875,7 @@ class TestFarTails:
         rc, out = run_cli("ratio-table", "--n-list", "5", "--k-list", "1e150", *flags,
                           "--format", "json", capsys=capsys)
         assert rc == 0
-        rows = cli.parse_table_json(out)[1]
+        rows = parse_table_json(out)[1]
         base = _mp_class_log_tail(0.0, 0, 1e150)
         for a, row in zip(rates, rows, strict=True):
             log_ratio = _mp_class_log_tail(a, 5, 1e150) - base
@@ -885,7 +886,7 @@ class TestFarTails:
         rc, out = run_cli("loglog", "--schedule", "constant:a=0.1,N=5", "--x", "1e140:1e150:5",
                           "--format", "json", capsys=capsys)
         assert rc == 0
-        columns, rows = cli.parse_table_json(out)
+        columns, rows = parse_table_json(out)
         assert len(rows) == 5
         for row in rows:
             cells = dict(zip(columns, row))

@@ -675,6 +675,129 @@ class TestPrunedTails:
         assert not {"scales", "log_scales", "log_weights"} & set(vars(mix))
 
 
+def _batch_thresholds(rng, mix):
+    # 1 to 120 thresholds, unsorted and with repeats: below mu, at it, out
+    # to 50 base sigmas, and 1e300 past it, where the tail can be -inf.
+    pool = [mix.mu, mix.mu - 2.0 * mix.sigma, mix.mu + 50.0 * mix.sigma, mix.mu + 1e300]
+    pool += (mix.mu + mix.sigma * rng.uniform(-5.0, 12.0, 8)).tolist()
+    return rng.choice(pool, int(rng.integers(1, 121))).tolist()
+
+
+def _formed_runs(monkeypatch):
+    # The (lo, hi) of every run of class log-weights formed from here on;
+    # the whole, which only a full pass reads, is (0, None).
+    formed = []
+    log_weights = BinomialClasses.log_weights
+
+    def recording(classes, lo=0, hi=None):
+        formed.append((lo, hi))
+        return log_weights(classes, lo, hi)
+
+    monkeypatch.setattr(BinomialClasses, "log_weights", recording)
+    return formed
+
+
+class TestGroupedThresholdBatches:
+    """A grouped log_exceedance over many thresholds forms each run of
+    overlapping windows once and evaluates their kept classes together;
+    every threshold keeps the bits it has alone."""
+
+    def test_a_batch_has_the_bits_of_a_loop(self):
+        rng = np.random.default_rng(2027)
+        draws = [(float(math.exp(rng.uniform(math.log(1e-3), math.log(0.3)))),
+                  int(math.exp(rng.uniform(math.log(257), math.log(10**6)))))
+                 for _ in range(16)]
+        draws += [(0.1, 10**9), (0.1, 2 * 10**9), (0.01, 10**9)]
+        minus_inf = 0
+        for a, n in draws:
+            base = GaussianBase(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.5, 2.0)))
+            mix = group_mixture(base, a, n)
+            ks = _batch_thresholds(rng, mix)
+            got = log_exceedance(mix, ks).tolist()
+            expected = [log_exceedance(mix, k) for k in ks]
+            assert [v.hex() for v in got] == [v.hex() for v in expected], (a, n)
+            minus_inf += got.count(-math.inf)
+        assert minus_inf > 0
+
+    def test_failed_proofs_take_the_full_pass(self, monkeypatch):
+        # A gap of 2 nats fails most proofs: each failed threshold takes
+        # the pass over every class, with the bits of the unpruned sum.
+        monkeypatch.setattr(mixstats, "_GAP", 2.0)
+        read = []
+        every_logsumexp = mixstats._every_logsumexp
+
+        def recording(delta, log_sigma, lw, ls):
+            read.append(lw.size)
+            return every_logsumexp(delta, log_sigma, lw, ls)
+
+        monkeypatch.setattr(mixstats, "_every_logsumexp", recording)
+        rng = np.random.default_rng(31)
+        for a, n in ((0.1, 1000), (0.02, 5000), (0.3, 20_000)):
+            mix = group_mixture(GaussianBase(0.1, 1.2), a, n)
+            ks = _batch_thresholds(rng, mix)[:40]
+            got = log_exceedance(mix, ks).tolist()
+            assert n + 1 in read
+            expected = [_unpruned_log_exceedance(mix, k) for k in ks]
+            assert [v.hex() for v in got] == [v.hex() for v in expected], (a, n)
+            read.clear()
+
+    @pytest.mark.parametrize("a, n, ks", [
+        (0.102, 1000, np.exp(np.linspace(math.log(1.99), math.log(12.0), 8))),
+        (0.05, 3000, np.exp(np.linspace(math.log(2.0), math.log(11.4), 8))),
+        (0.1, 10_000, np.exp(np.linspace(math.log(2.0), math.log(12.0), 5))),
+        (0.1, 2 * 10**9, np.array([3.0, 10.0, 50.0])),
+    ])
+    def test_overlapping_windows_form_one_run(self, a, n, ks, monkeypatch):
+        formed = _formed_runs(monkeypatch)
+        got = log_exceedance(group_mixture(BASE, a, n), ks)
+        assert len(formed) == 1 and formed[0][1] is not None
+        monkeypatch.undo()
+        mix = group_mixture(BASE, a, n)
+        assert got.tolist() == [log_exceedance(mix, k) for k in ks.tolist()]
+
+    def test_windows_apart_form_a_run_each(self, monkeypatch):
+        # Below mu the window sits near class n/2; 50 sigmas out, near the
+        # widest classes: two runs, one per window.
+        formed = _formed_runs(monkeypatch)
+        mix = group_mixture(BASE, 0.1, 10**6)
+        got = log_exceedance(mix, [-1.0, 50.0, -2.0])
+        assert len(formed) == 2 and formed[0][1] <= formed[1][0]
+        monkeypatch.undo()
+        assert got.tolist() == [log_exceedance(mix, k) for k in (-1.0, 50.0, -2.0)]
+
+    def test_short_estimates_grow_the_run(self, monkeypatch):
+        # Estimates cut to 3 classes make every window grow, each step
+        # forming its run anew over the union; the bits stay the full
+        # pass's.
+        class_window = mixstats._class_window
+
+        def short(classes, delta, log_sigma):
+            lo, hi, _, rel = class_window(classes, delta, log_sigma)
+            mid = (lo + hi) // 2
+            return mid - 1, mid + 2, 16, rel
+
+        formed = _formed_runs(monkeypatch)
+        monkeypatch.setattr(mixstats, "_class_window", short)
+        mix = group_mixture(BASE, 0.102, 1000)
+        ks = np.exp(np.linspace(math.log(1.99), math.log(12.0), 8))
+        got = log_exceedance(mix, ks).tolist()
+        assert len(formed) > ks.size
+        monkeypatch.undo()
+        expected = [_unpruned_log_exceedance(mix, k) for k in ks.tolist()]
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+    def test_a_union_past_the_ceiling_is_not_merged(self, monkeypatch):
+        # With a ceiling of 1210 classes each 1208-class window fits, but
+        # no union of two does: three runs, and no EnumerationLimitError.
+        formed = _formed_runs(monkeypatch)
+        monkeypatch.setattr(mixstats, "_MAX_CLASSES", 1210)
+        mix = group_mixture(BASE, 0.1, 2 * 10**9)
+        got = log_exceedance(mix, [3.0, 10.0, 50.0]).tolist()
+        assert len(formed) == 3 and all(hi - lo <= 1210 for lo, hi in formed)
+        monkeypatch.undo()
+        assert got == [log_exceedance(mix, k) for k in (3.0, 10.0, 50.0)]
+
+
 class TestConvexityRatio:
     def test_depth_zero_is_exactly_one(self):
         assert convexity_ratio(group_mixture(BASE, 0.1, 0), 5.0) == 1.0

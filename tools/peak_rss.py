@@ -17,8 +17,10 @@ must end at once: `exceed` at the enumeration ceiling (exit 3) and `moments`
 from its closed forms, `moments` on a million slowly rising bleed rates,
 whose closed forms stop once their layer product is inf, and `exceed` and
 `loglog` on constant rates at N = 2*10^9 and 10^9, which read a window of
-their classes, and `density` on constant rates at N = 10^7, which reads
-every class a run at a time.
+their classes (at 120 thresholds, overlapping windows share one run, and
+about 2^14 kept classes go through the tail kernel at a time), and
+`density` on constant rates at N = 10^7, which reads every class a run at
+a time.
 """
 
 import os
@@ -45,6 +47,7 @@ SLOW_CASES = [
     "moments --schedule bleed:a1=0.2,lambda=1.0000001,N=1000000",
     "exceed --schedule constant:a=0.1,N=2000000000 --k 3,10,50",
     "loglog --schedule constant:a=0.1,N=1000000000 --x 2:12:5",
+    "loglog --schedule constant:a=0.1,N=1000000000 --x 2:12:120",
     "density --schedule constant:a=0.1,N=10000000 --x=-4:4:1",
 ]
 
