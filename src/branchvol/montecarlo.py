@@ -3,15 +3,17 @@
 Sampling picks a branch index uniformly (equivalent to N independent fair
 sign flips) and then draws from the branch's Gaussian. Summaries hold
 sufficient statistics only; the generator is numpy's PCG64, which produces
-identical streams for a given seed on every platform. sample draws the
-normals on a worker thread of its own while the calling thread sums the
-draws before them; the stream, and so every bit, is that of one thread
-drawing alone, and concurrent calls are safe.
+identical streams for a given seed on every platform. sample reads each
+block's indices from a copy of the stream on the calling thread, a leaf at
+a time, while a worker thread of its own draws the normals that follow
+them; the stream, and so every bit, is that of one thread drawing alone,
+and concurrent calls are safe.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -36,9 +38,10 @@ class SampleSpec:
     thresholds: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_samples, int) or self.n_samples < 1:
+        if (not isinstance(self.n_samples, int) or isinstance(self.n_samples, bool)
+                or self.n_samples < 1):
             raise ValueError(f"n_samples must be a positive integer, got {self.n_samples!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         object.__setattr__(self, "moment_orders", tuple(int(k) for k in self.moment_orders))
         object.__setattr__(self, "thresholds", tuple(float(k) for k in self.thresholds))
@@ -75,20 +78,38 @@ def _draw_normals(rng: np.random.Generator, todo, done) -> None:
         done.put(None)
 
 
+def _skip_indices(rng: np.random.Generator, n: int, m: int) -> None:
+    # Moves rng past the next m indices below n. numpy draws each from one
+    # 32-bit half of a 64-bit output, rejecting none when n is a power of
+    # two (and drawing none for n = 1), so rng jumps ahead; a block starts
+    # on a whole output, every block but the last being even. Any other n
+    # rejects at random: rng draws the indices a leaf at a time, dropped.
+    if n & (n - 1) == 0:
+        if n > 1:
+            rng.bit_generator.advance((m + 1) // 2)
+        return
+    for i in range(0, m, _LEAF):
+        rng.integers(0, n, size=min(_LEAF, m - i), dtype=np.int32)
+
+
 def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
     """Draw spec.n_samples values; identical inputs give identical summaries.
 
     Draws are blocked to bound memory; the block size is fixed so the
     stream, and therefore every statistic, is reproducible bit for bit.
-    Each block draws its component indices, then its normals a cache-sized
-    leaf at a time, and is summed over those leaves in np.sum's own order.
-    A worker thread that lives for the call draws the normals up to
+    The stream holds each block's component indices, then its normals; the
+    block is drawn and summed a cache-sized leaf at a time, in np.sum's own
+    order. This thread reads the indices from a copy of the block-start
+    state, a leaf at a time, and moves the generator past them, where a
+    worker thread that lives for the call draws the normals up to
     _RING - 1 leaves ahead while this thread gathers, scales and sums the
-    leaf before (numpy releases the GIL in both). One thread draws at a
-    time, in the order of a single-threaded run, so the stream and every
-    bit are unchanged. The worker ends before the call returns or raises,
-    and its exceptions are raised here unchanged; each call owns its
-    generator, buffers and worker, so concurrent calls are safe.
+    leaf before (numpy releases the GIL in all three). Each generator is
+    drawn by one thread, in the order of a single-threaded run, so the
+    stream and every bit are unchanged: a block whose indices do not end
+    where its normals start raises RuntimeError. The worker ends before
+    the call returns or raises, and its exceptions are raised here
+    unchanged; each call owns its generators, buffers and worker, so
+    concurrent calls are safe.
     Components are drawn uniformly, so every weight must be equal. Power
     sums run up to x^(2 max order), the highest power estimate reads.
     """
@@ -104,6 +125,10 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
     import queue
 
     rng = np.random.default_rng(spec.seed)
+    # The indices' generator, given rng's state at each block's start;
+    # seeded so that forming it reads no OS entropy.
+    ix = np.random.Generator(np.random.PCG64(0))
+    n = mixture.n_components
     n_pow = 2 * max(spec.moment_orders, default=0) + 1
     power_sums = np.zeros(n_pow)
     exceed = {k: 0 for k in spec.thresholds}
@@ -122,10 +147,16 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
     def leaf(i: int, j: int) -> np.ndarray:
         # Sums of x^0..x^(n_pow - 1), then the exceedance counts, over draws
         # i..j of the block: every power stays in cache. That the stream is
-        # the one of a single block-long standard_normal call rests on the
-        # worker drawing, and _pairwise_sum visiting, the same leaves once
-        # each, in ascending order.
+        # the one of a single block-long draw of indices, then of normals,
+        # rests on ix and the worker drawing, and _pairwise_sum visiting,
+        # the same leaves once each, in ascending order. int32 indices:
+        # numpy bounds int32 and int64 alike from 32-bit draws below 2^32,
+        # so the values and the stream are those of int64.
         nonlocal t
+        xl, xp = x[: j - i], powers[: j - i]
+        # mu + sigma * scale * z in place; this order fixes every bit of the sums.
+        np.take(scales, ix.integers(0, n, size=j - i, dtype=np.int32), out=xl)
+        xl *= mixture.sigma
         error = done.get()  # leaf t's normals are in
         if error is not None:
             try:
@@ -135,17 +166,14 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
         zl = ring[t % _RING, : j - i]
         draw(t + _RING - 1)  # into the buffer of leaf t - 1, summed
         t += 1
-        xl, xp = x[: j - i], powers[: j - i]
-        # mu + sigma * scale * z in place; this order fixes every bit of the sums.
-        np.take(scales, idx[i:j], out=xl)
-        xl *= mixture.sigma
         xl *= zl
         xl += mixture.mu
         sums = np.empty(n_pow + len(exceed))
         sums[0] = j - i
-        xp.fill(1.0)
+        np.copyto(xp, xl)  # x^1: 1.0 * x in every bit
         for k in range(1, n_pow):
-            xp *= xl
+            if k > 1:
+                xp *= xl
             sums[k] = xp.sum()
         for s, k in enumerate(exceed, start=n_pow):
             sums[s] = np.count_nonzero(xl > k)
@@ -155,25 +183,26 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
                               name="branchvol-normals", daemon=True)
     worker.start()
     try:
-        remaining = spec.n_samples
-        while remaining:
-            m = min(_BLOCK, remaining)
-            # int32 indices: numpy bounds int32 and int64 alike from 32-bit
-            # draws below 2^32, so the values and the stream are those of
-            # int64. The worker is idle here: every normal of the last block
-            # is in. The last block's indices go first, so one block is
-            # held at a time.
-            idx = None
-            idx = rng.integers(0, mixture.n_components, size=m, dtype=np.int32)
-            leaves[:] = _pairwise_sum(lambda i, j: [(i, j)], 0, m)
-            t = 0
-            for u in range(_RING - 1):
-                draw(u)
-            sums = _pairwise_sum(leaf, 0, m)
-            power_sums += sums[:n_pow]
-            for s, k in enumerate(exceed, start=n_pow):
-                exceed[k] += int(sums[s])
-            remaining -= m
+        # Powers past the double range are inf or nan; estimate refuses them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            remaining = spec.n_samples
+            while remaining:
+                m = min(_BLOCK, remaining)
+                # The worker is idle here: every normal of the last block is in.
+                ix.bit_generator.state = rng.bit_generator.state
+                _skip_indices(rng, n, m)
+                start = rng.bit_generator.state["state"]  # where the normals start
+                leaves[:] = _pairwise_sum(lambda i, j: [(i, j)], 0, m)
+                t = 0
+                for u in range(_RING - 1):
+                    draw(u)
+                sums = _pairwise_sum(leaf, 0, m)
+                if ix.bit_generator.state["state"] != start:
+                    raise RuntimeError("the block's indices and normals overlap in the stream")
+                power_sums += sums[:n_pow]
+                for s, k in enumerate(exceed, start=n_pow):
+                    exceed[k] += int(sums[s])
+                remaining -= m
     finally:
         todo.put(None)
         worker.join()
@@ -207,9 +236,11 @@ def estimate(summary: MCSummary) -> MomentsReport:
     """Estimates and standard errors from a summary.
 
     Raw-moment estimates are sample means of x^k, so their SE is the sample
-    standard deviation of x^k over sqrt(n); exceedance targets get binomial
-    SEs and are flagged unreliable once the estimated probability drops
-    below 10/n.
+    standard deviation of x^k over sqrt(n); moment k is flagged unreliable
+    when the mean of x^k or x^2k is not finite, or that of x^2k lies below
+    the normal doubles, where the SE is lost. Exceedance targets get
+    binomial SEs and are flagged unreliable once the estimated probability
+    drops below 10/n.
     """
     n = summary.n
     if n < 30:
@@ -217,9 +248,10 @@ def estimate(summary: MCSummary) -> MomentsReport:
     mean_pow = summary.power_sums / n
     targets = []
     for k in summary.moment_orders:
-        est = float(mean_pow[k])
-        var = max(0.0, float(mean_pow[2 * k]) - est * est)
-        targets.append(TargetEstimate("moment", float(k), est, math.sqrt(var / n), True))
+        est, square = float(mean_pow[k]), float(mean_pow[2 * k])
+        var = max(0.0, square - est * est)
+        reliable = math.isfinite(est) and math.isfinite(square) and square >= sys.float_info.min
+        targets.append(TargetEstimate("moment", float(k), est, math.sqrt(var / n), reliable))
     for k in summary.thresholds:
         p = summary.exceed_counts[k] / n
         se = math.sqrt(p * (1.0 - p) / n)

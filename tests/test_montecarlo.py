@@ -26,6 +26,7 @@ from branchvol.branching import (
 from branchvol.closedform import schedule_moments
 from branchvol.mixstats import exceedance
 from branchvol.montecarlo import (
+    _BLOCK,
     MCSummary,
     SampleSpec,
     TargetEstimate,
@@ -33,6 +34,7 @@ from branchvol.montecarlo import (
     estimate,
     sample,
 )
+from cli_tables import parse_table_csv
 
 BASE = GaussianBase(0.0, 1.0)
 
@@ -93,21 +95,25 @@ def _replay(mixture, n_samples, seed, thresholds=(), block=1 << 20):
 
 
 class _LoggedGenerator:
-    """numpy's generator for a seed, logging each draw as (kind, size); the
-    standard_normal call numbered fail_at (from 1) raises error instead."""
+    """numpy's generator for a seed, logging each draw as (kind, size, the
+    128-bit state it starts from); the standard_normal call numbered
+    fail_at (from 1) raises error instead."""
 
     def __init__(self, seed, fail_at=None, error=None):
         self.rng, self.log = np.random.default_rng(seed), []
+        self.bit_generator = self.rng.bit_generator
         self.fail_at, self.error = fail_at, error
 
-    def integers(self, *args, **kwargs):
-        out = self.rng.integers(*args, **kwargs)
-        self.log.append(("integers", out.size))
-        return out
+    def _draws(self, kind, size):
+        self.log.append((kind, size, self.bit_generator.state["state"]))
+
+    def integers(self, low, high, *, size, dtype):
+        self._draws("integers", size)
+        return self.rng.integers(low, high, size=size, dtype=dtype)
 
     def standard_normal(self, *, out):
-        self.log.append(("normals", out.size))
-        if sum(kind == "normals" for kind, _ in self.log) == self.fail_at:
+        self._draws("normals", out.size)
+        if sum(kind == "normals" for kind, *_ in self.log) == self.fail_at:
             raise self.error
         return self.rng.standard_normal(out=out)
 
@@ -151,10 +157,26 @@ class TestStream:
         assert np.array_equal(summary.power_sums, replay[:9])
         assert summary.exceed_counts == counts
 
+    # Given equal-weight mixtures whose count is no power of two, whose
+    # indices are drawn twice (once to skip them), and the depths whose
+    # single component draws no index and whose two take one bit each.
+    @pytest.mark.parametrize("mixture", [
+        *(MixtureDistribution(0.3, 1.7, np.linspace(0.5, 2.0, c), None, 1.0 / c, np.zeros(c))
+          for c in (3, 5, 1000)),
+        *(build_mixture(GaussianBase(0.3, 1.7), ErrorSchedule.constant(0.2, d)) for d in (0, 1)),
+    ], ids=["3", "5", "1000", "N=0", "N=1"])
+    @pytest.mark.parametrize("n", [1, 2**14 + 1, 2**20 + 1, 2_000_001])
+    def test_any_count_of_components_matches_the_replay(self, mixture, n):
+        thresholds = (0.5, 2.0)
+        summary = sample(mixture, SampleSpec(n, 23, thresholds=thresholds))
+        replay, counts = _replay(mixture, n, 23, thresholds)
+        assert np.array_equal(summary.power_sums, replay[:9])
+        assert summary.exceed_counts == counts
+
 
 class TestLeaves:
     """Each block is summed over cache-sized leaves: the counts are those of
-    the whole block, memory stays near the block's draws, and no reference
+    the whole block, memory stays near one leaf's draws, and no reference
     cycle outlives a call."""
 
     MIX = TestStream.MIX
@@ -166,9 +188,9 @@ class TestLeaves:
         assert summary.exceed_counts == _replay(self.MIX, self.N, 17, thresholds)[1]
 
     def test_peak_memory_is_the_block_draws(self):
-        # The int32 indices of one 2^20 block take 4 MiB and each leaf
-        # draws its own normals; int64 indices and the block's normals
-        # took 17.1 MiB, full-length powers and products 25.7 MB.
+        # Each leaf draws its own indices and normals; a block of int32
+        # indices took 4.9 MiB in all, int64 indices and the block's
+        # normals 17.1 MiB, full-length powers and products 25.7 MB.
         spec = SampleSpec(n_samples=self.N, seed=17, thresholds=(1.0, 3.0))
         tracemalloc.start()
         try:
@@ -179,8 +201,8 @@ class TestLeaves:
         assert peak < 6 * 2**20
 
     def test_one_block_of_indices_at_a_time(self):
-        # 2e6 draws take a 2^20 block and one of 951424: the first block's
-        # 4 MiB of indices go before the second is drawn (8.0 MiB together).
+        # 2e6 draws take a 2^20 block and one of 951424: two blocks of
+        # indices held together took 8.0 MiB.
         spec = SampleSpec(n_samples=2_000_000, seed=17, thresholds=(1.0, 3.0))
         tracemalloc.start()
         try:
@@ -190,11 +212,26 @@ class TestLeaves:
             tracemalloc.stop()
         assert peak < 6 * 2**20
 
+    def test_no_block_of_indices(self):
+        # Indices a leaf at a time hold about 1 MiB at 2e6 draws, where one
+        # block of 4 MiB of indices at a time held 4.9 MiB.
+        spec = SampleSpec(n_samples=2_000_000, seed=17, thresholds=(1.0, 3.0))
+        tracemalloc.start()
+        try:
+            sample(self.MIX, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_leaves_tile_each_block_once_in_ascending_order(self, monkeypatch):
         # The worker draws the normals of the leaves one pass lists, in that
-        # order, and the next pass sums the leaves: the stream is that of one
-        # block-long draw only if both are the block's leaves once each, in
-        # ascending order, right after the block's indices.
+        # order, and the next pass sums the leaves and draws their indices
+        # from a copy of the stream: the stream is that of one block-long
+        # draw of each only if the indices start at the block's start and
+        # the normals where the indices end, each a leaf at a time, once,
+        # in ascending order. A replay of the stream on one generator
+        # gives each draw's start.
         passes = []
 
         def recording(leaf, lo, hi):
@@ -205,20 +242,57 @@ class TestLeaves:
                 return leaf(i, j)
             return mixstats._pairwise_sum(logged, lo, hi)
 
-        rng = _LoggedGenerator(17)
+        rng, ix, stream = _LoggedGenerator(17), _LoggedGenerator(0), np.random.default_rng(17)
         monkeypatch.setattr(montecarlo, "_pairwise_sum", recording)
         monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
+        monkeypatch.setattr(np.random, "Generator", lambda bit_generator: ix)
         sample(self.MIX, SampleSpec(n_samples=self.N, seed=17))
         assert len(passes) == 4
-        drawn = iter(rng.log)
+        indices, normals = iter(ix.log), iter(rng.log)
         for listed, leaves, m in zip(passes[::2], passes[1::2], (1 << 20, 5)):
             assert leaves == listed
             assert leaves[0][0] == 0 and leaves[-1][1] == m
             assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
             assert all(0 < j - i <= mixstats._LEAF for i, j in leaves)
-            assert next(drawn) == ("integers", m)
-            assert [next(drawn) for _ in leaves] == [("normals", j - i) for i, j in leaves]
-        assert next(drawn, None) is None
+            for i, j in leaves:
+                assert next(indices) == ("integers", j - i, stream.bit_generator.state["state"])
+                stream.integers(0, self.MIX.n_components, size=j - i, dtype=np.int32)
+            for i, j in leaves:
+                assert next(normals) == ("normals", j - i, stream.bit_generator.state["state"])
+                stream.standard_normal(j - i)
+        assert next(indices, None) is None and next(normals, None) is None
+
+    def test_indices_that_overlap_the_normals_raise(self, monkeypatch):
+        # Not moved past the indices, the generator draws the normals from
+        # the indices' own stream: the block's end-state check raises, and
+        # the worker has ended.
+        monkeypatch.setattr(montecarlo, "_skip_indices", lambda *args: None)
+        with pytest.raises(RuntimeError, match="overlap"):
+            sample(self.MIX, SampleSpec(n_samples=self.N, seed=17))
+        assert not any(t.name == "branchvol-normals" for t in threading.enumerate())
+
+    @pytest.mark.parametrize("n", [3, 5, 1000, 2**24 - 1, 2**24])
+    def test_leafwise_indices_from_a_copy_take_the_block_stream(self, n):
+        # What the skip rests on: a copy of the state drawn a leaf at a
+        # time gives the one-block draw's values and end state, bit for bit.
+        whole = np.random.default_rng(n)
+        leafwise = np.random.default_rng(0)
+        leafwise.bit_generator.state = whole.bit_generator.state
+        m = 3 * mixstats._LEAF + 7
+        block = whole.integers(0, n, size=m, dtype=np.int32)
+        leaves = [leafwise.integers(0, n, size=min(mixstats._LEAF, m - i), dtype=np.int32)
+                  for i in range(0, m, mixstats._LEAF)]
+        assert np.array_equal(np.concatenate(leaves), block)
+        assert leafwise.bit_generator.state == whole.bit_generator.state
+
+    @pytest.mark.parametrize("n", [2, 64, 2**24])
+    @pytest.mark.parametrize("m", [1, 5, _BLOCK])
+    def test_power_of_two_indices_take_half_an_output_each(self, n, m):
+        # The jump the skip takes for an enumeration: no draw is rejected.
+        drawn, jumped = np.random.default_rng(m), np.random.default_rng(m)
+        drawn.integers(0, n, size=m, dtype=np.int32)
+        jumped.bit_generator.advance((m + 1) // 2)
+        assert drawn.bit_generator.state["state"] == jumped.bit_generator.state["state"]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 1000, 2**20, 2**24])
     def test_int32_indices_take_the_int64_stream(self, n):
@@ -298,7 +372,7 @@ class TestWorker:
         assert raised.value is error
         # The worker stopped at the failing draw and drew nothing after it.
         assert rng.log[-1][0] == "normals"
-        assert sum(kind == "normals" for kind, _ in rng.log) == fail_at
+        assert sum(kind == "normals" for kind, *_ in rng.log) == fail_at
 
     def test_a_worker_error_leaves_no_reference_cycle(self, monkeypatch):
         # A cycle through the raising frame would keep the block's indices
@@ -438,6 +512,29 @@ class TestEstimates:
         t = report.targets[-1]
         assert not t.reliable
 
+    # Past the double range x^6 and x^8 overflow (and their sums meet
+    # inf - inf); below it x^4 is subnormal, or x^2 and up flush to 0.
+    @pytest.mark.parametrize("sigma, refused", [
+        (1e60, [3.0, 4.0]), (1e-80, [2.0, 3.0, 4.0]), (1e-200, [1.0, 2.0, 3.0, 4.0])])
+    def test_powers_out_of_the_double_range_are_refused(self, sigma, refused, capsys):
+        rc = cli.main(["validate", "--schedule", "constant:a=0.1,N=4", "--n-samples", "1000",
+                       "--sigma", str(sigma)])
+        _, rows = parse_table_csv(capsys.readouterr().out)
+        moments = [row for row in rows if row[0] == "moment"]
+        assert [row[1] for row in moments if not row[6]] == refused
+        assert all(row[5] is None and row[7] is None for row in moments if not row[6])
+        assert all(row[7] for row in moments if row[6])
+        assert rc == 0
+
+    def test_a_constant_sample_passes_on_exact_equality(self, capsys):
+        # mu + 1e-20 z rounds to 1.0 for every draw: SE 0, estimate = reference.
+        rc = cli.main(["validate", "--schedule", "constant:a=0.1,N=4", "--n-samples", "1000",
+                       "--mu", "1", "--sigma", "1e-20"])
+        _, rows = parse_table_csv(capsys.readouterr().out)
+        moments = [row for row in rows if row[0] == "moment"]
+        assert [row[2:] for row in moments] == [[1.0, 0.0, 1.0, 0.0, True, True]] * 4
+        assert rc == 0
+
     def test_minimum_sample_size(self):
         mix = _mix(0.1, 2)
         with pytest.raises(ValueError):
@@ -508,3 +605,8 @@ class TestSpecValidation:
             SampleSpec(n_samples=10, seed=-1)
         with pytest.raises(ValueError):
             SampleSpec(n_samples=10, seed=1, moment_orders=(9,))
+
+    @pytest.mark.parametrize("n_samples, seed", [(True, 1), (10, False), (True, False)])
+    def test_bools_are_refused(self, n_samples, seed):
+        with pytest.raises(ValueError, match="n_samples" if n_samples is True else "seed"):
+            SampleSpec(n_samples=n_samples, seed=seed)
