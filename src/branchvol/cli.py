@@ -246,8 +246,15 @@ def cmd_validate(args) -> int:
         thresholds = tuple(_parse_list(args.k_list, "--k-list"))
     else:
         thresholds = tuple(base.mu + base.sigma * m for m in (1.0, 2.0, 3.0))
-    for k in orders:  # as moments checks them, before anything is built
-        check_order(k, lowest=1)
+    # The spec, its orders among them, and estimate's least sample size are
+    # checked as moments checks orders: before anything is built.
+    sample_spec = montecarlo.SampleSpec(
+        n_samples=args.n_samples,
+        seed=args.seed,
+        moment_orders=orders,
+        thresholds=thresholds,
+    )
+    montecarlo.check_estimable(sample_spec.n_samples)
     mixture = build_mixture(base, schedule)
     mixture = replace(mixture, scales=mixture.part("scales"))  # built once; each reader slices them
     references: dict[tuple[str, float], float] = {}
@@ -260,12 +267,6 @@ def cmd_validate(args) -> int:
         references = {
             key: ref + 1.0 + abs(ref) for key, ref in references.items()
         }
-    sample_spec = montecarlo.SampleSpec(
-        n_samples=args.n_samples,
-        seed=args.seed,
-        moment_orders=orders,
-        thresholds=thresholds,
-    )
     report = montecarlo.estimate(montecarlo.sample(mixture, sample_spec))
     checks = montecarlo.check_report(report, references)
     rows = [

@@ -5,14 +5,15 @@ sign flips) and then draws from the branch's Gaussian. Summaries hold
 sufficient statistics only; the generator is numpy's PCG64, which produces
 identical streams for a given seed on every platform. sample reads each
 block's indices from a copy of the stream on the calling thread, a leaf at
-a time, while a worker thread of its own draws the normals that follow
-them; the stream, and so every bit, is that of one thread drawing alone,
-and concurrent calls are safe.
+a time, while a worker thread of its own, kept off the calling thread's
+CPU, draws the normals that follow them; the stream, and so every bit, is
+that of one thread drawing alone, and concurrent calls are safe.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 import threading
 from dataclasses import dataclass
@@ -26,6 +27,8 @@ from .mixstats import _LEAF, _pairwise_sum
 _BLOCK = 1 << 20
 # Leaf buffers of normals: the leaf being summed and the two drawn ahead.
 _RING = 3
+# The calling thread's stat line; its field 39 is the CPU it last ran on.
+_THREAD_STAT = "/proc/thread-self/stat"
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,27 @@ def _draw_normals(rng: np.random.Generator, todo, done) -> None:
         done.put(None)
 
 
+def _keep_off_this_cpu(worker: threading.Thread) -> None:
+    # Lets worker run on every CPU this thread may use but the one it is on.
+    # Woken by this thread a leaf at a time, the worker is otherwise mostly
+    # placed on the waker's CPU, and the two threads take turns there while
+    # another CPU idles. This thread's own mask is left alone; the worker's
+    # ends with the worker. Nothing is done where fewer than two CPUs are
+    # allowed, or affinity or /proc is missing: where a thread runs changes
+    # no bit.
+    setaffinity = getattr(os, "sched_setaffinity", None)
+    if setaffinity is None or len(allowed := os.sched_getaffinity(0)) < 2:
+        return
+    try:
+        with open(_THREAD_STAT, "rb") as fh:
+            # Fields count from 1, and from 3 after the name's ")", which
+            # the name itself may hold.
+            cpu = int(fh.read().rpartition(b")")[2].split()[39 - 3])
+        setaffinity(worker.native_id, allowed - {cpu})
+    except (OSError, ValueError, IndexError):
+        pass
+
+
 def _skip_indices(rng: np.random.Generator, n: int, m: int) -> None:
     # Moves rng past the next m indices below n. numpy draws each from one
     # 32-bit half of a 64-bit output, rejecting none when n is a power of
@@ -103,7 +127,9 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
     state, a leaf at a time, and moves the generator past them, where a
     worker thread that lives for the call draws the normals up to
     _RING - 1 leaves ahead while this thread gathers, scales and sums the
-    leaf before (numpy releases the GIL in all three). Each generator is
+    leaf before (numpy releases the GIL in all three); at each block's
+    start the worker is kept off this thread's CPU, so the two run side by
+    side where two CPUs are allowed. Each generator is
     drawn by one thread, in the order of a single-threaded run, so the
     stream and every bit are unchanged: a block whose indices do not end
     where its normals start raises RuntimeError. The worker ends before
@@ -189,6 +215,7 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
             while remaining:
                 m = min(_BLOCK, remaining)
                 # The worker is idle here: every normal of the last block is in.
+                _keep_off_this_cpu(worker)
                 ix.bit_generator.state = rng.bit_generator.state
                 _skip_indices(rng, n, m)
                 start = rng.bit_generator.state["state"]  # where the normals start
@@ -232,6 +259,12 @@ class MomentsReport:
     targets: tuple[TargetEstimate, ...]
 
 
+def check_estimable(n: int) -> None:
+    """Raise ValueError unless estimate takes n draws: it needs 30."""
+    if n < 30:
+        raise ValueError(f"need at least 30 samples to estimate, got {n}")
+
+
 def estimate(summary: MCSummary) -> MomentsReport:
     """Estimates and standard errors from a summary.
 
@@ -243,8 +276,7 @@ def estimate(summary: MCSummary) -> MomentsReport:
     drops below 10/n.
     """
     n = summary.n
-    if n < 30:
-        raise ValueError(f"need at least 30 samples to estimate, got {n}")
+    check_estimable(n)
     mean_pow = summary.power_sums / n
     targets = []
     for k in summary.moment_orders:

@@ -461,6 +461,20 @@ class TestValidateCommand:
         assert captured.out == "" and builds == []
         assert captured.err == f"error: moment order {order} outside supported range 1..8\n"
 
+    @pytest.mark.parametrize("flags, err", [
+        (["--n-samples", "10"], "need at least 30 samples to estimate, got 10"),
+        (["--n-samples", "0"], "n_samples must be a positive integer, got 0"),
+        (["--seed=-1"], "seed must be a nonnegative integer, got -1"),
+    ])
+    def test_the_sample_spec_is_checked_before_any_build(self, flags, err, monkeypatch,
+                                                          capsys):
+        # N = 22 would build 2^22 scales and their references before sampling.
+        builds = count_calls(monkeypatch, cli, "build_mixture")
+        assert cli.main(["validate", "--schedule", "constant:a=0.1,N=22", *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and builds == []
+        assert captured.err == f"error: {err}\n"
+
     def test_seed_changes_output(self, capsys):
         base_args = (
             "validate", "--schedule", "constant:a=0.1,N=4", "--n-samples", "50000",

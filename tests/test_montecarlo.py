@@ -2,6 +2,7 @@
 agreement with the exact values at 4 standard errors."""
 
 import gc
+import json
 import math
 import os
 import signal
@@ -443,6 +444,105 @@ class TestWorker:
             replay, counts = _replay(self.MIX, n, seed, thresholds)
             assert np.array_equal(summaries[seed].power_sums, replay[:9])
             assert summaries[seed].exceed_counts == counts
+
+
+class _MaskedGenerator(_LoggedGenerator):
+    """A _LoggedGenerator that also keeps, at each normal draw, the CPU
+    mask of the thread drawing it."""
+
+    def __init__(self, seed, fail_at=None, error=None):
+        super().__init__(seed, fail_at, error)
+        self.masks = []
+
+    def standard_normal(self, *, out):
+        self.masks.append(os.sched_getaffinity(0))
+        return super().standard_normal(out=out)
+
+
+_AFFINITY = hasattr(os, "sched_setaffinity")
+
+
+@pytest.mark.skipif(not _AFFINITY or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs thread affinity and two allowed CPUs")
+class TestWorkerCpu:
+    """The worker runs on every CPU the caller may use but one, and the
+    caller's own mask is never changed."""
+
+    MIX = TestStream.MIX
+
+    def test_the_worker_runs_on_the_callers_cpus_but_one(self, monkeypatch):
+        rng = _MaskedGenerator(5)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
+        caller = os.sched_getaffinity(0)
+        sample(self.MIX, SampleSpec(n_samples=2_000_000, seed=5))
+        assert len(rng.masks) == 128  # two blocks of 64 leaves
+        assert all(mask < caller and len(caller - mask) == 1 for mask in rng.masks)
+
+    @pytest.mark.parametrize("outcome", ["return", "worker error", "failing leaf"])
+    def test_the_callers_mask_is_kept(self, monkeypatch, outcome):
+        caller = os.sched_getaffinity(0)
+        spec = SampleSpec(n_samples=2_000_000, seed=5)
+        if outcome == "return":
+            sample(self.MIX, spec)
+        else:
+            if outcome == "worker error":
+                rng = _MaskedGenerator(5, 65, MemoryError("the normals"))
+                monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
+            else:
+                monkeypatch.setattr(np, "take", _FailingGather(np.take))
+            with pytest.raises((MemoryError, _Failed)):
+                sample(self.MIX, spec)
+        assert os.sched_getaffinity(0) == caller
+
+
+@pytest.mark.skipif(not _AFFINITY, reason="needs thread affinity")
+class TestWorkerCpuFallbacks:
+    """Where the worker cannot be kept off the caller's CPU, it runs where
+    the caller may, and every bit is the replay's."""
+
+    MIX, N = TestStream.MIX, TestStream.N
+    THRESHOLDS = (0.5, 2.0)
+
+    def _expected(self):
+        sums, counts = _replay(self.MIX, self.N, 17, self.THRESHOLDS)
+        return sums[:9], counts
+
+    def test_one_allowed_cpu(self):
+        # A process held to one CPU: nothing to keep the worker off.
+        src = str(Path(montecarlo.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import json, os\n"
+            "from branchvol.branching import ErrorSchedule, GaussianBase, build_mixture\n"
+            "from branchvol.montecarlo import SampleSpec, sample\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "mix = build_mixture(GaussianBase(0.3, 1.7), ErrorSchedule.bleed(0.2, 0.9, 6))\n"
+            f"s = sample(mix, SampleSpec({self.N}, 17, thresholds={self.THRESHOLDS}))\n"
+            "print(json.dumps([[x.hex() for x in s.power_sums],"
+            " [[k, c] for k, c in s.exceed_counts.items()]]))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True).stdout
+        sums, counts = json.loads(out)
+        replay, replay_counts = self._expected()
+        assert np.array_equal([float.fromhex(x) for x in sums], replay)
+        assert dict(counts) == replay_counts
+
+    @pytest.mark.parametrize("missing", ["sched_setaffinity", "/proc"])
+    def test_no_affinity_or_no_proc(self, monkeypatch, tmp_path, missing):
+        if missing == "sched_setaffinity":
+            monkeypatch.delattr(os, "sched_setaffinity")
+        else:
+            monkeypatch.setattr(montecarlo, "_THREAD_STAT", str(tmp_path / "stat"))
+        replay, replay_counts = self._expected()
+        rng = _MaskedGenerator(17)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
+        caller = os.sched_getaffinity(0)
+        summary = sample(self.MIX, SampleSpec(self.N, 17, thresholds=self.THRESHOLDS))
+        assert np.array_equal(summary.power_sums, replay)
+        assert summary.exceed_counts == replay_counts
+        assert rng.masks and all(mask == caller for mask in rng.masks)
 
 
 class TestEstimates:
