@@ -193,15 +193,22 @@ _SCALE_BLOCK = 2**_TAIL_LAYERS
 _BUILD_BLOCK = 2**16
 
 
+def _run_bounds(n: int, size: int, first: int = 0, step: int = 1):
+    """Runs [lo, hi) of size elements over range(n), the last may be
+    shorter: run first, then every step-th after it."""
+    return ((lo, min(lo + size, n)) for lo in range(first * size, n, step * size))
+
+
 def _expand(x: np.ndarray, op, moves, out: np.ndarray, scratch: np.ndarray) -> None:
-    """x through the moves, the last layer written into out; the layers
-    between alternate between the two rows of scratch. Element i of a
-    layer goes to elements 2i (up) and 2i + 1 (down) of the next: one
-    ufunc call per sign, where an outer product loops over 2 per row."""
+    """x through the moves, the last layer written into out. Element i of
+    a layer goes to elements 2i (up) and 2i + 1 (down) of the next: one
+    ufunc call per sign, where an outer product loops over 2 per row. The
+    layers alternate between the fronts of scratch (at least out.size // 2
+    elements) and of out, so that the last lands in out."""
     if not moves:
         out[:] = x
     for t, (up, down) in enumerate(moves, start=1):
-        y = (out if t == len(moves) else scratch[t % 2, : 2 * x.size]).reshape(-1, 2)
+        y = (scratch if (len(moves) - t) % 2 else out)[: 2 * x.size].reshape(-1, 2)
         op(x, up, out=y[:, 0])
         op(x, down, out=y[:, 1])
         x = y.ravel()
@@ -238,22 +245,29 @@ class ScaleExpansion:
         the moves in cache-sized scratch, straight into their part of it."""
         k, run = len(self.moves), self._run(_BUILD_BLOCK)
         scales = np.empty(self.head.size << k)
-        scratch = np.empty((2, (run << k) // 2))
+        scratch = np.empty((run << k) // 2)
         for i in range(0, self.head.size, run):
             self._fill(i, run, scales[i << k : (i + run) << k], scratch)
         return scales
 
-    def blocks(self):
-        """The scales in order, min(2^N, _SCALE_BLOCK) at a time: read-only
-        views of one reused scratch, each valid until the next is drawn."""
-        run = self._run(_SCALE_BLOCK)
-        out = np.empty(run << len(self.moves))
-        scratch = np.empty((2, out.size // 2))
+    def blocks(self, size: int = _SCALE_BLOCK, scratch: np.ndarray | None = None):
+        """A function that expands the scales of a run [lo, hi) of whole
+        head elements, at most size scales, into one array formed here, and
+        returns a read-only view of them, valid until the next call. The
+        layers between go through scratch, when given one of at least half
+        the largest run that is free while a run is expanded, else through
+        one formed here."""
+        k = len(self.moves)
+        out = np.empty(self._run(size) << k)
+        if scratch is None or scratch.size < out.size // 2:
+            scratch = np.empty(out.size // 2)
         view = out.view()
         view.setflags(write=False)
-        for i in range(0, self.head.size, run):
-            self._fill(i, run, out, scratch)
-            yield view
+
+        def fill(lo: int, hi: int) -> np.ndarray:
+            self._fill(lo >> k, (hi - lo) >> k, out[: hi - lo], scratch)
+            return view[: hi - lo]
+        return fill
 
     def ends(self) -> tuple[float, float]:
         """The first and last scales: branch 0 takes every up move, branch
@@ -365,27 +379,31 @@ class MixtureDistribution:
         with np.errstate(over="ignore"):
             return np.exp(self.classes.log_scales(lo, hi))
 
-    def runs(self, bounds=None):
+    def runs(self, bounds=None, size: int = _SCALE_BLOCK, scratch: np.ndarray | None = None):
         """(lo, scales, log_scales, log_weights) over each run [lo, hi) of
-        bounds, ascending from 0 (by default runs of 2^14, the last may be
-        shorter): each array's part, but an enumeration streams its
-        expansion's blocks, which must be the runs. Those are read-only
-        views of one reused scratch, each valid until the next is drawn.
-        Classes form a run's log-scales once and take its scales as their
-        exp, as ``part`` does."""
-        n = self.n_components
-        blocks = None if "scales" in vars(self) or self.classes else self.expansion.blocks()
+        bounds, ascending (by default runs of size from 0, the last may be
+        shorter): each array's part, but an enumeration expands its runs,
+        whole head elements, through ScaleExpansion.blocks(size, scratch).
+        Those are read-only views of one array formed at this call, each
+        valid until the next is drawn, so each call's runs may be read on a
+        thread of its own. Classes form a run's log-scales once and take
+        its scales as their exp, as ``part`` does."""
+        fill = (None if "scales" in vars(self) or self.classes
+                else self.expansion.blocks(size, scratch))
         by_rule = self.classes is not None and not {"scales", "log_scales"} & vars(self).keys()
-        for lo, hi in bounds or ((i, min(i + _SCALE_BLOCK, n)) for i in range(0, n, _SCALE_BLOCK)):
-            log_scales = self.part("log_scales", lo, hi)
-            if blocks is not None:
-                scales = next(blocks)
-            elif by_rule:
-                with np.errstate(over="ignore"):
-                    scales = np.exp(log_scales)
-            else:
-                scales = self.part("scales", lo, hi)
-            yield lo, scales, log_scales, self.part("log_weights", lo, hi)
+
+        def read():
+            for lo, hi in _run_bounds(self.n_components, size) if bounds is None else bounds:
+                log_scales = self.part("log_scales", lo, hi)
+                if fill is not None:
+                    scales = fill(lo, hi)
+                elif by_rule:
+                    with np.errstate(over="ignore"):
+                        scales = np.exp(log_scales)
+                else:
+                    scales = self.part("scales", lo, hi)
+                yield lo, scales, log_scales, self.part("log_weights", lo, hi)
+        return read()
 
     @property
     def n_components(self) -> int:
@@ -402,6 +420,15 @@ class MixtureDistribution:
         return not (lw[:1] if lw.strides == (0,) else lw).any()
 
 
+def check_enumerable(n: int) -> None:
+    """Raise EnumerationLimitError past the enumeration ceiling."""
+    if n > MAX_ENUMERATION_DEPTH:
+        raise EnumerationLimitError(
+            f"depth {n} exceeds the enumeration ceiling {MAX_ENUMERATION_DEPTH}; "
+            "constant rates collapse to n + 1 classes with group_mixture"
+        )
+
+
 def build_mixture(base: GaussianBase, schedule: ErrorSchedule) -> MixtureDistribution:
     """Equal-weight mixture over all 2^N branches of the schedule.
 
@@ -414,11 +441,7 @@ def build_mixture(base: GaussianBase, schedule: ErrorSchedule) -> MixtureDistrib
     them where read.
     """
     n = schedule.depth
-    if n > MAX_ENUMERATION_DEPTH:
-        raise EnumerationLimitError(
-            f"depth {n} exceeds the enumeration ceiling {MAX_ENUMERATION_DEPTH}; "
-            "constant rates collapse to n + 1 classes with group_mixture"
-        )
+    check_enumerable(n)
     additive = schedule.mode is Mode.ADDITIVE
     if additive:
         op, start, moves = np.add, np.zeros(1), [(a, -a) for a in schedule.rates]
@@ -427,16 +450,18 @@ def build_mixture(base: GaussianBase, schedule: ErrorSchedule) -> MixtureDistrib
         moves = [(1.0 + a, 1.0 - a) for a in schedule.rates]
     k = min(n, _TAIL_LAYERS)
     head = np.empty(2 ** (n - k))
-    _expand(start, op, moves[: n - k], head, np.empty((2, head.size // 2)))
+    _expand(start, op, moves[: n - k], head, np.empty(head.size // 2))
     head.setflags(write=False)
     expansion = ScaleExpansion(head, op, tuple(moves[n - k :]), additive)
     if additive and expansion.ends()[1] <= 0.0:
         # The last branch has the smallest scale, so some scale is <= 0:
         # the blocks find the first.
-        for i, block in enumerate(expansion.blocks()):
+        fill = expansion.blocks()
+        for lo, hi in _run_bounds(2**n, _SCALE_BLOCK):
+            block = fill(lo, hi)
             bad = np.flatnonzero(block <= 0.0)
             if bad.size:
-                b = i * block.size + int(bad[0])
+                b = lo + int(bad[0])
                 signs = tuple(1 - 2 * (b >> (n - 1 - j) & 1) for j in range(n))
                 raise NonPositiveScaleError(
                     f"branch {b} with signs {signs} has scale {block[bad[0]]:.6g} <= 0"

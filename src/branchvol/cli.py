@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import closedform, mixstats, montecarlo
-from ._checks import check_order
+from ._checks import check_depth, check_order
 from .branching import (
     MAX_ENUMERATION_DEPTH,
     ErrorSchedule,
@@ -28,6 +28,7 @@ from .branching import (
     MixtureDistribution,
     ScheduleParseError,
     build_mixture,
+    check_enumerable,
     group_mixture,
     parse_schedule_spec,
 )
@@ -139,9 +140,15 @@ def _base(args) -> GaussianBase:
 
 
 def _n_list(args, schedule: ErrorSchedule) -> list[int]:
-    if args.n_list:
-        return _parse_list(args.n_list, "--n-list", int)
-    return [schedule.depth]
+    # The depths, each checked before any is built, as _mixture would:
+    # the schedule at that depth, then an enumeration's ceiling.
+    depths = _parse_list(args.n_list, "--n-list", int) if args.n_list else [schedule.depth]
+    for n in depths:
+        if schedule.kind == "constant":
+            check_depth(n)
+        else:
+            check_enumerable(schedule.at_depth(n).depth)
+    return depths
 
 
 def _mixture(base: GaussianBase, schedule: ErrorSchedule, n: int) -> MixtureDistribution:

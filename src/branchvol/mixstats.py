@@ -10,6 +10,7 @@ beyond the enumeration ceiling.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain
@@ -19,6 +20,7 @@ import numpy as np
 from ._checks import LN_MAX, check_order
 from .branching import (
     _SCALE_BLOCK,
+    _run_bounds,
     MAX_ENUMERATION_DEPTH,
     BinomialClasses,
     EnumerationLimitError,
@@ -36,6 +38,11 @@ _LN_SQRT_TWO_OVER_PI = 0.5 * math.log(2.0 / math.pi)
 _LN_SQRT_TWO_PI = math.log(_SQRT_TWO_PI)
 
 _CHUNK = 4096
+# On two threads, density table rows run this far past their chunk, so
+# that no ufunc call runs over two of them: numpy then takes a chunk's
+# sigmas over the rows without a 64 KiB buffer per call (one thread keeps
+# rows back to back, which was faster below 4096 components).
+_PAD = 8
 # Density grid points per block: temporaries stay (256 x _CHUNK) doubles.
 _GRID_BLOCK = 256
 
@@ -51,8 +58,10 @@ _LOG_SIGMA_FLOOR = -1e300
 # skips the terms that provably cannot move the rounded sum; at or below it,
 # every threshold and component goes through one table pass.
 _CUT = 256
-# Terms whose bound lies this many nats below the anchor term are skipped.
+# Terms whose bound lies this many nats below the anchor term are skipped,
+# in sums of up to _GAP_TERMS terms (an enumeration's most, and then some).
 _GAP = 60.0
+_GAP_TERMS = 2**MAX_ENUMERATION_DEPTH + 1
 # Past this |anchor| an ulp of a term reaches 0.125, and rounding in the
 # bounds could outgrow the e^1 margin of the slack: nothing is skipped.
 _PRUNE_LIMIT = 1e15
@@ -222,62 +231,123 @@ def _fsum_pair(arrays, slack: float) -> tuple[float, float] | None:
     return total / (1 << _SHIFT), (total + (num << _SHIFT) // den) / (1 << _SHIFT)
 
 
+def _density_rows(mixture: MixtureDistribution, runs, dx: np.ndarray, log_dx: np.ndarray,
+                  grid: list[slice], table: np.ndarray, rows: np.ndarray):
+    """For each run of runs and each grid block in turn, the rows density
+    adds at the block's points: for each chunk of the run in turn, its
+    linear sums, then its far sums if it has far components. The caller
+    forms the table and the rows, two buffers that the yields take turns
+    in: a yield is read before the one after next is drawn."""
+    weighted = not mixture.zero_log_weights
+    turn = 0
+    for _, scales, ls, lw in runs:
+        for g in grid:
+            r = rows[turn % 2, :, : dx[g].size]
+            turn += 1
+            at = 0
+            with np.errstate(over="ignore", divide="ignore"):
+                for s in _slices(scales.size):
+                    chunk = scales[s], None if ls is None else ls[s], lw[s]
+                    at += _density_chunk(mixture, weighted, *chunk, dx[g], log_dx[g], table, r[at:])
+            yield r[:at]
+
+
+def _density_chunk(mixture: MixtureDistribution, weighted: bool, scales, ls, lw,
+                   dx: np.ndarray, log_dx: np.ndarray, table: np.ndarray, rows: np.ndarray) -> int:
+    # The sums of a chunk's terms at the points dx (a column) into rows:
+    # its linear terms, then its far ones, if any; returns how many rows
+    # it wrote. Overflow here means z * z past the double range (the term
+    # is 0).
+    sigmas = mixture.sigma * scales
+    far_ls = np.empty(0)
+    if not ((not weighted or np.minimum.reduce(lw) >= -_DENSITY_LINEAR_LIMIT)
+            and _SIGMA_MIN <= np.minimum.reduce(sigmas)
+            and np.maximum.reduce(sigmas) <= _SIGMA_MAX):
+        log_sigmas = math.log(mixture.sigma) + _logs(scales, ls)
+        linear = np.abs(log_sigmas) <= _DENSITY_LINEAR_LIMIT
+        linear &= lw >= -_DENSITY_LINEAR_LIMIT
+        far_ls = np.maximum(log_sigmas[~linear], _LOG_SIGMA_FLOOR)
+        far_base = lw[~linear] - far_ls - _LN_SQRT_TWO_PI
+        sigmas, lw = sigmas[linear], lw[linear]
+    # -z^2 / 2 as (z * z) * -0.5, in one table: it has the bits of
+    # (-0.5 * z) * z wherever exp tells them apart, halving being exact in
+    # the normal range; where it is not, |z^2| < 2^-1021, and both give 1.0.
+    terms = table[: dx.size, : sigmas.size]
+    np.divide(dx, sigmas, out=terms)
+    terms *= terms
+    terms *= -0.5
+    np.exp(terms, out=terms)
+    if weighted:
+        terms *= np.exp(lw)
+    sigmas *= _SQRT_TWO_PI
+    terms /= sigmas
+    np.add.reduce(terms, axis=-1, out=rows[0])
+    if not far_ls.size:
+        return 1
+    # exp(ln w - ln sigma - ln sqrt(2 pi) - z^2 / 2)
+    terms = table[: dx.size, : far_ls.size]
+    np.subtract(log_dx, far_ls, out=terms)
+    terms *= 2.0
+    np.exp(terms, out=terms)
+    terms *= -0.5
+    terms += far_base
+    np.exp(terms, out=terms)
+    np.add.reduce(terms, axis=-1, out=rows[1])
+    return 2
+
+
 def density(mixture: MixtureDistribution, x) -> float | np.ndarray:
     """Mixture density at x (scalar or array): sum_i w_i phi(mu, sigma_i, x).
 
     Components whose sigma or weight leaves the double range are summed in
     log space, so none is dropped. A density beyond the double range
     returns inf.
+
+    The components go in runs of up to _LEAF, each in chunks of _CHUNK,
+    over the grid a block at a time. Past one run, where two CPUs are allowed, a
+    worker thread takes every other run, in buffers of its own, and this
+    thread adds every run's sums in run order: each point adds its chunks'
+    sums in the order of one thread, so every bit is the same.
     """
+    from .montecarlo import _cpus, _Worker  # montecarlo imports this module
+
     x_arr = np.asarray(x, dtype=np.float64)
-    weighted = not mixture.zero_log_weights
+    n = mixture.n_components
     out = np.zeros(x_arr.size)
     grid = list(_slices(out.size, _GRID_BLOCK))
-    # Two tables of (grid block x chunk) doubles, reused: a new process
-    # maps and faults in fresh multi-megabyte temporaries on every chunk.
-    tables = np.empty((2, min(out.size, _GRID_BLOCK) * min(mixture.n_components, _CHUNK)))
-    chunks = ((scales[s], None if ls is None else ls[s], lw[s])
-              for _, scales, ls, lw in mixture.runs() for s in _slices(scales.size))
-    # Each chunk goes over the grid a block at a time, its linear terms
-    # and then its far ones; every point keeps its own sum, adding them in
-    # order whatever the block size. Overflow here means z * z past the
-    # double range (the term is 0) or a density past it (the result is inf).
     with np.errstate(over="ignore", divide="ignore"):
         dx = x_arr.reshape(-1, 1) - mixture.mu
         log_dx = np.log(np.abs(dx))
-        for chunk, ls, lw in chunks:
-            sigmas = mixture.sigma * chunk
-            far_ls = np.empty(0)
-            if not ((not weighted or lw.min() >= -_DENSITY_LINEAR_LIMIT)
-                    and _SIGMA_MIN <= sigmas.min() and sigmas.max() <= _SIGMA_MAX):
-                log_sigmas = math.log(mixture.sigma) + _logs(chunk, ls)
-                linear = np.abs(log_sigmas) <= _DENSITY_LINEAR_LIMIT
-                linear &= lw >= -_DENSITY_LINEAR_LIMIT
-                far_ls = np.maximum(log_sigmas[~linear], _LOG_SIGMA_FLOOR)
-                far_base = lw[~linear] - far_ls - _LN_SQRT_TWO_PI
-                sigmas, lw = sigmas[linear], lw[linear]
-            norms = sigmas * _SQRT_TWO_PI
-            weights = np.exp(lw) if weighted else None
-            for g in grid:
-                z, terms = (t[: dx[g].size * sigmas.size].reshape(dx[g].size, -1)
-                            for t in tables)
-                np.divide(dx[g], sigmas, out=z)
-                np.multiply(-0.5, z, out=terms)
-                terms *= z
-                np.exp(terms, out=terms)
-                if weighted:
-                    terms *= weights
-                terms /= norms
-                out[g] += np.sum(terms, axis=-1)
-                if far_ls.size:  # exp(ln w - ln sigma - ln sqrt(2 pi) - z^2 / 2)
-                    terms = tables[0, : dx[g].size * far_ls.size].reshape(dx[g].size, -1)
-                    np.subtract(log_dx[g], far_ls, out=terms)
-                    terms *= 2.0
-                    np.exp(terms, out=terms)
-                    terms *= -0.5
-                    terms += far_base
-                    np.exp(terms, out=terms)
-                    out[g] += np.sum(terms, axis=-1)
+    split = n > _LEAF and _cpus() > 1
+    # Two threads forming runs of 2^14 classes at once peaked at 6.1 MiB
+    # (tracemalloc, n = 10^6); runs of 2^13 peak at 3.3 MiB, one thread at 3.4.
+    size = _LEAF // 2 if split and mixture.classes is not None else _LEAF
+
+    def reader(first: int, step: int):
+        # Runs first, first + step, ... in buffers formed here, on this
+        # thread: a thread that allocates gets a heap of its own. The
+        # table, free while a run is drawn, takes the expansion's layers.
+        table = np.empty((min(out.size, _GRID_BLOCK), min(n, _CHUNK) + split * _PAD))
+        rows = np.empty((2, 2 * size // _CHUNK, min(out.size, _GRID_BLOCK)))
+        runs = mixture.runs(_run_bounds(n, size, first, step), size, table.reshape(-1))
+        return _density_rows(mixture, runs, dx, log_dx, grid, table, rows)
+
+    mine, theirs = (reader(0, 2), reader(1, 2)) if split else (reader(0, 1), None)
+    # The worker's yields, each owed after one of mine.
+    owed = len(range(size, n, 2 * size)) * len(grid) if split else 0
+    with (_Worker("branchvol-density") if split else contextlib.nullcontext() as worker,
+          np.errstate(over="ignore")):  # a density past the double range is inf
+        for _ in range(min(owed, 2)):
+            worker.put(next, theirs)
+        for j, rows in enumerate(mine):
+            g = grid[j % len(grid)]
+            for row in rows:
+                out[g] += row
+            if j < owed:
+                for row in worker.get():
+                    out[g] += row
+                if j + 2 < owed:
+                    worker.put(next, theirs)
     out *= mixture.weight
     if x_arr.ndim == 0:
         return float(out[0])
@@ -430,12 +500,22 @@ def _bounds(delta: float, log_sigma: float, lw: np.ndarray, ls: np.ndarray) -> n
     return out
 
 
-def _floor(delta: float, log_sigma: float, ls: np.ndarray, bounds: np.ndarray) -> float:
-    # _GAP below the anchor, a lower bound on the term with the largest
-    # bound (the first among ties); -inf, skipping nothing, past _PRUNE_LIMIT.
+def _gap(count: int) -> float:
+    # _GAP, widened by ln(count / _GAP_TERMS) past that many terms: the
+    # slack charges each skipped term e^(floor - m + 1), so that the count
+    # of them times that stays as far under half an ulp of the largest
+    # term as at _GAP_TERMS.
+    return _GAP + max(0.0, math.log(count / _GAP_TERMS))
+
+
+def _floor(delta: float, log_sigma: float, ls: np.ndarray, bounds: np.ndarray,
+           count: int) -> float:
+    # _gap(count) below the anchor, a lower bound on the term with the
+    # largest bound (the first among ties), for a sum of count terms; -inf,
+    # skipping nothing, past _PRUNE_LIMIT.
     j = int(np.argmax(bounds))
     anchor = _below_bound(delta, float(bounds[j]), log_sigma + float(ls[j]))
-    return anchor - _GAP if abs(anchor) <= _PRUNE_LIMIT else -math.inf
+    return anchor - _gap(count) if abs(anchor) <= _PRUNE_LIMIT else -math.inf
 
 
 def _evaluate(log_sigma: float, pieces) -> list[int]:
@@ -560,12 +640,12 @@ def _class_window(classes: BinomialClasses, delta: float, log_sigma: float):
     # E_j (1 - e^(-beta)), is not positive: the rise falls with j.
     peak = bisect.bisect_left(range(n), True, key=lambda j: log((n - j) / (j + 1))
                               + exp(min(ln_c - beta * j, 700.0)) * fall <= 0.0)
-    # The largest bound lies _GAP + 0.23 + asinh(sqrt(E/2)) above floor. A
-    # parabola of the estimate's curvature at the peak falls that far at
-    # width; each end starts width from the peak and doubles its distance
-    # until the estimate there lies below low.
+    # The largest bound lies _gap(n + 1) + 0.23 + asinh(sqrt(E/2)) above
+    # floor. A parabola of the estimate's curvature at the peak falls that
+    # far at width; each end starts width from the peak and doubles its
+    # distance until the estimate there lies below low.
     e_peak = exp(min(ln_c - beta * peak, 700.0))
-    drop = _GAP + 3.0 + math.asinh(math.sqrt(e_peak / 2.0))
+    drop = _gap(n + 1) + 3.0 + math.asinh(math.sqrt(e_peak / 2.0))
     low = estimate(peak) - drop
     curvature = 1.0 / (peak + 1) + 1.0 / (n - peak + 1) + fall * fall * e_peak
     width = int(math.sqrt(2.0 * drop / curvature)) + 1
@@ -615,7 +695,7 @@ class _ClassRun:
                 self._form(*((ulo, uhi) if uhi - ulo <= _MAX_CLASSES else (lo, hi)))
             lw, ls = self.lw[lo - self.lo : hi - self.lo], self.ls[lo - self.lo : hi - self.lo]
             bounds = _bounds(delta, log_sigma, lw, ls)
-            floor = _floor(delta, log_sigma, ls, bounds)
+            floor = _floor(delta, log_sigma, ls, bounds, n + 1)
             if floor == -math.inf:
                 return None
             edge = floor - (1.0 + 2.0**-40 * n + rel * (float(lw.max()) + _LN_HALF - floor + 30.0))
@@ -630,7 +710,7 @@ class _ClassRun:
 def _every_logsumexp(delta: float, log_sigma: float, lw: np.ndarray, ls: np.ndarray) -> float:
     # _pruned_logsumexp over every component, each bounded first.
     terms = _bounds(delta, log_sigma, lw, ls)
-    floor = _floor(delta, log_sigma, ls, terms)
+    floor = _floor(delta, log_sigma, ls, terms, lw.size)
     return _pruned_logsumexp(log_sigma, [(delta, lw, ls, terms, floor, terms >= floor)],
                              lw.size)[0]
 
@@ -749,48 +829,65 @@ def convexity_ratio(mixture: MixtureDistribution, k, *, base_log_p=None) -> floa
     return _like(k, [math.inf if d > LN_MAX else math.exp(d) for d in logs])
 
 
+# Leaves per moment run of an enumeration or of given arrays: each run
+# takes its product chain in one pass. Runs of four leaves were no faster
+# and held 1.3 MiB (tracemalloc) at N = 20, where two hold 0.6 MiB.
+_MOMENT_LEAVES = 2
+
+
 def _mean_scale_powers(mixture: MixtureDistribution, ms) -> np.ndarray:
     # E[scale^m] over the mixture weights for each m of ms (ascending), in
-    # one pass over the leaves, each sum in np.sum's order. Each leaf is
-    # the mixture's run over it: 2^N scales, as every enumeration has,
-    # split into leaves that are exactly its streamed blocks. Each leaf
-    # takes x^m as the product chain 1 * x * x * ... left to right, the
-    # rule of montecarlo.sample: IEEE products round alike on every CPU,
-    # where np.power's bits follow numpy's SIMD dispatch. In deep grouped
-    # mixtures a tiny weight can meet a power that overflows; a leaf whose
-    # sum is not finite takes such terms in log space and sums again.
-    # Terms are never negative, so a finite leaf sum means every term of
-    # the leaf was finite.
+    # one pass over the leaves, each sum in np.sum's order. The leaves go
+    # in runs of up to width consecutive ones, each the mixture's run over
+    # them: 2^N scales, as every enumeration has, split into leaves of
+    # exactly 2^14, so two make whole head elements. Each run takes x^m as
+    # the product chain 1 * x * x * ... left to right, the rule of
+    # montecarlo.sample (IEEE products round alike on every CPU, where
+    # np.power's bits follow numpy's SIMD dispatch), and each leaf sums its
+    # own slice: every term and every leaf sum has the bits it had with a
+    # run per leaf. In deep grouped mixtures a tiny weight can meet a power
+    # that overflows; a leaf whose sum is not finite takes such terms in
+    # log space and sums again. Terms are never negative, so a finite leaf
+    # sum means every term of the leaf was finite.
     n = mixture.n_components
     weighted = not mixture.zero_log_weights
-    runs = mixture.runs(_pairwise_sum(lambda i, j: [(i, j)], 0, n))
-    powers = np.empty(min(_LEAF, n))
+    # Classes form a run's arrays and the weights' scratch at once: two
+    # leaves of them held 5.3 MiB at n = 10^6, where one holds 2.7 MiB.
+    width = 1 if mixture.classes is not None else _MOMENT_LEAVES
+    leaves = _pairwise_sum(lambda i, j: [(i, j)], 0, n)
+    groups = [leaves[i : i + width] for i in range(0, len(leaves), width)]
+    runs = mixture.runs([(g[0][0], g[-1][1]) for g in groups], width * _LEAF)
+    powers = np.empty(min(width * _LEAF, n))
     terms = np.empty(powers.size if weighted else 0)
     weights = np.empty(terms.size)
 
-    def leaf(i: int, j: int) -> np.ndarray:
-        _, x, ls, lw = next(runs)
-        p = powers[: j - i]
+    def run_sums(group) -> np.ndarray:
+        lo, x, ls, lw = next(runs)
+        p = powers[: x.size]
         p.fill(1.0)
         if weighted:
-            w = np.exp(lw, out=weights[: j - i])
-        sums = np.empty(len(ms))
+            w = np.exp(lw, out=weights[: x.size])
+        sums = np.empty((len(group), len(ms)))
         done = 0
         for r, m in enumerate(ms):
             for _ in range(m - done):
                 p *= x
             done = m
-            t = np.multiply(p, w, out=terms[: j - i]) if weighted else p
-            sums[r] = np.sum(t)
-            if not math.isfinite(sums[r]):
-                bad = ~np.isfinite(t)
-                t = t.copy()  # p carries the chain on to the next power
-                t[bad] = np.exp(lw[bad] + m * _logs(x, ls, bad))
-                sums[r] = np.sum(t)
+            t = np.multiply(p, w, out=terms[: x.size]) if weighted else p
+            for q, (i, j) in enumerate(group):
+                leaf = slice(i - lo, j - lo)
+                sums[q, r] = np.add.reduce(t[leaf])
+                if not math.isfinite(sums[q, r]):
+                    tl = t[leaf].copy()  # p carries the chain on to the next power
+                    bad = ~np.isfinite(tl)
+                    tl[bad] = np.exp(lw[leaf][bad]
+                                     + m * _logs(x[leaf], None if ls is None else ls[leaf], bad))
+                    sums[q, r] = np.sum(tl)
         return sums
 
+    rows = chain.from_iterable(map(run_sums, groups))
     with np.errstate(over="ignore", invalid="ignore"):
-        return mixture.weight * _pairwise_sum(leaf, 0, n)
+        return mixture.weight * _pairwise_sum(lambda i, j: next(rows), 0, n)
 
 
 def mixture_raw_moments(mixture: MixtureDistribution, orders) -> list[float]:

@@ -65,20 +65,60 @@ class MCSummary:
     exceed_counts: dict[float, int]
 
 
-def _draw_normals(rng: np.random.Generator, todo, done) -> None:
-    # The worker thread: fills each buffer it is handed on the queue todo
-    # with the stream's next normals, in the order handed, until it is
-    # handed None, and puts None (or the exception that stopped it) on the
-    # queue done for each. The caller forms every buffer, so the worker
-    # allocates no array: the glibc arena the thread gets for its start-up
-    # stays one 132 KiB heap with 2.3 KB in use.
-    while (z := todo.get()) is not None:
-        try:
-            rng.standard_normal(out=z)
-        except Exception as exc:  # the caller raises it, unchanged
-            done.put(exc)
-            return
-        done.put(None)
+class _Worker:
+    """A thread that lives for a with-block and calls each function it is
+    handed, in the order handed; ``get`` waits for the next one's value.
+    It starts kept off the calling thread's CPU. An exception that stops
+    a function ends the thread, and ``get`` raises it unchanged at that
+    function's turn. The block does not end before the thread does,
+    whatever ends it (Ctrl-C included): a function already begun runs to
+    its end first. Its queues are the only objects the thread and the
+    caller share; the caller forms every buffer the functions fill."""
+
+    def __init__(self, name: str):
+        # Imported on the first worker: imported with the module, it slowed
+        # the calls that start none by about 2% (the benchmark's binomial tails).
+        import queue
+
+        self._todo, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+        self.thread = threading.Thread(target=self._serve, name=name, daemon=True)
+
+    def __enter__(self) -> "_Worker":
+        self.thread.start()
+        _keep_off_this_cpu(self.thread)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._todo.put(None)
+        self.thread.join()
+
+    def put(self, fn, *args, **kwargs) -> None:
+        self._todo.put((fn, args, kwargs))
+
+    def get(self):
+        error, value = self._done.get()
+        if error is not None:
+            try:
+                raise error
+            finally:  # else this frame and the traceback would hold each other
+                del error
+        return value
+
+    def _serve(self) -> None:
+        while (job := self._todo.get()) is not None:
+            fn, args, kwargs = job
+            try:
+                value = fn(*args, **kwargs)
+            except Exception as exc:  # the caller raises it, unchanged
+                self._done.put((exc, None))
+                return
+            self._done.put((None, value))
+
+
+def _cpus() -> int:
+    # How many CPUs this thread may run on (at least 1).
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
 
 
 def _keep_off_this_cpu(worker: threading.Thread) -> None:
@@ -146,10 +186,6 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
             and np.any((lw := mixture.part("log_weights")) != lw[0])):
         raise ValueError("sample needs equal component weights; got a weighted mixture")
     scales = mixture.part("scales")  # the array every leaf gathers from, formed once
-    # Imported on the first call: imported with the module, it slowed the
-    # calls that never sample by about 2% (the benchmark's binomial tails).
-    import queue
-
     rng = np.random.default_rng(spec.seed)
     # The indices' generator, given rng's state at each block's start;
     # seeded so that forming it reads no OS entropy.
@@ -160,7 +196,7 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
     exceed = {k: 0 for k in spec.thresholds}
     size = min(_LEAF, spec.n_samples)
     x, powers, ring = np.empty(size), np.empty(size), np.empty((_RING, size))
-    todo, done = queue.SimpleQueue(), queue.SimpleQueue()
+    worker = _Worker("branchvol-normals")
     leaves: list[tuple[int, int]] = []  # the block's leaves, in the order summed
     t = 0  # the leaf being summed
 
@@ -168,7 +204,7 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
         # Hands the worker leaf u's buffer, when the block has a leaf u.
         if u < len(leaves):
             i, j = leaves[u]
-            todo.put(ring[u % _RING, : j - i])
+            worker.put(rng.standard_normal, out=ring[u % _RING, : j - i])
 
     def leaf(i: int, j: int) -> np.ndarray:
         # Sums of x^0..x^(n_pow - 1), then the exceedance counts, over draws
@@ -183,12 +219,7 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
         # mu + sigma * scale * z in place; this order fixes every bit of the sums.
         np.take(scales, ix.integers(0, n, size=j - i, dtype=np.int32), out=xl)
         xl *= mixture.sigma
-        error = done.get()  # leaf t's normals are in
-        if error is not None:
-            try:
-                raise error
-            finally:  # else this frame and the traceback would hold each other
-                del error
+        worker.get()  # leaf t's normals are in
         zl = ring[t % _RING, : j - i]
         draw(t + _RING - 1)  # into the buffer of leaf t - 1, summed
         t += 1
@@ -205,17 +236,12 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
             sums[s] = np.count_nonzero(xl > k)
         return sums
 
-    worker = threading.Thread(target=_draw_normals, args=(rng, todo, done),
-                              name="branchvol-normals", daemon=True)
-    worker.start()
-    try:
+    with worker:
         # Powers past the double range are inf or nan; estimate refuses them.
         with np.errstate(over="ignore", invalid="ignore"):
             remaining = spec.n_samples
             while remaining:
                 m = min(_BLOCK, remaining)
-                # The worker is idle here: every normal of the last block is in.
-                _keep_off_this_cpu(worker)
                 ix.bit_generator.state = rng.bit_generator.state
                 _skip_indices(rng, n, m)
                 start = rng.bit_generator.state["state"]  # where the normals start
@@ -230,9 +256,8 @@ def sample(mixture: MixtureDistribution, spec: SampleSpec) -> MCSummary:
                 for s, k in enumerate(exceed, start=n_pow):
                     exceed[k] += int(sums[s])
                 remaining -= m
-    finally:
-        todo.put(None)
-        worker.join()
+                if remaining:  # the worker is idle: every normal of the block is in
+                    _keep_off_this_cpu(worker.thread)
     return MCSummary(
         n=spec.n_samples,
         moment_orders=spec.moment_orders,

@@ -1,11 +1,19 @@
 """Mixture evaluation: density, tails, moments, and log-log diagnostics."""
 
 import gc
+import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -21,7 +29,7 @@ from branchvol.branching import (
     build_mixture,
     group_mixture,
 )
-from branchvol import mixstats
+from branchvol import cli, mixstats, montecarlo
 from branchvol._checks import LN_MAX
 from branchvol.closedform import schedule_moments
 from branchvol.mixstats import (
@@ -675,6 +683,59 @@ class TestPrunedTails:
         assert not {"scales", "log_scales", "log_weights"} & set(vars(mix))
 
 
+def _mp_windowed_log_tail(a, n, k, window=80):
+    # ln P(X > k) of the depth-n constant-rate mixture around mu = 0,
+    # sigma = 1: a 50-digit sum over the classes within window nats of the
+    # largest term. The terms are concave in the class, so the largest is
+    # found by bisection on the rise from j to j + 1, and the sum walks out
+    # from it on both sides. ln(erfc(z)/2) past z = 10^8, where mpmath's
+    # erfc cannot go, is -z^2 - ln(2 z sqrt(pi)), within 1/(2 z^2) of it.
+    up, down = mpmath.log1p(mpmath.mpf(a)), mpmath.log1p(-mpmath.mpf(a))
+    top = mpmath.loggamma(n + 1) - n * mpmath.ln2
+
+    def term(j):
+        z = k * mpmath.exp(-(j * up + (n - j) * down)) / mpmath.sqrt(2)
+        tail = (mpmath.log(mpmath.erfc(z) / 2) if z < 10**8
+                else -z * z - mpmath.log(2 * z * mpmath.sqrt(mpmath.pi)))
+        return top - mpmath.loggamma(j + 1) - mpmath.loggamma(n - j + 1) + tail
+
+    lo, hi = 0, n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if term(mid + 1) > term(mid) else (lo, mid)
+    peak = max((lo, hi), key=term)
+    largest, total = term(peak), mpmath.mpf(0)
+    for j, step in ((peak, 1), (peak - 1, -1)):
+        while 0 <= j <= n and (t := term(j)) >= largest - window:
+            total += mpmath.exp(t - largest)
+            j += step
+    return largest + mpmath.log(total)
+
+
+class TestGroupedTailsPastTheCeiling:
+    """The gap below the anchor widens by ln((n + 1) / (2^24 + 1)) past the
+    enumeration ceiling's class count: the slack then stays as far under
+    half an ulp as it is at the ceiling, so the proof holds and no tail
+    reads every class. With a fixed 60-nat gap, every threshold here
+    raised EnumerationLimitError at n = 10^12 and 10^15."""
+
+    @pytest.mark.parametrize("n", [10**11, 10**12, 10**15])
+    def test_deep_tails_against_mpmath(self, n):
+        # 0.2-0.7 s a depth: 819 classes lie within 80 nats at each.
+        ks = [2.0, 3.0, 10.0, 50.0]
+        got = log_exceedance(group_mixture(BASE, 0.1, n), np.array(ks)).tolist()
+        for k, value in zip(ks, got):
+            ref = float(_mp_windowed_log_tail(0.1, n, k))
+            # The log-weights are good to a few units of 2^-53 |ln w|.
+            assert abs(value - ref) <= 4e-15 * abs(ref), (n, k, value, ref)
+
+    def test_no_gap_widens_up_to_the_ceiling(self):
+        # So no kept set of 2^24 + 1 classes or fewer changes.
+        assert mixstats._GAP_TERMS == mixstats._MAX_CLASSES == 2**24 + 1
+        assert mixstats._gap(2**24 + 1) == mixstats._gap(2) == mixstats._GAP
+        assert mixstats._gap(2**24 + 2) > mixstats._GAP
+
+
 def _batch_thresholds(rng, mix):
     # 1 to 120 thresholds, unsorted and with repeats: below mu, at it, out
     # to 50 base sigmas, and 1e300 past it, where the tail can be -inf.
@@ -787,13 +848,13 @@ class TestGroupedThresholdBatches:
         assert [v.hex() for v in got] == [v.hex() for v in expected]
 
     def test_a_union_past_the_ceiling_is_not_merged(self, monkeypatch):
-        # With a ceiling of 1210 classes each 1208-class window fits, but
+        # With a ceiling of 1244 classes each 1242-class window fits, but
         # no union of two does: three runs, and no EnumerationLimitError.
         formed = _formed_runs(monkeypatch)
-        monkeypatch.setattr(mixstats, "_MAX_CLASSES", 1210)
+        monkeypatch.setattr(mixstats, "_MAX_CLASSES", 1244)
         mix = group_mixture(BASE, 0.1, 2 * 10**9)
         got = log_exceedance(mix, [3.0, 10.0, 50.0]).tolist()
-        assert len(formed) == 3 and all(hi - lo <= 1210 for lo, hi in formed)
+        assert len(formed) == 3 and all(hi - lo <= 1244 for lo, hi in formed)
         monkeypatch.undo()
         assert got == [log_exceedance(mix, k) for k in (3.0, 10.0, 50.0)]
 
@@ -1207,6 +1268,26 @@ class TestScalePowerLeaves:
         assert all(map(math.isfinite, got))
         assert [v.hex() for v in got] == [v.hex() for v in expected]
 
+    @pytest.mark.parametrize("make, width", [
+        (lambda: build_mixture(BASE, ErrorSchedule.bleed(0.2, 0.9, 17)), 2),
+        (lambda: build_mixture(BASE, ErrorSchedule.bleed(0.2, 0.9, 14)), 2),
+        (lambda: group_mixture(BASE, 0.1, 100_000), 1),
+    ], ids=["bleed17", "bleed14", "grouped1e5"])
+    def test_the_chain_runs_over_two_leaves(self, make, width, monkeypatch):
+        # An enumeration's chain runs over 2^15 scales at a time, whose
+        # leaves each sum their own slice; classes form a leaf at a time.
+        mix, read, runs = make(), [], MixtureDistribution.runs
+
+        def recording(mixture, bounds, *args):
+            read.append(bounds)
+            return runs(mixture, bounds, *args)
+
+        monkeypatch.setattr(MixtureDistribution, "runs", recording)
+        mixstats._mean_scale_powers(mix, [2, 4])
+        leaves = mixstats._pairwise_sum(lambda i, j: [(i, j)], 0, mix.n_components)
+        assert read == [[(leaves[i][0], leaves[min(i + width, len(leaves)) - 1][1])
+                         for i in range(0, len(leaves), width)]]
+
     def test_peak_memory_is_a_leaf(self):
         # One full-length power array of 2^20 doubles took 8 MB.
         mix = build_mixture(BASE, ErrorSchedule.bleed(0.2, 0.9, 20))
@@ -1351,3 +1432,194 @@ class TestLogLog:
         series = loglog_series(group_mixture(BASE, 0.1, 3), 2.0, 6.0, 10)
         with pytest.raises(ValueError):
             tail_slope_estimate(series, 0, 2)
+
+
+# Built alike in this process and in a child held to one CPU: (mixture,
+# grid) pairs whose densities are printed as float.hex.
+_SPLIT_CASES = """
+import numpy as np
+from branchvol.branching import ErrorSchedule, GaussianBase, build_mixture, group_mixture
+makes = (lambda n: ErrorSchedule.bleed(0.2, 0.9, n),
+         lambda n: ErrorSchedule.explicit(np.linspace(0.3, 0.01, n)),
+         lambda n: ErrorSchedule.geometric(0.1, n))
+base = GaussianBase(0.05, 1.3)
+cases = [(build_mixture(base, make(n)), np.linspace(-5.0, 5.0, 9))
+         for make in makes for n in range(15, 21)]
+cases += [(build_mixture(base, make(16)), np.linspace(-5.0, 5.0, p))
+          for make in makes for p in (1, 161)]
+cases.append((group_mixture(base, 0.1, 10**6), np.linspace(-4.0, 4.0, 9)))
+cases.append((build_mixture(GaussianBase(0.0, 1e-303), ErrorSchedule.bleed(0.2, 0.9, 20)),
+              np.linspace(-4e-303, 4e-303, 9)))
+"""
+
+
+def _split_bits(density_of):
+    scope = {}
+    exec(_SPLIT_CASES, scope)
+    return [[v.hex() for v in density_of(mix, grid).tolist()] for mix, grid in scope["cases"]]
+
+
+_TWO_CPUS = hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) >= 2
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(Path(mixstats.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
+
+
+def _worker_threads():
+    return [t for t in threading.enumerate() if t.name == "branchvol-density"]
+
+
+def _on_the_worker(monkeypatch, act):
+    # Wraps _density_chunk: act(count) runs before each chunk the worker
+    # thread evaluates, count its number from 1 (a run holds four).
+    chunk, count = mixstats._density_chunk, [0]
+
+    def wrapped(*args):
+        if threading.current_thread().name == "branchvol-density":
+            count[0] += 1
+            act(count[0])
+        return chunk(*args)
+
+    monkeypatch.setattr(mixstats, "_density_chunk", wrapped)
+    return count
+
+
+@pytest.mark.skipif(not _TWO_CPUS, reason="needs thread affinity and two allowed CPUs")
+class TestDensityThreads:
+    """Past one run of 2^14 components, density reads every other run on a
+    worker thread kept off the caller's CPU; the caller adds the runs'
+    sums in run order, so every bit is that of one thread. The worker ends
+    with the call on every path, and its exceptions reach the caller
+    unchanged."""
+
+    MIX = build_mixture(BASE, ErrorSchedule.bleed(0.2, 0.9, 18))  # 16 runs
+    GRID = np.linspace(-4.0, 4.0, 9)
+
+    def test_one_cpu_prints_the_bits_of_two(self):
+        # About 1 s a side.
+        code = ("import json, os\n"
+                "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                "from branchvol.mixstats import density\n"
+                f"exec({_SPLIT_CASES!r})\n"
+                "print(json.dumps([[v.hex() for v in density(m, g).tolist()]\n"
+                "                  for m, g in cases]))\n")
+        out = subprocess.run([sys.executable, "-c", code], env=_ENV, capture_output=True,
+                             text=True, timeout=120, check=True).stdout
+        assert json.loads(out) == _split_bits(density)
+
+    @pytest.mark.parametrize("make, split", [
+        (lambda: build_mixture(BASE, ErrorSchedule.bleed(0.2, 0.9, 14)), False),
+        (lambda: group_mixture(BASE, 0.1, 2**14 - 1), False),
+        (lambda: MixtureDistribution(0.0, 1.0, np.linspace(0.5, 2.0, 2**14), None, 2.0**-14,
+                                     np.zeros(2**14)), False),
+        (lambda: build_mixture(BASE, ErrorSchedule.bleed(0.2, 0.9, 15)), True),
+        (lambda: group_mixture(BASE, 0.1, 2**14), True),
+    ], ids=["N=14", "classes 2^14", "given 2^14", "N=15", "classes 2^14 + 1"])
+    def test_one_run_starts_no_thread(self, make, split, monkeypatch):
+        workers, worker = [], montecarlo._Worker
+
+        def recording(name):
+            workers.append(name)
+            return worker(name)
+
+        monkeypatch.setattr(montecarlo, "_Worker", recording)
+        density(make(), self.GRID)
+        assert workers == (["branchvol-density"] if split else [])
+
+    def test_one_allowed_cpu_starts_no_thread(self, monkeypatch):
+        split = density(self.MIX, self.GRID)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
+        monkeypatch.setattr(montecarlo, "_Worker", None)  # calling it would raise
+        assert density(self.MIX, self.GRID).tolist() == split.tolist()
+
+    @pytest.mark.parametrize("run", [1, 3, 8])
+    def test_a_worker_error_reaches_the_caller_unchanged(self, run, monkeypatch):
+        # The worker's eighth run is the mixture's last.
+        error = MemoryError("Unable to allocate the table")
+
+        def fail(count):
+            if count == 4 * (run - 1) + 1:  # the first chunk of that run
+                raise error
+
+        count = _on_the_worker(monkeypatch, fail)
+        with pytest.raises(MemoryError) as raised:
+            density(self.MIX, self.GRID)
+        assert raised.value is error
+        assert count[0] == 4 * (run - 1) + 1  # it evaluated nothing after the error
+        assert not _worker_threads()
+
+    def test_the_cli_maps_a_worker_memory_error_to_exit_3(self, monkeypatch, capsys):
+        def fail(count):
+            if count == 5:
+                raise MemoryError("Unable to allocate the table")
+
+        _on_the_worker(monkeypatch, fail)
+        rc = cli.main(["density", "--schedule", "bleed:a1=0.2,lambda=0.9,N=17", "--x=-4:4:1"])
+        assert rc == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate the table\n"
+        assert not _worker_threads()
+
+    @pytest.mark.parametrize("at", [1, 9, 29])
+    def test_an_interrupt_on_the_caller_ends_the_worker(self, at, monkeypatch):
+        # Ctrl-C lands on the calling thread, here at its at-th chunk.
+        chunk, count = mixstats._density_chunk, [0]
+
+        def interrupted(*args):
+            if threading.current_thread() is threading.main_thread():
+                count[0] += 1
+                if count[0] == at:
+                    raise KeyboardInterrupt
+            return chunk(*args)
+
+        monkeypatch.setattr(mixstats, "_density_chunk", interrupted)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            density(self.MIX, self.GRID)
+        assert threading.active_count() == before and not _worker_threads()
+
+    def test_ctrl_c_ends_a_long_density(self):
+        argv = ["density", "--schedule", "bleed:a1=0.2,lambda=0.9,N=24", "--x=-4:4:0.01"]
+        proc = subprocess.Popen([sys.executable, "-m", "branchvol", *argv], env=_ENV,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            time.sleep(1.0)
+            assert proc.poll() is None  # still evaluating
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=10)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == -signal.SIGINT
+        assert b"KeyboardInterrupt" in err
+
+    def test_concurrent_calls_each_keep_their_bits(self):
+        # More calling threads than CPUs, each with its own worker, under a
+        # short switch interval: every density has the bits of a serial one.
+        mixtures = [build_mixture(BASE, ErrorSchedule.bleed(a, 0.9, 17)) for a in (0.1, 0.2, 0.3)]
+        serial = [density(mix, self.GRID).tolist() for mix in mixtures]
+        got = {}
+
+        def run(i):
+            got[i] = density(mixtures[i % 3], self.GRID).tolist()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [got[i] for i in range(6)] == serial * 2
+        assert not _worker_threads()
+
+    def test_the_worker_runs_on_the_callers_cpus_but_one(self, monkeypatch):
+        masks = []
+        _on_the_worker(monkeypatch, lambda count: masks.append(os.sched_getaffinity(0)))
+        caller = os.sched_getaffinity(0)
+        density(self.MIX, self.GRID)
+        assert len(masks) == 32  # eight runs of four chunks
+        assert all(mask < caller and len(caller - mask) == 1 for mask in masks)
+        assert os.sched_getaffinity(0) == caller

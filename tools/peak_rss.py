@@ -22,8 +22,10 @@ million slowly rising bleed rates, whose closed forms stop once their
 layer product is inf, and `exceed` and `loglog` on constant rates at
 N = 2*10^9 and 10^9, which read a window of their classes (at 120
 thresholds, overlapping windows share one run, and about 2^14 kept classes
-go through the tail kernel at a time), and `density` on constant rates at
-N = 10^7, which reads every class a run at a time.
+go through the tail kernel at a time), `density` on constant rates at
+N = 10^7, which reads every class a run at a time, and the heaviest
+`density` of the benchmark's deep-build workload, bleed N = 19 at 9
+points, whose cpu_s / wall_s shows its two threads overlap.
 """
 
 import os
@@ -53,6 +55,7 @@ SLOW_CASES = [
     "loglog --schedule constant:a=0.1,N=1000000000 --x 2:12:5",
     "loglog --schedule constant:a=0.1,N=1000000000 --x 2:12:120",
     "density --schedule constant:a=0.1,N=10000000 --x=-4:4:1",
+    "density --schedule bleed:a1=0.204,lambda=0.939,N=19 --x=-4:4:1",
 ]
 
 
